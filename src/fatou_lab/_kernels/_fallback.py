@@ -1,9 +1,9 @@
 """NumPy reference implementations of the hot kernels.
 
-These mirror the Cython core exactly; every function is deterministic
-and single-threaded.  Windows are circular (torus wrap) and given by an
-integer halfwidth ``K``: the window at index ``i`` is the 2K+1 samples
-``i-K .. i+K`` modulo N.
+They give the same outputs as the Cython core; every function is
+deterministic and single-threaded.  Windows are circular (torus wrap)
+and given by an integer halfwidth ``K``: the window at index ``i`` is the
+2K+1 samples ``i-K .. i+K`` modulo N.
 """
 
 import numpy as np
@@ -92,19 +92,60 @@ def min_dist_graph_1d(qt: np.ndarray, qx: np.ndarray, phi: np.ndarray,
                       h: float, extent: float) -> np.ndarray:
     """Min Euclidean distance from (t, x) queries to graph samples (phi_j, j*h).
 
-    Base displacements use the torus metric on [0, extent).
+    Base displacements use the torus metric on [0, extent); the samples
+    tile it, N*h = extent.  Exact pruned sweep: a sample at lateral
+    distance l can only win if l^2 < u - L^2, where u is the squared
+    distance to the sample left of the query and L the query's vertical
+    clearance to [min phi, max phi].  Queries are sorted by that reach and
+    the samples at offset d = 1 .. N/2 on both sides, which lie at least
+    (d-1)h away, are visited only for the queries that can still reach
+    them.  Every candidate's squared distance is formed by the same float
+    expressions as a dense scan, so the minimum is the same number.
     """
     qt = np.ascontiguousarray(qt, dtype=np.float64)
     qx = np.ascontiguousarray(qx, dtype=np.float64)
     phi = np.ascontiguousarray(phi, dtype=np.float64)
     n = phi.shape[0]
+    m = qt.shape[0]
+    half = n // 2
+    # samples extended by half a period on each side, so that index
+    # j0 + half +- d needs no wrap
     xs = h * np.arange(n)
-    out = np.empty(qt.shape[0], dtype=np.float64)
-    chunk = max(1, int(2_000_000 // max(n, 1)))
-    for lo in range(0, qt.shape[0], chunk):
-        hi = min(lo + chunk, qt.shape[0])
-        dx = np.abs(qx[lo:hi, None] - xs[None, :])
-        dx = np.minimum(dx, extent - dx)
-        dt = qt[lo:hi, None] - phi[None, :]
-        out[lo:hi] = np.sqrt(np.min(dx * dx + dt * dt, axis=1))
-    return out
+    ext = np.r_[np.arange(n - half, n), np.arange(n), np.arange(half)]
+    xs_e, phi_e = xs[ext], phi[ext]
+
+    def sq_dist(t, x, j):
+        # |x - x_j|, torus min, t - phi_j, dx*dx + dt*dt; in place
+        dx = x - xs_e[j]
+        np.abs(dx, out=dx)
+        np.minimum(dx, extent - dx, out=dx)
+        dx *= dx
+        dt = t - phi_e[j]
+        dt *= dt
+        dx += dt
+        return dx
+
+    with np.errstate(invalid="ignore"):
+        # the clip also catches floor(x/h) rounding up to N and non-finite
+        # queries; any j0 within h of the query keeps the (d-1)h bound
+        j0 = np.floor(np.mod(qx, extent) / h).astype(np.int64)
+        j0 = np.clip(j0, 0, n - 1) + half
+        best = sq_dist(qt, qx, j0)
+        clear = np.maximum(np.maximum(qt - phi.max(), phi.min() - qt), 0.0)
+        # inflated to cover the rounding of dx, (d-1)h and the square root
+        slack = 16.0 * np.finfo(np.float64).eps * (np.abs(qx) + extent)
+        reach = np.sqrt(np.maximum(best - clear * clear, 0.0)) * (1.0 + 1e-12)
+        reach += slack
+    order = np.argsort(reach)
+    reach = reach[order]
+    qt_s, qx_s, j0_s = qt[order], qx[order], j0[order]
+    best_s = best[order]
+    for d in range(1, half + 1):
+        lo = int(np.searchsorted(reach, (d - 1) * h, side="right"))
+        if lo == m:
+            break
+        t, x, j, b = qt_s[lo:], qx_s[lo:], j0_s[lo:], best_s[lo:]
+        np.minimum(b, sq_dist(t, x, j + d), out=b)
+        np.minimum(b, sq_dist(t, x, j - d), out=b)
+    best[order] = best_s
+    return np.sqrt(best)

@@ -86,6 +86,10 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                 "frostman-lemma", "poincare", "j-uniformity"):
         _require(cfg.alpha > 0, "alpha must be positive")
         _require(cfg.alpha * cfg.p <= cfg.dim, "alpha p <= n required")
+    if name == "nagel-stein-bound":
+        _require(cfg.levels[-1] + 6 <= 24,
+                 f"nagel-stein-bound probes an extended control at level "
+                 f"levels[-1] + 6 = {cfg.levels[-1] + 6}, above the limit 24")
     beta = cfg.derived_beta()
     _require(0.0 < beta <= 1.0, f"beta = {beta} must lie in (0, 1]")
     r = cfg.derived_r()

@@ -452,12 +452,13 @@ def _run_corkscrew(cfg: ExperimentConfig) -> RunReport:
             graph = lipschitz_graph(prof, M=M * (1 + 1e-9))
             x0 = rng.integers(0, grid.n, size=10_000) * grid.h
             ts = np.exp(rng.uniform(math.log(grid.h), 0.0, size=10_000))
-            lifts = np.array([graph.phi.samples[int(round(x / grid.h)) % grid.n]
-                              for x in x0])
+            lifts = graph.phi.samples[np.rint(x0 / grid.h).astype(int) % grid.n]
             dists = graph_distance_batch(graph, lifts + ts, x0)
             floor = corkscrew_kappa(M) * ts - 2.0 * grid.h
             viol = int(np.sum(dists < floor))
-            upper = int(np.sum(dists > ts * (1 + 1e-12)))
+            # the sample directly below sits at the computed vertical gap,
+            # which bounds the computed minimum exactly
+            upper = int(np.sum(dists > (lifts + ts) - lifts))
             total_viol += viol + upper
             rep.add_row(level, cfg.seeds[0], f"violations_M{M}_{tag}",
                         viol + upper)

@@ -17,7 +17,8 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ParameterError
-from .grid import Grid, GridFunction, ball_mean_all_centers, make_grid
+from .grid import (Grid, GridFunction, ball_mean_all_centers, make_grid,
+                   read_exact)
 from .potentials import _freq_abs2
 
 _MAGIC = b"FLHF"
@@ -37,8 +38,8 @@ class HalfSpaceField:
         hts = tuple(float(t) for t in self.heights)
         if len(hts) < 1 or any(b >= a for a, b in zip(hts, hts[1:])):
             raise ParameterError("heights must be strictly decreasing")
-        if any(t <= 0 for t in hts):
-            raise ParameterError("heights must be positive")
+        if not all(0.0 < t < math.inf for t in hts):
+            raise ParameterError("heights must be positive and finite")
         vals = np.asarray(self.values, dtype=np.float64).reshape(len(hts), -1)
         if vals.shape[1] != self.grid.size:
             raise ParameterError("values shape does not match grid")
@@ -126,11 +127,15 @@ def load_half_space_field(path) -> HalfSpaceField:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ParameterError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        version, dim, levels, extent, kk = struct.unpack("<IIIdI", fh.read(24))
+        version, dim, levels, extent, kk = struct.unpack(
+            "<IIIdI", read_exact(fh, 24, "FLHF header"))
         if version != _VERSION:
             raise ParameterError(f"unsupported version {version}")
         grid = make_grid(dim, levels, extent)
-        heights = np.frombuffer(fh.read(8 * (kk + 1)), dtype="<f8")
-        vals = np.frombuffer(fh.read(8 * (kk + 1) * grid.size), dtype="<f8")
+        heights = np.frombuffer(read_exact(fh, 8 * (kk + 1), "FLHF heights"),
+                                dtype="<f8")
+        vals = np.frombuffer(
+            read_exact(fh, 8 * (kk + 1) * grid.size, "FLHF values"),
+            dtype="<f8")
         return HalfSpaceField(grid=grid, heights=tuple(heights),
                               values=vals.reshape(kk + 1, grid.size))

@@ -248,17 +248,42 @@ def save_grid_function(path, f: GridFunction) -> None:
         fh.write(f.samples.astype("<f8").tobytes())
 
 
+def read_exact(fh, size: int, what: str) -> bytes:
+    """Read exactly size bytes; a short read means a truncated file.
+
+    Reads in bounded pieces, so a corrupt header that declares a huge
+    body fails at the end of the file instead of allocating the body.
+    """
+    parts = []
+    left = size
+    while left > 0:
+        part = fh.read(min(left, 1 << 24))
+        if not part:
+            raise ParameterError(
+                f"truncated file: {what} needs {size} bytes, "
+                f"found {size - left}")
+        parts.append(part)
+        left -= len(part)
+    return b"".join(parts)
+
+
+def read_grid_function(fh) -> GridFunction:
+    """Read one FLGF record from an open binary file, leaving the rest."""
+    magic = fh.read(4)
+    if magic != _MAGIC:
+        raise ParameterError(f"bad magic {magic!r}, expected {_MAGIC!r}")
+    version, dim, levels, extent = struct.unpack(
+        "<IIId", read_exact(fh, 20, "FLGF header"))
+    if version != _VERSION:
+        raise ParameterError(f"unsupported version {version}")
+    grid = make_grid(dim, levels, extent)
+    data = read_exact(fh, 8 * grid.size, "FLGF samples")
+    return GridFunction(grid, np.frombuffer(data, dtype="<f8"))
+
+
 def load_grid_function(path) -> GridFunction:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ParameterError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        version, dim, levels, extent = struct.unpack("<IIId", fh.read(20))
-        if version != _VERSION:
-            raise ParameterError(f"unsupported version {version}")
-        grid = make_grid(dim, levels, extent)
-        data = np.frombuffer(fh.read(8 * grid.size), dtype="<f8")
-        return GridFunction(grid, data)
+        return read_grid_function(fh)
 
 
 def grid_function_to_csv(path, f: GridFunction) -> None:

@@ -16,7 +16,8 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, ParameterError
 from .extension import annuli_surrogate, dyadic_heights
-from .grid import GridFunction, load_grid_function, lp_norm, save_grid_function
+from .grid import (GridFunction, lp_norm, read_exact, read_grid_function,
+                   save_grid_function)
 from .maximal import ApproachRegionSpec, region_contains, tangential_max
 from .potentials import multi_indices, slobodeckij_seminorm, spectral_derivative
 from .rng import stream
@@ -56,6 +57,8 @@ def lipschitz_graph(phi: GridFunction, M: float | None = None,
     slope = _max_discrete_slope(phi)
     if M is None:
         M = slope
+    elif not (math.isfinite(M) and M >= 0):
+        raise ParameterError(f"declared M must be finite and >= 0, got {M}")
     elif slope > M * (1.0 + 1e-9):
         raise ParameterError(
             f"profile has discrete slope {slope:.6g} exceeding declared M={M}")
@@ -201,11 +204,17 @@ def region_inclusion_check(graph: LipschitzGraph, beta: float, c: float,
         ix = ((i0 * g.h + lateral) / g.h).round().astype(int) % n
         x = ix * g.h
         t = phi[ix] + gap
-        d = graph_distance_batch(graph, t, x)
         q0x = i0 * g.h
         dx = np.abs(x - q0x)
         dx = np.minimum(dx, g.extent - dx)
         sep = np.hypot(dx, t - phi[i0])
+        # d <= |tv|, the vertical gap to the sample below x, and the
+        # membership bound grows with d: beyond it a sample cannot be a
+        # member, so its distance query is skipped and d stays 0
+        tv = np.abs(t - phi[ix])
+        live = sep < (1.0 + c) * np.maximum(tv ** beta, tv) * (1.0 + 1e-12)
+        d = np.zeros(batch)
+        d[live] = graph_distance_batch(graph, t[live], x[live])
         member = (d > 0) & (sep < (1.0 + c) * np.where(d <= 1.0, d ** beta, d))
         # flattened coordinates: the vertical gap is exact for on-grid x
         tp = gap
@@ -322,8 +331,10 @@ def save_lipschitz_graph(path, graph: LipschitzGraph) -> None:
 
 
 def load_lipschitz_graph(path) -> LipschitzGraph:
-    phi = load_grid_function(path)
     with open(path, "rb") as fh:
-        data = fh.read()
-    M, smooth_class = struct.unpack("<dI", data[-12:])
+        phi = read_grid_function(fh)
+        M, smooth_class = struct.unpack(
+            "<dI", read_exact(fh, 12, "Lipschitz trailer (M, smooth_class)"))
+        if fh.read(1):
+            raise ParameterError("trailing bytes after the Lipschitz trailer")
     return lipschitz_graph(phi, M=M, smooth_class=smooth_class)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fatou_lab import _kernels
 
@@ -102,3 +104,113 @@ def test_min_dist_agreement(backends, rng):
         dx = np.minimum(dx, 1.0 - dx)
         expect = np.sqrt(np.min(dx ** 2 + (qt[i] - phi) ** 2))
         assert results[0][i] == pytest.approx(expect, rel=1e-12)
+
+
+def _brute_min_dist(qt, qx, phi, h, extent):
+    """Every query against every sample, with the kernel's float expressions."""
+    qt = np.asarray(qt, dtype=np.float64)
+    qx = np.asarray(qx, dtype=np.float64)
+    xs = h * np.arange(phi.size)
+    dx = np.abs(qx[:, None] - xs[None, :])
+    dx = np.minimum(dx, extent - dx)
+    dt = qt[:, None] - phi[None, :]
+    return np.sqrt(np.min(dx * dx + dt * dt, axis=1))
+
+
+def _assert_min_dist_exact(backends, qt, qx, phi, h, extent):
+    expect = _brute_min_dist(qt, qx, phi, h, extent)
+    for name, mod in backends.items():
+        np.testing.assert_array_equal(
+            mod.min_dist_graph_1d(qt, qx, phi, h, extent), expect)
+
+
+def test_min_dist_on_and_off_grid(backends, rng):
+    n, extent = 128, 1.0
+    h = extent / n
+    phi = np.cumsum(rng.normal(size=n)) * h
+    ix = rng.integers(0, n, size=200)
+    on_grid = ix * h
+    off_grid = rng.uniform(0.0, extent, size=200)
+    gaps = np.exp(rng.uniform(np.log(h / 8), 0.0, size=200))
+    for qx in (on_grid, off_grid):
+        _assert_min_dist_exact(backends, phi[ix] + gaps, qx, phi, h, extent)
+
+
+def test_min_dist_torus_seam(backends, rng):
+    n, extent = 128, 2.0
+    h = extent / n
+    phi = np.sin(2 * np.pi * h * np.arange(n) / extent) * 0.3
+    qx = np.concatenate([
+        [0.0, 1e-300, 1e-17, h / 3, extent, extent - 1e-16, extent - h / 3],
+        rng.uniform(0.0, 2 * h, size=40),
+        rng.uniform(extent - 2 * h, extent, size=40)])
+    qt = np.full(qx.size, 0.05)
+    qt[::2] = rng.uniform(-0.5, 0.5, size=qt[::2].size)
+    _assert_min_dist_exact(backends, qt, qx, phi, h, extent)
+
+
+def test_min_dist_below_and_inside_band(backends, rng):
+    n, extent = 128, 1.0
+    h = extent / n
+    phi = rng.uniform(-0.2, 0.2, size=n)
+    qx = rng.uniform(0.0, extent, size=300)
+    below = phi.min() - np.exp(rng.uniform(np.log(h / 8), 0.0, size=100))
+    inside = rng.uniform(phi.min(), phi.max(), size=100)
+    above = phi.max() + rng.uniform(0.0, 1.0, size=100)
+    qt = np.concatenate([below, inside, above])
+    _assert_min_dist_exact(backends, qt, qx, phi, h, extent)
+
+
+def test_min_dist_flat_profile(backends, rng):
+    # the vertical clearance equals the seed distance for on-grid queries,
+    # so the sweep keeps a single offset; off-grid queries keep a few
+    n, extent = 128, 1.0
+    h = extent / n
+    phi = np.full(n, 0.75)
+    qx = np.concatenate([rng.integers(0, n, size=100) * h,
+                         rng.uniform(0.0, extent, size=100)])
+    qt = 0.75 + np.concatenate([np.exp(rng.uniform(-8.0, 1.0, size=100)),
+                                -np.exp(rng.uniform(-8.0, 1.0, size=100))])
+    _assert_min_dist_exact(backends, qt, qx, phi, h, extent)
+    for name, mod in backends.items():
+        got = mod.min_dist_graph_1d(qt[:100], qx[:100], phi, h, extent)
+        np.testing.assert_array_equal(got, np.abs(qt[:100] - 0.75))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 128])
+def test_min_dist_small_sample_counts(backends, rng, n):
+    extent = 1.0
+    h = extent / n
+    phi = rng.normal(size=n) * 0.3
+    qx = np.concatenate([rng.uniform(-0.5, 1.5, size=60), h * np.arange(n)])
+    qt = rng.uniform(-1.0, 1.0, size=qx.size)
+    _assert_min_dist_exact(backends, qt, qx, phi, h, extent)
+
+
+def test_min_dist_empty_queries(backends):
+    for name, mod in backends.items():
+        out = mod.min_dist_graph_1d(np.empty(0), np.empty(0), np.zeros(8),
+                                    1 / 8, 1.0)
+        assert out.shape == (0,)
+
+
+@settings(max_examples=60, deadline=None)
+@given(levels=st.integers(0, 9),
+       extent=st.sampled_from([1.0, 0.3, 2 * np.pi, 40.0]),
+       slope=st.floats(0.0, 4.0),
+       seed=st.integers(0, 2 ** 31),
+       lift=st.floats(-3.0, 3.0))
+def test_min_dist_property(levels, extent, slope, seed, lift):
+    n = 1 << levels
+    h = extent / n
+    r = np.random.Generator(np.random.Philox(key=seed))
+    phi = lift + slope * h * np.cumsum(r.uniform(-1.0, 1.0, size=n))
+    m = 64
+    on_grid = r.integers(0, n, size=m // 2)
+    qx = np.concatenate([on_grid * h,
+                         r.uniform(-0.25 * extent, 1.25 * extent,
+                                   size=m - m // 2)])
+    gap = np.exp(r.uniform(np.log(h / 16), np.log(2 * extent), size=m))
+    qt = np.concatenate([phi[on_grid], r.choice(phi, size=m - m // 2)])
+    qt = qt + gap * r.choice([-1.0, 1.0], size=m)
+    _assert_min_dist_exact(_kernels.backends(), qt, qx, phi, h, extent)

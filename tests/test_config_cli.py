@@ -38,6 +38,12 @@ def test_config_validation_messages():
     with pytest.raises(ParameterError, match="alpha p <= n"):
         validate(ExperimentConfig(experiment="nagel-stein-bound", alpha=0.75,
                                   p=2.0))
+    # the extended negative control runs at levels[-1] + 6, capped at 24
+    with pytest.raises(ParameterError, match="levels\\[-1\\] \\+ 6 = 25"):
+        validate(ExperimentConfig(experiment="nagel-stein-bound",
+                                  levels=(16, 19), alpha=0.25, p=2.0))
+    validate(ExperimentConfig(experiment="nagel-stein-bound", levels=(16, 18),
+                              alpha=0.25, p=2.0))
 
 
 def test_config_file_load(tmp_path):

@@ -1,7 +1,10 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fatou_lab.errors import ParameterError
 from fatou_lab.extension import (HalfSpaceField, annuli_surrogate, dyadic_heights,
@@ -150,3 +153,37 @@ def test_field_binary_round_trip(tmp_path, rng):
     assert back.grid == g
     assert back.heights == u.heights
     np.testing.assert_array_equal(back.values, u.values)
+
+
+_FILE_FUZZ = settings(max_examples=40, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+def _field_bytes(path):
+    g = make_grid(1, 3, 1.0)
+    f = GridFunction(g, np.arange(g.size, dtype=float))
+    save_half_space_field(path, poisson_extend(f, dyadic_heights(0.5, count=2)))
+    return path.read_bytes()
+
+
+@_FILE_FUZZ
+@given(frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_field_file_raises(tmp_path, frac):
+    path = tmp_path / "u.flhf"
+    data = _field_bytes(path)
+    path.write_bytes(data[:int(frac * len(data))])
+    with pytest.raises(ParameterError):
+        load_half_space_field(path)
+
+
+@_FILE_FUZZ
+@given(blob=st.binary(max_size=200))
+def test_fuzzed_field_file_loads_or_raises_parameter_error(tmp_path, blob):
+    path = tmp_path / "u.flhf"
+    path.write_bytes(b"FLHF" + struct.pack("<I", 1) + blob)
+    try:
+        u = load_half_space_field(path)
+    except ParameterError:
+        return
+    assert u.values.shape == (len(u.heights), u.grid.size)
+    assert all(0.0 < t < math.inf for t in u.heights)

@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fatou_lab.errors import GridMismatchError, ParameterError
@@ -208,3 +209,32 @@ def test_csv_round_trip(tmp_path, rng):
         back = grid_function_from_csv(path, 1.5)
         assert back.grid == g
         np.testing.assert_array_equal(back.samples, f.samples)
+
+
+_FILE_FUZZ = settings(max_examples=40, deadline=None,
+                      suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+@_FILE_FUZZ
+@given(cut=st.integers(0, 24 + 8 * 16 - 1), dim=st.sampled_from([1, 2]))
+def test_truncated_grid_file_raises(tmp_path, cut, dim):
+    g = make_grid(dim, 4 if dim == 1 else 2, 1.0)
+    path = tmp_path / "f.flgf"
+    save_grid_function(path, GridFunction(g, np.linspace(0.0, 1.0, g.size)))
+    data = path.read_bytes()
+    path.write_bytes(data[:min(cut, len(data) - 1)])
+    with pytest.raises(ParameterError):
+        load_grid_function(path)
+
+
+@_FILE_FUZZ
+@given(blob=st.binary(max_size=160))
+def test_fuzzed_grid_file_loads_or_raises_parameter_error(tmp_path, blob):
+    path = tmp_path / "f.flgf"
+    path.write_bytes(b"FLGF" + struct.pack("<I", 1) + blob)
+    try:
+        f = load_grid_function(path)
+    except ParameterError:
+        return
+    assert f.samples.size == f.grid.size
+    assert np.all(np.isfinite(f.samples))

@@ -2,8 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from fatou_lab.cli import main
+from fatou_lab.config import ExperimentConfig
 from fatou_lab.errors import DomainError, ParameterError
+from fatou_lab.experiments import run_experiment
 from fatou_lab.grid import GridFunction, from_callable, lp_norm, make_grid
 from fatou_lab.lipschitz import (SurrogateParams, boundary_point,
                                  boundary_seminorm, boundary_tangential_max,
@@ -325,3 +330,77 @@ def test_graph_file_round_trip(tmp_path):
     assert back.M == hat.M
     assert back.smooth_class == hat.smooth_class
     np.testing.assert_array_equal(back.phi.samples, hat.phi.samples)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(frac=st.floats(0.0, 1.0, exclude_max=True))
+def test_truncated_graph_file_raises(tmp_path, frac):
+    path = tmp_path / "profile.flgf"
+    save_lipschitz_graph(path, _hat(3))
+    data = path.read_bytes()
+    path.write_bytes(data[:int(frac * len(data))])
+    with pytest.raises(ParameterError):
+        load_lipschitz_graph(path)
+
+
+def test_graph_file_trailer_must_be_whole(tmp_path):
+    path = tmp_path / "profile.flgf"
+    save_lipschitz_graph(path, _hat(3))
+    data = path.read_bytes()
+    for bad in (data[:-12], data[:-1], data + b"\0"):
+        path.write_bytes(bad)
+        with pytest.raises(ParameterError):
+            load_lipschitz_graph(path)
+    path.write_bytes(data[:-12])
+    assert main(["lipschitz", "corkscrew", "--profile", str(path),
+                 "--x0", "0.25", "--t", "0.5"]) == 2
+    path.write_bytes(data[:6])
+    assert main(["lipschitz", "inclusion", "--profile", str(path),
+                 "--beta", "0.5", "--c", "1.0", "--samples", "10"]) == 2
+
+
+def test_declared_constant_must_be_finite():
+    prof = _flat().phi
+    for M in (math.nan, math.inf, -1.0):
+        with pytest.raises(ParameterError):
+            lipschitz_graph(prof, M=M)
+
+
+@pytest.mark.parametrize("levels, m_values, seed", [
+    ((12,), (0.5, 1.0, 3.0), 0),
+    ((11,), (0.5, 1.0, 2.0, 3.0), 2),
+])
+def test_corkscrew_upper_clearance_has_no_false_positives(levels, m_values,
+                                                          seed):
+    # the distance never exceeds the computed vertical gap (phi + t) - phi;
+    # a tolerance relative to t alone misses its rounding when |phi| >> t
+    rep = run_experiment(ExperimentConfig(
+        experiment="corkscrew-geometry", levels=levels, m_values=m_values,
+        seeds=(seed,)))
+    assert all(c.passed for c in rep.criteria), rep.criteria
+    assert all(row[-1] == 0 for row in rep.rows)
+
+
+def test_region_inclusion_prefilter_keeps_members(rng):
+    # the skipped queries are exactly the non-members: recount membership
+    # with every distance computed
+    g = make_grid(1, 8, 1.0)
+    prof = bessel_smooth(GridFunction(g, rng.normal(size=g.size)), 2.0)
+    graph = lipschitz_graph(GridFunction(g, prof.samples * 4.0))
+    beta, c = 0.5, 1.0
+    r = stream(3)
+    i0 = r.integers(0, g.n, size=4000)
+    gap = np.exp(r.uniform(np.log(g.h / 4.0), 0.0, size=4000))
+    ix = (i0 + r.integers(-40, 41, size=4000)) % g.n
+    phi = graph.phi.samples
+    t = phi[ix] + gap
+    d = graph_distance_batch(graph, t, ix * g.h)
+    dx = np.abs(ix - i0) * g.h
+    dx = np.minimum(dx, g.extent - dx)
+    sep = np.hypot(dx, t - phi[i0])
+    tv = np.abs(t - phi[ix])
+    bound = (1.0 + c) * np.maximum(tv ** beta, tv) * (1.0 + 1e-12)
+    member = (d > 0) & (sep < (1.0 + c) * np.where(d <= 1.0, d ** beta, d))
+    assert not np.any(member & (sep >= bound))
+    assert np.any(sep >= bound)
