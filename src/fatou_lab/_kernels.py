@@ -1,9 +1,8 @@
-"""NumPy reference implementations of the hot kernels.
+"""The hot numerical kernels, in NumPy.
 
-They give the same outputs as the Cython core; every function is
-deterministic and single-threaded.  Windows are circular (torus wrap)
-and given by an integer halfwidth ``K``: the window at index ``i`` is the
-2K+1 samples ``i-K .. i+K`` modulo N.
+Every function is deterministic and single-threaded.  Windows are
+circular (torus wrap) and given by an integer halfwidth ``K``: the window
+at index ``i`` is the 2K+1 samples ``i-K .. i+K`` modulo N.
 """
 
 import numpy as np

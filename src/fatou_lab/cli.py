@@ -2,8 +2,8 @@
 
 Subcommands: kernel-table, extend, maxfn, potential, fractal, lipschitz,
 verify (one experiment from a config), suite (the full acceptance
-battery), bench.  Exit codes: 0 all checks passed, 1 a criterion
-failed, 2 usage error.
+battery).  Exit codes: 0 all checks passed, 1 a criterion failed,
+2 usage error.
 """
 
 import argparse
@@ -21,7 +21,7 @@ from .extension import annuli_surrogate, dyadic_heights, load_half_space_field, 
 from .fractal import PointSet, box_dimension, cantor_measure, divergence_set, \
     frostman_constant
 from .grid import GridFunction, grid_function_from_csv, grid_function_to_csv, \
-    load_grid_function, make_grid, save_grid_function
+    load_grid_function, make_grid, read_csv_table, save_grid_function
 from .kernels import KernelSpec, bessel_kernel, poisson_kernel, riesz_kernel
 from .lipschitz import SurrogateParams, boundary_point, boundary_tangential_max, \
     corkscrew, graph_distance, load_lipschitz_graph, region_inclusion_check, \
@@ -60,14 +60,8 @@ def _write_points(path: str, ps: PointSet) -> None:
 
 
 def _read_points(path: str, grid) -> PointSet:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    body = rows[1:]
-    if grid.dim == 1:
-        pts = np.array([float(r[0]) for r in body])
-    else:
-        pts = np.array([[float(r[0]), float(r[1])] for r in body])
-    return PointSet(points=pts, grid=grid)
+    _, table = read_csv_table(path, (grid.dim,))
+    return PointSet(points=table[:, 0] if grid.dim == 1 else table, grid=grid)
 
 
 def _parse_heights(text: str) -> tuple:
@@ -295,13 +289,6 @@ def _cmd_suite(args) -> int:
     return 0 if failed == 0 else 1
 
 
-def _cmd_bench(_args) -> int:
-    from . import bench
-
-    bench.run()
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fatou-lab",
                                 description="harmonic analysis lab")
@@ -409,9 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     su = sub.add_parser("suite", help="run the full acceptance battery")
     su.add_argument("--output-dir", dest="output_dir")
     su.set_defaults(fn=_cmd_suite)
-
-    be = sub.add_parser("bench", help="compare kernel backends")
-    be.set_defaults(fn=_cmd_bench)
     return p
 
 

@@ -11,6 +11,7 @@ import io
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError
+from .grid import MAX_LEVELS
 
 EXPERIMENTS = (
     "nagel-stein-bound",
@@ -27,6 +28,9 @@ EXPERIMENTS = (
     "j-uniformity",
     "boxdim-calibration",
 )
+
+# the experiments whose runners honour dim = 2; the rest run in 1-D only
+_PLANAR = ("commute-lemma", "poisson-exactness")
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,14 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(cfg.experiment in EXPERIMENTS,
              f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}")
     _require(cfg.dim in (1, 2), "dim must be 1 or 2")
-    _require(len(cfg.levels) >= 1 and all(2 <= m <= 24 for m in cfg.levels),
-             "levels must be a nonempty tuple within [2, 24]")
+    _require(cfg.dim == 1 or cfg.experiment in _PLANAR,
+             f"{cfg.experiment} runs in one dimension only; dim = 2 is "
+             f"supported by {' and '.join(_PLANAR)}")
+    max_level = MAX_LEVELS[cfg.dim]
+    _require(len(cfg.levels) >= 1
+             and all(2 <= m <= max_level for m in cfg.levels),
+             f"levels must be a nonempty tuple within [2, {max_level}] "
+             f"for dim = {cfg.dim}")
     _require(cfg.extent > 0, "extent must be positive")
     _require(cfg.p > 1, "p must exceed 1")
     _require(len(cfg.seeds) >= 1, "need at least one seed")
@@ -143,7 +153,10 @@ def serialize(cfg: ExperimentConfig) -> str:
 
 def parse(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser()
-    cp.read_string(text)
+    try:
+        cp.read_string(text)
+    except configparser.Error as exc:
+        raise ParameterError(f"malformed config: {exc}") from exc
     if "experiment" not in cp:
         raise ParameterError("config must contain an [experiment] section")
     sect = cp["experiment"]
@@ -152,15 +165,18 @@ def parse(text: str) -> ExperimentConfig:
         if f.name not in sect:
             continue
         raw = sect[f.name]
-        if f.name in _TUPLE_FIELDS:
-            conv = _TUPLE_FIELDS[f.name]
-            kwargs[f.name] = tuple(conv(v) for v in raw.split(",") if v != "")
-        elif f.name in ("dim", "J"):
-            kwargs[f.name] = int(raw)
-        elif f.name in ("experiment", "output_dir"):
-            kwargs[f.name] = raw
-        else:
-            kwargs[f.name] = float(raw)
+        try:
+            if f.name in _TUPLE_FIELDS:
+                conv = _TUPLE_FIELDS[f.name]
+                kwargs[f.name] = tuple(conv(v) for v in raw.split(",") if v != "")
+            elif f.name in ("dim", "J"):
+                kwargs[f.name] = int(raw)
+            elif f.name in ("experiment", "output_dir"):
+                kwargs[f.name] = raw
+            else:
+                kwargs[f.name] = float(raw)
+        except ValueError as exc:
+            raise ParameterError(f"config key {f.name!r}: {exc}") from exc
     if "experiment" not in kwargs:
         raise ParameterError("config must set the experiment name")
     return validate(ExperimentConfig(**kwargs))

@@ -16,7 +16,6 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_hash, validate
-from .errors import ParameterError
 from .extension import HalfSpaceField, dyadic_heights, poisson_extend
 from .fractal import PointSet, box_dimension, cantor_measure, \
     integrate_against, divergence_set
@@ -134,7 +133,7 @@ def _run_kernel_identities(cfg: ExperimentConfig) -> RunReport:
 def _run_poisson_exactness(cfg: ExperimentConfig) -> RunReport:
     rep = _new_report(cfg)
     grid = make_grid(cfg.dim, max(cfg.levels), cfg.extent)
-    f = from_callable(grid, lambda x: np.cos(2 * np.pi * x / grid.extent))
+    f = from_callable(grid, lambda x, *_: np.cos(2 * np.pi * x / grid.extent))
     heights = dyadic_heights(1.0, grid=grid)
     u = poisson_extend(f, heights)
     worst = 0.0
@@ -628,10 +627,7 @@ _RUNNERS = {
 def run_experiment(cfg: ExperimentConfig) -> RunReport:
     """Dispatch a validated config to its experiment; deterministic."""
     validate(cfg)
-    runner = _RUNNERS.get(cfg.experiment)
-    if runner is None:
-        raise ParameterError(f"no runner for experiment {cfg.experiment!r}")
-    return runner(cfg)
+    return _RUNNERS[cfg.experiment](cfg)
 
 
 def acceptance_configs() -> list:

@@ -75,11 +75,15 @@ class GridFunction:
         return self.samples.reshape(self.grid.shape)
 
 
+# finest refinement level per dimension; both caps mean 2^24 samples
+MAX_LEVELS = {1: 24, 2: 12}
+
+
 def make_grid(dim: int, levels: int, extent: float) -> Grid:
     """Build a grid; index i maps to coordinate x_i = i*h per axis."""
     if dim not in (1, 2):
         raise ParameterError(f"dim must be 1 or 2, got {dim}")
-    max_levels = 24 if dim == 1 else 12
+    max_levels = MAX_LEVELS[dim]
     if not (2 <= levels <= max_levels):
         raise ParameterError(
             f"levels must lie in [2, {max_levels}] for dim={dim}, got {levels}")
@@ -303,21 +307,48 @@ def grid_function_to_csv(path, f: GridFunction) -> None:
                     w.writerow([i, j, format(arr[i, j], ".17g")])
 
 
-def grid_function_from_csv(path, extent: float) -> GridFunction:
+def read_csv_table(path, widths) -> tuple:
+    """Header and numeric body of a CSV file, as (header, rows x width array).
+
+    The header must have one of the given widths and every row as many
+    cells as the header, each a number; otherwise ParameterError.
+    """
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
+    if not rows:
+        raise ParameterError(f"{path}: empty CSV file, expected a header row")
     header, body = rows[0], rows[1:]
+    width = len(header)
+    if width not in widths:
+        raise ParameterError(
+            f"{path}: header has {width} columns, expected "
+            f"{' or '.join(str(w) for w in widths)}")
+    for line, row in enumerate(body, start=2):
+        if len(row) != width:
+            raise ParameterError(
+                f"{path}: line {line} has {len(row)} cells, expected {width}")
+    try:
+        table = np.array([[float(cell) for cell in row] for row in body])
+    except ValueError as exc:
+        raise ParameterError(f"{path}: non-numeric cell: {exc}") from exc
+    return header, table.reshape(len(body), width)
+
+
+def grid_function_from_csv(path, extent: float) -> GridFunction:
+    header, table = read_csv_table(path, (2, 3))
     dim = len(header) - 1
-    count = len(body)
-    n = count if dim == 1 else int(round(math.sqrt(count)))
-    levels = int(round(math.log2(n)))
-    if (1 << levels) != n or n ** dim != count:
+    count = table.shape[0]
+    n = count if dim == 1 else math.isqrt(count)
+    levels = n.bit_length() - 1
+    if n < 1 or (1 << levels) != n or n ** dim != count:
         raise ParameterError(f"row count {count} is not a full 2^m grid")
     grid = make_grid(dim, levels, extent)
+    index = table[:, :dim]
+    if not np.all((index >= 0) & (index < n) & (index == np.floor(index))):
+        raise ParameterError(f"{path}: grid indices must be integers in [0, {n})")
+    flat = index.astype(np.int64) @ np.array([n, 1][-dim:])
+    if np.unique(flat).size != count:
+        raise ParameterError(f"{path}: repeated grid index")
     samples = np.zeros(grid.size)
-    for row in body:
-        if dim == 1:
-            samples[int(row[0])] = float(row[1])
-        else:
-            samples[int(row[0]) * n + int(row[1])] = float(row[2])
+    samples[flat] = table[:, dim]
     return GridFunction(grid, samples)

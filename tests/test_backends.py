@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import fatou_lab
 from fatou_lab import _kernels
 
 
@@ -12,28 +15,22 @@ def _brute_extreme(v, k, fn):
                      for i in range(n)])
 
 
-@pytest.fixture(scope="module")
-def backends():
-    return _kernels.backends()
-
-
 def test_backend_reported():
-    assert _kernels.BACKEND in ("compiled", "numpy")
+    assert fatou_lab.BACKEND == "numpy"
 
 
-def test_circ_extremes_match_brute_force(backends, rng):
+def test_circ_extremes_match_brute_force(rng):
     v = rng.normal(size=173)
     for k in (0, 1, 5, 40, 90):
         expect_max = _brute_extreme(v, k, max) if 2 * k + 1 < 173 else \
             np.full(173, v.max())
         expect_min = _brute_extreme(v, k, min) if 2 * k + 1 < 173 else \
             np.full(173, v.min())
-        for name, mod in backends.items():
-            np.testing.assert_array_equal(mod.circ_max_1d(v, k), expect_max)
-            np.testing.assert_array_equal(mod.circ_min_1d(v, k), expect_min)
+        np.testing.assert_array_equal(_kernels.circ_max_1d(v, k), expect_max)
+        np.testing.assert_array_equal(_kernels.circ_min_1d(v, k), expect_min)
 
 
-def test_circ_sum_matches_brute_force(backends, rng):
+def test_circ_sum_matches_brute_force(rng):
     v = rng.normal(size=97)
     for k in (0, 3, 11, 48, 60):
         if 2 * k + 1 >= 97:
@@ -41,69 +38,75 @@ def test_circ_sum_matches_brute_force(backends, rng):
         else:
             expect = np.array([sum(v[(i + d) % 97] for d in range(-k, k + 1))
                                for i in range(97)])
-        for name, mod in backends.items():
-            np.testing.assert_allclose(mod.circ_sum_1d(v, k), expect,
-                                       atol=1e-10)
+        np.testing.assert_allclose(_kernels.circ_sum_1d(v, k), expect,
+                                   atol=1e-10)
 
 
-def test_slobodeckij_agreement(backends, rng):
-    v = rng.normal(size=64)
-    v2 = rng.normal(size=(8, 8))
-    mask = (rng.uniform(size=64) > 0.3).astype(float)
-    results = {}
-    for name, mod in backends.items():
-        results[name] = (
-            mod.slobodeckij_1d(v, 1 / 64, 1.0, 0.4, 2.0),
-            mod.slobodeckij_1d(v, 1 / 64, 1.0, 0.4, 1.7, mask),
-            mod.slobodeckij_2d(v2, 1 / 8, 1.0, 0.6, 2.0),
-        )
-    vals = list(results.values())
-    for got in vals[1:]:
-        for a, b in zip(vals[0], got):
-            assert a == pytest.approx(b, rel=1e-12)
-
-
-def test_slobodeckij_brute_force_oracle(backends, rng):
-    v = rng.normal(size=24)
-    h, sigma, p = 1 / 24, 0.5, 2.0
+def _brute_slobodeckij_1d(v, h, sigma, p, mask):
+    """Pair loop over i != j of m_i m_j |v_i - v_j|^p / d_ij^{1+sigma p} h^2."""
+    n = v.size
     total = 0.0
-    for i in range(24):
-        for j in range(24):
+    for i in range(n):
+        for j in range(n):
             if i == j:
                 continue
             d = abs(i - j)
-            dist = h * min(d, 24 - d)
-            total += abs(v[i] - v[j]) ** p / dist ** (1 + sigma * p)
-    total *= h * h
-    for name, mod in backends.items():
-        assert mod.slobodeckij_1d(v, h, 1.0, sigma, p) == pytest.approx(
-            total, rel=1e-10)
+            dist = h * min(d, n - d)
+            total += (mask[i] * mask[j] * abs(v[i] - v[j]) ** p
+                      / dist ** (1 + sigma * p))
+    return total * h * h
 
 
-def test_bench_runs_and_reports(capsys):
-    from fatou_lab import bench
+def test_slobodeckij_masked_brute_force_oracle(rng):
+    h, sigma, p = 1 / 64, 0.4, 1.7
+    v = rng.normal(size=64)
+    mask = (rng.uniform(size=64) > 0.3).astype(float)
+    expect = _brute_slobodeckij_1d(v, h, sigma, p, mask)
+    got = _kernels.slobodeckij_1d(v, h, 1.0, sigma, p, mask)
+    assert got == pytest.approx(expect, rel=1e-12)
 
-    rows = bench.run(sizes=(256,))
-    assert len(rows) == 4
-    out = capsys.readouterr().out
-    assert "backend in use" in out
+
+def test_slobodeckij_2d_brute_force_oracle(rng):
+    n, h, sigma, p = 8, 1 / 8, 0.6, 1.7
+    v = rng.normal(size=(n, n))
+    mask = (rng.uniform(size=(n, n)) > 0.3).astype(float)
+    cells = [(i0, i1) for i0 in range(n) for i1 in range(n)]
+    plain = masked = 0.0
+    for a in cells:
+        for b in cells:
+            if a == b:
+                continue
+            d0, d1 = abs(a[0] - b[0]), abs(a[1] - b[1])
+            dist = math.hypot(h * min(d0, n - d0), h * min(d1, n - d1))
+            term = abs(v[a] - v[b]) ** p / dist ** (2 + sigma * p)
+            plain += term
+            masked += mask[a] * mask[b] * term
+    got = _kernels.slobodeckij_2d(v, h, 1.0, sigma, p)
+    assert got == pytest.approx(plain * h ** 4, rel=1e-12)
+    got = _kernels.slobodeckij_2d(v, h, 1.0, sigma, p, mask)
+    assert got == pytest.approx(masked * h ** 4, rel=1e-12)
 
 
-def test_min_dist_agreement(backends, rng):
+def test_slobodeckij_brute_force_oracle(rng):
+    v = rng.normal(size=24)
+    h, sigma, p = 1 / 24, 0.5, 2.0
+    total = _brute_slobodeckij_1d(v, h, sigma, p, np.ones(24))
+    assert _kernels.slobodeckij_1d(v, h, 1.0, sigma, p) == pytest.approx(
+        total, rel=1e-10)
+
+
+def test_min_dist_agreement(rng):
     phi = rng.normal(size=128) * 0.2
     qt = rng.uniform(0.5, 1.5, size=300)
     qx = rng.uniform(0.0, 1.0, size=300)
-    results = [mod.min_dist_graph_1d(qt, qx, phi, 1 / 128, 1.0)
-               for mod in backends.values()]
-    for got in results[1:]:
-        np.testing.assert_allclose(results[0], got, atol=1e-12)
-    # brute force on a few queries
+    got = _kernels.min_dist_graph_1d(qt, qx, phi, 1 / 128, 1.0)
+    # brute force, query by query
     xs = np.arange(128) / 128
-    for i in range(10):
+    for i in range(300):
         dx = np.abs(qx[i] - xs)
         dx = np.minimum(dx, 1.0 - dx)
         expect = np.sqrt(np.min(dx ** 2 + (qt[i] - phi) ** 2))
-        assert results[0][i] == pytest.approx(expect, rel=1e-12)
+        assert got[i] == pytest.approx(expect, rel=1e-12)
 
 
 def _brute_min_dist(qt, qx, phi, h, extent):
@@ -117,14 +120,13 @@ def _brute_min_dist(qt, qx, phi, h, extent):
     return np.sqrt(np.min(dx * dx + dt * dt, axis=1))
 
 
-def _assert_min_dist_exact(backends, qt, qx, phi, h, extent):
-    expect = _brute_min_dist(qt, qx, phi, h, extent)
-    for name, mod in backends.items():
-        np.testing.assert_array_equal(
-            mod.min_dist_graph_1d(qt, qx, phi, h, extent), expect)
+def _assert_min_dist_exact(qt, qx, phi, h, extent):
+    np.testing.assert_array_equal(
+        _kernels.min_dist_graph_1d(qt, qx, phi, h, extent),
+        _brute_min_dist(qt, qx, phi, h, extent))
 
 
-def test_min_dist_on_and_off_grid(backends, rng):
+def test_min_dist_on_and_off_grid(rng):
     n, extent = 128, 1.0
     h = extent / n
     phi = np.cumsum(rng.normal(size=n)) * h
@@ -133,10 +135,10 @@ def test_min_dist_on_and_off_grid(backends, rng):
     off_grid = rng.uniform(0.0, extent, size=200)
     gaps = np.exp(rng.uniform(np.log(h / 8), 0.0, size=200))
     for qx in (on_grid, off_grid):
-        _assert_min_dist_exact(backends, phi[ix] + gaps, qx, phi, h, extent)
+        _assert_min_dist_exact(phi[ix] + gaps, qx, phi, h, extent)
 
 
-def test_min_dist_torus_seam(backends, rng):
+def test_min_dist_torus_seam(rng):
     n, extent = 128, 2.0
     h = extent / n
     phi = np.sin(2 * np.pi * h * np.arange(n) / extent) * 0.3
@@ -146,10 +148,10 @@ def test_min_dist_torus_seam(backends, rng):
         rng.uniform(extent - 2 * h, extent, size=40)])
     qt = np.full(qx.size, 0.05)
     qt[::2] = rng.uniform(-0.5, 0.5, size=qt[::2].size)
-    _assert_min_dist_exact(backends, qt, qx, phi, h, extent)
+    _assert_min_dist_exact(qt, qx, phi, h, extent)
 
 
-def test_min_dist_below_and_inside_band(backends, rng):
+def test_min_dist_below_and_inside_band(rng):
     n, extent = 128, 1.0
     h = extent / n
     phi = rng.uniform(-0.2, 0.2, size=n)
@@ -158,10 +160,10 @@ def test_min_dist_below_and_inside_band(backends, rng):
     inside = rng.uniform(phi.min(), phi.max(), size=100)
     above = phi.max() + rng.uniform(0.0, 1.0, size=100)
     qt = np.concatenate([below, inside, above])
-    _assert_min_dist_exact(backends, qt, qx, phi, h, extent)
+    _assert_min_dist_exact(qt, qx, phi, h, extent)
 
 
-def test_min_dist_flat_profile(backends, rng):
+def test_min_dist_flat_profile(rng):
     # the vertical clearance equals the seed distance for on-grid queries,
     # so the sweep keeps a single offset; off-grid queries keep a few
     n, extent = 128, 1.0
@@ -171,27 +173,25 @@ def test_min_dist_flat_profile(backends, rng):
                          rng.uniform(0.0, extent, size=100)])
     qt = 0.75 + np.concatenate([np.exp(rng.uniform(-8.0, 1.0, size=100)),
                                 -np.exp(rng.uniform(-8.0, 1.0, size=100))])
-    _assert_min_dist_exact(backends, qt, qx, phi, h, extent)
-    for name, mod in backends.items():
-        got = mod.min_dist_graph_1d(qt[:100], qx[:100], phi, h, extent)
-        np.testing.assert_array_equal(got, np.abs(qt[:100] - 0.75))
+    _assert_min_dist_exact(qt, qx, phi, h, extent)
+    got = _kernels.min_dist_graph_1d(qt[:100], qx[:100], phi, h, extent)
+    np.testing.assert_array_equal(got, np.abs(qt[:100] - 0.75))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 128])
-def test_min_dist_small_sample_counts(backends, rng, n):
+def test_min_dist_small_sample_counts(rng, n):
     extent = 1.0
     h = extent / n
     phi = rng.normal(size=n) * 0.3
     qx = np.concatenate([rng.uniform(-0.5, 1.5, size=60), h * np.arange(n)])
     qt = rng.uniform(-1.0, 1.0, size=qx.size)
-    _assert_min_dist_exact(backends, qt, qx, phi, h, extent)
+    _assert_min_dist_exact(qt, qx, phi, h, extent)
 
 
-def test_min_dist_empty_queries(backends):
-    for name, mod in backends.items():
-        out = mod.min_dist_graph_1d(np.empty(0), np.empty(0), np.zeros(8),
-                                    1 / 8, 1.0)
-        assert out.shape == (0,)
+def test_min_dist_empty_queries():
+    out = _kernels.min_dist_graph_1d(np.empty(0), np.empty(0), np.zeros(8),
+                                     1 / 8, 1.0)
+    assert out.shape == (0,)
 
 
 @settings(max_examples=60, deadline=None)
@@ -213,4 +213,4 @@ def test_min_dist_property(levels, extent, slope, seed, lift):
     gap = np.exp(r.uniform(np.log(h / 16), np.log(2 * extent), size=m))
     qt = np.concatenate([phi[on_grid], r.choice(phi, size=m - m // 2)])
     qt = qt + gap * r.choice([-1.0, 1.0], size=m)
-    _assert_min_dist_exact(_kernels.backends(), qt, qx, phi, h, extent)
+    _assert_min_dist_exact(qt, qx, phi, h, extent)

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from fatou_lab.cli import main
-from fatou_lab.config import (ExperimentConfig, config_hash, load, parse,
-                              serialize, validate)
+from fatou_lab.config import (EXPERIMENTS, ExperimentConfig, config_hash, load,
+                              parse, serialize, validate)
 from fatou_lab.errors import ParameterError
-from fatou_lab.experiments import run_experiment
+from fatou_lab.experiments import _RUNNERS, run_experiment
 from fatou_lab.grid import (GridFunction, from_callable, grid_function_from_csv,
                             make_grid, save_grid_function)
 from fatou_lab.lipschitz import lipschitz_graph, save_lipschitz_graph
@@ -44,6 +44,50 @@ def test_config_validation_messages():
                                   levels=(16, 19), alpha=0.25, p=2.0))
     validate(ExperimentConfig(experiment="nagel-stein-bound", levels=(16, 18),
                               alpha=0.25, p=2.0))
+    # malformed INI text and non-numeric values name the problem
+    with pytest.raises(ParameterError, match="malformed config"):
+        parse("experiment = poincare\n")
+    with pytest.raises(ParameterError, match="malformed config"):
+        parse("[experiment]\nexperiment = poincare\nexperiment = poincare\n")
+    with pytest.raises(ParameterError, match="'dim'"):
+        parse("[experiment]\nexperiment = poincare\ndim = x\n")
+    with pytest.raises(ParameterError, match="'levels'"):
+        parse("[experiment]\nexperiment = poincare\nlevels = 10,ten\n")
+    with pytest.raises(ParameterError, match="'alpha'"):
+        parse("[experiment]\nexperiment = poincare\nalpha = high\n")
+
+
+def test_runner_names_match_config_names():
+    assert set(_RUNNERS) == set(EXPERIMENTS)
+
+
+def test_dim2_accepted_only_where_the_runner_honours_it():
+    for name in EXPERIMENTS:
+        cfg = ExperimentConfig(experiment=name, dim=2)
+        if name in ("commute-lemma", "poisson-exactness"):
+            validate(cfg)
+        else:
+            with pytest.raises(ParameterError, match="one dimension only"):
+                validate(cfg)
+    # make_grid caps dim 2 at 12 levels; validate says so up front
+    with pytest.raises(ParameterError, match="\\[2, 12\\] for dim = 2"):
+        validate(ExperimentConfig(experiment="commute-lemma", dim=2,
+                                  levels=(13,)))
+
+
+def test_cli_verify_dim2_configs(tmp_path, capsys):
+    ns = tmp_path / "ns.ini"
+    ns.write_text("[experiment]\nexperiment = nagel-stein-bound\ndim = 2\n"
+                  "levels = 8\n")
+    assert main(["verify", "--config", str(ns)]) == 2
+    assert "one dimension only" in capsys.readouterr().err
+    cfg = validate(ExperimentConfig(experiment="poisson-exactness", dim=2,
+                                    levels=(6,),
+                                    output_dir=str(tmp_path / "rep")))
+    pe = tmp_path / "pe.ini"
+    pe.write_text(serialize(cfg))
+    assert main(["verify", "--config", str(pe)]) == 0
+    assert "PASS  poisson eigenfunction exactness" in capsys.readouterr().out
 
 
 def test_config_file_load(tmp_path):
@@ -228,6 +272,49 @@ def test_cli_verify_from_config_file(tmp_path):
     assert (tmp_path / "rep" / "boxdim-calibration.csv").exists()
     assert (tmp_path / "rep" / "boxdim-calibration.svg").exists()
     assert (tmp_path / "rep" / "boxdim-calibration.txt").exists()
+
+
+_GRID_CSV_CASES = {
+    "empty": "",
+    "header-1-column": "value\n0\n1\n2\n3\n",
+    "header-4-columns": "i,j,k,value\n0,0,0,1\n0,0,1,1\n0,1,0,1\n0,1,1,1\n",
+    "short-row": "i,value\n0,1\n1\n2,1\n3,1\n",
+    "non-numeric": "i,value\n0,1\n1,abc\n2,1\n3,1\n",
+    "negative-index": "i,value\n-1,1\n1,1\n2,1\n3,1\n",
+    "index-past-end": "i,value\n0,1\n1,1\n2,1\n4,1\n",
+    "fractional-index": "i,value\n0,1\n1.5,1\n2,1\n3,1\n",
+    "repeated-index": "i,value\n0,1\n0,1\n2,1\n3,1\n",
+    "repeated-index-2d": "i,j,value\n" + "".join(
+        f"{i},{min(j, 2)},1\n" for i in range(4) for j in range(4)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRID_CSV_CASES))
+def test_cli_malformed_grid_csv_exits_2(tmp_path, capsys, case):
+    src = tmp_path / "f.csv"
+    src.write_text(_GRID_CSV_CASES[case])
+    assert main(["potential", "smooth", "--in", str(src),
+                 "--out", str(tmp_path / "out.csv")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out.csv").exists()
+
+
+_POINTS_CSV_CASES = {
+    "empty": ("1", ""),
+    "header-2-columns-in-1d": ("1", "x0,x1\n0.1,0.2\n"),
+    "short-row": ("2", "x0,x1\n0.1,0.2\n0.3\n"),
+    "non-numeric": ("1", "x\n0.1\nhalf\n"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POINTS_CSV_CASES))
+def test_cli_malformed_points_csv_exits_2(tmp_path, capsys, case):
+    dim, text = _POINTS_CSV_CASES[case]
+    src = tmp_path / "pts.csv"
+    src.write_text(text)
+    assert main(["fractal", "boxdim", "--dim", dim, "--levels", "10",
+                 "--window", "3,8", "--in", str(src)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_cli_usage_error_exit_code():
