@@ -74,13 +74,15 @@ def _parse_heights(text: str) -> tuple:
 
 def _cmd_kernel_table(args) -> int:
     with open(args.points, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
+        rows = [(line, r) for line, r in enumerate(csv.reader(fh), start=1) if r]
     radii = []
-    for r in rows:
+    for k, (line, r) in enumerate(rows):
         try:
             radii.append(float(r[0]))
         except ValueError:
-            continue  # header line
+            if k > 0:  # only the first row may be a header
+                raise ParameterError(
+                    f"{args.points}: line {line}: {r[0]!r} is not a number")
     spec = KernelSpec(kind=args.kind, dim=args.n, order=args.alpha or 0.0,
                       scale=args.t or 0.0)
     out = []

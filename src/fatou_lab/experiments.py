@@ -274,8 +274,8 @@ def _run_nagel_stein(cfg: ExperimentConfig) -> RunReport:
         # h^{-(beta_c - beta)/2}, which caps this span at x2^{(dm)/4};
         # the divergence itself is demonstrated on a deeper ladder
         ext_levels = (cfg.levels[0], cfg.levels[-1] + 6)
-        ext = [_ns_ratio(level, cfg.seeds[0], cfg, beta_low, "spike")
-               for level in ext_levels]
+        ext = [ctrl[0], _ns_ratio(ext_levels[1], cfg.seeds[0], cfg, beta_low,
+                                  "spike")]
         for level, v in zip(ext_levels, ext):
             rep.add_row(level, cfg.seeds[0], "ratio_control_extended", v)
         ext_growth = ext[-1] / ext[0]
@@ -306,7 +306,7 @@ def _run_j_uniformity(cfg: ExperimentConfig) -> RunReport:
     def one(seed):
         f = white_noise(grid, seed)
         vals = np.stack([ball_mean_all_centers(f, 2.0 * t, q) for t in heights])
-        v = HalfSpaceField(grid=grid, heights=heights, values=vals)
+        v = HalfSpaceField._adopt(grid, heights, vals)
         base = lp_norm(f, cfg.p)
         return [lp_norm(dilated_mitigated_max(v, cfg.p, beta, j), cfg.p) / base
                 for j in range(9)]

@@ -5,7 +5,8 @@ height) and the dyadic-annuli surrogate, a model field assembled from
 weighted ball averages.  Surrogate outputs are model fields, not PDE
 solutions; they majorize the solutions the annuli decomposition bounds.
 
-Fields are immutable; each slice is computed independently of the
+Fields are immutable: values are read-only, and the constructor copies
+the caller's array.  Each slice is computed independently of the
 others, with no shared mutable state.
 """
 
@@ -19,7 +20,7 @@ import numpy as np
 from .errors import ParameterError
 from .grid import (Grid, GridFunction, ball_mean_all_centers, make_grid,
                    read_exact)
-from .potentials import _freq_abs2
+from .potentials import _apply_multiplier, _half_spectrum
 
 _MAGIC = b"FLHF"
 _VERSION = 1
@@ -34,7 +35,16 @@ class HalfSpaceField:
     values: np.ndarray  # shape (K+1, grid.size), read-only
     meta: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
 
-    def __post_init__(self):
+    @classmethod
+    def _adopt(cls, grid: Grid, heights, values: np.ndarray,
+               meta=MappingProxyType({})) -> "HalfSpaceField":
+        """Field over values the package just built and writes no more, uncopied."""
+        u = object.__new__(cls)
+        vars(u).update(grid=grid, heights=heights, values=values, meta=meta)
+        u.__post_init__(copy=False)
+        return u
+
+    def __post_init__(self, copy: bool = True):
         hts = tuple(float(t) for t in self.heights)
         if len(hts) < 1 or any(b >= a for a, b in zip(hts, hts[1:])):
             raise ParameterError("heights must be strictly decreasing")
@@ -45,7 +55,8 @@ class HalfSpaceField:
             raise ParameterError("values shape does not match grid")
         if not np.all(np.isfinite(vals)):
             raise ParameterError("field values must be finite")
-        vals = vals.copy()
+        if copy:
+            vals = vals.copy()
         vals.flags.writeable = False
         object.__setattr__(self, "heights", hts)
         object.__setattr__(self, "values", vals)
@@ -68,13 +79,12 @@ def poisson_extend(f: GridFunction, heights) -> HalfSpaceField:
     """Apply the Poisson multiplier exp(-2 pi t |xi|) at every height."""
     g = f.grid
     hts = tuple(float(t) for t in heights)
-    mag = np.sqrt(_freq_abs2(g))
-    spec = np.fft.fftn(f.as_array())
+    mag = np.sqrt(_half_spectrum(g)[1])
     vals = np.empty((len(hts), g.size))
-    for k, t in enumerate(hts):
-        mult = np.exp(-2.0 * math.pi * t * mag)
-        vals[k] = np.fft.ifftn(spec * mult).real.reshape(-1)
-    return HalfSpaceField(grid=g, heights=hts, values=vals)
+    mults = (np.exp(-2.0 * math.pi * t * mag) for t in hts)
+    for k, u in enumerate(_apply_multiplier(f, mults)):
+        vals[k] = u.reshape(-1)
+    return HalfSpaceField._adopt(g, hts, vals)
 
 
 def annuli_surrogate(f: GridFunction, heights, alpha_L: float, r: float,
@@ -107,8 +117,8 @@ def annuli_surrogate(f: GridFunction, heights, alpha_L: float, r: float,
         vals[k] = acc
     tail = 2.0 ** (-alpha_L * J) / (1.0 - 2.0 ** (-alpha_L)) * float(
         np.max(np.abs(f.samples)))
-    return HalfSpaceField(grid=g, heights=hts, values=vals,
-                          meta=MappingProxyType({"tail_bound": tail}))
+    return HalfSpaceField._adopt(g, hts, vals,
+                                 MappingProxyType({"tail_bound": tail}))
 
 
 def save_half_space_field(path, u: HalfSpaceField) -> None:
@@ -137,5 +147,6 @@ def load_half_space_field(path) -> HalfSpaceField:
         vals = np.frombuffer(
             read_exact(fh, 8 * (kk + 1) * grid.size, "FLHF values"),
             dtype="<f8")
-        return HalfSpaceField(grid=grid, heights=tuple(heights),
-                              values=vals.reshape(kk + 1, grid.size))
+        # vals is a read-only view of immutable bytes: nothing can write it
+        return HalfSpaceField._adopt(grid, tuple(heights),
+                                     vals.reshape(kk + 1, grid.size))

@@ -18,21 +18,28 @@ from .grid import (Grid, GridFunction, _ball_indices, ball_mean_signed,
                    lp_norm)
 
 
-def _freq_axis(grid: Grid) -> np.ndarray:
-    return np.fft.fftfreq(grid.n, d=grid.h)
+def _half_spectrum(grid: Grid) -> tuple:
+    """(per-axis frequencies, |xi|^2) on the rfftn half spectrum, broadcastable.
+
+    The last axis keeps fftfreq(n)[:n//2+1], Nyquist sign included."""
+    xi = np.fft.fftfreq(grid.n, d=grid.h)
+    half = xi[: grid.n // 2 + 1]
+    xis = (half,) if grid.dim == 1 else (xi[:, None], half[None, :])
+    return xis, sum(x * x for x in xis)
 
 
-def _freq_abs2(grid: Grid) -> np.ndarray:
-    xi = _freq_axis(grid)
-    if grid.dim == 1:
-        return xi * xi
-    a, b = np.meshgrid(xi, xi, indexing="ij")
-    return a * a + b * b
+def _nyquist_mask(xi: np.ndarray, n: int) -> np.ndarray:
+    """False on the Nyquist plane of xi's axis, True everywhere else."""
+    return xi != xi.flat[n // 2]
 
 
-def _apply_multiplier(f: GridFunction, mult: np.ndarray) -> GridFunction:
-    spec = np.fft.fftn(f.as_array()) * mult
-    return GridFunction(f.grid, np.fft.ifftn(spec).real)
+def _apply_multiplier(f: GridFunction, mults):
+    """Transform f once; yield irfftn(rfftn(f) * m) for each multiplier m,
+    a Hermitian multiplier given on the half spectrum."""
+    axes = tuple(range(f.grid.dim))
+    spec = np.fft.rfftn(f.as_array(), axes=axes)
+    for m in mults:
+        yield np.fft.irfftn(spec * m, s=f.grid.shape, axes=axes)
 
 
 def bessel_smooth(g: GridFunction, alpha: float) -> GridFunction:
@@ -41,8 +48,8 @@ def bessel_smooth(g: GridFunction, alpha: float) -> GridFunction:
         raise ParameterError("alpha must be >= 0; use inverse_bessel to sharpen")
     if alpha == 0:
         return g
-    mult = (1.0 + 4.0 * math.pi ** 2 * _freq_abs2(g.grid)) ** (-alpha / 2.0)
-    return _apply_multiplier(g, mult)
+    mult = (1.0 + 4.0 * math.pi ** 2 * _half_spectrum(g.grid)[1]) ** (-alpha / 2.0)
+    return GridFunction(g.grid, next(_apply_multiplier(g, [mult])))
 
 
 def inverse_bessel(f: GridFunction, alpha: float) -> GridFunction:
@@ -51,20 +58,8 @@ def inverse_bessel(f: GridFunction, alpha: float) -> GridFunction:
         raise ParameterError("alpha must be >= 0")
     if alpha == 0:
         return f
-    mult = (1.0 + 4.0 * math.pi ** 2 * _freq_abs2(f.grid)) ** (alpha / 2.0)
-    return _apply_multiplier(f, mult)
-
-
-def _nyquist_mask(grid: Grid, axis: int) -> np.ndarray:
-    """1 everywhere except 0 on the Nyquist plane of the given axis."""
-    n = grid.n
-    mask_axis = np.ones(n)
-    mask_axis[n // 2] = 0.0
-    if grid.dim == 1:
-        return mask_axis
-    if axis == 0:
-        return np.outer(mask_axis, np.ones(n))
-    return np.outer(np.ones(n), mask_axis)
+    mult = (1.0 + 4.0 * math.pi ** 2 * _half_spectrum(f.grid)[1]) ** (alpha / 2.0)
+    return GridFunction(f.grid, next(_apply_multiplier(f, [mult])))
 
 
 def riesz_transform(f: GridFunction, j: int) -> GridFunction:
@@ -72,18 +67,13 @@ def riesz_transform(f: GridFunction, j: int) -> GridFunction:
     g = f.grid
     if not (1 <= j <= g.dim):
         raise ParameterError(f"axis index must lie in [1, {g.dim}], got {j}")
-    xi = _freq_axis(g)
-    if g.dim == 1:
-        comp = xi
-    else:
-        a, b = np.meshgrid(xi, xi, indexing="ij")
-        comp = a if j == 1 else b
-    mag = np.sqrt(_freq_abs2(g))
+    xis, abs2 = _half_spectrum(g)
+    comp = xis[j - 1]
+    mag = np.sqrt(abs2)
     with np.errstate(invalid="ignore", divide="ignore"):
         mult = np.where(mag > 0, -1j * comp / np.where(mag > 0, mag, 1.0), 0.0)
-    mult = mult * _nyquist_mask(g, j - 1)
-    spec = np.fft.fftn(f.as_array()) * mult
-    return GridFunction(g, np.fft.ifftn(spec).real)
+    mult = mult * _nyquist_mask(comp, g.n)
+    return GridFunction(g, next(_apply_multiplier(f, [mult])))
 
 
 def spectral_derivative(f: GridFunction, gamma) -> GridFunction:
@@ -96,17 +86,13 @@ def spectral_derivative(f: GridFunction, gamma) -> GridFunction:
         raise ParameterError(f"multi-index {gamma} must be nonnegative with |gamma| <= 3")
     if sum(gamma) == 0:
         return f
-    xi = _freq_axis(g)
-    if g.dim == 1:
-        mult = (2j * math.pi * xi) ** gamma[0]
-    else:
-        a, b = np.meshgrid(xi, xi, indexing="ij")
-        mult = (2j * math.pi * a) ** gamma[0] * (2j * math.pi * b) ** gamma[1]
-    for axis, power in enumerate(gamma):
+    xis, _ = _half_spectrum(g)
+    mult = 1.0
+    for xi, power in zip(xis, gamma):
+        mult = mult * (2j * math.pi * xi) ** power
         if power % 2 == 1:
-            mult = mult * _nyquist_mask(g, axis)
-    spec = np.fft.fftn(f.as_array()) * mult
-    return GridFunction(g, np.fft.ifftn(spec).real)
+            mult = mult * _nyquist_mask(xi, g.n)
+    return GridFunction(g, next(_apply_multiplier(f, [mult])))
 
 
 def multi_indices(dim: int, degree: int) -> list:

@@ -154,6 +154,22 @@ def test_cli_kernel_table(tmp_path, capsys):
     assert float(v) == pytest.approx(0.5 * math.exp(-0.5), rel=1e-9)
 
 
+def test_cli_kernel_table_rejects_non_numeric_rows(tmp_path, capsys):
+    # only the first row may be a header; a mistyped radius is an error
+    pts = tmp_path / "pts.csv"
+    pts.write_text("r\n0.5\n1.O\n2.0\n")
+    out = tmp_path / "table.csv"
+    args = ["kernel-table", "--kind", "bessel", "--n", "1", "--alpha", "2.0",
+            "--points", str(pts), "--out", str(out)]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "line 3" in err and "'1.O'" in err
+    assert not out.exists()
+    pts.write_text("0.5\n1.0\n2.0\n")
+    assert main(args) == 0
+    assert len(out.read_text().strip().splitlines()) == 5
+
+
 def test_cli_extend_and_maxfn(tmp_path):
     g = make_grid(1, 8, 1.0)
     f = from_callable(g, lambda x: np.cos(2 * np.pi * x))

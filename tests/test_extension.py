@@ -40,6 +40,41 @@ def test_poisson_extend_constant_and_eigenfunction():
                                    atol=1e-12)
 
 
+def test_field_copies_the_callers_array(rng):
+    g = make_grid(1, 5, 1.0)
+    vals = rng.normal(size=(2, g.size))
+    u = HalfSpaceField(grid=g, heights=(0.5, 0.25), values=vals)
+    before = u.values.copy()
+    vals[:] = 7.0
+    np.testing.assert_array_equal(u.values, before)
+    # a read-only view does not protect a writeable base
+    view = vals.view()
+    view.flags.writeable = False
+    v = HalfSpaceField(grid=g, heights=(0.5, 0.25), values=view)
+    vals[:] = 3.0
+    assert np.all(v.values == 7.0)
+    assert not np.shares_memory(u.values, vals)
+    assert not np.shares_memory(v.values, vals)
+
+
+def test_built_fields_are_read_only_and_checked(tmp_path, rng):
+    g = make_grid(1, 6, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    hts = dyadic_heights(1.0, grid=g)
+    u = poisson_extend(f, hts)
+    assert not np.shares_memory(u.values, f.samples)
+    path = tmp_path / "u.flhf"
+    save_half_space_field(path, u)
+    surrogate = annuli_surrogate(GridFunction(g, np.abs(f.samples)), hts,
+                                 0.5, 1.5, 4)
+    for field in (u, surrogate, load_half_space_field(path)):
+        assert not field.values.flags.writeable
+        with pytest.raises(ValueError):
+            field.values[0, 0] = 1.0
+    with pytest.raises(ParameterError):
+        poisson_extend(f, (0.25, 0.5))
+
+
 def test_poisson_extend_indicator_direct_quadrature():
     # padded torus per the wrap-around convention; oracle integrates the
     # real-line kernel against the data support directly

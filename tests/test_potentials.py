@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fatou_lab.errors import NumericError, ParameterError
+from fatou_lab.extension import poisson_extend
 from fatou_lab.grid import (GridFunction, ball_mean_all_centers, fft_convolve,
                             from_callable, lp_norm, make_grid)
 from fatou_lab.kernels import KernelSpec, sampled_kernel
@@ -116,6 +117,73 @@ def test_spectral_derivative_finite_difference_oracle(rng):
     fd4 = (-np.roll(f.samples, -2) + 8 * np.roll(f.samples, -1)
            - 8 * np.roll(f.samples, 1) + np.roll(f.samples, 2)) / (12 * g.h)
     assert np.abs(d.samples - fd4).max() < 1e-4 * np.abs(d.samples).max()
+
+
+def _dft_oracle(x, mult):
+    """Re(IDFT(mult * DFT(x))) by explicit O(N^2) sums, without np.fft.
+
+    x has shape (n,)*dim; mult is given on the flattened full spectrum.
+    """
+    n, dim = x.shape[0], x.ndim
+    jk = np.outer(np.arange(n), np.arange(n)) % n
+    w = np.exp(-2j * np.pi * jk / n)
+    wd = w if dim == 1 else np.kron(w, w)  # wd[k, j] = exp(-2 pi i k.j / n)
+    spec = wd @ x.reshape(-1)
+    return (wd.conj() @ (mult * spec)).real / n ** dim, spec
+
+
+def _oracle_pairs(case, f):
+    """(package outputs, full-spectrum multipliers) for one spectral operator."""
+    g = f.grid
+    k = np.indices(g.shape).reshape(g.dim, -1)
+    xi = np.where(k < g.n // 2, k, k - g.n) / g.extent  # Nyquist is -n/2
+    off_nyq = k != g.n // 2
+    mag = np.sqrt((xi ** 2).sum(axis=0))
+    if case == "bessel":
+        return [bessel_smooth(f, 1.5)], [(1 + 4 * np.pi ** 2 * mag ** 2) ** -0.75]
+    if case == "inverse_bessel":
+        return [inverse_bessel(f, 1.5)], [(1 + 4 * np.pi ** 2 * mag ** 2) ** 0.75]
+    if case == "riesz":
+        safe = np.where(mag > 0, mag, 1.0)
+        return ([riesz_transform(f, j) for j in range(1, g.dim + 1)],
+                [np.where((mag > 0) & off_nyq[j], -1j * xi[j] / safe, 0.0)
+                 for j in range(g.dim)])
+    if case == "derivative":
+        gammas = ([(1,), (2,), (3,)] if g.dim == 1 else
+                  [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2), (0, 3)])
+        mults = []
+        for gam in gammas:
+            m = np.ones(g.size, complex)
+            for a, power in enumerate(gam):
+                m = m * (2j * np.pi * xi[a]) ** power
+                if power % 2 == 1:
+                    m = m * off_nyq[a]
+            mults.append(m)
+        return [spectral_derivative(f, gam) for gam in gammas], mults
+    hts = (1.0, 0.25, 1 / 16, 1 / 64)
+    u = poisson_extend(f, hts)
+    return ([u.slice_function(i) for i in range(len(hts))],
+            [np.exp(-2 * np.pi * t * mag) for t in hts])
+
+
+@pytest.mark.parametrize("case", ["bessel", "inverse_bessel", "riesz",
+                                  "derivative", "poisson"])
+@pytest.mark.parametrize("dim,levels", [(1, 4), (1, 5), (2, 3)],
+                         ids=["1d-16", "1d-32", "2d-8x8"])
+def test_spectral_multipliers_match_dft_oracle(rng, case, dim, levels):
+    g = make_grid(dim, levels, 2.0)
+    k = np.indices(g.shape)
+    # alternating terms put energy on every Nyquist plane, where the odd
+    # multipliers must vanish
+    x = rng.normal(size=g.shape) + sum((-1.0) ** k[a] for a in range(dim))
+    f = GridFunction(g, x)
+    outs, mults = _oracle_pairs(case, f)
+    assert len(outs) == len(mults)
+    for out, mult in zip(outs, mults):
+        ref, spec = _dft_oracle(x, mult)
+        assert np.abs(out.samples - ref).max() <= 1e-12 * np.abs(ref).max()
+    for a in range(dim):
+        assert np.abs(spec[k[a].reshape(-1) == g.n // 2]).max() > 1.0
 
 
 def test_poly_project_reproduces_affine():
