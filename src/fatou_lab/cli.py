@@ -83,6 +83,9 @@ def _cmd_kernel_table(args) -> int:
             if k > 0:  # only the first row may be a header
                 raise ParameterError(
                     f"{args.points}: line {line}: {r[0]!r} is not a number")
+    if not radii:
+        raise ParameterError(
+            f"{args.points}: no radii, the file holds at most a header row")
     spec = KernelSpec(kind=args.kind, dim=args.n, order=args.alpha or 0.0,
                       scale=args.t or 0.0)
     out = []

@@ -128,8 +128,8 @@ def save_half_space_field(path, u: HalfSpaceField) -> None:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIdI", _VERSION, g.dim, g.levels, g.extent,
                              len(u.heights) - 1))
-        fh.write(np.asarray(u.heights, dtype="<f8").tobytes())
-        fh.write(u.values.astype("<f8").tobytes())
+        np.asarray(u.heights, dtype="<f8").tofile(fh)
+        np.asarray(u.values, dtype="<f8").tofile(fh)
 
 
 def load_half_space_field(path) -> HalfSpaceField:

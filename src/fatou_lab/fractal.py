@@ -14,7 +14,7 @@ import numpy as np
 from .errors import ParameterError
 from .extension import HalfSpaceField
 from .grid import Grid, GridFunction
-from .maximal import ApproachRegionSpec, _window_extreme
+from .maximal import ApproachRegionSpec, window_extreme
 
 
 @dataclass(frozen=True)
@@ -183,14 +183,10 @@ def divergence_set(u: HalfSpaceField, f_ref: GridFunction,
     osc = np.zeros(g.size)
     for k in scan:
         rad = spec.radius(u.heights[k])
-        hi = _window_extreme(u.values[k], g, rad, mode="max")
-        lo = _window_extreme(u.values[k], g, rad, mode="min")
+        hi = window_extreme(u.values[k], g, rad, mode="max")
+        lo = window_extreme(u.values[k], g, rad, mode="min")
         np.maximum(osc, hi - f_ref.samples, out=osc)
         np.maximum(osc, f_ref.samples - lo, out=osc)
-    mask = osc > eps
-    if g.dim == 1:
-        coords = g.h * np.nonzero(mask)[0]
-    else:
-        flat = np.nonzero(mask)[0]
-        coords = np.stack([g.h * (flat // g.n), g.h * (flat % g.n)], axis=1)
-    return PointSet(points=coords, grid=g)
+    flat = np.nonzero(osc > eps)[0]
+    coords = g.h * np.stack(np.unravel_index(flat, g.shape), axis=1)
+    return PointSet(points=coords[:, 0] if g.dim == 1 else coords, grid=g)

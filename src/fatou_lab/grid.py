@@ -133,6 +133,30 @@ def window_halfwidth(radius: float, h: float) -> int:
     return max(0, int(math.ceil(radius / h * (1.0 - 1e-12))) - 1)
 
 
+def disc_rows(grid: Grid, radius: float) -> tuple:
+    """Row segments (dy, w) of the grid ball of the given radius.
+
+    In 2-D the ball is the disc of offsets (dy, dx) with |dy|, |dx| <= K =
+    window_halfwidth(radius, h) and (dy^2 + dx^2) h h < radius^2 (1 - 1e-12);
+    in 1-D it is the single row dy = 0, |dx| <= K.  Row dy is the run
+    |dx| <= w, and rows come in ascending dy, so expanding them gives the
+    offsets in row-major order.  Offsets are not reduced mod N: on a small
+    torus several land on one point.
+    """
+    h = grid.h
+    k = window_halfwidth(radius, h)
+    limit = radius * radius * (1.0 - 1e-12)
+    # the predicate is monotone in s = dy^2 + dx^2, and rounding moves s*h*h
+    # by far less than h*h: step down from a rejected s to the largest kept
+    s_max = int(limit / (h * h)) + 2
+    while s_max >= 0 and not s_max * h * h < limit:
+        s_max -= 1
+    rows = [(dy, min(math.isqrt(s_max - dy * dy), k))
+            for dy in (range(-k, k + 1) if grid.dim == 2 else [0])
+            if dy * dy <= s_max]
+    return np.array(rows, dtype=np.int64).reshape(-1, 2).T
+
+
 def _ball_indices(grid: Grid, center, radius: float):
     """Flat indices of grid points strictly inside the torus ball."""
     h, n = grid.h, grid.n
@@ -192,19 +216,6 @@ def ball_mean_signed(f: GridFunction, center, radius: float) -> float:
     return float(np.mean(f.samples[idx]))
 
 
-def _disc_mask_embedded(grid: Grid, radius: float) -> tuple:
-    """(wrap-embedded 0/1 disc mask, point count) for batch 2-D ball sums."""
-    n, h = grid.n, grid.h
-    k = window_halfwidth(radius, h)
-    o = np.arange(-k, k + 1)
-    d0, d1 = np.meshgrid(o * h, o * h, indexing="ij")
-    disc = (d0 * d0 + d1 * d1) < radius * radius * (1.0 - 1e-12)
-    mask = np.zeros((n, n))
-    ii = np.arange(-k, k + 1) % n
-    mask[np.ix_(ii, ii)] += disc
-    return mask, int(disc.sum())
-
-
 def ball_mean_all_centers(f: GridFunction, radius: float, q: float = 1.0) -> np.ndarray:
     """ball_average(f, x_i, radius, q) for every grid point x_i at once.
 
@@ -223,7 +234,12 @@ def ball_mean_all_centers(f: GridFunction, radius: float, q: float = 1.0) -> np.
         sums = _kernels.circ_sum_1d(power, k)
         count = min(2 * k + 1, g.n)
     else:
-        mask, count = _disc_mask_embedded(g, radius)
+        # the disc around index 0 on the torus; each point counts once
+        mask = np.zeros(g.shape)
+        for dy, w in zip(*disc_rows(g, radius)):
+            w = min(w, g.n // 2)  # a run of 2(n//2)+1 already covers the row
+            mask[dy % g.n, np.arange(-w, w + 1) % g.n] = 1.0
+        count = int(mask.sum())
         arr = power.reshape(g.shape)
         sums = np.fft.irfft2(np.fft.rfft2(arr) * np.fft.rfft2(mask), s=g.shape)
         sums = np.maximum(sums, 0.0).reshape(-1)
@@ -249,7 +265,7 @@ def save_grid_function(path, f: GridFunction) -> None:
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIId", _VERSION, g.dim, g.levels, g.extent))
-        fh.write(f.samples.astype("<f8").tobytes())
+        np.asarray(f.samples, dtype="<f8").tofile(fh)
 
 
 def read_exact(fh, size: int, what: str) -> bytes:

@@ -6,6 +6,14 @@ height and grid refinement.  Scans are window sweeps per height: the
 region of a boundary point at height t is a centered window whose
 radius follows the region law.
 
+window_extreme is the one place a max or min over such a window is
+taken.  In 1-D it is a circular window filter.  In 2-D the torus disc
+is a union of row runs (grid.disc_rows; Urbach & Wilkinson, IEEE TIP 17,
+2008): rows of one halfwidth w share a single (1, 2w+1) wrap filter, or
+a full-row reduce once 2w+1 >= N, whose result is rolled by each row
+offset dy and folded into the output.  That is O(N^2 K) time and O(N^2)
+memory for halfwidth K, and exact, since max and min do not round.
+
 Operators read fields without mutating them, and the scan order per
 output point is fixed, so results are independent of execution layout.
 """
@@ -18,8 +26,8 @@ from scipy.ndimage import maximum_filter, minimum_filter
 from . import _kernels
 from .errors import CoverageError, ParameterError
 from .extension import HalfSpaceField, annuli_surrogate, dyadic_heights, poisson_extend
-from .grid import Grid, GridFunction, ball_mean_all_centers, torus_distance, \
-    window_halfwidth
+from .grid import Grid, GridFunction, ball_mean_all_centers, disc_rows, \
+    torus_distance, window_halfwidth
 from .potentials import dyadic_scales, sharp_maximal
 
 
@@ -68,27 +76,38 @@ def region_contains(spec: ApproachRegionSpec, x0, t: float, x,
     return dist < spec.radius(t)
 
 
-def _window_extreme(slice_vals: np.ndarray, grid: Grid, radius: float,
-                    mode: str = "max") -> np.ndarray:
-    """Window max/min of a slice over torus balls of the given radius."""
-    k = window_halfwidth(radius, grid.h)
+def window_extreme(values: np.ndarray, grid: Grid, radius: float,
+                   mode: str = "max") -> np.ndarray:
+    """Max (mode "max") or min ("min") of flat slice values over the torus
+    ball of the given radius around every grid point, as a flat array."""
     if grid.dim == 1:
         fn = _kernels.circ_max_1d if mode == "max" else _kernels.circ_min_1d
-        return fn(slice_vals, k)
-    arr = slice_vals.reshape(grid.shape)
-    o = np.arange(-k, k + 1)
-    o0, o1 = np.meshgrid(o, o, indexing="ij")
-    disc = (o0 * o0 + o1 * o1) * grid.h * grid.h < radius * radius * (1.0 - 1e-12)
-    fn = maximum_filter if mode == "max" else minimum_filter
-    return fn(arr, footprint=disc, mode="wrap").reshape(-1)
-
-
-def _usable_heights(u: HalfSpaceField, t_max: float) -> list:
-    return [k for k, t in enumerate(u.heights) if t <= t_max * (1.0 + 1e-12)]
+        return fn(values, window_halfwidth(radius, grid.h))
+    n = grid.n
+    arr = values.reshape(grid.shape)
+    if mode == "max":
+        row_filter, fold, reduce, fill = maximum_filter, np.maximum, np.max, -np.inf
+    else:
+        row_filter, fold, reduce, fill = minimum_filter, np.minimum, np.min, np.inf
+    dys, ws = disc_rows(grid, radius)
+    # a row past half the torus repeats a nearer, wider one, and a run of
+    # 2(n//2)+1 already covers its row
+    near = np.abs(dys) <= n // 2
+    dys, ws = dys[near], np.minimum(ws[near], n // 2)
+    out = np.full(grid.shape, fill)
+    for w in np.unique(ws).tolist():
+        if 2 * w + 1 >= n:
+            rows = reduce(arr, axis=1, keepdims=True)
+        else:
+            rows = row_filter(arr, size=(1, 2 * w + 1), mode="wrap")
+        for dy in dys[ws == w].tolist():
+            fold(out, np.roll(rows, -dy, axis=0), out=out)
+    return out.reshape(-1)
 
 
 def _coverage_check(u: HalfSpaceField, spec: ApproachRegionSpec) -> list:
-    usable = _usable_heights(u, spec.t_max)
+    usable = [k for k, t in enumerate(u.heights)
+              if t <= spec.t_max * (1.0 + 1e-12)]
     if len(usable) < 2:
         h = u.grid.h
         t_ref = min(u.heights)
@@ -99,15 +118,19 @@ def _coverage_check(u: HalfSpaceField, spec: ApproachRegionSpec) -> list:
     return usable
 
 
+def _region_sweep(u: HalfSpaceField, scan) -> GridFunction:
+    """max over (k, radius, weight) in scan of weight * window max of |u_k|."""
+    out = np.zeros(u.grid.size)
+    for k, radius, weight in scan:
+        wm = window_extreme(np.abs(u.values[k]), u.grid, radius)
+        np.maximum(out, weight * wm, out=out)
+    return GridFunction(u.grid, out)
+
+
 def tangential_max(u: HalfSpaceField, spec: ApproachRegionSpec) -> GridFunction:
     """sup over sampled region points of |u|, per boundary point."""
-    usable = _coverage_check(u, spec)
-    out = np.zeros(u.grid.size)
-    for k in usable:
-        wm = _window_extreme(np.abs(u.values[k]), u.grid,
-                             spec.radius(u.heights[k]))
-        np.maximum(out, wm, out=out)
-    return GridFunction(u.grid, out)
+    return _region_sweep(u, [(k, spec.radius(u.heights[k]), 1.0)
+                             for k in _coverage_check(u, spec)])
 
 
 def tangential_argmax(u: HalfSpaceField, spec: ApproachRegionSpec):
@@ -145,14 +168,9 @@ def mitigated_max(u: HalfSpaceField, p: float, beta: float) -> GridFunction:
         raise ParameterError(f"p must be positive, got {p}")
     spec = ApproachRegionSpec(beta=beta, aperture=1.0, t_max=1.0)
     usable = _coverage_check(u, spec)
-    g = u.grid
-    expo = g.dim * (1.0 - beta) / p
-    out = np.zeros(g.size)
-    for k in usable:
-        t = u.heights[k]
-        wm = _window_extreme(np.abs(u.values[k]), g, spec.radius(t))
-        np.maximum(out, t ** expo * wm, out=out)
-    return GridFunction(g, out)
+    expo = u.grid.dim * (1.0 - beta) / p
+    return _region_sweep(u, [(k, spec.radius(u.heights[k]), u.heights[k] ** expo)
+                             for k in usable])
 
 
 def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
@@ -174,20 +192,7 @@ def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
             f"no field heights give dilated heights below {threshold:.4g} for j={j}")
     expo = g.dim * (1.0 - beta) / p
     pref = 2.0 ** (g.dim * j / p)
-    out = np.zeros(g.size)
-    for k, t in scan:
-        wm = _window_extreme(np.abs(v.values[k]), g, t ** beta)
-        np.maximum(out, pref * t ** expo * wm, out=out)
-    return GridFunction(g, out)
-
-
-def _dyadic_radii(grid: Grid, floor: float) -> list:
-    radii = []
-    r = grid.extent / 4.0
-    while r >= floor * (1.0 - 1e-12):
-        radii.append(r)
-        r /= 2.0
-    return radii
+    return _region_sweep(v, [(k, t ** beta, pref * t ** expo) for k, t in scan])
 
 
 def fractional_power_max(f: GridFunction, s: float = 1.0,
@@ -201,20 +206,20 @@ def fractional_power_max(f: GridFunction, s: float = 1.0,
         raise ParameterError(f"s must be >= 1, got {s}")
     if not (0 <= alpha < f.grid.dim):
         raise ParameterError(f"alpha must lie in [0, {f.grid.dim}), got {alpha}")
-    return _radius_family_max(f, s, alpha, floor=4.0 * f.grid.h)
+    return _radius_family_max(f, s, alpha, lo_factor=4.0)
 
 
 def hl_max_q(f: GridFunction, q: float = 1.0) -> GridFunction:
     """Hardy-Littlewood q-power maximal function over dyadic radii in [h, extent/4]."""
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")
-    return _radius_family_max(f, q, 0.0, floor=f.grid.h)
+    return _radius_family_max(f, q, 0.0, lo_factor=1.0)
 
 
 def _radius_family_max(f: GridFunction, s: float, alpha: float,
-                       floor: float) -> GridFunction:
+                       lo_factor: float) -> GridFunction:
     out = np.zeros(f.grid.size)
-    for rad in _dyadic_radii(f.grid, floor):
+    for rad in dyadic_scales(f.grid, lo_factor):
         vals = rad ** alpha * ball_mean_all_centers(f, rad, s)
         np.maximum(out, vals, out=out)
     return GridFunction(f.grid, out)

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import NumericError, ParameterError
 from .grid import (Grid, GridFunction, _ball_indices, ball_mean_signed,
-                   lp_norm)
+                   disc_rows, lp_norm)
 
 
 def _half_spectrum(grid: Grid) -> tuple:
@@ -144,17 +144,21 @@ def _window_offsets(f: GridFunction, center, radius: float) -> tuple:
     """(flat indices, signed displacement rows) of ball points around center."""
     g = f.grid
     idx = _ball_indices(g, center, radius)
-    n = g.n
-    if g.dim == 1:
-        xs = (idx * g.h)
-        c = float(np.ravel(center)[0])
-        dy = (xs - c + g.extent / 2.0) % g.extent - g.extent / 2.0
-        return idx, dy.reshape(-1, 1)
-    i0, i1 = idx // n, idx % n
-    c = np.asarray(center, dtype=np.float64).reshape(2)
-    d0 = (i0 * g.h - c[0] + g.extent / 2.0) % g.extent - g.extent / 2.0
-    d1 = (i1 * g.h - c[1] + g.extent / 2.0) % g.extent - g.extent / 2.0
-    return idx, np.stack([d0, d1], axis=1)
+    xs = np.stack(np.unravel_index(idx, g.shape), axis=1) * g.h
+    c = np.asarray(center, dtype=np.float64).reshape(g.dim)
+    return idx, (xs - c + g.extent / 2.0) % g.extent - g.extent / 2.0
+
+
+def _monomials(u: np.ndarray, mi) -> np.ndarray:
+    """(points, len(mi)) matrix of u^gamma, one column per multi-index."""
+    basis = np.empty((u.shape[0], len(mi)))
+    for col, gam in enumerate(mi):
+        term = np.ones(u.shape[0])
+        for ax, power in enumerate(gam):
+            if power:
+                term = term * u[:, ax] ** power
+        basis[:, col] = term
+    return basis
 
 
 def poly_project(f: GridFunction, center, radius: float, k: int) -> Polynomial:
@@ -166,14 +170,7 @@ def poly_project(f: GridFunction, center, radius: float, k: int) -> Polynomial:
         raise ParameterError(f"radius {radius} below 4h = {4 * g.h}")
     idx, dy = _window_offsets(f, center, radius)
     mi = multi_indices(g.dim, k)
-    basis = np.empty((idx.size, len(mi)))
-    u = dy / radius
-    for col, gam in enumerate(mi):
-        term = np.ones(idx.size)
-        for ax, power in enumerate(gam):
-            if power:
-                term = term * u[:, ax] ** power
-        basis[:, col] = term
+    basis = _monomials(dy / radius, mi)
     gram = basis.T @ basis / idx.size
     cond = np.linalg.cond(gram)
     if cond > 1e8:
@@ -212,70 +209,51 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
     scales = sorted(float(r) for r in np.atleast_1d(scales))
     if not scales:
         raise ParameterError("empty scale list")
+    from .maximal import window_extreme  # maximal imports this module
+
     g = f.grid
     k = min(int(math.floor(alpha)), 3)
+    mi = multi_indices(g.dim, k)
     out = np.zeros(g.size)
-    n = g.n
     F = f.as_array()
     for r in scales:
         stride = max(1, int(round(r / (2.0 * g.h))))
-        if g.dim == 1:
-            centers = np.arange(0, n, stride)
-            offs = np.arange(-_halfwidth(r, g.h), _halfwidth(r, g.h) + 1)
-            u = (offs[:, None] * g.h / r)
-        else:
-            c0 = np.arange(0, n, stride)
-            centers = (c0[:, None] * n + c0[None, :]).reshape(-1)
-            hw = _halfwidth(r, g.h)
-            o = np.arange(-hw, hw + 1)
-            o0, o1 = np.meshgrid(o, o, indexing="ij")
-            keep = (o0 * o0 + o1 * o1) * g.h * g.h < r * r * (1.0 - 1e-12)
-            offs = np.stack([o0[keep], o1[keep]], axis=1)
-            u = offs * g.h / r
-        mi = multi_indices(g.dim, k)
-        n_off = u.shape[0]
-        w = np.empty((len(mi), n_off))
-        for col, gam in enumerate(mi):
-            term = np.ones(n_off)
-            for ax, power in enumerate(gam):
-                if power:
-                    term = term * u[:, ax] ** power
-            w[col] = term
+        axis = np.arange(0, g.n, stride)
+        # stride-lattice centers as index rows, in row-major order
+        centers = np.stack(np.meshgrid(*[axis] * g.dim, indexing="ij"),
+                           axis=-1).reshape(-1, g.dim)
+        # ball offsets as (dy, dx) rows in row-major order; 1-D keeps dx
+        dys, ws = disc_rows(g, r)
+        offs = np.stack([np.repeat(dys, 2 * ws + 1),
+                         np.concatenate([np.arange(-w, w + 1) for w in ws])],
+                        axis=1)[:, 2 - g.dim:]
+        n_off = offs.shape[0]
+        # one contiguous row per monomial: w @ w.T rounds as a row-major product
+        w = np.ascontiguousarray(_monomials(offs * g.h / r, mi).T)
         gram = (w @ w.T) / n_off
         gram_inv = np.linalg.inv(gram)
         # pass 1: moments of f against the scaled monomials at each center
-        moments = np.zeros((len(mi), centers.size))
+        moments = np.zeros((len(mi), len(centers)))
         gathered = []
         for a in range(n_off):
-            if g.dim == 1:
-                vals = f.samples[(centers + offs[a]) % n]
-            else:
-                d0, d1 = offs[a]
-                vals = F[((centers // n) + d0) % n, ((centers % n) + d1) % n]
+            vals = F[tuple(((centers + offs[a]) % g.n).T)]
             gathered.append(vals)
             moments += w[:, a][:, None] * vals[None, :]
         moments /= n_off
         coeff = gram_inv @ moments
         # pass 2: mean absolute residual against the fitted polynomial
-        resid = np.zeros(centers.size)
+        resid = np.zeros(len(centers))
         for a in range(n_off):
             pred = (coeff * w[:, a][:, None]).sum(axis=0)
             resid += np.abs(gathered[a] - pred)
         resid /= n_off
         e = _ball_measure(g.dim, r) ** (-alpha / g.dim) * resid
-        # scatter: every point of Delta(c, r) sees the ball's value
-        for a in range(n_off):
-            if g.dim == 1:
-                tgt = (centers + offs[a]) % n
-            else:
-                d0, d1 = offs[a]
-                tgt = (((centers // n) + d0) % n) * n + ((centers % n) + d1) % n
-            np.maximum.at(out, tgt, e)
+        # every point of Delta(c, r) sees the ball's value: the disc is
+        # symmetric, so that is a window max of the values placed on centres
+        placed = np.full(g.shape, -np.inf)
+        placed[tuple(centers.T)] = e
+        np.maximum(out, window_extreme(placed.reshape(-1), g, r), out=out)
     return GridFunction(g, out)
-
-
-def _halfwidth(radius: float, h: float) -> int:
-    return max(0, int(math.ceil(radius / h * (1.0 - 1e-12))) - 1)
 
 
 def slobodeckij_seminorm(f: GridFunction, sigma: float, p: float,

@@ -367,3 +367,14 @@ def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
     monkeypatch.setenv("FATOU_LAB_THREADS", "4")
     rows2 = run_experiment(cfg).rows
     assert rows1 == rows2
+
+
+@pytest.mark.parametrize("text", ["r\n", ""])
+def test_cli_kernel_table_without_radii_exits_2(tmp_path, capsys, text):
+    pts = tmp_path / "pts.csv"
+    pts.write_text(text)
+    out = tmp_path / "table.csv"
+    assert main(["kernel-table", "--kind", "bessel", "--n", "1", "--alpha",
+                 "2.0", "--points", str(pts), "--out", str(out)]) == 2
+    assert "no radii" in capsys.readouterr().err
+    assert not out.exists()

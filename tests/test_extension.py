@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,3 +223,21 @@ def test_fuzzed_field_file_loads_or_raises_parameter_error(tmp_path, blob):
         return
     assert u.values.shape == (len(u.heights), u.grid.size)
     assert all(0.0 < t < math.inf for t in u.heights)
+
+
+def test_field_save_writes_without_copying_the_values(tmp_path, rng):
+    g = make_grid(1, 14, 1.0)
+    u = poisson_extend(GridFunction(g, rng.normal(size=g.size)),
+                       dyadic_heights(1.0, grid=g))
+    path = tmp_path / "u.flhf"
+    tracemalloc.start()
+    try:
+        save_half_space_field(path, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < u.values.nbytes / 8
+    header = b"FLHF" + struct.pack("<IIIdI", 1, 1, 14, 1.0, len(u.heights) - 1)
+    assert path.read_bytes() == (header
+                                 + np.asarray(u.heights, "<f8").tobytes()
+                                 + u.values.astype("<f8").tobytes())

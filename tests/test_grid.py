@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 
 from fatou_lab.errors import GridMismatchError, ParameterError
 from fatou_lab.grid import (GridFunction, ball_average, ball_mean_all_centers,
-                            fft_convolve, from_callable, grid_function_from_csv,
-                            grid_function_to_csv, load_grid_function, lp_norm,
-                            make_grid, save_grid_function)
+                            disc_rows, fft_convolve, from_callable,
+                            grid_function_from_csv, grid_function_to_csv,
+                            load_grid_function, lp_norm, make_grid,
+                            save_grid_function, window_halfwidth)
 
 
 def test_make_grid_examples():
@@ -238,3 +240,49 @@ def test_fuzzed_grid_file_loads_or_raises_parameter_error(tmp_path, blob):
         return
     assert f.samples.size == f.grid.size
     assert np.all(np.isfinite(f.samples))
+
+
+@pytest.mark.parametrize("dim,levels", [(1, 6), (2, 4)])
+@pytest.mark.parametrize("radius", [0.6, 1.0])
+def test_ball_mean_all_centers_past_half_the_torus(rng, dim, levels, radius):
+    # a disc wider than half the torus wraps onto itself: each point
+    # counts once, so a constant stays constant
+    g = make_grid(dim, levels, 1.0)
+    const = GridFunction(g, np.ones(g.size))
+    np.testing.assert_allclose(ball_mean_all_centers(const, radius), 1.0,
+                               rtol=1e-12)
+    f = GridFunction(g, rng.normal(size=g.size))
+    batch = ball_mean_all_centers(f, radius, 1.5)
+    xs = g.axis_coords()
+    for flat in (0, 5, g.size - 1):
+        center = xs[flat] if dim == 1 else (xs[flat // g.n], xs[flat % g.n])
+        assert batch[flat] == pytest.approx(
+            ball_average(f, center, radius, 1.5), rel=1e-9, abs=1e-12)
+
+
+@pytest.mark.parametrize("radius_in_h", [0.5, 1.0, 1.5, 4.0, 5.0, 7.3, 12.0])
+def test_disc_rows_expand_to_the_disc_in_row_major_order(radius_in_h):
+    g = make_grid(2, 4, 1.0)
+    radius = radius_in_h * g.h
+    k = window_halfwidth(radius, g.h)
+    expect = [(a, b) for a in range(-k, k + 1) for b in range(-k, k + 1)
+              if (a * a + b * b) * g.h * g.h < radius * radius * (1 - 1e-12)]
+    dys, ws = disc_rows(g, radius)
+    got = [(dy, dx) for dy, w in zip(dys.tolist(), ws.tolist())
+           for dx in range(-w, w + 1)]
+    assert got == expect
+
+
+def test_save_writes_without_copying_the_samples(tmp_path, rng):
+    g = make_grid(1, 17, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    path = tmp_path / "f.flgf"
+    tracemalloc.start()
+    try:
+        save_grid_function(path, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < f.samples.nbytes / 8
+    header = b"FLGF" + struct.pack("<IIId", 1, 1, 17, 1.0)
+    assert path.read_bytes() == header + f.samples.astype("<f8").tobytes()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fatou_lab import maximal
 from fatou_lab.errors import CoverageError, ParameterError
 from fatou_lab.extension import annuli_surrogate, dyadic_heights, poisson_extend
 from fatou_lab.grid import GridFunction, fft_convolve, from_callable, lp_norm, \
@@ -12,7 +13,8 @@ from fatou_lab.grid import GridFunction, fft_convolve, from_callable, lp_norm, \
 from fatou_lab.maximal import (ApproachRegionSpec, composite_max,
                                dilated_mitigated_max, fractional_power_max,
                                hl_max_q, mitigated_max, region_contains,
-                               tangential_argmax, tangential_max)
+                               tangential_argmax, tangential_max,
+                               window_extreme)
 from fatou_lab.potentials import bessel_smooth
 
 
@@ -314,3 +316,94 @@ def test_composite_parameter_errors(rng):
         composite_max(f, 2.0, 2.5, 0.5)
     with pytest.raises(ParameterError):
         composite_max(f, 2.0, 1.5, 1.0)
+
+
+def _torus_window_oracle(values, g, radius, mode):
+    """Max/min over grid points q whose shortest torus offset from p,
+    in steps of h, satisfies (d0^2 + d1^2) h h < radius^2 (1 - 1e-12)."""
+    idx = np.arange(g.n)
+    d = (idx[None, :] - idx[:, None]) % g.n
+    d = np.minimum(d, g.n - d)
+    if g.dim == 1:
+        inside = d * d * g.h * g.h < radius * radius * (1.0 - 1e-12)
+    else:
+        d2 = (d * d)[:, None, :, None] + (d * d)[None, :, None, :]
+        inside = (d2 * g.h * g.h < radius * radius * (1.0 - 1e-12)).reshape(
+            g.size, g.size)
+    fill = -np.inf if mode == "max" else np.inf
+    picked = np.where(inside, values[None, :], fill)
+    return picked.max(axis=1) if mode == "max" else picked.min(axis=1)
+
+
+@pytest.mark.parametrize("dim,levels", [(1, 6), (2, 4), (2, 5)])
+@pytest.mark.parametrize("extent", [1.0, 3.0])
+def test_window_extreme_torus_disc_oracle(rng, dim, levels, extent):
+    g = make_grid(dim, levels, extent)
+    values = rng.normal(size=g.size)
+    # from below one spacing to beyond half the torus, where the disc wraps
+    radii = [0.6 * g.h, g.h, 1.5 * g.h, 2.7 * g.h, 5 * g.h,
+             0.25 * extent, 0.45 * extent, 0.55 * extent, 0.7 * extent,
+             1.3 * extent]
+    for radius in radii:
+        for mode in ("max", "min"):
+            np.testing.assert_array_equal(
+                window_extreme(values, g, radius, mode),
+                _torus_window_oracle(values, g, radius, mode))
+
+
+def test_window_extreme_row_filters_stay_narrower_than_the_torus(
+        rng, monkeypatch):
+    # rows as wide as the torus take a full-row reduce, not a wider filter
+    g = make_grid(2, 4, 1.0)
+    widths = []
+
+    def spy(fn):
+        def filt(arr, size, mode):
+            widths.append(size[1])
+            return fn(arr, size=size, mode=mode)
+        return filt
+
+    monkeypatch.setattr(maximal, "maximum_filter", spy(maximal.maximum_filter))
+    monkeypatch.setattr(maximal, "minimum_filter", spy(maximal.minimum_filter))
+    values = rng.normal(size=g.size)
+    for radius in (0.45, 0.55, 1.3):
+        for mode in ("max", "min"):
+            np.testing.assert_array_equal(
+                window_extreme(values, g, radius, mode),
+                _torus_window_oracle(values, g, radius, mode))
+    assert widths and max(widths) < g.n
+
+
+def test_region_sweeps_match_slice_by_slice_scan(rng):
+    # the shared sweep against its definition: per height, weight times
+    # the explicit torus-disc max of |u|, folded by max
+    g = make_grid(2, 4, 3.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    hts = dyadic_heights(3.0, grid=g)
+    u = poisson_extend(f, hts)
+    p, beta = 2.0, 0.5
+    spec = ApproachRegionSpec(beta=beta, aperture=2.0, t_max=3.0)
+    expo = g.dim * (1.0 - beta) / p
+
+    def scan(terms):
+        out = np.zeros(g.size)
+        for k, radius, weight in terms:
+            wm = _torus_window_oracle(np.abs(u.values[k]), g, radius, "max")
+            out = np.maximum(out, weight * wm)
+        return out
+
+    usable = [k for k, t in enumerate(hts) if t <= 3.0 * (1 + 1e-12)]
+    np.testing.assert_array_equal(
+        tangential_max(u, spec).samples,
+        scan([(k, spec.radius(hts[k]), 1.0) for k in usable]))
+    unit = [k for k, t in enumerate(hts) if t <= 1.0 * (1 + 1e-12)]
+    np.testing.assert_array_equal(
+        mitigated_max(u, p, beta).samples,
+        scan([(k, hts[k] ** beta, hts[k] ** expo) for k in unit]))
+    j = 1
+    pref = 2.0 ** (g.dim * j / p)
+    dilated = [(k, t / 2 ** j) for k, t in enumerate(hts)
+               if t / 2 ** j < 2.0 ** (-j / (1 - beta))]
+    np.testing.assert_array_equal(
+        dilated_mitigated_max(u, p, beta, j).samples,
+        scan([(k, t ** beta, pref * t ** expo) for k, t in dilated]))

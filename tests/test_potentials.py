@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -458,3 +459,48 @@ def test_representative_value_parameter_errors(rng):
         representative_value(bf, 0.3, [0.1, 0.05])
     with pytest.raises(ParameterError):
         representative_value(bf, 0.3, [0.1, 0.05, g.h])
+
+
+def _brute_sharp_at(f, alpha, scales, point):
+    """max over balls Delta(c, r) that hold the point, c on the stride
+    lattice, of |Delta|^(-alpha/n) avg |f - P_k f| with P_k the least
+    squares fit of degree k = floor(alpha); 0 if no ball holds it."""
+    g = f.grid
+    n, dim = g.n, g.dim
+    degree = min(int(math.floor(alpha)), 3)
+    arr = f.as_array()
+    here = np.unravel_index(point, g.shape)
+    best = 0.0
+    for r in scales:
+        stride = max(1, int(round(r / (2.0 * g.h))))
+        reach = range(-int(r / g.h) - 1, int(r / g.h) + 2)
+        offs = np.array([o for o in product(reach, repeat=dim)
+                         if sum(x * x for x in o) * g.h * g.h
+                         < r * r * (1.0 - 1e-12)])
+        held = {tuple(o % n) for o in offs}
+        powers = [gam for gam in product(range(degree + 1), repeat=dim)
+                  if sum(gam) <= degree]
+        design = np.stack([np.prod((offs * g.h / r) ** np.array(gam), axis=1)
+                           for gam in powers], axis=1)
+        measure = 2.0 * r if dim == 1 else math.pi * r * r
+        for c in product(range(0, n, stride), repeat=dim):
+            if tuple((np.array(here) - c) % n) not in held:
+                continue
+            vals = arr[tuple(((np.array(c) + offs) % n).T)]
+            coef = np.linalg.lstsq(design, vals, rcond=None)[0]
+            resid = np.mean(np.abs(vals - design @ coef))
+            best = max(best, measure ** (-alpha / dim) * resid)
+    return best
+
+
+@pytest.mark.parametrize("dim,levels,alpha", [(1, 8, 0.5), (1, 8, 1.3),
+                                              (1, 8, 2.2), (2, 5, 0.5),
+                                              (2, 5, 1.3)])
+def test_sharp_maximal_brute_force_oracle(rng, dim, levels, alpha):
+    g = make_grid(dim, levels, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    scales = dyadic_scales(g)
+    sharp = sharp_maximal(f, alpha, scales)
+    for point in [0, g.size - 1, *rng.integers(0, g.size, size=6)]:
+        assert sharp.samples[point] == pytest.approx(
+            _brute_sharp_at(f, alpha, scales, point), rel=1e-12)
