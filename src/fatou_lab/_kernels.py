@@ -3,6 +3,11 @@
 Every function is deterministic and single-threaded.  Windows are
 circular (torus wrap) and given by an integer halfwidth ``K``: the window
 at index ``i`` is the 2K+1 samples ``i-K .. i+K`` modulo N.
+
+At p = 2 the Slobodeckij pair sum is one torus convolution, O(N^n log N):
+sum_d w_d sum_i m_i m_{i+d} (v_i - v_{i+d})^2 = 2[(m v^2).(w*m) - (m v).(w*(m v))]
+with v centred on its support first, which keeps ~1e-10 relative accuracy
+on very smooth data (Bessel order 4, sigma = 0.9).  Other p loop over offsets.
 """
 
 import numpy as np
@@ -43,48 +48,41 @@ def circ_sum_1d(values: np.ndarray, halfwidth: int) -> np.ndarray:
     return cs[2 * k + 1:] - cs[:n]
 
 
-def slobodeckij_1d(f: np.ndarray, h: float, extent: float, sigma: float, p: float,
-                   mask: np.ndarray | None = None) -> float:
-    """Double sum over distinct pairs of |f_i-f_j|^p / d_ij^{1+sigma p} * h^2."""
-    v = np.ascontiguousarray(f, dtype=np.float64)
-    n = v.shape[0]
-    if mask is not None:
-        m = np.ascontiguousarray(mask, dtype=np.float64)
-    else:
-        m = None
+def _pair_loop(v: np.ndarray, m: np.ndarray, w: np.ndarray, p: float) -> float:
+    """sum over torus offsets d != 0 of w_d sum_i m_i m_{i+d} |v_i - v_{i+d}|^p."""
+    axes = tuple(range(v.ndim))
     total = 0.0
-    for d in range(1, n):
-        dist = h * min(d, n - d)
-        w = dist ** (-(1.0 + sigma * p))
-        diff = np.abs(v - np.roll(v, -d)) ** p
-        if m is not None:
-            diff = diff * m * np.roll(m, -d)
-        total += w * float(diff.sum())
-    return total * h * h
+    for off in np.argwhere(w):
+        shift = tuple(-off)
+        diff = np.abs(v - np.roll(v, shift, axis=axes)) ** p
+        total += w[tuple(off)] * float((diff * m * np.roll(m, shift, axis=axes)).sum())
+    return total
 
 
-def slobodeckij_2d(f: np.ndarray, h: float, extent: float, sigma: float, p: float,
-                   mask: np.ndarray | None = None) -> float:
-    """Same pair sum on the 2-torus; weight h^4 / d^{2+sigma p}."""
-    v = np.ascontiguousarray(f, dtype=np.float64)
-    n = v.shape[0]
-    m = np.ascontiguousarray(mask, dtype=np.float64) if mask is not None else None
-    total = 0.0
-    for d0 in range(n):
-        a0 = h * min(d0, n - d0)
-        r0 = np.roll(v, -d0, axis=0)
-        rm0 = np.roll(m, -d0, axis=0) if m is not None else None
-        for d1 in range(n):
-            if d0 == 0 and d1 == 0:
-                continue
-            a1 = h * min(d1, n - d1)
-            dist = np.hypot(a0, a1)
-            w = dist ** (-(2.0 + sigma * p))
-            diff = np.abs(v - np.roll(r0, -d1, axis=1)) ** p
-            if m is not None:
-                diff = diff * m * np.roll(rm0, -d1, axis=1)
-            total += w * float(diff.sum())
-    return total * h ** 4
+def slobodeckij_sum(v: np.ndarray, h: float, sigma: float, p: float,
+                    mask: np.ndarray | None = None) -> float:
+    """Sum over x != y of m_x m_y |v_x - v_y|^p / |x-y|^{n+sigma p} h^{2n}
+    on the torus; exactly 0.0 for data constant where m != 0."""
+    v = np.ascontiguousarray(v, dtype=np.float64)
+    m = np.ones(v.shape) if mask is None else np.asarray(mask, dtype=np.float64)
+    on = v[m != 0]
+    if on.size == 0 or on.min() == on.max():
+        return 0.0
+    lags = [h * np.minimum(np.arange(k), k - np.arange(k)) for k in v.shape]
+    dist = np.sqrt(sum(lag * lag for lag in np.ix_(*lags)))
+    w = np.where(dist > 0, dist, np.inf) ** -(v.ndim + sigma * p)
+    if p != 2.0:
+        return _pair_loop(v, m, w, p) * h ** (2 * v.ndim)
+    spec_w = np.fft.rfftn(w)
+
+    def conv(x):
+        return np.fft.irfftn(spec_w * np.fft.rfftn(x), s=v.shape, axes=range(v.ndim))
+
+    u = v - on.mean()
+    mu = m * u
+    w_m = w.sum() if mask is None else conv(m)  # w * 1 = sum of w
+    total = np.sum(mu * u * w_m) - np.vdot(mu, conv(mu))
+    return max(2.0 * float(total), 0.0) * h ** (2 * v.ndim)
 
 
 def min_dist_graph_1d(qt: np.ndarray, qx: np.ndarray, phi: np.ndarray,

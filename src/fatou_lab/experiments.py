@@ -504,6 +504,8 @@ def _run_inclusion(cfg: ExperimentConfig) -> RunReport:
                                  cfg.c, samples, seed=cfg.seeds[0],
                                  target_aperture=(1.0 + cfg.c) / 2.0)
     rep.stats["control_violations"] = neg.violations
+    rep.notes.extend("negative-control witness (x0, t, x) = ({:.17g}, {:.17g}, "
+                     "{:.17g})".format(*w) for w in neg.witnesses[:4])
     rep.add_criterion(
         "negative control with shrunken target", neg.violations >= 1,
         f"{neg.violations} violations once the target aperture halves")

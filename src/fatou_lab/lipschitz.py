@@ -285,8 +285,8 @@ def boundary_seminorm(graph: LipschitzGraph, f: GridFunction, s: float,
     Integer part through spectral derivatives, fractional part through
     the Slobodeckij pair sum; s = 0 reduces to the L^p norm.
     """
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    if not (math.isfinite(p) and p >= 1):
+        raise ParameterError(f"p must be finite and >= 1, got {p}")
     if s < 0 or s >= 4:
         raise ParameterError(f"s must lie in [0, 4), got {s}")
     m = int(math.floor(s))

@@ -260,26 +260,26 @@ def slobodeckij_seminorm(f: GridFunction, sigma: float, p: float,
                          domain=None) -> float:
     """Discrete double sum [f]_{sigma,p}: pairs weighted by |x-y|^-(n+sigma p).
 
-    domain is an optional flat-index set restricting both sum variables;
-    diagonal pairs are excluded.
+    domain is an optional set of flat indices in [0, size) restricting both
+    sum variables; diagonal pairs are excluded.  At p = 2 this is one torus
+    convolution of the data centred on the domain (see _kernels), within
+    ~1e-10 relative of the pair loop on very smooth data.
     """
     if not (0 < sigma < 1):
         raise ParameterError(f"sigma must lie in (0,1), got {sigma}")
-    if p < 1:
-        raise ParameterError(f"p must be >= 1, got {p}")
+    if not (math.isfinite(p) and p >= 1):
+        raise ParameterError(f"p must be finite and >= 1, got {p}")
     g = f.grid
     mask = None
     if domain is not None:
-        idx = np.asarray(list(domain), dtype=np.intp)
-        if idx.size == 0:
-            raise ParameterError("empty domain")
-        mask = np.zeros(g.size)
-        mask[idx] = 1.0
-    if g.dim == 1:
-        total = _kernels.slobodeckij_1d(f.samples, g.h, g.extent, sigma, p, mask)
-    else:
-        m2 = mask.reshape(g.shape) if mask is not None else None
-        total = _kernels.slobodeckij_2d(f.as_array(), g.h, g.extent, sigma, p, m2)
+        idx = np.asarray(list(domain))
+        if (idx.size == 0 or idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer)
+                or idx.min() < 0 or idx.max() >= g.size):
+            raise ParameterError(
+                f"domain must be a nonempty set of integer indices in [0, {g.size})")
+        mask = np.zeros(g.shape)
+        mask.flat[idx] = 1.0
+    total = _kernels.slobodeckij_sum(f.as_array(), g.h, sigma, p, mask)
     return float(total ** (1.0 / p))
 
 

@@ -93,6 +93,15 @@ def test_criterion_10_inclusion_lemma():
     _check("inclusion-lemma", 60.0)
 
 
+def test_inclusion_negative_control_reports_witnesses():
+    rep, _ = _report("inclusion-lemma")
+    notes = [n for n in rep.notes if n.startswith("negative-control witness")]
+    assert len(notes) == min(4, rep.stats["control_violations"]) > 0
+    for note in notes:
+        x0, t, x = (float(v) for v in note.split("= (")[1].rstrip(")").split(", "))
+        assert note.endswith(f"({x0:.17g}, {t:.17g}, {x:.17g})")
+
+
 def test_criterion_11_boundary_maximal_band():
     _check("boundary-max", 600.0)
 

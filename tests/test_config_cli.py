@@ -203,6 +203,8 @@ def test_cli_potential_and_fractal(tmp_path, capsys):
                  "--in", str(src)]) == 0
     val = float(capsys.readouterr().out.strip().splitlines()[-1])
     assert val > 0
+    assert main(["potential", "seminorm", "--sigma", "0.5", "--p", "nan",
+                 "--in", str(src)]) == 2
     pts = tmp_path / "cantor.csv"
     assert main(["fractal", "cantor", "--s", "0.6309297535714574",
                  "--depth", "10", "--levels", "12", "--out", str(pts)]) == 0

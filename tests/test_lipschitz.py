@@ -243,6 +243,9 @@ def test_boundary_seminorm_examples(rng):
         boundary_seminorm(flat, f, -0.1, 2.0)
     with pytest.raises(ParameterError):
         boundary_seminorm(flat, f, 0.5, 0.5)
+    for p in (math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            boundary_seminorm(flat, f, 0.5, p)
 
 
 def test_boundary_seminorm_bilipschitz_reparametrization(rng):

@@ -4,6 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
+from fatou_lab import _kernels
 from fatou_lab.errors import NumericError, ParameterError
 from fatou_lab.extension import poisson_extend
 from fatou_lab.grid import (GridFunction, ball_mean_all_centers, fft_convolve,
@@ -290,6 +291,47 @@ def test_slobodeckij_examples(rng):
         slobodeckij_seminorm(f, 0.5, 0.7)
     with pytest.raises(ParameterError):
         slobodeckij_seminorm(f, 0.5, 2.0, domain=[])
+
+
+@pytest.mark.parametrize("domain", [[-1], [64], [0.5, 2], [[1, 2]]])
+def test_slobodeckij_rejects_bad_domain_indices(rng, domain):
+    f = GridFunction(make_grid(1, 6, 1.0), rng.normal(size=64))
+    with pytest.raises(ParameterError):
+        slobodeckij_seminorm(f, 0.5, 2.0, domain=domain)
+
+
+@pytest.mark.parametrize("p", [math.nan, math.inf])
+def test_slobodeckij_rejects_non_finite_p(rng, p):
+    f = GridFunction(make_grid(1, 6, 1.0), rng.normal(size=64))
+    with pytest.raises(ParameterError):
+        slobodeckij_seminorm(f, 0.5, p)
+
+
+def test_slobodeckij_domain_is_a_set(rng):
+    f = GridFunction(make_grid(1, 6, 1.0), rng.normal(size=64))
+    once = slobodeckij_seminorm(f, 0.5, 2.0, domain=[3, 5, 63])
+    assert slobodeckij_seminorm(f, 0.5, 2.0, domain=[63, 3, 5, 3]) == once
+    assert slobodeckij_seminorm(f, 0.5, 2.0, domain={3, 5, 63}) == once
+
+
+def test_slobodeckij_p2_never_enters_the_pair_loop(rng, monkeypatch):
+    # p = 2 is one torus convolution; only other p walk the O(N^2) offsets
+    calls = []
+
+    def spy(*args):
+        calls.append(args[-1])
+        return pair_loop(*args)
+
+    pair_loop = _kernels._pair_loop
+    monkeypatch.setattr(_kernels, "_pair_loop", spy)
+    for dim, levels in ((1, 7), (2, 4)):
+        g = make_grid(dim, levels, 1.0)
+        f = GridFunction(g, rng.normal(size=g.size))
+        slobodeckij_seminorm(f, 0.5, 2.0)
+        slobodeckij_seminorm(f, 0.5, 2.0, domain=range(0, g.size, 3))
+    assert calls == []
+    slobodeckij_seminorm(f, 0.5, 1.7)
+    assert calls == [1.7]
 
 
 def test_slobodeckij_refinement_stability():
