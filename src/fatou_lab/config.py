@@ -52,7 +52,6 @@ class ExperimentConfig:
     s_values: tuple = ()
     depths: tuple = ()
     eps: float = 0.02
-    t_min: float = 0.0625
     window: tuple = (4, 10)
     m_values: tuple = ()
     seeds: tuple = (0,)
@@ -103,7 +102,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     beta = cfg.derived_beta()
     _require(0.0 < beta <= 1.0, f"beta = {beta} must lie in (0, 1]")
     r = cfg.derived_r()
-    if name in ("nagel-stein-bound", "boundary-max", "divergence-dimension"):
+    if name in ("nagel-stein-bound", "boundary-max", "divergence-dimension",
+                "j-uniformity"):
         _require(1.0 < r < cfg.p, f"1 < r < p required, got r={r}, p={cfg.p}")
     if name == "frostman-lemma":
         floor = cfg.dim - cfg.alpha * cfg.p
@@ -157,9 +157,15 @@ def parse(text: str) -> ExperimentConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ParameterError(f"malformed config: {exc}") from exc
-    if "experiment" not in cp:
-        raise ParameterError("config must contain an [experiment] section")
+    if cp.sections() != ["experiment"]:
+        raise ParameterError("config must contain one [experiment] section and "
+                             f"no other, got {cp.sections()}")
     sect = cp["experiment"]
+    unknown = sorted(set(sect) - {cp.optionxform(f.name)
+                                  for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ParameterError(
+            f"unknown config key(s) {', '.join(map(repr, unknown))}")
     kwargs = {}
     for f in fields(ExperimentConfig):
         if f.name not in sect:

@@ -2,14 +2,16 @@
 
 Functions live on the torus [0, extent)^dim sampled on a uniform grid of
 N = 2^levels points per axis.  Everything downstream (kernels, maximal
-operators, boundary geometry) is built on the primitives here: norms,
-ball averages with wrap-around metric, and scaled circular convolution.
+operators, boundary geometry) is built on the primitives here: the torus
+metric (per-axis wraps, distances, squared-distance fields) in any
+dimension, norms, ball averages, and scaled circular convolution.
 
 Grids and grid functions are immutable once built and every operation is
 a pure function, so concurrent callers need no synchronization.
 """
 
 import csv
+import functools
 import math
 import struct
 from dataclasses import dataclass
@@ -93,12 +95,10 @@ def make_grid(dim: int, levels: int, extent: float) -> Grid:
 
 
 def from_callable(grid: Grid, fn) -> GridFunction:
-    """Sample fn on the grid.  dim=1: fn(x); dim=2: fn(x0, x1), vectorized."""
-    x = grid.axis_coords()
-    if grid.dim == 1:
-        return GridFunction(grid, fn(x))
-    x0, x1 = np.meshgrid(x, x, indexing="ij")
-    return GridFunction(grid, fn(x0, x1))
+    """Sample fn on the grid: fn(x0, ..., x_{dim-1}) on (N,)*dim coordinate
+    arrays, vectorized."""
+    axes = np.meshgrid(*[grid.axis_coords()] * grid.dim, indexing="ij")
+    return GridFunction(grid, fn(*axes))
 
 
 def lp_norm(f: GridFunction, p: float) -> float:
@@ -112,18 +112,30 @@ def lp_norm(f: GridFunction, p: float) -> float:
 
 
 def wrapped_abs_delta(a, b, extent: float):
-    """Torus distance per axis: min(|a-b|, extent-|a-b|)."""
+    """Torus distance per axis: min(d, extent - d) with d = |a - b| mod extent."""
     d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
+    d = np.fmod(d, extent)
     return np.minimum(d, extent - d)
 
 
-def torus_distance(grid: Grid, x, y) -> float:
-    """Euclidean distance on the torus between points x, y."""
-    if grid.dim == 1:
-        return float(wrapped_abs_delta(float(np.ravel(x)[0]), float(np.ravel(y)[0]),
-                                       grid.extent))
-    dx = wrapped_abs_delta(np.asarray(x, float), np.asarray(y, float), grid.extent)
-    return float(np.hypot(dx[0], dx[1]))
+def wrapped_delta(a, b, extent: float):
+    """Signed torus displacement a - b per axis, in [-extent/2, extent/2)."""
+    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
+    return (d + extent / 2.0) % extent - extent / 2.0
+
+
+def torus_distance(x, y, extent: float):
+    """Euclidean torus distance between points whose last axis holds the
+    coordinates; a point of a 1-D torus may be a scalar."""
+    return np.hypot.reduce(np.atleast_1d(wrapped_abs_delta(x, y, extent)), axis=-1)
+
+
+def torus_sq_distance(grid: Grid, point) -> np.ndarray:
+    """Squared torus distance from every grid point to point, flat."""
+    c = np.asarray(point, dtype=np.float64).reshape(grid.dim)
+    x = grid.axis_coords()
+    squares = [wrapped_abs_delta(x, ca, grid.extent) ** 2 for ca in c]
+    return functools.reduce(np.add.outer, squares).reshape(-1)
 
 
 def window_halfwidth(radius: float, h: float) -> int:
@@ -159,36 +171,21 @@ def disc_rows(grid: Grid, radius: float) -> tuple:
 
 def _ball_indices(grid: Grid, center, radius: float):
     """Flat indices of grid points strictly inside the torus ball."""
-    h, n = grid.h, grid.n
-    if grid.dim == 1:
-        c = float(np.ravel(center)[0])
-        base = int(math.floor(c / h))
-        kmax = int(math.ceil(radius / h)) + 1
-        offs = np.arange(base - kmax, base + kmax + 1)
-        xs = offs * h
-        keep = wrapped_abs_delta(xs, c, grid.extent) < radius
-        return np.unique(offs[keep] % n)
-    c = np.asarray(center, dtype=np.float64).reshape(2)
-    base = np.floor(c / h).astype(int)
+    h = grid.h
+    c = np.asarray(center, dtype=np.float64).reshape(grid.dim)
     kmax = int(math.ceil(radius / h)) + 1
     o = np.arange(-kmax, kmax + 1)
-    i0, i1 = np.meshgrid(base[0] + o, base[1] + o, indexing="ij")
-    d0 = wrapped_abs_delta(i0 * h, c[0], grid.extent)
-    d1 = wrapped_abs_delta(i1 * h, c[1], grid.extent)
-    keep = d0 * d0 + d1 * d1 < radius * radius
-    flat = (i0[keep] % n) * n + (i1[keep] % n)
-    return np.unique(flat)
+    axes = [base + o for base in np.floor(c / h).astype(int)]
+    idx = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
+    keep = torus_distance(idx * h, c, grid.extent) < radius
+    return np.unique(np.ravel_multi_index(tuple((idx[keep] % grid.n).T), grid.shape))
 
 
 def nearest_index(grid: Grid, point) -> int:
     """Flat index of the grid point nearest to a torus point."""
-    n = grid.n
-    if grid.dim == 1:
-        c = float(np.ravel(point)[0])
-        return int(round(c / grid.h)) % n
-    c = np.asarray(point, dtype=np.float64).reshape(2)
-    idx = np.round(c / grid.h).astype(int) % n
-    return int(idx[0] * n + idx[1])
+    c = np.asarray(point, dtype=np.float64).reshape(grid.dim)
+    idx = np.round(c / grid.h).astype(int) % grid.n
+    return int(np.ravel_multi_index(tuple(idx), grid.shape))
 
 
 def ball_average(f: GridFunction, center, radius: float, q: float = 1.0) -> float:
@@ -251,11 +248,8 @@ def fft_convolve(f: GridFunction, k: GridFunction) -> GridFunction:
     if f.grid != k.grid:
         raise GridMismatchError(f"grids differ: {f.grid} vs {k.grid}")
     g = f.grid
-    fa, ka = f.as_array(), k.as_array()
-    if g.dim == 1:
-        out = np.fft.irfft(np.fft.rfft(fa) * np.fft.rfft(ka), n=g.n)
-    else:
-        out = np.fft.irfft2(np.fft.rfft2(fa) * np.fft.rfft2(ka), s=g.shape)
+    out = np.fft.irfftn(np.fft.rfftn(f.as_array()) * np.fft.rfftn(k.as_array()),
+                        s=g.shape, axes=tuple(range(g.dim)))
     return GridFunction(g, out * (g.h ** g.dim))
 
 

@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.special import gamma, kv
 
 from .errors import NumericError, ParameterError, SingularityError
-from .grid import Grid, GridFunction, wrapped_abs_delta
+from .grid import Grid, GridFunction, torus_distance
 
 _POISSON_C = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi)}
 
@@ -176,15 +176,6 @@ def kernel_symbol(spec: KernelSpec, xi) -> float:
     return math.exp(-2.0 * math.pi * spec.scale * mag)
 
 
-def _torus_radii(grid: Grid) -> np.ndarray:
-    x = grid.axis_coords()
-    d = wrapped_abs_delta(x, 0.0, grid.extent)
-    if grid.dim == 1:
-        return d
-    d0, d1 = np.meshgrid(d, d, indexing="ij")
-    return np.hypot(d0, d1)
-
-
 def _cell_average_at_origin(spec: KernelSpec, h: float) -> float:
     """Average of the (singular, integrable) kernel over the central cell.
 
@@ -307,7 +298,8 @@ def sampled_kernel(spec: KernelSpec, grid: Grid, normalize: bool = True) -> Grid
         signed = grid.axis_coords()
         signed = np.where(signed > grid.extent / 2.0, signed - grid.extent,
                           signed)
-    r = _torus_radii(grid).reshape(-1)
+    axes = np.meshgrid(*[grid.axis_coords()] * grid.dim, indexing="ij")
+    r = torus_distance(np.stack(axes, axis=-1), 0.0, grid.extent).reshape(-1)
     if spec.kind == "poisson":
         if grid.dim == 1:
             # exact periodization: sum of images has the closed form

@@ -16,9 +16,10 @@ import numpy as np
 from . import _kernels
 from .errors import DomainError, ParameterError
 from .extension import annuli_surrogate, dyadic_heights
-from .grid import (GridFunction, lp_norm, read_exact, read_grid_function,
-                   save_grid_function)
-from .maximal import ApproachRegionSpec, region_contains, tangential_max
+from .grid import (GridFunction, lp_norm, nearest_index, read_exact,
+                   read_grid_function, save_grid_function, torus_distance,
+                   torus_sq_distance, wrapped_abs_delta)
+from .maximal import ApproachRegionSpec, tangential_max
 from .potentials import multi_indices, slobodeckij_seminorm, spectral_derivative
 from .rng import stream
 
@@ -41,14 +42,9 @@ class BoundaryPoint:
 
 
 def _max_discrete_slope(phi: GridFunction) -> float:
-    g = phi.grid
-    if g.dim == 1:
-        d = np.abs(np.diff(phi.samples, append=phi.samples[0]))
-        return float(d.max() / g.h)
     arr = phi.as_array()
-    d0 = np.abs(arr - np.roll(arr, -1, axis=0))
-    d1 = np.abs(arr - np.roll(arr, -1, axis=1))
-    return float(max(d0.max(), d1.max()) / g.h)
+    steps = [np.abs(arr - np.roll(arr, -1, axis=a)).max() for a in range(arr.ndim)]
+    return float(max(steps) / phi.grid.h)
 
 
 def lipschitz_graph(phi: GridFunction, M: float | None = None,
@@ -69,8 +65,6 @@ def lipschitz_graph(phi: GridFunction, M: float | None = None,
 
 def phi_at(graph: LipschitzGraph, x) -> float:
     """Profile value at the grid sample nearest to a base point."""
-    from .grid import nearest_index
-
     return float(graph.phi.samples[nearest_index(graph.phi.grid, x)])
 
 
@@ -90,14 +84,8 @@ def graph_distance(graph: LipschitzGraph, X) -> float:
         out = _kernels.min_dist_graph_1d(np.array([X[0]]), np.array([X[1]]),
                                          graph.phi.samples, g.h, g.extent)
         return float(out[0])
-    xs = g.axis_coords()
-    x0, x1 = np.meshgrid(xs, xs, indexing="ij")
-    d0 = np.abs(x0 - X[1])
-    d0 = np.minimum(d0, g.extent - d0)
-    d1 = np.abs(x1 - X[2])
-    d1 = np.minimum(d1, g.extent - d1)
-    dt = graph.phi.as_array() - X[0]
-    return float(np.sqrt(np.min(d0 * d0 + d1 * d1 + dt * dt)))
+    dt = graph.phi.samples - X[0]
+    return float(np.sqrt(np.min(torus_sq_distance(g, X[1:]) + dt * dt)))
 
 
 def graph_distance_batch(graph: LipschitzGraph, ts, xs) -> np.ndarray:
@@ -150,10 +138,7 @@ def domain_region_contains(graph: LipschitzGraph, beta: float, c: float,
     d = graph_distance(graph, X)
     if d <= 0.0:
         return False
-    g = graph.phi.grid
-    dx = X[1:] - Q0.x
-    dx = np.abs((dx + g.extent / 2.0) % g.extent - g.extent / 2.0)
-    gap = float(np.hypot(*dx) if dx.size == 2 else dx[0])
+    gap = float(torus_distance(X[1:], Q0.x, graph.phi.grid.extent))
     sep = math.hypot(gap, X[0] - Q0.lift)
     bound = (1.0 + c) * (d ** beta if d <= 1.0 else d)
     return sep < bound
@@ -205,8 +190,7 @@ def region_inclusion_check(graph: LipschitzGraph, beta: float, c: float,
         x = ix * g.h
         t = phi[ix] + gap
         q0x = i0 * g.h
-        dx = np.abs(x - q0x)
-        dx = np.minimum(dx, g.extent - dx)
+        dx = wrapped_abs_delta(x, q0x, g.extent)
         sep = np.hypot(dx, t - phi[i0])
         # d <= |tv|, the vertical gap to the sample below x, and the
         # membership bound grows with d: beyond it a sample cannot be a
@@ -231,14 +215,10 @@ def region_inclusion_check(graph: LipschitzGraph, beta: float, c: float,
 
 
 def _grad_norm_sq(phi: GridFunction) -> np.ndarray:
-    g = phi.grid
-    if g.dim == 1:
-        grad = (np.roll(phi.samples, -1) - np.roll(phi.samples, 1)) / (2 * g.h)
-        return grad * grad
-    arr = phi.as_array()
-    g0 = (np.roll(arr, -1, axis=0) - np.roll(arr, 1, axis=0)) / (2 * g.h)
-    g1 = (np.roll(arr, -1, axis=1) - np.roll(arr, 1, axis=1)) / (2 * g.h)
-    return (g0 * g0 + g1 * g1).reshape(-1)
+    arr, h = phi.as_array(), phi.grid.h
+    grads = [(np.roll(arr, -1, axis=a) - np.roll(arr, 1, axis=a)) / (2 * h)
+             for a in range(arr.ndim)]
+    return sum(grad * grad for grad in grads).reshape(-1)
 
 
 def surface_density(graph: LipschitzGraph) -> np.ndarray:
@@ -254,20 +234,7 @@ def surface_ball_measure(graph: LipschitzGraph, Q: BoundaryPoint,
     if not (4.0 * g.h * (1.0 - 1e-12) <= r <= g.extent / 4.0 * (1.0 + 1e-12)):
         raise ParameterError(f"r must lie in [4h, extent/4], got {r}")
     dens = surface_density(graph)
-    if g.dim == 1:
-        xs = g.axis_coords()
-        dx = np.abs(xs - Q.x[0])
-        dx = np.minimum(dx, g.extent - dx)
-        inside = dx * dx + (graph.phi.samples - Q.lift) ** 2 < r * r
-    else:
-        xs = g.axis_coords()
-        x0, x1 = np.meshgrid(xs, xs, indexing="ij")
-        d0 = np.abs(x0 - Q.x[0])
-        d0 = np.minimum(d0, g.extent - d0)
-        d1 = np.abs(x1 - Q.x[1])
-        d1 = np.minimum(d1, g.extent - d1)
-        d2 = (d0 * d0 + d1 * d1).reshape(-1)
-        inside = d2 + (graph.phi.samples - Q.lift) ** 2 < r * r
+    inside = torus_sq_distance(g, Q.x) + (graph.phi.samples - Q.lift) ** 2 < r * r
     return float(np.sum(dens[inside]) * g.h ** g.dim)
 
 

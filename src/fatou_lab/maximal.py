@@ -65,14 +65,7 @@ def region_contains(spec: ApproachRegionSpec, x0, t: float, x,
     """Membership of (t, x) in the region with vertex x0, torus metric."""
     if t <= 0:
         raise ParameterError(f"t must be positive, got {t}")
-    if grid is not None:
-        dist = torus_distance(grid, x, x0)
-    else:
-        a = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        b = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-        d = np.abs(a - b)
-        d = np.minimum(d, extent - d)
-        dist = float(np.hypot(*d) if d.size == 2 else d[0])
+    dist = float(torus_distance(x, x0, grid.extent if grid is not None else extent))
     return dist < spec.radius(t)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import NumericError, ParameterError
 from .grid import (Grid, GridFunction, _ball_indices, ball_mean_signed,
-                   disc_rows, lp_norm)
+                   disc_rows, lp_norm, wrapped_delta)
 
 
 def _half_spectrum(grid: Grid) -> tuple:
@@ -135,9 +135,7 @@ class Polynomial:
 
     def __call__(self, x) -> np.ndarray:
         x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        dy = x - self.center[None, :]
-        dy = (dy + self.extent / 2.0) % self.extent - self.extent / 2.0
-        return self.eval_offsets(dy)
+        return self.eval_offsets(wrapped_delta(x, self.center[None, :], self.extent))
 
 
 def _window_offsets(f: GridFunction, center, radius: float) -> tuple:
@@ -146,7 +144,7 @@ def _window_offsets(f: GridFunction, center, radius: float) -> tuple:
     idx = _ball_indices(g, center, radius)
     xs = np.stack(np.unravel_index(idx, g.shape), axis=1) * g.h
     c = np.asarray(center, dtype=np.float64).reshape(g.dim)
-    return idx, (xs - c + g.extent / 2.0) % g.extent - g.extent / 2.0
+    return idx, wrapped_delta(xs, c, g.extent)
 
 
 def _monomials(u: np.ndarray, mi) -> np.ndarray:

@@ -35,6 +35,10 @@ def test_config_validation_messages():
     with pytest.raises(ParameterError, match="1 < r < p"):
         validate(ExperimentConfig(experiment="nagel-stein-bound", alpha=0.25,
                                   p=2.0, r=2.5))
+    # j-uniformity is the runner that reads r, as the ball-mean power
+    with pytest.raises(ParameterError, match="1 < r < p"):
+        validate(ExperimentConfig(experiment="j-uniformity", alpha=0.25,
+                                  p=2.0, r=2.5))
     with pytest.raises(ParameterError, match="alpha p <= n"):
         validate(ExperimentConfig(experiment="nagel-stein-bound", alpha=0.75,
                                   p=2.0))
@@ -55,6 +59,9 @@ def test_config_validation_messages():
         parse("[experiment]\nexperiment = poincare\nlevels = 10,ten\n")
     with pytest.raises(ParameterError, match="'alpha'"):
         parse("[experiment]\nexperiment = poincare\nalpha = high\n")
+    # a key under any other section would do nothing
+    with pytest.raises(ParameterError, match="no other, got .*'extra'"):
+        parse("[experiment]\nexperiment = poincare\n[extra]\nlevels = 12\n")
 
 
 def test_runner_names_match_config_names():
@@ -88,6 +95,17 @@ def test_cli_verify_dim2_configs(tmp_path, capsys):
     pe.write_text(serialize(cfg))
     assert main(["verify", "--config", str(pe)]) == 0
     assert "PASS  poisson eigenfunction exactness" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("line", ["levles = 12", "t_min = 0.0625"])
+def test_config_rejects_unknown_keys(tmp_path, capsys, line):
+    key = line.split()[0]
+    with pytest.raises(ParameterError, match=f"'{key}'"):
+        parse(f"[experiment]\nexperiment = poincare\n{line}\n")
+    path = tmp_path / "typo.ini"
+    path.write_text(f"[experiment]\nexperiment = poincare\n{line}\n")
+    assert main(["verify", "--config", str(path)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
 
 
 def test_config_file_load(tmp_path):
@@ -369,6 +387,33 @@ def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
     monkeypatch.setenv("FATOU_LAB_THREADS", "4")
     rows2 = run_experiment(cfg).rows
     assert rows1 == rows2
+
+
+_THREAD_CONFIGS = [
+    ExperimentConfig(experiment="poincare", levels=(8, 9), seeds=(0, 1, 2)),
+    ExperimentConfig(experiment="nagel-stein-bound", levels=(8, 9),
+                     seeds=(0, 1, 2)),
+    ExperimentConfig(experiment="frostman-lemma", levels=(9,), s_values=(0.75,),
+                     depths=(8,), seeds=(0, 1, 2)),
+    ExperimentConfig(experiment="boundary-max", levels=(8, 9), seeds=(0, 1, 2)),
+    ExperimentConfig(experiment="dorronsoro-bound", levels=(8, 9),
+                     seeds=(0, 1, 2)),
+    ExperimentConfig(experiment="j-uniformity", levels=(9,), seeds=(0, 1, 2)),
+]
+
+
+@pytest.mark.parametrize("cfg", _THREAD_CONFIGS, ids=lambda c: c.experiment)
+def test_thread_count_does_not_change_reports(tmp_path, monkeypatch, cfg):
+    outputs = []
+    for threads in ("1", "2"):
+        monkeypatch.setenv("FATOU_LAB_THREADS", threads)
+        out = tmp_path / threads
+        rep = run_experiment(validate(cfg))
+        for fmt in ("csv", "svg", "text"):
+            emit_report(rep, fmt, str(out))
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 3
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("text", ["r\n", ""])

@@ -8,11 +8,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fatou_lab.errors import GridMismatchError, ParameterError
-from fatou_lab.grid import (GridFunction, ball_average, ball_mean_all_centers,
-                            disc_rows, fft_convolve, from_callable,
-                            grid_function_from_csv, grid_function_to_csv,
-                            load_grid_function, lp_norm, make_grid,
-                            save_grid_function, window_halfwidth)
+from fatou_lab.grid import (GridFunction, _ball_indices, ball_average,
+                            ball_mean_all_centers, disc_rows, fft_convolve,
+                            from_callable, grid_function_from_csv,
+                            grid_function_to_csv, load_grid_function, lp_norm,
+                            make_grid, nearest_index, save_grid_function,
+                            torus_distance, window_halfwidth)
 
 
 def test_make_grid_examples():
@@ -286,3 +287,57 @@ def test_save_writes_without_copying_the_samples(tmp_path, rng):
     assert peak < f.samples.nbytes / 8
     header = b"FLGF" + struct.pack("<IIId", 1, 1, 17, 1.0)
     assert path.read_bytes() == header + f.samples.astype("<f8").tobytes()
+
+
+def _points_2d(g):
+    xs = g.axis_coords()
+    return [np.array([xs[i], xs[j]]) for i in range(g.n) for j in range(g.n)]
+
+
+def test_torus_distance_image_oracle(rng, image_distance):
+    for dim, extent in ((1, 2.7), (2, 2.7), (2, 3.0)):
+        for _ in range(20):
+            x, y = rng.uniform(0, extent, size=(2, dim))
+            assert torus_distance(x, y, extent) == pytest.approx(
+                image_distance(x, y, extent), rel=1e-14)
+            # points given whole periods away from the base cell
+            assert torus_distance(x + 3 * extent, y - 2 * extent, extent) == \
+                pytest.approx(image_distance(x, y, extent), rel=1e-12, abs=1e-14)
+    # rows of points give one distance per row
+    xs = rng.uniform(0, 2.7, size=(5, 2))
+    np.testing.assert_allclose(torus_distance(xs, xs[0], 2.7),
+                               [image_distance(x, xs[0], 2.7) for x in xs],
+                               rtol=1e-14)
+
+
+def test_nearest_index_2d_image_oracle(rng, image_distance):
+    g = make_grid(2, 4, 2.7)
+    pts = _points_2d(g)
+    for c in [np.array([g.extent - 0.4 * g.h, 0.3 * g.h]),
+              *rng.uniform(0, g.extent, size=(20, 2))]:
+        brute = min(range(g.size),
+                    key=lambda i: image_distance(pts[i], c, g.extent))
+        assert nearest_index(g, c) == brute
+
+
+def test_ball_indices_2d_off_grid_center_at_seam(rng, image_distance):
+    g = make_grid(2, 4, 2.7)
+    pts = _points_2d(g)
+    for c in [np.array([g.extent - 0.6 * g.h, 0.45 * g.h]),
+              np.array([0.2 * g.h, g.extent - 0.9 * g.h])]:
+        for r in rng.uniform(0.5 * g.h, 0.4 * g.extent, size=8):
+            brute = [i for i in range(g.size)
+                     if image_distance(pts[i], c, g.extent) < r]
+            assert _ball_indices(g, c, r).tolist() == brute
+
+
+def test_fft_convolve_2d_circular_sum_oracle(rng):
+    g = make_grid(2, 3, 2.7)
+    f, k = rng.normal(size=(2, g.n, g.n))
+    n = g.n
+    direct = np.array([[g.h * g.h * sum(f[a, b] * k[(i - a) % n, (j - b) % n]
+                                        for a in range(n) for b in range(n))
+                        for j in range(n)] for i in range(n)])
+    out = fft_convolve(GridFunction(g, f), GridFunction(g, k))
+    np.testing.assert_allclose(out.as_array(), direct, rtol=1e-12,
+                               atol=1e-12 * np.abs(direct).max())

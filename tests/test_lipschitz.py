@@ -17,7 +17,7 @@ from fatou_lab.lipschitz import (SurrogateParams, boundary_point,
                                  graph_distance_batch, lipschitz_graph,
                                  load_lipschitz_graph, lp_norm_sigma,
                                  region_inclusion_check, save_lipschitz_graph,
-                                 surface_ball_measure)
+                                 surface_ball_measure, surface_density)
 from fatou_lab.potentials import bessel_smooth
 from fatou_lab.rng import stream
 
@@ -407,3 +407,60 @@ def test_region_inclusion_prefilter_keeps_members(rng):
     member = (d > 0) & (sep < (1.0 + c) * np.where(d <= 1.0, d ** beta, d))
     assert not np.any(member & (sep >= bound))
     assert np.any(sep >= bound)
+
+
+def _wavy_2d(rng, levels=4, extent=2.7):
+    g = make_grid(2, levels, extent)
+    prof = from_callable(g, lambda x0, x1: 0.1 * np.sin(2 * np.pi * x0 / extent)
+                         + 0.07 * np.cos(4 * np.pi * x1 / extent))
+    return lipschitz_graph(GridFunction(g, prof.samples
+                                        + 0.01 * rng.normal(size=g.size)))
+
+
+def _base_points(g):
+    xs = g.axis_coords()
+    return [(i * g.n + j, np.array([xs[i], xs[j]]))
+            for i in range(g.n) for j in range(g.n)]
+
+
+def test_graph_distance_2d_image_oracle(rng, image_distance):
+    graph = _wavy_2d(rng)
+    g, phi = graph.phi.grid, graph.phi.samples
+    # lateral coordinates within h of the seam and anywhere on the torus
+    for x in [np.array([g.extent - 0.3 * g.h, 0.2 * g.h]),
+              *rng.uniform(0, g.extent, size=(6, 2))]:
+        X = np.concatenate([[rng.uniform(-0.2, 0.6)], x])
+        direct = min(math.hypot(image_distance(p, x, g.extent), phi[i] - X[0])
+                     for i, p in _base_points(g))
+        assert graph_distance(graph, X) == pytest.approx(direct, rel=1e-12)
+
+
+def test_surface_ball_measure_2d_image_oracle(rng, image_distance):
+    graph = _wavy_2d(rng, levels=5)
+    g, phi = graph.phi.grid, graph.phi.samples
+    dens = surface_density(graph)
+    for _ in range(6):
+        q = boundary_point(graph, rng.uniform(0, g.extent, size=2))
+        r = rng.uniform(4 * g.h, g.extent / 4)
+        direct = g.h * g.h * sum(
+            dens[i] for i, p in _base_points(g)
+            if math.hypot(image_distance(p, q.x, g.extent), phi[i] - q.lift) < r)
+        assert surface_ball_measure(graph, q, r) == pytest.approx(direct,
+                                                                   rel=1e-12)
+
+
+def test_certified_slope_and_density_2d_loop_oracle(rng):
+    graph = _wavy_2d(rng)
+    g = graph.phi.grid
+    arr, n = graph.phi.as_array(), g.n
+    steps, dens = [], np.empty((n, n))
+    for i in range(n):
+        for j in range(n):
+            steps += [abs(arr[(i + 1) % n, j] - arr[i, j]),
+                      abs(arr[i, (j + 1) % n] - arr[i, j])]
+            d0 = (arr[(i + 1) % n, j] - arr[(i - 1) % n, j]) / (2 * g.h)
+            d1 = (arr[i, (j + 1) % n] - arr[i, (j - 1) % n]) / (2 * g.h)
+            dens[i, j] = math.sqrt(1.0 + d0 * d0 + d1 * d1)
+    assert graph.M == pytest.approx(max(steps) / g.h, rel=1e-14)
+    np.testing.assert_allclose(surface_density(graph), dens.reshape(-1),
+                               rtol=1e-14)
