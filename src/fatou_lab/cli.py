@@ -140,13 +140,19 @@ def _cmd_maxfn(args) -> int:
                                   t_max=args.t_max)
         if args.argmax:
             out, wit = tangential_argmax(u, spec)
+            g = u.grid
+            ks, flat = np.array(wit).T
+            # points take one column per axis, suffixed _1, _2 in 2-D
+            rows = np.column_stack([
+                np.stack(np.unravel_index(np.arange(g.size), g.shape), 1) * g.h,
+                np.asarray(u.heights)[ks],
+                np.stack(np.unravel_index(flat, g.shape), 1) * g.h])
+            axes = [""] if g.dim == 1 else ["_1", "_2"]
             with open(args.argmax, "w", newline="") as fh:
                 w = csv.writer(fh)
-                w.writerow(["x0", "t_star", "x_star"])
-                for i, (k, xi) in enumerate(wit):
-                    w.writerow([format(i * u.grid.h, ".17g"),
-                                format(u.heights[k], ".17g"),
-                                format(xi * u.grid.h, ".17g")])
+                w.writerow([f"x0{a}" for a in axes] + ["t_star"]
+                           + [f"x_star{a}" for a in axes])
+                w.writerows([format(v, ".17g") for v in row] for row in rows)
         else:
             out = tangential_max(u, spec)
     elif args.op == "mitigated":
@@ -340,7 +346,8 @@ def build_parser() -> argparse.ArgumentParser:
     mx.add_argument("--alpha-L", dest="alpha_L", type=float, default=0.5)
     mx.add_argument("--J", type=int, default=20)
     mx.add_argument("--extent", type=float, default=1.0)
-    mx.add_argument("--argmax", help="CSV path for (x0, t*, x*) witnesses")
+    mx.add_argument("--argmax",
+                    help="CSV path for (x0, t*, x*) witnesses, points per axis")
     mx.set_defaults(fn=_cmd_maxfn)
 
     po = sub.add_parser("potential", help="smoothing and seminorm operations")

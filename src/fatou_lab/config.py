@@ -121,6 +121,12 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         _require(len(cfg.m_values) >= 1, "corkscrew-geometry needs m_values")
     if name in ("inclusion-lemma", "boundary-max"):
         _require(cfg.c > 0, "c must be positive")
+    if name == "boundary-max":
+        # the annuli surrogate's preconditions, named by config key
+        _require(cfg.derived_p0() >= 1, f"p0 = {cfg.derived_p0()} must be >= 1")
+        _require(0.0 < cfg.alpha_L <= 1.0,
+                 f"alpha_L = {cfg.alpha_L} must lie in (0, 1]")
+        _require(cfg.J >= 1, f"J = {cfg.J} must be >= 1")
     return cfg
 
 

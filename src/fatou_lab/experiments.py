@@ -20,7 +20,7 @@ from .extension import HalfSpaceField, dyadic_heights, poisson_extend
 from .fractal import PointSet, box_dimension, cantor_measure, \
     integrate_against, divergence_set
 from .grid import GridFunction, ball_mean_all_centers, from_callable, fft_convolve, \
-    lp_norm, make_grid
+    lp_norm, make_grid, nearest_index
 from .kernels import bessel_kernel, bessel_l1_norm, riesz_kernel
 from .lipschitz import boundary_seminorm, boundary_tangential_max, \
     corkscrew_kappa, graph_distance_batch, lipschitz_graph, lp_norm_sigma, \
@@ -72,8 +72,9 @@ def spike_data(grid, positions, weights=None) -> GridFunction:
     positions = np.atleast_1d(positions)
     if weights is None:
         weights = np.ones(positions.size)
-    for pos, w in zip(positions, weights):
-        g[int(round(pos / grid.h)) % grid.n] += w / math.sqrt(grid.h)
+    # spikes at one grid point add up, in the order given
+    np.add.at(g, nearest_index(grid, positions[:, None]),
+              np.asarray(weights, dtype=np.float64) / math.sqrt(grid.h))
     f = GridFunction(grid, g)
     return unit_l2(grid, f)
 
@@ -449,9 +450,10 @@ def _run_corkscrew(cfg: ExperimentConfig) -> RunReport:
         for tag, prof in (("sawtooth", _sawtooth(grid, M)),
                           ("smooth", _smooth_profile(grid, M, cfg.seeds[0]))):
             graph = lipschitz_graph(prof, M=M * (1 + 1e-9))
-            x0 = rng.integers(0, grid.n, size=10_000) * grid.h
+            i0 = rng.integers(0, grid.n, size=10_000)
+            x0 = i0 * grid.h
             ts = np.exp(rng.uniform(math.log(grid.h), 0.0, size=10_000))
-            lifts = graph.phi.samples[np.rint(x0 / grid.h).astype(int) % grid.n]
+            lifts = graph.phi.samples[i0]
             dists = graph_distance_batch(graph, lifts + ts, x0)
             floor = corkscrew_kappa(M) * ts - 2.0 * grid.h
             viol = int(np.sum(dists < floor))

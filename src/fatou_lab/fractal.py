@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .extension import HalfSpaceField
-from .grid import Grid, GridFunction
+from .grid import Grid, GridFunction, nearest_index
 from .maximal import ApproachRegionSpec, window_extreme
 
 
@@ -118,11 +118,10 @@ def integrate_against(f: GridFunction, mu: CantorMeasure) -> float:
     """Midpoint rule: sum of interval mass times f at the nearest grid point."""
     if f.grid.extent < 1.0:
         raise ParameterError("measure support [0,1] exceeds the torus extent")
-    mids = mu.lefts + mu.interval_length / 2.0
-    n, h = f.grid.n, f.grid.h
-    idx = np.round(mids / h).astype(int) % n
-    if f.grid.dim == 2:
-        idx = idx * n  # embed on the first axis row x1 = 0
+    # the support sits on the first axis, at 0 on every other one
+    points = np.zeros((mu.lefts.size, f.grid.dim))
+    points[:, 0] = mu.lefts + mu.interval_length / 2.0
+    idx = nearest_index(f.grid, points)
     return float(np.sum(f.samples[idx]) * mu.interval_mass)
 
 

@@ -181,11 +181,11 @@ def _ball_indices(grid: Grid, center, radius: float):
     return np.unique(np.ravel_multi_index(tuple((idx[keep] % grid.n).T), grid.shape))
 
 
-def nearest_index(grid: Grid, point) -> int:
-    """Flat index of the grid point nearest to a torus point."""
-    c = np.asarray(point, dtype=np.float64).reshape(grid.dim)
-    idx = np.round(c / grid.h).astype(int) % grid.n
-    return int(np.ravel_multi_index(tuple(idx), grid.shape))
+def nearest_index(grid: Grid, points):
+    """Flat indices of the grid points nearest to torus points, given as
+    coordinate rows (..., dim); the result has the shape (...)."""
+    idx = np.round(np.asarray(points, dtype=np.float64) / grid.h).astype(np.int64)
+    return np.ravel_multi_index(tuple(np.moveaxis(idx % grid.n, -1, 0)), grid.shape)
 
 
 def ball_average(f: GridFunction, center, radius: float, q: float = 1.0) -> float:
@@ -200,7 +200,8 @@ def ball_average(f: GridFunction, center, radius: float, q: float = 1.0) -> floa
         raise ParameterError(f"radius must be positive, got {radius}")
     idx = _ball_indices(f.grid, center, radius)
     if idx.size == 0:
-        return float(np.abs(f.samples[nearest_index(f.grid, center)]))
+        near = nearest_index(f.grid, np.reshape(center, f.grid.dim))
+        return float(np.abs(f.samples[near]))
     vals = np.abs(f.samples[idx]) ** q
     return float(np.mean(vals) ** (1.0 / q))
 
@@ -209,7 +210,8 @@ def ball_mean_signed(f: GridFunction, center, radius: float) -> float:
     """Plain (signed) mean of f over the ball; same fallback rule as ball_average."""
     idx = _ball_indices(f.grid, center, radius)
     if idx.size == 0:
-        return float(f.samples[nearest_index(f.grid, center)])
+        near = nearest_index(f.grid, np.reshape(center, f.grid.dim))
+        return float(f.samples[near])
     return float(np.mean(f.samples[idx]))
 
 

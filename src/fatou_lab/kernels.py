@@ -16,7 +16,7 @@ from scipy.integrate import quad
 from scipy.special import gamma, kv
 
 from .errors import NumericError, ParameterError, SingularityError
-from .grid import Grid, GridFunction, torus_distance
+from .grid import Grid, GridFunction, torus_distance, wrapped_delta
 
 _POISSON_C = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi)}
 
@@ -294,10 +294,9 @@ def sampled_kernel(spec: KernelSpec, grid: Grid, normalize: bool = True) -> Grid
     """
     if spec.dim != grid.dim:
         raise ParameterError(f"kernel dim {spec.dim} != grid dim {grid.dim}")
-    if grid.dim == 1:
-        signed = grid.axis_coords()
-        signed = np.where(signed > grid.extent / 2.0, signed - grid.extent,
-                          signed)
+    # signed sample coordinates, wrapped as whole index offsets so that
+    # each is exactly h times an integer
+    signed = grid.h * wrapped_delta(np.arange(grid.n), 0, grid.n)
     axes = np.meshgrid(*[grid.axis_coords()] * grid.dim, indexing="ij")
     r = torus_distance(np.stack(axes, axis=-1), 0.0, grid.extent).reshape(-1)
     if spec.kind == "poisson":
@@ -309,9 +308,7 @@ def sampled_kernel(spec: KernelSpec, grid: Grid, normalize: bool = True) -> Grid
             vals = (1.0 - rho * rho) / (
                 (1.0 - 2.0 * rho * np.cos(theta) + rho * rho) * grid.extent)
         else:
-            x = grid.axis_coords()
-            x = np.where(x > grid.extent / 2.0, x - grid.extent, x)
-            x0, x1 = np.meshgrid(x, x, indexing="ij")
+            x0, x1 = np.meshgrid(signed, signed, indexing="ij")
             vals = np.zeros(grid.shape)
             for q0 in range(-2, 3):
                 for q1 in range(-2, 3):
@@ -336,9 +333,7 @@ def sampled_kernel(spec: KernelSpec, grid: Grid, normalize: bool = True) -> Grid
                 vals += _bessel_values(spec.dim, spec.order,
                                        np.abs(signed - q * grid.extent))
         else:
-            x = grid.axis_coords()
-            x = np.where(x > grid.extent / 2.0, x - grid.extent, x)
-            x0, x1 = np.meshgrid(x, x, indexing="ij")
+            x0, x1 = np.meshgrid(signed, signed, indexing="ij")
             for q0 in range(-images, images + 1):
                 for q1 in range(-images, images + 1):
                     if q0 == 0 and q1 == 0:

@@ -65,7 +65,8 @@ def lipschitz_graph(phi: GridFunction, M: float | None = None,
 
 def phi_at(graph: LipschitzGraph, x) -> float:
     """Profile value at the grid sample nearest to a base point."""
-    return float(graph.phi.samples[nearest_index(graph.phi.grid, x)])
+    grid = graph.phi.grid
+    return float(graph.phi.samples[nearest_index(grid, np.reshape(x, grid.dim))])
 
 
 def boundary_point(graph: LipschitzGraph, x) -> BoundaryPoint:
@@ -285,8 +286,7 @@ def boundary_tangential_max(graph: LipschitzGraph, f: GridFunction,
         raise ParameterError(f"c must be positive, got {c}")
     heights = dyadic_heights(1.0, grid=f.grid)
     w = annuli_surrogate(f, heights, params.alpha_L, params.p0, params.J)
-    spec = ApproachRegionSpec(beta=beta, aperture=1.0 + c, t_max=heights[0],
-                              flavor="graph_domain", c=c)
+    spec = ApproachRegionSpec(beta=beta, aperture=1.0 + c, t_max=heights[0])
     return tangential_max(w, spec)
 
 

@@ -33,28 +33,17 @@ from .potentials import dyadic_scales, sharp_maximal
 
 @dataclass(frozen=True)
 class ApproachRegionSpec:
-    """Region law: lateral radius aperture*t^beta for t <= 1, aperture*t above.
-
-    flavor "half_space" is the flat-boundary region; "graph_domain" marks
-    specs destined for Lipschitz-graph use, where the widening constant c
-    replaces the aperture via a = 1 + c.
-    """
+    """Region law: lateral radius aperture*t^beta for t <= 1, aperture*t above."""
 
     beta: float
     aperture: float = 1.0
     t_max: float = 1.0
-    flavor: str = "half_space"
-    c: float = 0.0
 
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
             raise ParameterError(f"beta must lie in (0, 1], got {self.beta}")
         if self.aperture <= 0:
             raise ParameterError(f"aperture must be positive, got {self.aperture}")
-        if self.flavor not in ("half_space", "graph_domain"):
-            raise ParameterError(f"unknown flavor {self.flavor!r}")
-        if self.flavor == "graph_domain" and self.c <= 0:
-            raise ParameterError("graph_domain flavor needs c > 0")
 
     def radius(self, t: float) -> float:
         return self.aperture * (t ** self.beta if t <= 1.0 else t)
@@ -129,29 +118,29 @@ def tangential_max(u: HalfSpaceField, spec: ApproachRegionSpec) -> GridFunction:
 def tangential_argmax(u: HalfSpaceField, spec: ApproachRegionSpec):
     """(maximal values, witnesses): per x0 the lowest (k, i) attaining the sup.
 
-    Direct scan, intended for diagnostic output at CLI scale.
+    k is the first usable height whose window reaches the maximum; i is
+    the lowest flat sample index in that window attaining it, wrap
+    included, in any dimension.  Per height every sample is ranked by
+    (|u| descending, flat index ascending), and a window min of the ranks
+    picks that sample out.
     """
     usable = _coverage_check(u, spec)
     g = u.grid
-    n = g.n
     best = np.full(g.size, -np.inf)
     wit_k = np.zeros(g.size, dtype=int)
     wit_i = np.zeros(g.size, dtype=int)
-    if g.dim != 1:
-        raise ParameterError("argmax witnesses are implemented for dim=1")
+    rank = np.empty(g.size)
     for k in usable:
         absrow = np.abs(u.values[k])
-        hw = window_halfwidth(spec.radius(u.heights[k]), g.h)
-        for x0 in range(n):
-            lo = x0 - hw
-            idxs = np.arange(lo, x0 + hw + 1) % n
-            vals = absrow[idxs]
-            top = vals.max()
-            if top > best[x0]:
-                best[x0] = top
-                wit_k[x0] = k
-                # ties resolve to the lowest sample index, wrap included
-                wit_i[x0] = int(idxs[vals == top].min())
+        order = np.argsort(-absrow, kind="stable")
+        rank[order] = np.arange(g.size)
+        first = order[window_extreme(rank, g, spec.radius(u.heights[k]),
+                                     "min").astype(np.int64)]
+        top = absrow[first]
+        better = top > best
+        best[better] = top[better]
+        wit_k[better] = k
+        wit_i[better] = first[better]
     return GridFunction(g, best), list(zip(wit_k.tolist(), wit_i.tolist()))
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import _kernels
 from .errors import NumericError, ParameterError
 from .grid import (Grid, GridFunction, _ball_indices, ball_mean_signed,
-                   disc_rows, lp_norm, wrapped_delta)
+                   disc_rows, lp_norm, window_halfwidth, wrapped_delta)
 
 
 def _half_spectrum(grid: Grid) -> tuple:
@@ -201,6 +201,11 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
     r in scales and c on the stride-r/2 lattice, of
     |Delta|^(-alpha/n) avg_Delta |f - P^k_Delta f| with k = floor(alpha).
     A lower bound for the continuum supremum, monotone under refinement.
+
+    Per scale, one gather from the wrap-padded samples lays the ball of
+    every center out as an (offsets x centers) matrix; the moments
+    against the scaled monomials, the fitted polynomials and the mean
+    absolute residuals are then matrix products and reductions over it.
     """
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
@@ -213,13 +218,15 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
     k = min(int(math.floor(alpha)), 3)
     mi = multi_indices(g.dim, k)
     out = np.zeros(g.size)
-    F = f.as_array()
+    # every ball offset of every scale stays inside the pad
+    pad = window_halfwidth(scales[-1], g.h)
+    padded = np.pad(f.as_array(), pad, mode="wrap")
+    pitch = np.array(padded.strides) // padded.itemsize
     for r in scales:
         stride = max(1, int(round(r / (2.0 * g.h))))
         axis = np.arange(0, g.n, stride)
-        # stride-lattice centers as index rows, in row-major order
-        centers = np.stack(np.meshgrid(*[axis] * g.dim, indexing="ij"),
-                           axis=-1).reshape(-1, g.dim)
+        # flat padded indices of the stride-lattice centers, row-major
+        centers = np.ravel_multi_index(np.ix_(*[axis + pad] * g.dim), padded.shape)
         # ball offsets as (dy, dx) rows in row-major order; 1-D keeps dx
         dys, ws = disc_rows(g, r)
         offs = np.stack([np.repeat(dys, 2 * ws + 1),
@@ -228,28 +235,17 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
         n_off = offs.shape[0]
         # one contiguous row per monomial: w @ w.T rounds as a row-major product
         w = np.ascontiguousarray(_monomials(offs * g.h / r, mi).T)
-        gram = (w @ w.T) / n_off
-        gram_inv = np.linalg.inv(gram)
-        # pass 1: moments of f against the scaled monomials at each center
-        moments = np.zeros((len(mi), len(centers)))
-        gathered = []
-        for a in range(n_off):
-            vals = F[tuple(((centers + offs[a]) % g.n).T)]
-            gathered.append(vals)
-            moments += w[:, a][:, None] * vals[None, :]
-        moments /= n_off
-        coeff = gram_inv @ moments
-        # pass 2: mean absolute residual against the fitted polynomial
-        resid = np.zeros(len(centers))
-        for a in range(n_off):
-            pred = (coeff * w[:, a][:, None]).sum(axis=0)
-            resid += np.abs(gathered[a] - pred)
-        resid /= n_off
+        gram_inv = np.linalg.inv((w @ w.T) / n_off)
+        vals = padded.take(np.add.outer(offs @ pitch, centers.reshape(-1)))
+        coeff = gram_inv @ (w @ vals / n_off)
+        # mean absolute residual against the fitted polynomial
+        vals -= w.T @ coeff
+        resid = np.abs(vals, out=vals).sum(axis=0) / n_off
         e = _ball_measure(g.dim, r) ** (-alpha / g.dim) * resid
         # every point of Delta(c, r) sees the ball's value: the disc is
         # symmetric, so that is a window max of the values placed on centres
         placed = np.full(g.shape, -np.inf)
-        placed[tuple(centers.T)] = e
+        placed[np.ix_(*[axis] * g.dim)] = e.reshape(centers.shape)
         np.maximum(out, window_extreme(placed.reshape(-1), g, r), out=out)
     return GridFunction(g, out)
 

@@ -39,6 +39,16 @@ def test_config_validation_messages():
     with pytest.raises(ParameterError, match="1 < r < p"):
         validate(ExperimentConfig(experiment="j-uniformity", alpha=0.25,
                                   p=2.0, r=2.5))
+    # boundary-max reads p0, alpha_L and J through the annuli surrogate
+    with pytest.raises(ParameterError, match="p0 = 0.5 must be >= 1"):
+        validate(ExperimentConfig(experiment="boundary-max", p0=0.5))
+    with pytest.raises(ParameterError, match="alpha_L = 2.0 must lie in"):
+        validate(ExperimentConfig(experiment="boundary-max", alpha_L=2.0))
+    with pytest.raises(ParameterError, match="alpha_L = 0.0 must lie in"):
+        validate(ExperimentConfig(experiment="boundary-max", alpha_L=0.0))
+    with pytest.raises(ParameterError, match="J = 0 must be >= 1"):
+        validate(ExperimentConfig(experiment="boundary-max", J=0))
+    validate(ExperimentConfig(experiment="boundary-max", p0=1.0, alpha_L=1.0, J=1))
     with pytest.raises(ParameterError, match="alpha p <= n"):
         validate(ExperimentConfig(experiment="nagel-stein-bound", alpha=0.75,
                                   p=2.0))
@@ -207,6 +217,31 @@ def test_cli_extend_and_maxfn(tmp_path):
                  "--in", str(field), "--out", str(out),
                  "--argmax", str(wit)]) == 0
     assert wit.read_text().startswith("x0,t_star,x_star")
+
+
+def test_cli_maxfn_argmax_2d(tmp_path):
+    g = make_grid(2, 4, 1.0)
+    f = from_callable(g, lambda x, y: np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y))
+    src = tmp_path / "f.flgf"
+    save_grid_function(src, f)
+    field = tmp_path / "u.flhf"
+    assert main(["extend", "--kind", "poisson", "--heights", "1.0,6",
+                 "--in", str(src), "--out", str(field)]) == 0
+    wit = tmp_path / "wit.csv"
+    assert main(["maxfn", "--op", "tangential", "--beta", "0.5",
+                 "--in", str(field), "--out", str(tmp_path / "nt.csv"),
+                 "--argmax", str(wit)]) == 0
+    lines = wit.read_text().splitlines()
+    assert lines[0] == "x0_1,x0_2,t_star,x_star_1,x_star_2"
+    assert len(lines) == 1 + g.size
+    assert all(len(line.split(",")) == 5 for line in lines[1:])
+
+
+def test_dorronsoro_bound_band_passes():
+    # the one runner that calls sharp_maximal; the battery does not run it
+    rep = run_experiment(validate(ExperimentConfig(
+        experiment="dorronsoro-bound", levels=(8, 9, 10), seeds=(0, 1, 2))))
+    assert [c.passed for c in rep.criteria] == [True], rep.criteria
 
 
 def test_cli_potential_and_fractal(tmp_path, capsys):

@@ -313,11 +313,18 @@ def test_torus_distance_image_oracle(rng, image_distance):
 def test_nearest_index_2d_image_oracle(rng, image_distance):
     g = make_grid(2, 4, 2.7)
     pts = _points_2d(g)
-    for c in [np.array([g.extent - 0.4 * g.h, 0.3 * g.h]),
-              *rng.uniform(0, g.extent, size=(20, 2))]:
+    centers = np.array([[g.extent - 0.4 * g.h, 0.3 * g.h],
+                        *rng.uniform(0, g.extent, size=(20, 2))])
+    brutes = []
+    for c in centers:
         brute = min(range(g.size),
                     key=lambda i: image_distance(pts[i], c, g.extent))
         assert nearest_index(g, c) == brute
+        brutes.append(brute)
+    # point rows give one index per row
+    assert nearest_index(g, centers).tolist() == brutes
+    assert nearest_index(g, centers.reshape(3, 7, 2)).tolist() == \
+        np.reshape(brutes, (3, 7)).tolist()
 
 
 def test_ball_indices_2d_off_grid_center_at_seam(rng, image_distance):

@@ -176,6 +176,18 @@ def test_symbol_spatial_consistency_2d():
     assert worsts[1] < 6e-4
 
 
+@pytest.mark.parametrize("spec", [KernelSpec("bessel", 1, order=0.5),
+                                  KernelSpec("riesz", 1, order=0.5)],
+                         ids=["bessel", "riesz"])
+def test_sampled_kernel_symmetric_near_singularity(spec):
+    # on a non-dyadic extent the cells at +-4h are both refined: the
+    # kernel is even, so the samples at index m and N - m agree
+    g = make_grid(1, 10, 2.7)
+    vals = sampled_kernel(spec, g).samples
+    for m in range(1, 9):
+        assert vals[g.n - m] == pytest.approx(vals[m], rel=1e-12)
+
+
 def test_poisson_semigroup_on_eigenfunction():
     g = make_grid(1, 10, 1.0)
     f = from_callable(g, lambda x: np.cos(2 * np.pi * x))

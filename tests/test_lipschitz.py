@@ -299,8 +299,7 @@ def test_boundary_tangential_max_flat_regression(rng):
     out = boundary_tangential_max(flat, f, 0.5, 1.0, params)
     heights = dyadic_heights(1.0, grid=g)
     w = annuli_surrogate(f, heights, 0.5, 1.5, 10)
-    spec = ApproachRegionSpec(beta=0.5, aperture=2.0, t_max=1.0,
-                              flavor="graph_domain", c=1.0)
+    spec = ApproachRegionSpec(beta=0.5, aperture=2.0, t_max=1.0)
     expect = tangential_max(w, spec)
     np.testing.assert_allclose(out.samples, expect.samples, atol=1e-10)
     zero = from_callable(g, np.zeros_like)

@@ -7,9 +7,10 @@ from hypothesis import strategies as st
 
 from fatou_lab import maximal
 from fatou_lab.errors import CoverageError, ParameterError
-from fatou_lab.extension import annuli_surrogate, dyadic_heights, poisson_extend
+from fatou_lab.extension import HalfSpaceField, annuli_surrogate, dyadic_heights, \
+    poisson_extend
 from fatou_lab.grid import GridFunction, fft_convolve, from_callable, lp_norm, \
-    make_grid
+    make_grid, window_halfwidth
 from fatou_lab.maximal import (ApproachRegionSpec, composite_max,
                                dilated_mitigated_max, fractional_power_max,
                                hl_max_q, mitigated_max, region_contains,
@@ -120,6 +121,89 @@ def test_tangential_argmax_tie_breaking():
         lo = x0 - hw
         expect = min((lo + d) % g.n for d in range(2 * hw + 1))
         assert i == expect
+
+
+def _argmax_loop_1d(u, spec):
+    """Reference witnesses in 1-D by a scan per boundary point: the first
+    usable height reaching the max, then the lowest index attaining it."""
+    g = u.grid
+    n = g.n
+    usable = [k for k, t in enumerate(u.heights)
+              if t <= spec.t_max * (1.0 + 1e-12)]
+    best = np.full(g.size, -np.inf)
+    wit = [(0, 0)] * g.size
+    for k in usable:
+        absrow = np.abs(u.values[k])
+        hw = window_halfwidth(spec.radius(u.heights[k]), g.h)
+        for x0 in range(n):
+            idxs = np.arange(x0 - hw, x0 + hw + 1) % n
+            vals = absrow[idxs]
+            top = vals.max()
+            if top > best[x0]:
+                best[x0] = top
+                wit[x0] = (k, int(idxs[vals == top].min()))
+    return best, wit
+
+
+def _argmax_disc_scan_2d(u, spec):
+    """Reference witnesses in 2-D by scanning every offset (dy, dx) of the
+    grid disc, |dy|, |dx| <= K and (dy^2 + dx^2) h^2 < r^2 (1 - 1e-12)."""
+    g = u.grid
+    n, h = g.n, g.h
+    best = np.full(g.size, -np.inf)
+    wit = [(0, 0)] * g.size
+    for k, t in enumerate(u.heights):
+        if t > spec.t_max * (1.0 + 1e-12):
+            continue
+        r = spec.radius(t)
+        kk = window_halfwidth(r, h)
+        disc = [(dy, dx) for dy in range(-kk, kk + 1) for dx in range(-kk, kk + 1)
+                if (dy * dy + dx * dx) * h * h < r * r * (1.0 - 1e-12)]
+        absrow = np.abs(u.values[k])
+        for x0 in range(g.size):
+            i, j = divmod(x0, n)
+            idxs = np.array([((i + dy) % n) * n + (j + dx) % n for dy, dx in disc])
+            top = absrow[idxs].max()
+            if top > best[x0]:
+                best[x0] = top
+                wit[x0] = (k, int(idxs[absrow[idxs] == top].min()))
+    return best, wit
+
+
+def _test_fields(rng, grid):
+    heights = dyadic_heights(1.0, grid=grid)
+    shape = (len(heights), grid.size)
+    noise = poisson_extend(GridFunction(grid, rng.normal(size=grid.size)), heights)
+    # integer ties, scaled up with depth so that lower heights win somewhere
+    ties = rng.integers(-2, 3, size=shape) * np.arange(1.0, shape[0] + 1)[:, None]
+    return [noise, HalfSpaceField(grid, heights, ties),
+            HalfSpaceField(grid, heights, np.full(shape, 1.5)),
+            HalfSpaceField(grid, heights, np.zeros(shape))]
+
+
+@pytest.mark.parametrize("levels", [5, 8])
+@pytest.mark.parametrize("beta,aperture", [(0.5, 1.0), (1.0, 0.7), (0.3, 2.0)])
+def test_tangential_argmax_matches_scan_1d(rng, levels, beta, aperture):
+    g = make_grid(1, levels, 1.0)
+    spec = ApproachRegionSpec(beta=beta, aperture=aperture)
+    for u in _test_fields(rng, g):
+        vals, wits = tangential_argmax(u, spec)
+        best, expect = _argmax_loop_1d(u, spec)
+        assert np.array_equal(vals.samples, best)
+        assert wits == expect
+
+
+@pytest.mark.parametrize("levels", [3, 4])
+@pytest.mark.parametrize("beta,aperture", [(0.5, 1.0), (1.0, 0.7)])
+def test_tangential_argmax_matches_disc_scan_2d(rng, levels, beta, aperture):
+    g = make_grid(2, levels, 1.0)
+    spec = ApproachRegionSpec(beta=beta, aperture=aperture)
+    for u in _test_fields(rng, g):
+        vals, wits = tangential_argmax(u, spec)
+        best, expect = _argmax_disc_scan_2d(u, spec)
+        assert np.array_equal(vals.samples, best)
+        assert wits == expect
+        np.testing.assert_array_equal(vals.samples, tangential_max(u, spec).samples)
 
 
 def test_tangential_coverage_error(rng):
