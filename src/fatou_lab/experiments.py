@@ -16,7 +16,8 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_hash, validate
-from .extension import HalfSpaceField, dyadic_heights, poisson_extend
+from .extension import HalfSpaceField, dyadic_heights, poisson_extend, \
+    poisson_slices
 from .fractal import PointSet, box_dimension, cantor_measure, \
     integrate_against, divergence_set
 from .grid import GridFunction, ball_mean_all_centers, from_callable, fft_convolve, \
@@ -26,7 +27,7 @@ from .lipschitz import boundary_seminorm, boundary_tangential_max, \
     corkscrew_kappa, graph_distance_batch, lipschitz_graph, lp_norm_sigma, \
     region_inclusion_check
 from .maximal import ApproachRegionSpec, dilated_mitigated_max, hl_max_q, \
-    tangential_max
+    poisson_tangential_max
 from .potentials import bessel_smooth, dyadic_scales, sharp_maximal
 from .report import RunReport
 from .rng import stream, substream
@@ -136,11 +137,10 @@ def _run_poisson_exactness(cfg: ExperimentConfig) -> RunReport:
     grid = make_grid(cfg.dim, max(cfg.levels), cfg.extent)
     f = from_callable(grid, lambda x, *_: np.cos(2 * np.pi * x / grid.extent))
     heights = dyadic_heights(1.0, grid=grid)
-    u = poisson_extend(f, heights)
     worst = 0.0
-    for k, t in enumerate(heights):
+    for t, u in zip(heights, poisson_slices(f, heights)):
         expect = math.exp(-2 * math.pi * t / grid.extent) * f.samples
-        worst = max(worst, float(np.abs(u.values[k] - expect).max()))
+        worst = max(worst, float(np.abs(u - expect).max()))
     rep.stats["max_slice_error"] = worst
     rep.add_criterion("poisson eigenfunction exactness", worst <= 1e-12,
                       f"max slice error {worst:.3g} (tol 1e-12)")
@@ -237,9 +237,8 @@ def _ns_ratio(level: int, seed: int, cfg: ExperimentConfig, beta: float,
     else:
         g = spike_data(grid, [0.5 * grid.extent])
     f = bessel_smooth(g, cfg.alpha)
-    u = poisson_extend(f, dyadic_heights(1.0, grid=grid))
     spec = ApproachRegionSpec(beta=beta, aperture=cfg.aperture, t_max=1.0)
-    nt = tangential_max(u, spec)
+    nt = poisson_tangential_max(f, dyadic_heights(1.0, grid=grid), spec)
     return lp_norm(nt, cfg.p) / lp_norm(g, cfg.p)
 
 
@@ -592,10 +591,10 @@ def _run_dorronsoro(cfg: ExperimentConfig) -> RunReport:
         def one(seed, grid=grid):
             g = unit_l2(grid, white_noise(grid, seed))
             f = bessel_smooth(g, cfg.alpha)
-            u = poisson_extend(f, dyadic_heights(1.0, grid=grid))
             spec = ApproachRegionSpec(beta=beta, aperture=cfg.aperture,
                                       t_max=1.0)
-            num = lp_norm(tangential_max(u, spec), cfg.p)
+            num = lp_norm(poisson_tangential_max(
+                f, dyadic_heights(1.0, grid=grid), spec), cfg.p)
             sharp = sharp_maximal(f, cfg.alpha, dyadic_scales(grid))
             den = lp_norm(f, cfg.p) + lp_norm(sharp, cfg.p)
             return num / den

@@ -1,8 +1,9 @@
 """Upper-half-space fields over the periodic grid.
 
 Two builders: the exact Poisson extension (spectral multiplier per
-height) and the dyadic-annuli surrogate, a model field assembled from
-weighted ball averages.  Surrogate outputs are model fields, not PDE
+height, also available slice by slice as poisson_slices for sweeps that
+need not hold the field) and the dyadic-annuli surrogate, a model field
+assembled from weighted ball averages.  Surrogate outputs are model fields, not PDE
 solutions; they majorize the solutions the annuli decomposition bounds.
 
 Fields are immutable: values are read-only, and the constructor copies
@@ -45,16 +46,11 @@ class HalfSpaceField:
         return u
 
     def __post_init__(self, copy: bool = True):
-        hts = tuple(float(t) for t in self.heights)
-        if len(hts) < 1 or any(b >= a for a, b in zip(hts, hts[1:])):
-            raise ParameterError("heights must be strictly decreasing")
-        if not all(0.0 < t < math.inf for t in hts):
-            raise ParameterError("heights must be positive and finite")
+        hts = checked_heights(self.heights)
         vals = np.asarray(self.values, dtype=np.float64).reshape(len(hts), -1)
         if vals.shape[1] != self.grid.size:
             raise ParameterError("values shape does not match grid")
-        if not np.all(np.isfinite(vals)):
-            raise ParameterError("field values must be finite")
+        check_finite(vals)
         if copy:
             vals = vals.copy()
         vals.flags.writeable = False
@@ -63,6 +59,24 @@ class HalfSpaceField:
 
     def slice_function(self, k: int) -> GridFunction:
         return GridFunction(self.grid, self.values[k])
+
+
+def checked_heights(heights) -> tuple:
+    """heights as a tuple of floats, which must be strictly decreasing,
+    positive and finite."""
+    hts = tuple(float(t) for t in heights)
+    if len(hts) < 1 or any(b >= a for a, b in zip(hts, hts[1:])):
+        raise ParameterError("heights must be strictly decreasing")
+    if not all(0.0 < t < math.inf for t in hts):
+        raise ParameterError("heights must be positive and finite")
+    return hts
+
+
+def check_finite(values: np.ndarray) -> np.ndarray:
+    """values, unchanged, once every one of them is finite."""
+    if not np.all(np.isfinite(values)):
+        raise ParameterError("field values must be finite")
+    return values
 
 
 def dyadic_heights(t0: float = 1.0, count: int | None = None,
@@ -75,16 +89,25 @@ def dyadic_heights(t0: float = 1.0, count: int | None = None,
     return tuple(t0 * 2.0 ** (-k) for k in range(count + 1))
 
 
+def poisson_slices(f: GridFunction, heights):
+    """Yield the flat slice irfftn(rfftn(f) * exp(-2 pi t |xi|)) at each
+    height t in turn, all from one transform of f.
+
+    Only one slice is alive at a time unless the caller keeps it, so a
+    sweep over the slices never holds the whole field."""
+    mag = np.sqrt(_half_spectrum(f.grid)[1])
+    mults = (np.exp(-2.0 * math.pi * float(t) * mag) for t in heights)
+    for u in _apply_multiplier(f, mults):
+        yield u.reshape(-1)
+
+
 def poisson_extend(f: GridFunction, heights) -> HalfSpaceField:
     """Apply the Poisson multiplier exp(-2 pi t |xi|) at every height."""
-    g = f.grid
-    hts = tuple(float(t) for t in heights)
-    mag = np.sqrt(_half_spectrum(g)[1])
-    vals = np.empty((len(hts), g.size))
-    mults = (np.exp(-2.0 * math.pi * t * mag) for t in hts)
-    for k, u in enumerate(_apply_multiplier(f, mults)):
-        vals[k] = u.reshape(-1)
-    return HalfSpaceField._adopt(g, hts, vals)
+    hts = checked_heights(heights)
+    vals = np.empty((len(hts), f.grid.size))
+    for k, u in enumerate(poisson_slices(f, hts)):
+        vals[k] = u
+    return HalfSpaceField._adopt(f.grid, hts, vals)
 
 
 def annuli_surrogate(f: GridFunction, heights, alpha_L: float, r: float,

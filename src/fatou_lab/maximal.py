@@ -25,7 +25,8 @@ from scipy.ndimage import maximum_filter, minimum_filter
 
 from . import _kernels
 from .errors import CoverageError, ParameterError
-from .extension import HalfSpaceField, annuli_surrogate, dyadic_heights, poisson_extend
+from .extension import HalfSpaceField, annuli_surrogate, check_finite, \
+    checked_heights, dyadic_heights, poisson_slices
 from .grid import Grid, GridFunction, ball_mean_all_centers, disc_rows, \
     torus_distance, window_halfwidth
 from .potentials import dyadic_scales, sharp_maximal
@@ -87,32 +88,46 @@ def window_extreme(values: np.ndarray, grid: Grid, radius: float,
     return out.reshape(-1)
 
 
-def _coverage_check(u: HalfSpaceField, spec: ApproachRegionSpec) -> list:
-    usable = [k for k, t in enumerate(u.heights)
+def _coverage_check(heights, grid: Grid, spec: ApproachRegionSpec) -> list:
+    """Indices of the heights at or below spec.t_max; at least two."""
+    usable = [k for k, t in enumerate(heights)
               if t <= spec.t_max * (1.0 + 1e-12)]
     if len(usable) < 2:
-        h = u.grid.h
-        t_ref = min(u.heights)
-        a_min = h / (t_ref ** spec.beta if t_ref <= 1 else t_ref)
+        t_ref = min(heights)
+        a_min = grid.h / (t_ref ** spec.beta if t_ref <= 1 else t_ref)
         raise CoverageError(
             f"fewer than 2 field heights at or below t_max={spec.t_max}; "
             f"smallest aperture with a lateral sample at t={t_ref} is {a_min:.4g}")
     return usable
 
 
-def _region_sweep(u: HalfSpaceField, scan) -> GridFunction:
-    """max over (k, radius, weight) in scan of weight * window max of |u_k|."""
-    out = np.zeros(u.grid.size)
-    for k, radius, weight in scan:
-        wm = window_extreme(np.abs(u.values[k]), u.grid, radius)
-        np.maximum(out, weight * wm, out=out)
-    return GridFunction(u.grid, out)
+def _region_sweep(grid: Grid, scan) -> GridFunction:
+    """max over (slice, radius, weight) in scan of weight * window max of
+    |slice|; scan may be a generator, so each slice can be dropped once swept."""
+    out = np.zeros(grid.size)
+    for values, radius, weight in scan:
+        wm = window_extreme(np.abs(values), grid, radius)
+        np.multiply(wm, weight, out=wm)  # wm is a fresh array
+        np.maximum(out, wm, out=out)
+    return GridFunction(grid, out)
 
 
 def tangential_max(u: HalfSpaceField, spec: ApproachRegionSpec) -> GridFunction:
     """sup over sampled region points of |u|, per boundary point."""
-    return _region_sweep(u, [(k, spec.radius(u.heights[k]), 1.0)
-                             for k in _coverage_check(u, spec)])
+    return _region_sweep(u.grid, [(u.values[k], spec.radius(u.heights[k]), 1.0)
+                                  for k in _coverage_check(u.heights, u.grid, spec)])
+
+
+def poisson_tangential_max(f: GridFunction, heights,
+                           spec: ApproachRegionSpec) -> GridFunction:
+    """tangential_max(poisson_extend(f, heights), spec), bit for bit, without
+    the field: each usable Poisson slice is computed, swept and dropped, and
+    no slice above spec.t_max is transformed."""
+    hts = checked_heights(heights)
+    usable = [hts[k] for k in _coverage_check(hts, f.grid, spec)]
+    slices = zip(usable, poisson_slices(f, usable))
+    return _region_sweep(f.grid, ((check_finite(u), spec.radius(t), 1.0)
+                                  for t, u in slices))
 
 
 def tangential_argmax(u: HalfSpaceField, spec: ApproachRegionSpec):
@@ -124,7 +139,7 @@ def tangential_argmax(u: HalfSpaceField, spec: ApproachRegionSpec):
     (|u| descending, flat index ascending), and a window min of the ranks
     picks that sample out.
     """
-    usable = _coverage_check(u, spec)
+    usable = _coverage_check(u.heights, u.grid, spec)
     g = u.grid
     best = np.full(g.size, -np.inf)
     wit_k = np.zeros(g.size, dtype=int)
@@ -149,10 +164,10 @@ def mitigated_max(u: HalfSpaceField, p: float, beta: float) -> GridFunction:
     if p <= 0:
         raise ParameterError(f"p must be positive, got {p}")
     spec = ApproachRegionSpec(beta=beta, aperture=1.0, t_max=1.0)
-    usable = _coverage_check(u, spec)
+    usable = _coverage_check(u.heights, u.grid, spec)
     expo = u.grid.dim * (1.0 - beta) / p
-    return _region_sweep(u, [(k, spec.radius(u.heights[k]), u.heights[k] ** expo)
-                             for k in usable])
+    return _region_sweep(u.grid, [(u.values[k], spec.radius(u.heights[k]),
+                                   u.heights[k] ** expo) for k in usable])
 
 
 def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
@@ -174,7 +189,8 @@ def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
             f"no field heights give dilated heights below {threshold:.4g} for j={j}")
     expo = g.dim * (1.0 - beta) / p
     pref = 2.0 ** (g.dim * j / p)
-    return _region_sweep(v, [(k, t ** beta, pref * t ** expo) for k, t in scan])
+    return _region_sweep(g, [(v.values[k], t ** beta, pref * t ** expo)
+                             for k, t in scan])
 
 
 def fractional_power_max(f: GridFunction, s: float = 1.0,
@@ -236,9 +252,8 @@ def composite_max(f: GridFunction, p: float, r: float, beta: float,
         except CoverageError:
             continue
         total += weight * term.samples
-    u = poisson_extend(f, heights)
     spec = ApproachRegionSpec(beta=beta, aperture=1.0, t_max=heights[0])
-    ntan = tangential_max(u, spec)
+    ntan = poisson_tangential_max(f, heights, spec)
     mr = hl_max_q(f, r)
     total += geo * (ntan.samples + mr.samples)
     return GridFunction(g, total)

@@ -451,6 +451,22 @@ def test_thread_count_does_not_change_reports(tmp_path, monkeypatch, cfg):
     assert outputs[0] == outputs[1]
 
 
+@pytest.mark.parametrize("experiment", ["nagel-stein-bound", "dorronsoro-bound"])
+def test_tangential_bound_runners_never_build_the_poisson_field(monkeypatch,
+                                                                experiment):
+    import fatou_lab
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("poisson_extend called")
+
+    for name, mod in list(sys.modules.items()):
+        if name.startswith("fatou_lab") and hasattr(mod, "poisson_extend"):
+            monkeypatch.setattr(mod, "poisson_extend", refuse)
+    assert fatou_lab.extension.poisson_extend is refuse
+    cfg = ExperimentConfig(experiment=experiment, levels=(8, 9), seeds=(0, 1))
+    assert run_experiment(validate(cfg)).rows
+
+
 @pytest.mark.parametrize("text", ["r\n", ""])
 def test_cli_kernel_table_without_radii_exits_2(tmp_path, capsys, text):
     pts = tmp_path / "pts.csv"

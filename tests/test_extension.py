@@ -241,3 +241,23 @@ def test_field_save_writes_without_copying_the_values(tmp_path, rng):
     assert path.read_bytes() == (header
                                  + np.asarray(u.heights, "<f8").tobytes()
                                  + u.values.astype("<f8").tobytes())
+
+
+@pytest.mark.parametrize("dim,level", [(1, 7), (2, 4)])
+def test_poisson_extend_matches_per_height_transforms(rng, dim, level):
+    from fatou_lab.extension import poisson_slices
+
+    g = make_grid(dim, level, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    hts = dyadic_heights(1.0, grid=g)
+    axes = tuple(range(dim))
+    xi = np.fft.fftfreq(g.n, d=g.h)
+    half = xi[: g.n // 2 + 1]
+    mag = np.sqrt(half ** 2 if dim == 1
+                  else xi[:, None] ** 2 + half[None, :] ** 2)
+    spec = np.fft.rfftn(f.as_array(), axes=axes)
+    expect = np.stack([
+        np.fft.irfftn(spec * np.exp(-2.0 * math.pi * t * mag), s=g.shape,
+                      axes=axes).reshape(-1) for t in hts])
+    np.testing.assert_array_equal(poisson_extend(f, hts).values, expect)
+    np.testing.assert_array_equal(np.stack(list(poisson_slices(f, hts))), expect)

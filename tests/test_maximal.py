@@ -491,3 +491,83 @@ def test_region_sweeps_match_slice_by_slice_scan(rng):
     np.testing.assert_array_equal(
         dilated_mitigated_max(u, p, beta, j).samples,
         scan([(k, t ** beta, pref * t ** expo) for k, t in dilated]))
+
+
+@pytest.mark.parametrize("beta", [0.25, 0.5, 1.0])
+@pytest.mark.parametrize("dim,level", [(1, lev) for lev in range(6, 13)]
+                         + [(2, 4), (2, 5)])
+@pytest.mark.parametrize("t_max", [1.0, 0.3])
+def test_poisson_tangential_max_matches_field_sweep(rng, dim, level, beta,
+                                                    t_max):
+    g = make_grid(dim, level, 1.0)
+    f = bessel_smooth(GridFunction(g, rng.normal(size=g.size)), 0.3)
+    hts = dyadic_heights(1.0, grid=g)
+    spec = ApproachRegionSpec(beta=beta, aperture=0.7, t_max=t_max)
+    np.testing.assert_array_equal(
+        maximal.poisson_tangential_max(f, hts, spec).samples,
+        tangential_max(poisson_extend(f, hts), spec).samples)
+
+
+def test_poisson_tangential_max_skips_heights_above_t_max(rng, monkeypatch):
+    g = make_grid(1, 8, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    hts = dyadic_heights(1.0, grid=g)
+    seen = []
+    real = maximal.poisson_slices
+
+    def spy(f, heights):
+        seen.extend(heights)
+        return real(f, heights)
+
+    monkeypatch.setattr(maximal, "poisson_slices", spy)
+    maximal.poisson_tangential_max(f, hts, ApproachRegionSpec(0.5, t_max=0.3))
+    assert seen == [t for t in hts if t <= 0.3]
+
+
+def _both_paths(f, hts, spec):
+    return [lambda: maximal.poisson_tangential_max(f, hts, spec),
+            lambda: tangential_max(poisson_extend(f, hts), spec)]
+
+
+@pytest.mark.parametrize("hts,match", [
+    ((0.25, 0.5, 1.0), "strictly decreasing"),
+    ((1.0, math.nan, 0.25), "positive and finite"),
+])
+def test_poisson_tangential_max_rejects_bad_heights(rng, hts, match):
+    g = make_grid(1, 6, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    for path in _both_paths(f, hts, ApproachRegionSpec(beta=0.5)):
+        with pytest.raises(ParameterError, match=match):
+            path()
+
+
+def test_poisson_tangential_max_rejects_non_finite_slices():
+    # finite samples whose transform overflows to inf
+    g = make_grid(1, 6, 1.0)
+    f = GridFunction(g, np.full(g.size, 1e308))
+    for path in _both_paths(f, dyadic_heights(1.0, grid=g),
+                            ApproachRegionSpec(beta=0.5)):
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ParameterError, match="field values must be finite"):
+            path()
+
+
+def test_poisson_tangential_max_does_not_hold_the_field(rng):
+    import tracemalloc
+
+    g = make_grid(1, 16, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    hts = dyadic_heights(1.0, grid=g)
+    assert len(hts) == 19
+    spec = ApproachRegionSpec(beta=0.5)
+    peaks = []
+    for run in _both_paths(f, hts, spec):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    streamed, field = peaks
+    assert streamed < 10 * g.size * 8
+    assert field > len(hts) * g.size * 8
