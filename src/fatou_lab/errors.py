@@ -19,7 +19,3 @@ class NumericError(ArithmeticError):
 
 class CoverageError(RuntimeError):
     """A sampled approach region contains no sample points."""
-
-
-class DomainError(ValueError):
-    """A geometric map was applied outside its domain."""

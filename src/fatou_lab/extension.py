@@ -114,8 +114,10 @@ def annuli_surrogate(f: GridFunction, heights, alpha_L: float, r: float,
                      J: int) -> HalfSpaceField:
     """Dyadic-annuli model field.
 
-    w(t, x) = sum_{j=0..J} 2^(-alpha_L j) *
-              ball_average(f, x, min(2^(j+1) t, extent/4), r)
+    w(t, x) = sum_{j=0..J} 2^(-alpha_L j) * A_r(x, min(2^(j+1) t, extent/4)),
+
+    where A_r(x, rho) = (avg |f(y)|^r)^(1/r) over the grid points y at
+    torus distance below rho from x (grid.ball_mean_all_centers).
 
     The dropped tail is bounded by 2^(-alpha_L J) / (1 - 2^(-alpha_L))
     times max |f|, reported in meta["tail_bound"].  Intended for f >= 0;

@@ -150,7 +150,10 @@ def box_dimension(points: PointSet, scale_window) -> BoxDimension:
     for m in ms:
         side = points.grid.extent * 2.0 ** (-m)
         cells = np.floor(pts / side).astype(np.int64)
-        counts.append(len({tuple(row) for row in cells}))
+        # distinct boxes: sort the cell rows, count rows unlike the previous
+        cells = cells[np.lexsort(cells.T)]
+        counts.append(1 + int(np.count_nonzero(
+            np.any(cells[1:] != cells[:-1], axis=1))))
     x = np.asarray(ms, dtype=float)
     y = np.log2(np.asarray(counts, dtype=float))
     xm, ym = x.mean(), y.mean()

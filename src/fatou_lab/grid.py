@@ -1,10 +1,10 @@
 """Periodic sampled-function substrate.
 
 Functions live on the torus [0, extent)^dim sampled on a uniform grid of
-N = 2^levels points per axis.  Everything downstream (kernels, maximal
-operators, boundary geometry) is built on the primitives here: the torus
-metric (per-axis wraps, distances, squared-distance fields) in any
-dimension, norms, ball averages, and scaled circular convolution.
+N = 2^levels points per axis.  Everything downstream (smoothing and
+maximal operators, boundary geometry) is built on the primitives here:
+the torus metric (per-axis wrapped distances, squared-distance fields)
+in any dimension, norms, ball means, and scaled circular convolution.
 
 Grids and grid functions are immutable once built and every operation is
 a pure function, so concurrent callers need no synchronization.
@@ -118,18 +118,6 @@ def wrapped_abs_delta(a, b, extent: float):
     return np.minimum(d, extent - d)
 
 
-def wrapped_delta(a, b, extent: float):
-    """Signed torus displacement a - b per axis, in [-extent/2, extent/2)."""
-    d = np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64)
-    return (d + extent / 2.0) % extent - extent / 2.0
-
-
-def torus_distance(x, y, extent: float):
-    """Euclidean torus distance between points whose last axis holds the
-    coordinates; a point of a 1-D torus may be a scalar."""
-    return np.hypot.reduce(np.atleast_1d(wrapped_abs_delta(x, y, extent)), axis=-1)
-
-
 def torus_sq_distance(grid: Grid, point) -> np.ndarray:
     """Squared torus distance from every grid point to point, flat."""
     c = np.asarray(point, dtype=np.float64).reshape(grid.dim)
@@ -169,18 +157,6 @@ def disc_rows(grid: Grid, radius: float) -> tuple:
     return np.array(rows, dtype=np.int64).reshape(-1, 2).T
 
 
-def _ball_indices(grid: Grid, center, radius: float):
-    """Flat indices of grid points strictly inside the torus ball."""
-    h = grid.h
-    c = np.asarray(center, dtype=np.float64).reshape(grid.dim)
-    kmax = int(math.ceil(radius / h)) + 1
-    o = np.arange(-kmax, kmax + 1)
-    axes = [base + o for base in np.floor(c / h).astype(int)]
-    idx = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, grid.dim)
-    keep = torus_distance(idx * h, c, grid.extent) < radius
-    return np.unique(np.ravel_multi_index(tuple((idx[keep] % grid.n).T), grid.shape))
-
-
 def nearest_index(grid: Grid, points):
     """Flat indices of the grid points nearest to torus points, given as
     coordinate rows (..., dim); the result has the shape (...)."""
@@ -188,39 +164,16 @@ def nearest_index(grid: Grid, points):
     return np.ravel_multi_index(tuple(np.moveaxis(idx % grid.n, -1, 0)), grid.shape)
 
 
-def ball_average(f: GridFunction, center, radius: float, q: float = 1.0) -> float:
-    """q-power mean of |f| over grid points in the torus ball Delta(center, radius).
-
-    Falls back to the nearest grid point's value when no grid point lies
-    strictly inside the ball.
-    """
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
-    if radius <= 0:
-        raise ParameterError(f"radius must be positive, got {radius}")
-    idx = _ball_indices(f.grid, center, radius)
-    if idx.size == 0:
-        near = nearest_index(f.grid, np.reshape(center, f.grid.dim))
-        return float(np.abs(f.samples[near]))
-    vals = np.abs(f.samples[idx]) ** q
-    return float(np.mean(vals) ** (1.0 / q))
-
-
-def ball_mean_signed(f: GridFunction, center, radius: float) -> float:
-    """Plain (signed) mean of f over the ball; same fallback rule as ball_average."""
-    idx = _ball_indices(f.grid, center, radius)
-    if idx.size == 0:
-        near = nearest_index(f.grid, np.reshape(center, f.grid.dim))
-        return float(f.samples[near])
-    return float(np.mean(f.samples[idx]))
-
-
 def ball_mean_all_centers(f: GridFunction, radius: float, q: float = 1.0) -> np.ndarray:
-    """ball_average(f, x_i, radius, q) for every grid point x_i at once.
+    """q-power mean (avg |f|^q)^(1/q) over the torus ball of the given
+    radius around every grid point x_i, as a flat array aligned with
+    f.samples.
 
-    On the torus every grid-centered ball holds the same number of points,
-    so this is a windowed sum: cumulative sums in dim 1, an FFT disc
-    correlation in dim 2.  Returns a flat array aligned with f.samples.
+    The ball is the set of grid points strictly within radius of x_i
+    (disc_rows), each point counted once.  On the torus every
+    grid-centered ball holds the same number of points, so this is a
+    windowed sum: cumulative sums in dim 1, an FFT disc correlation in
+    dim 2.
     """
     if q < 1:
         raise ParameterError(f"q must be >= 1, got {q}")

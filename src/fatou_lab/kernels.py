@@ -16,7 +16,6 @@ from scipy.integrate import quad
 from scipy.special import gamma, kv
 
 from .errors import NumericError, ParameterError, SingularityError
-from .grid import Grid, GridFunction, torus_distance, wrapped_delta
 
 _POISSON_C = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi)}
 
@@ -162,203 +161,6 @@ def riesz_kernel(n: int, alpha: float, x) -> float:
     if r == 0.0:
         raise SingularityError("riesz kernel is singular at the origin")
     return riesz_constant(n, alpha) * r ** (alpha - n)
-
-
-def kernel_symbol(spec: KernelSpec, xi) -> float:
-    """Fourier multiplier at frequency xi (cycles per unit length)."""
-    mag = math.sqrt(_norm_sq(xi))
-    if spec.kind == "bessel":
-        return (1.0 + 4.0 * math.pi ** 2 * mag * mag) ** (-spec.order / 2.0)
-    if spec.kind == "riesz":
-        if mag == 0.0:
-            raise SingularityError("riesz symbol is singular at xi = 0")
-        return (2.0 * math.pi * mag) ** (-spec.order)
-    return math.exp(-2.0 * math.pi * spec.scale * mag)
-
-
-def _cell_average_at_origin(spec: KernelSpec, h: float) -> float:
-    """Average of the (singular, integrable) kernel over the central cell.
-
-    dim 1 integrates the interval directly; dim 2 integrates the square
-    cell exactly in polar coordinates (r up to (h/2)/cos(theta) on each
-    eighth of the square).
-    """
-    n = spec.dim
-    if n == 1:
-        if spec.kind == "riesz":
-            g = riesz_constant(1, spec.order)
-            a = spec.order - 1
-            return g * (2.0 / h) * (h / 2.0) ** (a + 1) / (a + 1)
-
-        def rad(r: float) -> float:
-            return bessel_kernel(1, spec.order, r, route="series")
-
-        total, _ = quad(rad, 0.0, h / 2.0, epsabs=0.0, epsrel=1e-9, limit=200)
-        return 2.0 / h * total
-    if spec.kind == "riesz":
-        a = spec.order
-        g = riesz_constant(2, spec.order)
-
-        def outer_r(theta: float) -> float:
-            return ((h / 2.0) / math.cos(theta)) ** a / a
-
-        total, _ = quad(outer_r, 0.0, math.pi / 4.0, epsabs=0.0,
-                        epsrel=1e-10, limit=100)
-        return 8.0 * g * total / (h * h)
-
-    def outer(theta: float) -> float:
-        rmax = (h / 2.0) / math.cos(theta)
-        val, _ = quad(lambda r: bessel_kernel(2, spec.order, (r, 0.0),
-                                              route="series") * r,
-                      0.0, rmax, epsabs=0.0, epsrel=1e-9, limit=200)
-        return val
-
-    total, _ = quad(outer, 0.0, math.pi / 4.0, epsabs=0.0, epsrel=1e-8,
-                    limit=100)
-    return 8.0 * total / (h * h)
-
-
-def _poisson_values(n: int, t: float, r: np.ndarray) -> np.ndarray:
-    return _POISSON_C[n] * t / (t * t + r * r) ** ((n + 1) / 2.0)
-
-
-def _bessel_values(n: int, alpha: float, r: np.ndarray) -> np.ndarray:
-    nu = (n - alpha) / 2.0
-    out = _series_prefactor(n, alpha) * r ** (-nu) * kv(nu, r)
-    return np.where(np.isfinite(out), out, 0.0)
-
-
-def _refine_near_singularity(spec: KernelSpec, grid: Grid, signed: np.ndarray,
-                             vals: np.ndarray) -> None:
-    """Replace point samples adjacent to the singularity by cell averages.
-
-    The kernel is strongly convex near 0, where the midpoint rule loses
-    mass; averaging the nearest cells restores the discrete mass to the
-    level of the low-frequency symbol contract.
-    """
-    h = grid.h
-    near = np.nonzero((np.abs(signed) <= 4.0 * h) & (np.abs(signed) > 0))[0]
-    if spec.kind == "bessel":
-        def f(x):
-            return _bessel_values(spec.dim, spec.order,
-                                  np.asarray([abs(x)]))[0]
-    else:
-        def f(x):
-            return riesz_constant(spec.dim, spec.order) * abs(x) ** (
-                spec.order - spec.dim)
-    for i in near:
-        x = signed[i]
-        lo, hi = abs(x) - h / 2.0, abs(x) + h / 2.0
-        total, _ = quad(f, lo, hi, epsabs=0.0, epsrel=1e-10, limit=100)
-        vals[i] = total / h
-
-
-def _refine_near_singularity_2d(spec: KernelSpec, grid: Grid,
-                                vals: np.ndarray) -> None:
-    """2-D analogue: tensor Gauss-Legendre cell averages near the origin.
-
-    Every refined cell excludes the singularity itself, so the integrand
-    is smooth there and a fixed-order rule converges geometrically.
-    """
-    h, n = grid.h, grid.n
-    nodes, weights = np.polynomial.legendre.leggauss(12)
-    nodes = nodes / 2.0  # cell-normalized coordinates in (-1/2, 1/2)
-    w2 = np.outer(weights, weights) / 4.0
-    u, v = np.meshgrid(nodes, nodes, indexing="ij")
-    if spec.kind == "bessel":
-        def f(r):
-            return _bessel_values(2, spec.order, r)
-    else:
-        def f(r):
-            return riesz_constant(2, spec.order) * r ** (spec.order - 2)
-    for i in range(-8, 9):
-        for j in range(-8, 9):
-            if i == 0 and j == 0:
-                continue
-            if i * i + j * j > 64:
-                continue
-            rr = np.hypot((i + u) * h, (j + v) * h)
-            vals[(i % n) * n + (j % n)] = float(np.sum(f(rr) * w2))
-
-
-def sampled_kernel(spec: KernelSpec, grid: Grid, normalize: bool = True) -> GridFunction:
-    """Kernel sampled on the torus for grid convolution.
-
-    Integrable kernels (Poisson, Bessel) are periodized: image sums make
-    the sampled kernel the torus version of the kernel rather than its
-    nearest-image truncation, and unit discrete mass is enforced when
-    normalize is set so constants convolve exactly.  The Riesz kernel is
-    not integrable at infinity, so it keeps nearest-image values (it is
-    only applied to mean-compensated data).  The origin sample of a
-    singular kernel is the cell average over the central cell.
-    """
-    if spec.dim != grid.dim:
-        raise ParameterError(f"kernel dim {spec.dim} != grid dim {grid.dim}")
-    # signed sample coordinates, wrapped as whole index offsets so that
-    # each is exactly h times an integer
-    signed = grid.h * wrapped_delta(np.arange(grid.n), 0, grid.n)
-    axes = np.meshgrid(*[grid.axis_coords()] * grid.dim, indexing="ij")
-    r = torus_distance(np.stack(axes, axis=-1), 0.0, grid.extent).reshape(-1)
-    if spec.kind == "poisson":
-        if grid.dim == 1:
-            # exact periodization: sum of images has the closed form
-            # (1/L) (1 - rho^2) / (1 - 2 rho cos(2 pi x / L) + rho^2)
-            rho = math.exp(-2.0 * math.pi * spec.scale / grid.extent)
-            theta = 2.0 * math.pi * grid.axis_coords() / grid.extent
-            vals = (1.0 - rho * rho) / (
-                (1.0 - 2.0 * rho * np.cos(theta) + rho * rho) * grid.extent)
-        else:
-            x0, x1 = np.meshgrid(signed, signed, indexing="ij")
-            vals = np.zeros(grid.shape)
-            for q0 in range(-2, 3):
-                for q1 in range(-2, 3):
-                    rr = np.hypot(x0 + q0 * grid.extent, x1 + q1 * grid.extent)
-                    vals += _poisson_values(2, spec.scale, rr)
-        vals = vals.reshape(-1)
-    elif spec.kind == "bessel":
-        vals = np.empty_like(r)
-        pos = r > 0
-        vals[pos] = _bessel_values(spec.dim, spec.order, r[pos])
-        vals[~pos] = _cell_average_at_origin(spec, grid.h)
-        if spec.order <= spec.dim:
-            if grid.dim == 1:
-                _refine_near_singularity(spec, grid, signed, vals)
-            else:
-                _refine_near_singularity_2d(spec, grid, vals)
-        images = max(1, int(math.ceil(40.0 / grid.extent)))
-        if grid.dim == 1:
-            for q in range(1, images + 1):
-                vals += _bessel_values(spec.dim, spec.order,
-                                       np.abs(signed + q * grid.extent))
-                vals += _bessel_values(spec.dim, spec.order,
-                                       np.abs(signed - q * grid.extent))
-        else:
-            x0, x1 = np.meshgrid(signed, signed, indexing="ij")
-            for q0 in range(-images, images + 1):
-                for q1 in range(-images, images + 1):
-                    if q0 == 0 and q1 == 0:
-                        continue
-                    # skip rings whose nearest point already underflows
-                    ring = grid.extent * math.hypot(max(abs(q0) - 0.5, 0.0),
-                                                    max(abs(q1) - 0.5, 0.0))
-                    if ring > 30.0:
-                        continue
-                    rr = np.hypot(x0 + q0 * grid.extent, x1 + q1 * grid.extent)
-                    vals += _bessel_values(spec.dim, spec.order, rr).reshape(-1)
-    else:
-        vals = np.empty_like(r)
-        pos = r > 0
-        vals[pos] = riesz_constant(spec.dim, spec.order) * r[pos] ** (
-            spec.order - spec.dim)
-        vals[~pos] = _cell_average_at_origin(spec, grid.h)
-        if grid.dim == 1:
-            _refine_near_singularity(spec, grid, signed, vals)
-        else:
-            _refine_near_singularity_2d(spec, grid, vals)
-    if normalize and spec.kind in ("poisson", "bessel"):
-        mass = float(np.sum(vals)) * grid.h ** grid.dim
-        vals = vals / mass
-    return GridFunction(grid, vals)
 
 
 def bessel_l1_norm(n: int, alpha: float) -> float:

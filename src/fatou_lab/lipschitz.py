@@ -1,5 +1,6 @@
-"""Lipschitz graph domains: distance, corkscrew points, flattening,
-domain approach regions, surface measure, and boundary norms.
+"""Lipschitz graph domains: distance, corkscrew points, the inclusion of
+domain approach regions into flattened half-space regions, surface
+measure, and boundary norms.
 
 The domain is the epigraph of a sampled profile phi on the periodic
 base grid.  The certified Lipschitz constant is the maximum discrete
@@ -14,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 from .extension import annuli_surrogate, dyadic_heights
 from .grid import (GridFunction, lp_norm, nearest_index, read_exact,
-                   read_grid_function, save_grid_function, torus_distance,
-                   torus_sq_distance, wrapped_abs_delta)
+                   read_grid_function, save_grid_function, torus_sq_distance,
+                   wrapped_abs_delta)
 from .maximal import ApproachRegionSpec, tangential_max
 from .potentials import multi_indices, slobodeckij_seminorm, spectral_derivative
 from .rng import stream
@@ -111,38 +112,6 @@ def corkscrew(graph: LipschitzGraph, x0, t: float) -> np.ndarray:
         raise ParameterError(f"t must be positive, got {t}")
     x0a = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     return np.concatenate([[phi_at(graph, x0) + t], x0a])
-
-
-def flatten(graph: LipschitzGraph, X, direction: str = "forward") -> np.ndarray:
-    """(t, x) <-> (t -+ phi(x), x); forward requires X strictly above the graph."""
-    X = np.asarray(X, dtype=np.float64).reshape(-1)
-    lift = phi_at(graph, X[1:])
-    if direction == "forward":
-        if X[0] <= lift:
-            raise DomainError("point is not strictly above the graph")
-        return np.concatenate([[X[0] - lift], X[1:]])
-    if direction == "inverse":
-        return np.concatenate([[X[0] + lift], X[1:]])
-    raise ParameterError(f"unknown direction {direction!r}")
-
-
-def domain_region_contains(graph: LipschitzGraph, beta: float, c: float,
-                           Q0: BoundaryPoint, X) -> bool:
-    """Membership in the domain approach region with widening constant c."""
-    if not (0.0 < beta <= 1.0):
-        raise ParameterError(f"beta must lie in (0, 1], got {beta}")
-    if c <= 0:
-        raise ParameterError(f"c must be positive, got {c}")
-    X = np.asarray(X, dtype=np.float64).reshape(-1)
-    if X[0] <= phi_at(graph, X[1:]):
-        return False
-    d = graph_distance(graph, X)
-    if d <= 0.0:
-        return False
-    gap = float(torus_distance(X[1:], Q0.x, graph.phi.grid.extent))
-    sep = math.hypot(gap, X[0] - Q0.lift)
-    bound = (1.0 + c) * (d ** beta if d <= 1.0 else d)
-    return sep < bound
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import CoverageError, ParameterError
 from .extension import HalfSpaceField, annuli_surrogate, check_finite, \
     checked_heights, dyadic_heights, poisson_slices
 from .grid import Grid, GridFunction, ball_mean_all_centers, disc_rows, \
-    torus_distance, window_halfwidth
+    window_halfwidth
 from .potentials import dyadic_scales, sharp_maximal
 
 
@@ -48,15 +48,6 @@ class ApproachRegionSpec:
 
     def radius(self, t: float) -> float:
         return self.aperture * (t ** self.beta if t <= 1.0 else t)
-
-
-def region_contains(spec: ApproachRegionSpec, x0, t: float, x,
-                    grid: Grid | None = None, extent: float = 1.0) -> bool:
-    """Membership of (t, x) in the region with vertex x0, torus metric."""
-    if t <= 0:
-        raise ParameterError(f"t must be positive, got {t}")
-    dist = float(torus_distance(x, x0, grid.extent if grid is not None else extent))
-    return dist < spec.radius(t)
 
 
 def window_extreme(values: np.ndarray, grid: Grid, radius: float,

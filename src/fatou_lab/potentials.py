@@ -1,21 +1,19 @@
-"""Smoothing operators, spectral transforms, polynomial projections and
+"""Smoothing operators, spectral derivatives, sharp maximal functions and
 fractional seminorms on the periodic grid.
 
 The smoothing operator J_alpha = (I - Laplace)^(-alpha/2) acts through
-the Bessel multiplier; its spectral inverse realizes derivative
-decompositions of smoothed functions without leaving the grid.
+the Bessel multiplier; spectral derivatives are exact on trigonometric
+polynomials, so boundary Sobolev norms never leave the grid.
 """
 
 import math
-from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
 
 from . import _kernels
-from .errors import NumericError, ParameterError
-from .grid import (Grid, GridFunction, _ball_indices, ball_mean_signed,
-                   disc_rows, lp_norm, window_halfwidth, wrapped_delta)
+from .errors import ParameterError
+from .grid import Grid, GridFunction, disc_rows, window_halfwidth
 
 
 def _half_spectrum(grid: Grid) -> tuple:
@@ -45,35 +43,11 @@ def _apply_multiplier(f: GridFunction, mults):
 def bessel_smooth(g: GridFunction, alpha: float) -> GridFunction:
     """Multiply Fourier coefficients by (1 + 4 pi^2 |xi|^2)^(-alpha/2)."""
     if alpha < 0:
-        raise ParameterError("alpha must be >= 0; use inverse_bessel to sharpen")
+        raise ParameterError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0:
         return g
     mult = (1.0 + 4.0 * math.pi ** 2 * _half_spectrum(g.grid)[1]) ** (-alpha / 2.0)
     return GridFunction(g.grid, next(_apply_multiplier(g, [mult])))
-
-
-def inverse_bessel(f: GridFunction, alpha: float) -> GridFunction:
-    """Spectral inverse of bessel_smooth on band-limited data."""
-    if alpha < 0:
-        raise ParameterError("alpha must be >= 0")
-    if alpha == 0:
-        return f
-    mult = (1.0 + 4.0 * math.pi ** 2 * _half_spectrum(f.grid)[1]) ** (alpha / 2.0)
-    return GridFunction(f.grid, next(_apply_multiplier(f, [mult])))
-
-
-def riesz_transform(f: GridFunction, j: int) -> GridFunction:
-    """Multiplier -i xi_j / |xi| with the DC mode set to zero."""
-    g = f.grid
-    if not (1 <= j <= g.dim):
-        raise ParameterError(f"axis index must lie in [1, {g.dim}], got {j}")
-    xis, abs2 = _half_spectrum(g)
-    comp = xis[j - 1]
-    mag = np.sqrt(abs2)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mult = np.where(mag > 0, -1j * comp / np.where(mag > 0, mag, 1.0), 0.0)
-    mult = mult * _nyquist_mask(comp, g.n)
-    return GridFunction(g, next(_apply_multiplier(f, [mult])))
 
 
 def spectral_derivative(f: GridFunction, gamma) -> GridFunction:
@@ -101,52 +75,6 @@ def multi_indices(dim: int, degree: int) -> list:
                   if sum(g) <= degree)
 
 
-@dataclass(frozen=True)
-class Polynomial:
-    """Element of P_k in the frame centered at a torus point.
-
-    coefficients[i] multiplies y^gamma_i where y is the wrapped
-    displacement from center and gamma_i runs over multi_indices(dim, degree).
-    """
-
-    dim: int
-    degree: int
-    coefficients: np.ndarray
-    center: np.ndarray
-    extent: float
-
-    def __post_init__(self):
-        expect = len(multi_indices(self.dim, self.degree))
-        if len(self.coefficients) != expect:
-            raise ParameterError(
-                f"need {expect} coefficients for dim={self.dim}, k={self.degree}")
-
-    def eval_offsets(self, dy: np.ndarray) -> np.ndarray:
-        """Evaluate at displacements dy from the center, shape (m, dim)."""
-        dy = np.atleast_2d(np.asarray(dy, dtype=np.float64))
-        out = np.zeros(dy.shape[0])
-        for coef, gam in zip(self.coefficients, multi_indices(self.dim, self.degree)):
-            term = np.full(dy.shape[0], coef)
-            for ax, power in enumerate(gam):
-                if power:
-                    term = term * dy[:, ax] ** power
-            out += term
-        return out
-
-    def __call__(self, x) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-        return self.eval_offsets(wrapped_delta(x, self.center[None, :], self.extent))
-
-
-def _window_offsets(f: GridFunction, center, radius: float) -> tuple:
-    """(flat indices, signed displacement rows) of ball points around center."""
-    g = f.grid
-    idx = _ball_indices(g, center, radius)
-    xs = np.stack(np.unravel_index(idx, g.shape), axis=1) * g.h
-    c = np.asarray(center, dtype=np.float64).reshape(g.dim)
-    return idx, wrapped_delta(xs, c, g.extent)
-
-
 def _monomials(u: np.ndarray, mi) -> np.ndarray:
     """(points, len(mi)) matrix of u^gamma, one column per multi-index."""
     basis = np.empty((u.shape[0], len(mi)))
@@ -157,27 +85,6 @@ def _monomials(u: np.ndarray, mi) -> np.ndarray:
                 term = term * u[:, ax] ** power
         basis[:, col] = term
     return basis
-
-
-def poly_project(f: GridFunction, center, radius: float, k: int) -> Polynomial:
-    """L2(Delta)-orthogonal projection of f onto P_k over the ball window."""
-    g = f.grid
-    if not (0 <= k <= 3):
-        raise ParameterError(f"degree k must lie in [0, 3], got {k}")
-    if radius < 4.0 * g.h * (1.0 - 1e-12):
-        raise ParameterError(f"radius {radius} below 4h = {4 * g.h}")
-    idx, dy = _window_offsets(f, center, radius)
-    mi = multi_indices(g.dim, k)
-    basis = _monomials(dy / radius, mi)
-    gram = basis.T @ basis / idx.size
-    cond = np.linalg.cond(gram)
-    if cond > 1e8:
-        raise NumericError(f"ill-conditioned projection window (cond={cond:.3g})")
-    rhs = basis.T @ f.samples[idx] / idx.size
-    scaled = np.linalg.solve(gram, rhs)
-    coeffs = np.array([a / radius ** sum(gam) for a, gam in zip(scaled, mi)])
-    carr = np.atleast_1d(np.asarray(center, dtype=np.float64)).reshape(g.dim)
-    return Polynomial(g.dim, k, coeffs, carr, g.extent)
 
 
 def _ball_measure(dim: int, radius: float) -> float:
@@ -275,49 +182,3 @@ def slobodeckij_seminorm(f: GridFunction, sigma: float, p: float,
         mask.flat[idx] = 1.0
     total = _kernels.slobodeckij_sum(f.as_array(), g.h, sigma, p, mask)
     return float(total ** (1.0 / p))
-
-
-@dataclass(frozen=True)
-class BesselFunction:
-    """f = J_alpha(g) together with its density g and intended exponent p."""
-
-    alpha: float
-    g: GridFunction
-    f: GridFunction
-    p: float
-
-
-def bessel_function(g: GridFunction, alpha: float, p: float = 2.0) -> BesselFunction:
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
-    f = bessel_smooth(g, alpha)
-    if lp_norm(f, p) > lp_norm(g, p) * (1.0 + 1e-8):
-        raise NumericError("contraction violated; smoothing is inconsistent")
-    return BesselFunction(alpha=alpha, g=g, f=f, p=p)
-
-
-def representative_value(bf: BesselFunction, x, radii, tol: float = 1e-3):
-    """Limit of ball averages of f at x along shrinking radii.
-
-    Returns the Richardson-extrapolated value when the trailing averages
-    are Cauchy (gaps below tol*(1+|a|) across the final 3 radii), or None
-    when they are not, which marks the point as divergent.
-    """
-    g = bf.f.grid
-    radii = [float(r) for r in radii]
-    if len(radii) < 3:
-        raise ParameterError("need at least 3 radii")
-    if any(b >= a for a, b in zip(radii, radii[1:])):
-        raise ParameterError("radii must be strictly decreasing")
-    if radii[-1] < 4.0 * g.h * (1.0 - 1e-12):
-        raise ParameterError(f"min radius {radii[-1]} below 4h = {4 * g.h}")
-    avgs = [ball_mean_signed(bf.f, x, r) for r in radii]
-    for a, b in zip(avgs[-3:], avgs[-2:]):
-        if abs(b - a) >= tol * (1.0 + abs(a)):
-            return None
-    r_prev, r_last = radii[-2], radii[-1]
-    a_prev, a_last = avgs[-2], avgs[-1]
-    denom = r_prev ** 2 - r_last ** 2
-    if denom <= 0:
-        return float(a_last)
-    return float(a_last - r_last ** 2 * (a_prev - a_last) / denom)

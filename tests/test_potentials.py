@@ -5,17 +5,16 @@ import numpy as np
 import pytest
 
 from fatou_lab import _kernels
-from fatou_lab.errors import NumericError, ParameterError
+from fatou_lab.errors import ParameterError
 from fatou_lab.extension import poisson_extend
 from fatou_lab.grid import (GridFunction, ball_mean_all_centers, fft_convolve,
                             from_callable, lp_norm, make_grid)
-from fatou_lab.kernels import KernelSpec, sampled_kernel
+from fatou_lab.kernels import KernelSpec
 from fatou_lab.maximal import hl_max_q
-from fatou_lab.potentials import (bessel_function, bessel_smooth, dyadic_scales,
-                                  inverse_bessel, multi_indices, poly_project,
-                                  representative_value, riesz_transform,
+from fatou_lab.potentials import (bessel_smooth, dyadic_scales, multi_indices,
                                   sharp_maximal, slobodeckij_seminorm,
-                                  spectral_derivative, _window_offsets)
+                                  spectral_derivative)
+from reference import _ball_indices, sampled_kernel
 
 
 def _band_limited(grid, rng, modes=40):
@@ -49,49 +48,6 @@ def test_bessel_smooth_spike_matches_spatial_convolution():
     idx = np.arange(g.size)
     far = np.minimum(idx, g.size - idx) >= 64
     assert d[far].max() <= 1e-4
-
-
-def test_inverse_bessel_round_trip(rng):
-    g = make_grid(1, 9, 1.0)
-    f = _band_limited(g, rng)
-    assert inverse_bessel(f, 0.0) is f
-    back = bessel_smooth(inverse_bessel(f, 1.5), 1.5)
-    np.testing.assert_allclose(back.samples, f.samples, atol=1e-10)
-    cos = from_callable(g, lambda x: np.cos(2 * np.pi * x))
-    out = inverse_bessel(cos, 2.0)
-    np.testing.assert_allclose(out.samples,
-                               (1 + 4 * math.pi ** 2) * cos.samples, atol=1e-10)
-
-
-def test_riesz_transform_identities(rng):
-    g = make_grid(1, 8, 1.0)
-    cos = from_callable(g, lambda x: np.cos(2 * np.pi * x))
-    sin = from_callable(g, lambda x: np.sin(2 * np.pi * x))
-    np.testing.assert_allclose(riesz_transform(cos, 1).samples, sin.samples,
-                               atol=1e-12)
-    with pytest.raises(ParameterError):
-        riesz_transform(cos, 2)
-    # unimodular multiplier preserves the L2 norm of mean-zero data
-    f = GridFunction(g, rng.normal(size=g.size))
-    f = GridFunction(g, f.samples - f.samples.mean())
-    f = GridFunction(g, np.fft.irfft(np.fft.rfft(f.samples)
-                                     * (np.arange(g.n // 2 + 1) < g.n // 2),
-                                     n=g.n))  # drop the Nyquist mode
-    assert lp_norm(riesz_transform(f, 1), 2.0) == pytest.approx(
-        lp_norm(f, 2.0), rel=1e-10)
-
-
-def test_riesz_transform_sum_of_squares_2d(rng):
-    g = make_grid(2, 4, 1.0)
-    f = GridFunction(g, rng.normal(size=g.size))
-    arr = np.fft.fftn(f.as_array())
-    arr[0, 0] = 0.0
-    arr[g.n // 2, :] = 0.0
-    arr[:, g.n // 2] = 0.0
-    f = GridFunction(g, np.fft.ifftn(arr).real)
-    rr = riesz_transform(riesz_transform(f, 1), 1).samples \
-        + riesz_transform(riesz_transform(f, 2), 2).samples
-    np.testing.assert_allclose(rr, -f.samples, atol=1e-8)
 
 
 def test_spectral_derivative_examples(rng):
@@ -143,13 +99,6 @@ def _oracle_pairs(case, f):
     mag = np.sqrt((xi ** 2).sum(axis=0))
     if case == "bessel":
         return [bessel_smooth(f, 1.5)], [(1 + 4 * np.pi ** 2 * mag ** 2) ** -0.75]
-    if case == "inverse_bessel":
-        return [inverse_bessel(f, 1.5)], [(1 + 4 * np.pi ** 2 * mag ** 2) ** 0.75]
-    if case == "riesz":
-        safe = np.where(mag > 0, mag, 1.0)
-        return ([riesz_transform(f, j) for j in range(1, g.dim + 1)],
-                [np.where((mag > 0) & off_nyq[j], -1j * xi[j] / safe, 0.0)
-                 for j in range(g.dim)])
     if case == "derivative":
         gammas = ([(1,), (2,), (3,)] if g.dim == 1 else
                   [(1, 0), (0, 1), (1, 1), (2, 0), (2, 1), (1, 2), (0, 3)])
@@ -168,8 +117,7 @@ def _oracle_pairs(case, f):
             [np.exp(-2 * np.pi * t * mag) for t in hts])
 
 
-@pytest.mark.parametrize("case", ["bessel", "inverse_bessel", "riesz",
-                                  "derivative", "poisson"])
+@pytest.mark.parametrize("case", ["bessel", "derivative", "poisson"])
 @pytest.mark.parametrize("dim,levels", [(1, 4), (1, 5), (2, 3)],
                          ids=["1d-16", "1d-32", "2d-8x8"])
 def test_spectral_multipliers_match_dft_oracle(rng, case, dim, levels):
@@ -186,50 +134,6 @@ def test_spectral_multipliers_match_dft_oracle(rng, case, dim, levels):
         assert np.abs(out.samples - ref).max() <= 1e-12 * np.abs(ref).max()
     for a in range(dim):
         assert np.abs(spec[k[a].reshape(-1) == g.n // 2]).max() > 1.0
-
-
-def test_poly_project_reproduces_affine():
-    g = make_grid(1, 10, 1.0)
-    aff = from_callable(g, lambda x: 0.3 + 0.7 * x)
-    poly = poly_project(aff, 0.25, 0.1, 1)
-    idx, dy = _window_offsets(aff, 0.25, 0.1)
-    assert np.abs(poly.eval_offsets(dy) - aff.samples[idx]).max() < 1e-8
-
-
-def test_poly_project_k0_is_mean(rng):
-    g = make_grid(1, 9, 1.0)
-    f = GridFunction(g, rng.normal(size=g.size))
-    poly = poly_project(f, 0.4, 0.07, 0)
-    idx, _ = _window_offsets(f, 0.4, 0.07)
-    assert poly.coefficients[0] == pytest.approx(f.samples[idx].mean(), rel=1e-12)
-
-
-def test_poly_project_orthogonality_and_linfty(rng):
-    g = make_grid(1, 10, 1.0)
-    ratios = []
-    for trial in range(100):
-        f = GridFunction(g, rng.normal(size=g.size))
-        poly = poly_project(f, 0.5, 0.08, 2)
-        idx, dy = _window_offsets(f, 0.5, 0.08)
-        resid = f.samples[idx] - poly.eval_offsets(dy)
-        for m in range(3):
-            mom = np.mean(resid * dy[:, 0] ** m)
-            scale = np.mean(np.abs(f.samples[idx])) * 0.08 ** m
-            assert abs(mom) <= 1e-6 * max(scale, 1e-12)
-        ratios.append(np.abs(poly.eval_offsets(dy)).max()
-                      / np.mean(np.abs(f.samples[idx])))
-    # local sup bound: projection sup over the ball stays a bounded multiple
-    # of the data's mean modulus, stably across draws
-    assert max(ratios) < 10.0
-
-
-def test_poly_project_parameter_errors():
-    g = make_grid(1, 8, 1.0)
-    f = from_callable(g, lambda x: x)
-    with pytest.raises(ParameterError):
-        poly_project(f, 0.5, g.h, 1)
-    with pytest.raises(ParameterError):
-        poly_project(f, 0.5, 0.1, 4)
 
 
 def test_multi_index_count_2d():
@@ -265,10 +169,9 @@ def test_sharp_maximal_poincare_pattern(rng):
             avg_osc = []
             rhs = []
             for c in np.linspace(0.0, 1.0, 10, endpoint=False):
-                poly = poly_project(f, c, r, 0)
-                idx, dy = _window_offsets(f, c, r)
+                idx = _ball_indices(g, c, r)
                 avg_osc.append(np.mean(np.abs(f.samples[idx]
-                                              - poly.eval_offsets(dy))))
+                                              - f.samples[idx].mean())))
                 rhs.append(r ** alpha
                            * np.mean(mg.samples[idx] ** q) ** (1 / q))
             ratios.extend(np.asarray(avg_osc) / np.asarray(rhs))
@@ -354,10 +257,6 @@ def test_slobodeckij_domain_restriction(rng):
 
 def test_bessel_function_contracts(rng):
     g = make_grid(1, 9, 1.0)
-    gd = GridFunction(g, rng.normal(size=g.size))
-    bf = bessel_function(gd, 1.0, 2.0)
-    np.testing.assert_allclose(bf.f.samples, bessel_smooth(gd, 1.0).samples,
-                               atol=1e-12)
     for _ in range(50):
         gg = GridFunction(g, rng.normal(size=g.size))
         sm = bessel_smooth(gg, 0.8)
@@ -404,20 +303,6 @@ def test_poincare_constant_stability(rng):
     assert max(consts) < 2.0
 
 
-def test_calderon_consistency(rng):
-    alpha, p = 1.5, 2.0
-    norms = []
-    for levels in (9, 11):
-        g = make_grid(1, levels, 1.0)
-        gd = GridFunction(g, rng.normal(size=g.size))
-        f = bessel_smooth(gd, alpha)
-        deriv = spectral_derivative(f, (1,))
-        g_gamma = inverse_bessel(deriv, alpha - 1.0)
-        norms.append(lp_norm(g_gamma, p) / lp_norm(gd, p))
-    assert all(v <= 1.0 + 1e-10 for v in norms)
-    assert max(norms) / min(norms) < 1.5
-
-
 def test_poisson_domination(rng):
     # t^alpha P_t * g is dominated by P_t * (smoothed g), stably in t
     from fatou_lab.extension import poisson_extend
@@ -449,58 +334,11 @@ def test_cp_poincare_via_sharp(rng):
     for _ in range(50):
         r = float(rng.choice([0.02, 0.04, 0.08]))
         c = float(rng.uniform(0, 1))
-        poly = poly_project(f, c, r, 0)
-        idx, dy = _window_offsets(f, c, r)
-        lhs = np.mean(np.abs(f.samples[idx] - poly.eval_offsets(dy)))
+        idx = _ball_indices(g, c, r)
+        lhs = np.mean(np.abs(f.samples[idx] - f.samples[idx].mean()))
         rhs = (2 * r) ** alpha * np.mean(sharp.samples[idx] ** q) ** (1 / q)
         ratios.append(lhs / rhs)
     assert max(ratios) < 2.0
-
-
-def test_representative_value_continuous(rng):
-    g = make_grid(1, 12, 1.0)
-    gd = _band_limited(g, rng, modes=12)
-    bf = bessel_function(gd, 1.0, 2.0)
-    radii = [0.1 * 2.0 ** (-k) for k in range(5)]
-    val = representative_value(bf, 0.3, radii)
-    exact = bf.f.samples[int(round(0.3 * g.n))]
-    assert val == pytest.approx(exact, abs=radii[-1] ** 2 * 50)
-
-
-def test_representative_value_diverges_on_spike():
-    g = make_grid(1, 14, 1.0)
-    spike = np.zeros(g.size)
-    spike[g.n // 2] = 1.0 / g.h
-    bf = bessel_function(GridFunction(g, spike), 0.4, 2.0)
-    radii = [2.0 ** (-k) for k in range(4, 11)]
-    avgs = [np.mean(np.abs(bf.f.samples)[np.abs(np.arange(g.n) - g.n // 2)
-                                         * g.h < r]) for r in radii]
-    assert all(b > a for a, b in zip(avgs, avgs[1:]))  # monotone growth
-    assert representative_value(bf, 0.5, radii) is None
-
-
-def test_representative_value_dominated_by_envelope(rng):
-    g = make_grid(1, 10, 1.0)
-    gd = GridFunction(g, rng.normal(size=g.size))
-    bf = bessel_function(gd, 1.0, 2.0)
-    absf = bessel_smooth(GridFunction(g, np.abs(gd.samples)), 1.0)
-    radii = [0.05 * 2.0 ** (-k) for k in range(3)]
-    for x in rng.uniform(0, 1, size=20):
-        val = representative_value(bf, x, radii)
-        if val is not None:
-            envelope = absf.samples[int(round(x * g.n)) % g.n]
-            assert abs(val) <= envelope + 0.05 * (1 + envelope)
-
-
-def test_representative_value_parameter_errors(rng):
-    g = make_grid(1, 8, 1.0)
-    bf = bessel_function(GridFunction(g, rng.normal(size=g.size)), 1.0)
-    with pytest.raises(ParameterError):
-        representative_value(bf, 0.3, [0.1, 0.2, 0.05])
-    with pytest.raises(ParameterError):
-        representative_value(bf, 0.3, [0.1, 0.05])
-    with pytest.raises(ParameterError):
-        representative_value(bf, 0.3, [0.1, 0.05, g.h])
 
 
 def _brute_sharp_at(f, alpha, scales, point):
