@@ -34,6 +34,38 @@ def circ_min_1d(values: np.ndarray, halfwidth: int) -> np.ndarray:
     return minimum_filter1d(v, size=size, mode="wrap")
 
 
+def circ_max_table(values: np.ndarray) -> np.ndarray:
+    """Sparse table (range max by doubling) for circ_window_max.
+
+    Row k, column i holds the max of the 2^k samples from index i of the
+    values tiled three times; rows run to floor(log2(N + 1)), the longest
+    window.  O(N log N) to build.
+    """
+    v = np.asarray(values, dtype=np.float64)
+    table = np.empty(((v.size + 1).bit_length(), 3 * v.size))
+    table[0] = np.tile(v, 3)
+    for k in range(1, table.shape[0]):
+        s = 1 << (k - 1)
+        table[k] = table[k - 1]
+        np.maximum(table[k - 1, :-s], table[k - 1, s:], out=table[k, :-s])
+    return table
+
+
+def circ_window_max(table: np.ndarray, centers: np.ndarray,
+                    halfwidths: np.ndarray) -> np.ndarray:
+    """Max over the circular windows centers[i] +- halfwidths[i].
+
+    table comes from circ_max_table; centers lie in [0, N) and halfwidths
+    in [0, N // 2].  Each window is the union of two table cells of the
+    largest power-of-two length that fits, read with one gather.
+    """
+    n = table.shape[1] // 3
+    size = 2 * np.asarray(halfwidths, dtype=np.int64) + 1
+    lo = np.asarray(centers, dtype=np.int64) + n - (size >> 1)
+    lev = np.frexp(size)[1] - 1
+    return np.maximum(table[lev, lo], table[lev, lo + size - (1 << lev)])
+
+
 def circ_sum_1d(values: np.ndarray, halfwidth: int) -> np.ndarray:
     """Windowed circular sum; window capped at the full circle."""
     v = np.ascontiguousarray(values, dtype=np.float64)

@@ -234,6 +234,10 @@ def _cmd_lipschitz(args) -> int:
         rep = region_inclusion_check(graph, args.beta, args.c, args.samples,
                                      seed=args.seed)
         print(f"checked {rep.checked}, violations {rep.violations}")
+        if rep.checked < args.samples:
+            print(f"shortfall: only {rep.checked} of {args.samples} samples "
+                  "were found in the domain region", file=sys.stderr)
+            return 1
         return 0 if rep.violations == 0 else 1
     if args.action == "surface":
         q = boundary_point(graph, args.x0)

@@ -121,6 +121,33 @@ class InclusionReport:
     witnesses: tuple
 
 
+def _b(s: np.ndarray, beta: float) -> np.ndarray:
+    """The approach-region profile b(s): s^beta for s <= 1, s beyond."""
+    return np.where(s <= 1.0, s ** beta, s)
+
+
+def _certified_members(graph: LipschitzGraph, table: np.ndarray, beta: float,
+                       c: float, sep: np.ndarray, t: np.ndarray,
+                       ix: np.ndarray) -> np.ndarray:
+    """Samples (t, ix h) at separation sep from their vertex that are
+    members of the domain region by a certificate, without a distance
+    query; table is _kernels.circ_max_table of the profile.
+
+    A sample is a member once d > rho = b^-1(sep / (1 + c)).  The columns
+    ix +- K, K = ceil(rho / h) + 1, hold every profile sample within rho
+    sideways, so d >= min(K h, t - max phi over them).  The bound is
+    compared in b, as the membership test is, with a relative margin of
+    1e-9 for the rounding of d and b; False means undecided.
+    """
+    g = graph.phi.grid
+    y = sep / (1.0 + c)
+    rho = np.where(y <= 1.0, np.minimum(y, 1.0) ** (1.0 / beta), y)
+    K = np.minimum(np.ceil(rho / g.h) + 1.0, g.n // 2).astype(np.int64)
+    wmax = _kernels.circ_window_max(table, ix, K)
+    low = np.maximum(np.minimum(K * g.h, t - wmax), 0.0)
+    return sep * (1.0 + 1e-9) < (1.0 + c) * _b(low, beta)
+
+
 def region_inclusion_check(graph: LipschitzGraph, beta: float, c: float,
                            samples: int, seed: int = 0,
                            target_aperture: float | None = None
@@ -136,6 +163,14 @@ def region_inclusion_check(graph: LipschitzGraph, beta: float, c: float,
     """
     if samples < 1:
         raise ParameterError("samples must be >= 1")
+    if not (math.isfinite(beta) and 0.0 < beta <= 1.0):
+        raise ParameterError(f"beta must lie in (0, 1], got {beta}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ParameterError(f"c must be finite and positive, got {c}")
+    if target_aperture is not None and not (math.isfinite(target_aperture)
+                                            and target_aperture > 0.0):
+        raise ParameterError(
+            f"target_aperture must be finite and positive, got {target_aperture}")
     g = graph.phi.grid
     if g.dim != 1:
         raise ParameterError("inclusion sampling is implemented for dim=1 bases")
@@ -147,6 +182,7 @@ def region_inclusion_check(graph: LipschitzGraph, beta: float, c: float,
     max_attempts = 60 * samples
     n = g.n
     phi = graph.phi.samples
+    table = _kernels.circ_max_table(phi)
     if target_aperture is None:
         target_aperture = 1.0 + c
     while checked < samples and attempts < max_attempts:
@@ -166,13 +202,16 @@ def region_inclusion_check(graph: LipschitzGraph, beta: float, c: float,
         # membership bound grows with d: beyond it a sample cannot be a
         # member, so its distance query is skipped and d stays 0
         tv = np.abs(t - phi[ix])
-        live = sep < (1.0 + c) * np.maximum(tv ** beta, tv) * (1.0 + 1e-12)
+        live = np.nonzero(sep < (1.0 + c) * _b(tv, beta) * (1.0 + 1e-12))[0]
+        certified = _certified_members(graph, table, beta, c, sep[live],
+                                       t[live], ix[live])
+        ask = live[~certified]
         d = np.zeros(batch)
-        d[live] = graph_distance_batch(graph, t[live], x[live])
-        member = (d > 0) & (sep < (1.0 + c) * np.where(d <= 1.0, d ** beta, d))
+        d[ask] = graph_distance_batch(graph, t[ask], x[ask])
+        member = (d > 0) & (sep < (1.0 + c) * _b(d, beta))
+        member[live[certified]] = True
         # flattened coordinates: the vertical gap is exact for on-grid x
-        tp = gap
-        ok = dx < target_aperture * np.where(tp <= 1.0, tp ** beta, tp)
+        ok = dx < target_aperture * _b(gap, beta)
         member_idx = np.nonzero(member)[0]
         take = member_idx[: samples - checked]
         checked += take.size

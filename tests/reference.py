@@ -4,8 +4,9 @@ These are direct, point-by-point versions of what the package computes
 by faster routes: torus distances and ball averages over explicit index
 sets, kernels sampled on the grid (with image sums and cell averages
 near the singularity) for checking spectral multipliers by spatial
-convolution, Fourier symbols, and membership tests for the half-space
-and domain approach regions.  No runner uses them.
+convolution, Fourier symbols, membership tests for the half-space and
+domain approach regions, and the inclusion sampler with every distance
+computed.  No runner uses them.
 """
 
 import math
@@ -18,9 +19,10 @@ from fatou_lab.errors import ParameterError, SingularityError
 from fatou_lab.grid import Grid, GridFunction, nearest_index, wrapped_abs_delta
 from fatou_lab.kernels import (_POISSON_C, KernelSpec, _norm_sq,
                                _series_prefactor, bessel_kernel, riesz_constant)
-from fatou_lab.lipschitz import (BoundaryPoint, LipschitzGraph, graph_distance,
-                                 phi_at)
+from fatou_lab.lipschitz import (BoundaryPoint, InclusionReport, LipschitzGraph,
+                                 graph_distance, graph_distance_batch, phi_at)
 from fatou_lab.maximal import ApproachRegionSpec
+from fatou_lab.rng import stream
 
 
 class DomainError(ValueError):
@@ -305,3 +307,42 @@ def domain_region_contains(graph: LipschitzGraph, beta: float, c: float,
     sep = math.hypot(gap, X[0] - Q0.lift)
     bound = (1.0 + c) * (d ** beta if d <= 1.0 else d)
     return sep < bound
+
+
+def region_inclusion_full_scan(graph: LipschitzGraph, beta: float, c: float,
+                               samples: int, seed: int = 0,
+                               target_aperture: float | None = None
+                               ) -> InclusionReport:
+    """lipschitz.region_inclusion_check with the distance of every drawn
+    sample computed: the same draws, no prefilter and no certificate."""
+    g = graph.phi.grid
+    rng = stream(seed)
+    checked, violations, witnesses = 0, 0, []
+    attempts, max_attempts = 0, 60 * samples
+    n, phi = g.n, graph.phi.samples
+    if target_aperture is None:
+        target_aperture = 1.0 + c
+    while checked < samples and attempts < max_attempts:
+        batch = min(65536, max_attempts - attempts)
+        attempts += batch
+        i0 = rng.integers(0, n, size=batch)
+        gap = np.exp(rng.uniform(np.log(g.h / 4.0), 0.0, size=batch))
+        reach = (1.0 + c) * gap ** beta * 1.2
+        lateral = rng.uniform(-1.0, 1.0, size=batch) * reach
+        ix = ((i0 * g.h + lateral) / g.h).round().astype(int) % n
+        x = ix * g.h
+        t = phi[ix] + gap
+        q0x = i0 * g.h
+        dx = wrapped_abs_delta(x, q0x, g.extent)
+        sep = np.hypot(dx, t - phi[i0])
+        d = graph_distance_batch(graph, t, x)
+        member = (d > 0) & (sep < (1.0 + c) * np.where(d <= 1.0, d ** beta, d))
+        ok = dx < target_aperture * np.where(gap <= 1.0, gap ** beta, gap)
+        take = np.nonzero(member)[0][: samples - checked]
+        checked += take.size
+        bad = take[~ok[take]]
+        violations += bad.size
+        for b in bad[: max(0, 16 - len(witnesses))]:
+            witnesses.append((float(q0x[b]), float(t[b]), float(x[b])))
+    return InclusionReport(checked=checked, violations=violations,
+                           witnesses=tuple(witnesses))

@@ -9,7 +9,6 @@ import time
 
 import pytest
 
-from fatou_lab.config import ExperimentConfig
 from fatou_lab.experiments import acceptance_configs, run_experiment
 
 _CONFIGS = {cfg.experiment: cfg for cfg in acceptance_configs()}

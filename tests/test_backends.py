@@ -32,6 +32,20 @@ def test_circ_extremes_match_brute_force(rng):
         np.testing.assert_array_equal(_kernels.circ_min_1d(v, k), expect_min)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 16, 37, 64])
+def test_circ_window_max_matches_brute_force(rng, n):
+    # every (center, K) with K = 0 .. N // 2, so windows wrap both ends of
+    # the torus and K = N // 2 covers the whole circle
+    v = rng.normal(size=n)
+    table = _kernels.circ_max_table(v)
+    centers, ks = np.meshgrid(np.arange(n), np.arange(n // 2 + 1))
+    got = _kernels.circ_window_max(table, centers.ravel(), ks.ravel())
+    expect = [max(v[(i + j) % n] for j in range(-k, k + 1))
+              for i, k in zip(centers.ravel(), ks.ravel())]
+    np.testing.assert_array_equal(got, expect)
+    np.testing.assert_array_equal(got[ks.ravel() == n // 2], v.max())
+
+
 def test_circ_sum_matches_brute_force(rng):
     v = rng.normal(size=97)
     for k in (0, 3, 11, 48, 60):

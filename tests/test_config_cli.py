@@ -10,8 +10,8 @@ from fatou_lab.config import (EXPERIMENTS, ExperimentConfig, config_hash, load,
                               parse, serialize, validate)
 from fatou_lab.errors import ParameterError
 from fatou_lab.experiments import _RUNNERS, run_experiment
-from fatou_lab.grid import (GridFunction, from_callable, grid_function_from_csv,
-                            make_grid, save_grid_function)
+from fatou_lab.grid import (from_callable, grid_function_from_csv, make_grid,
+                            save_grid_function)
 from fatou_lab.lipschitz import lipschitz_graph, save_lipschitz_graph
 from fatou_lab.report import emit_report
 
@@ -283,6 +283,32 @@ def test_cli_lipschitz(tmp_path, capsys):
                  "--beta", "0.5", "--c", "1.0", "--samples", "2000"]) == 0
     assert main(["lipschitz", "surface", "--profile", str(path),
                  "--x0", "0.25", "--radius", "0.1"]) == 0
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--beta", "0"), ("--beta", "-0.5"), ("--beta", "1.5"), ("--beta", "nan"),
+    ("--c", "0"), ("--c", "-1"), ("--c", "nan"), ("--c", "inf"),
+])
+def test_cli_inclusion_rejects_bad_beta_and_c(tmp_path, capsys, flag, value):
+    path = tmp_path / "prof.flgf"
+    save_lipschitz_graph(path, lipschitz_graph(from_callable(
+        make_grid(1, 8, 1.0), np.zeros_like)))
+    assert main(["lipschitz", "inclusion", "--profile", str(path),
+                 "--samples", "2000", flag, value]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_cli_inclusion_shortfall_exits_1(tmp_path, capsys):
+    # at a lift of 1e20 the sampled gaps round away (t == phi), so no
+    # sample is a member and nothing is checked
+    path = tmp_path / "prof.flgf"
+    save_lipschitz_graph(path, lipschitz_graph(from_callable(
+        make_grid(1, 8, 1.0), lambda x: np.full_like(x, 1e20))))
+    assert main(["lipschitz", "inclusion", "--profile", str(path),
+                 "--samples", "50"]) == 1
+    out = capsys.readouterr()
+    assert out.out == "checked 0, violations 0\n"
+    assert "0 of 50" in out.err
 
 
 def test_cli_surrogate_dilated_composite(tmp_path, capsys):

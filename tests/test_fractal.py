@@ -2,16 +2,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from fatou_lab.errors import ParameterError
 from fatou_lab.extension import dyadic_heights, poisson_extend
-from fatou_lab.fractal import (BoxDimension, PointSet, box_dimension,
-                               cantor_measure, divergence_set,
-                               frostman_constant, integrate_against)
+from fatou_lab.fractal import (PointSet, box_dimension, cantor_measure,
+                               divergence_set, frostman_constant,
+                               integrate_against)
 from fatou_lab.grid import GridFunction, from_callable, lp_norm, make_grid
-from fatou_lab.kernels import riesz_constant
 from fatou_lab.maximal import ApproachRegionSpec
 from fatou_lab.potentials import bessel_smooth
 

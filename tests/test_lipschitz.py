@@ -5,13 +5,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fatou_lab import _kernels
 from fatou_lab.cli import main
 from fatou_lab.config import ExperimentConfig
 from fatou_lab.errors import ParameterError
-from fatou_lab.experiments import run_experiment
-from fatou_lab.grid import GridFunction, from_callable, lp_norm, make_grid
-from fatou_lab.lipschitz import (SurrogateParams, boundary_point,
-                                 boundary_seminorm, boundary_tangential_max,
+from fatou_lab.experiments import _sawtooth, _smooth_profile, run_experiment
+from fatou_lab.grid import GridFunction, from_callable, make_grid
+from fatou_lab.lipschitz import (SurrogateParams, _certified_members,
+                                 boundary_point, boundary_seminorm,
+                                 boundary_tangential_max,
                                  corkscrew, corkscrew_kappa, graph_distance,
                                  graph_distance_batch, lipschitz_graph,
                                  load_lipschitz_graph, lp_norm_sigma,
@@ -435,6 +437,75 @@ def test_region_inclusion_prefilter_keeps_members(rng):
     member = (d > 0) & (sep < (1.0 + c) * np.where(d <= 1.0, d ** beta, d))
     assert not np.any(member & (sep >= bound))
     assert np.any(sep >= bound)
+
+
+def _inclusion_profile(kind, g):
+    if kind == "flat":
+        return from_callable(g, np.zeros_like)
+    if kind.startswith("sawtooth"):
+        return _sawtooth(g, float(kind[len("sawtooth"):]))
+    return _smooth_profile(g, 6.0, 7)
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["flat", "sawtooth0.5", "sawtooth2", "smooth"]),
+       beta=st.floats(0.05, 1.0), c=st.floats(0.05, 4.0),
+       seed=st.integers(0, 2 ** 31))
+def test_region_inclusion_certificate_is_sound(kind, beta, c, seed):
+    # samples (t, ix h) placed at the membership boundary d = rho: the
+    # vertex i0 is the column whose separation is closest to (1 + c) b(d),
+    # d by the distance to every profile sample; a certified sample must
+    # be a member by that distance
+    g = make_grid(1, 7, 1.0)
+    graph = lipschitz_graph(_inclusion_profile(kind, g))
+    phi = graph.phi.samples
+    r = np.random.Generator(np.random.Philox(key=seed))
+    m = 512
+    ix = r.integers(0, g.n, size=m)
+    t = phi[ix] + np.exp(r.uniform(np.log(g.h / 4.0), 0.0, size=m))
+    lat = np.abs(ix[:, None] * g.h - g.axis_coords())
+    lat = np.minimum(lat, g.extent - lat)
+    sep_all = np.hypot(lat, t[:, None] - phi)  # to every vertex (phi_i, x_i)
+    d = sep_all.min(axis=1)
+    bound = (1.0 + c) * np.where(d <= 1.0, d ** beta, d)
+    i0 = np.argmin(np.abs(sep_all - bound[:, None]), axis=1)
+    sep = sep_all[np.arange(m), i0]
+    member = (d > 0) & (sep < bound)
+    certified = _certified_members(graph, _kernels.circ_max_table(phi), beta,
+                                   c, sep, t, ix)
+    assert not np.any(certified & ~member)
+    if kind == "flat":
+        assert np.any(certified)
+
+
+@pytest.mark.parametrize("kind, beta, c, seed, aperture", [
+    ("flat", 0.5, 1.0, 0, None),
+    ("sawtooth0.5", 0.5, 1.0, 1, None),
+    ("sawtooth2", 0.25, 0.5, 2, None),
+    ("smooth", 1.0, 2.0, 3, None),
+    ("smooth", 0.5, 1.0, 4, None),
+    ("sawtooth1", 0.5, 1.0, 0, 1.0),
+])
+def test_region_inclusion_matches_full_scan(kind, beta, c, seed, aperture):
+    # the certificate and the prefilter only skip distance queries: the
+    # report equals the sampler's with every distance computed
+    graph = lipschitz_graph(_inclusion_profile(kind, make_grid(1, 9, 1.0)))
+    rep = region_inclusion_check(graph, beta, c, 20000, seed=seed,
+                                 target_aperture=aperture)
+    assert rep == reference.region_inclusion_full_scan(
+        graph, beta, c, 20000, seed=seed, target_aperture=aperture)
+    assert rep.checked == 20000
+    assert (rep.violations > 0) == (aperture is not None)
+
+
+@pytest.mark.parametrize("beta, c, aperture", [
+    (math.inf, 1.0, None), (0.5, 1.0, 0.0), (0.5, 1.0, -1.0),
+    (0.5, 1.0, math.nan), (0.5, 1.0, math.inf),
+])
+def test_region_inclusion_rejects_bad_parameters(beta, c, aperture):
+    # the other bad beta and c values are CLI cases in test_config_cli.py
+    with pytest.raises(ParameterError):
+        region_inclusion_check(_flat(), beta, c, 100, target_aperture=aperture)
 
 
 def _wavy_2d(rng, levels=4, extent=2.7):

@@ -13,7 +13,7 @@ from fatou_lab.grid import GridFunction, fft_convolve, from_callable, lp_norm, \
     make_grid, window_halfwidth
 from fatou_lab.maximal import (ApproachRegionSpec, composite_max,
                                dilated_mitigated_max, fractional_power_max,
-                               hl_max_q, mitigated_max, tangential_argmax,
+                               mitigated_max, tangential_argmax,
                                tangential_max, window_extreme)
 from fatou_lab.potentials import bessel_smooth
 from reference import region_contains

@@ -7,8 +7,8 @@ import pytest
 from fatou_lab import _kernels
 from fatou_lab.errors import ParameterError
 from fatou_lab.extension import poisson_extend
-from fatou_lab.grid import (GridFunction, ball_mean_all_centers, fft_convolve,
-                            from_callable, lp_norm, make_grid)
+from fatou_lab.grid import (GridFunction, fft_convolve, from_callable, lp_norm,
+                            make_grid)
 from fatou_lab.kernels import KernelSpec
 from fatou_lab.maximal import hl_max_q
 from fatou_lab.potentials import (bessel_smooth, dyadic_scales, multi_indices,
