@@ -17,5 +17,6 @@ class NumericError(ArithmeticError):
     """A numerical routine failed to converge or is ill-conditioned."""
 
 
-class CoverageError(RuntimeError):
-    """A sampled approach region contains no sample points."""
+class CoverageError(ParameterError):
+    """A sampled approach region contains no sample points: the heights,
+    t_max or dilation leave too few slices to scan."""

@@ -290,8 +290,8 @@ def boundary_tangential_max(graph: LipschitzGraph, f: GridFunction,
                             ) -> GridFunction:
     """Flattened localization bound: annuli surrogate of the chart pullback,
     swept by the tangential maximal operator at aperture 1 + c."""
-    if c <= 0:
-        raise ParameterError(f"c must be positive, got {c}")
+    if not (math.isfinite(c) and c > 0.0):
+        raise ParameterError(f"c must be finite and positive, got {c}")
     heights = dyadic_heights(1.0, grid=f.grid)
     w = annuli_surrogate(f, heights, params.alpha_L, params.p0, params.J)
     spec = ApproachRegionSpec(beta=beta, aperture=1.0 + c, t_max=heights[0])

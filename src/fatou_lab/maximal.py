@@ -18,6 +18,7 @@ Operators read fields without mutating them, and the scan order per
 output point is fixed, so results are independent of execution layout.
 """
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,7 +35,9 @@ from .potentials import dyadic_scales, sharp_maximal
 
 @dataclass(frozen=True)
 class ApproachRegionSpec:
-    """Region law: lateral radius aperture*t^beta for t <= 1, aperture*t above."""
+    """Region law: lateral radius aperture*t^beta for t <= 1, aperture*t above.
+
+    Heights above t_max are not scanned; t_max = inf means no cap."""
 
     beta: float
     aperture: float = 1.0
@@ -43,8 +46,11 @@ class ApproachRegionSpec:
     def __post_init__(self):
         if not (0.0 < self.beta <= 1.0):
             raise ParameterError(f"beta must lie in (0, 1], got {self.beta}")
-        if self.aperture <= 0:
-            raise ParameterError(f"aperture must be positive, got {self.aperture}")
+        if not (0.0 < self.aperture < math.inf):
+            raise ParameterError(
+                f"aperture must be positive and finite, got {self.aperture}")
+        if not self.t_max > 0.0:
+            raise ParameterError(f"t_max must be positive, got {self.t_max}")
 
     def radius(self, t: float) -> float:
         return self.aperture * (t ** self.beta if t <= 1.0 else t)

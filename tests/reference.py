@@ -5,18 +5,22 @@ by faster routes: torus distances and ball averages over explicit index
 sets, kernels sampled on the grid (with image sums and cell averages
 near the singularity) for checking spectral multipliers by spatial
 convolution, Fourier symbols, membership tests for the half-space and
-domain approach regions, and the inclusion sampler with every distance
-computed.  No runner uses them.
+domain approach regions, the inclusion sampler with every distance
+computed, and the annuli surrogate with one ball mean per (height,
+annulus) pair.  No runner uses them.
 """
 
 import math
+from types import MappingProxyType
 
 import numpy as np
 from scipy.integrate import quad
 from scipy.special import kv
 
 from fatou_lab.errors import ParameterError, SingularityError
-from fatou_lab.grid import Grid, GridFunction, nearest_index, wrapped_abs_delta
+from fatou_lab.extension import HalfSpaceField
+from fatou_lab.grid import (Grid, GridFunction, ball_mean_all_centers,
+                            nearest_index, wrapped_abs_delta)
 from fatou_lab.kernels import (_POISSON_C, KernelSpec, _norm_sq,
                                _series_prefactor, bessel_kernel, riesz_constant)
 from fatou_lab.lipschitz import (BoundaryPoint, InclusionReport, LipschitzGraph,
@@ -346,3 +350,29 @@ def region_inclusion_full_scan(graph: LipschitzGraph, beta: float, c: float,
             witnesses.append((float(q0x[b]), float(t[b]), float(x[b])))
     return InclusionReport(checked=checked, violations=violations,
                            witnesses=tuple(witnesses))
+
+
+def annuli_surrogate_per_pair(f: GridFunction, heights, alpha_L: float,
+                              r: float, J: int) -> HalfSpaceField:
+    """extension.annuli_surrogate with its ball mean recomputed for every
+    (height, annulus) pair, each height summed over j in its own loop."""
+    if not (0.0 < alpha_L <= 1.0):
+        raise ParameterError(f"alpha_L must lie in (0, 1], got {alpha_L}")
+    if r < 1.0:
+        raise ParameterError(f"r must be >= 1, got {r}")
+    if J < 1:
+        raise ParameterError(f"J must be >= 1, got {J}")
+    g = f.grid
+    hts = tuple(float(t) for t in heights)
+    cap = g.extent / 4.0
+    weights = 2.0 ** (-alpha_L * np.arange(J + 1))
+    vals = np.zeros((len(hts), g.size))
+    for k, t in enumerate(hts):
+        acc = np.zeros(g.size)
+        for j in range(J + 1):
+            rad = min(2.0 ** (j + 1) * t, cap)
+            acc += weights[j] * ball_mean_all_centers(f, rad, r)
+        vals[k] = acc
+    tail = 2.0 ** (-alpha_L * J) / (1.0 - 2.0 ** (-alpha_L)) * float(
+        np.max(np.abs(f.samples)))
+    return HalfSpaceField(g, hts, vals, MappingProxyType({"tail_bound": tail}))

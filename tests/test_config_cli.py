@@ -5,6 +5,7 @@ import sys
 import numpy as np
 import pytest
 
+from fatou_lab import extension
 from fatou_lab.cli import main
 from fatou_lab.config import (EXPERIMENTS, ExperimentConfig, config_hash, load,
                               parse, serialize, validate)
@@ -350,6 +351,80 @@ def test_cli_divset_and_boundary_max(tmp_path, capsys):
     assert main(["lipschitz", "boundary-max", "--profile", str(ppath),
                  "--in", str(src), "--beta", "0.5", "--c", "1.0",
                  "--J", "8", "--out", str(out)]) == 0
+
+
+def _cosine_field(tmp_path):
+    """(grid function path, Poisson field path) of cos(2 pi x) at level 8."""
+    src = tmp_path / "f.flgf"
+    save_grid_function(src, from_callable(make_grid(1, 8, 1.0),
+                                          lambda x: np.cos(2 * np.pi * x)))
+    field = tmp_path / "u.flhf"
+    assert main(["extend", "--kind", "poisson", "--heights", "1.0,10",
+                 "--in", str(src), "--out", str(field)]) == 0
+    return src, field
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_cli_non_finite_region_parameters_exit_2(tmp_path, capsys, value):
+    src, field = _cosine_field(tmp_path)
+    out = tmp_path / "out.csv"
+    assert main(["maxfn", "--op", "tangential", "--in", str(field),
+                 "--out", str(out), "--aperture", value]) == 2
+    assert main(["fractal", "divset", "--in", str(field), "--ref", str(src),
+                 "--out", str(out), "--aperture", value]) == 2
+    assert capsys.readouterr().err.count(
+        f"error: aperture must be positive and finite, got {value}") == 2
+    ppath = tmp_path / "prof.flgf"
+    save_lipschitz_graph(ppath, lipschitz_graph(from_callable(
+        make_grid(1, 8, 1.0), np.zeros_like)))
+    assert main(["lipschitz", "boundary-max", "--profile", str(ppath),
+                 "--in", str(src), "--out", str(out), "--c", value]) == 2
+    assert capsys.readouterr().err == (
+        f"error: c must be finite and positive, got {value}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("t_max, message", [
+    ("1e-9", "fewer than 2 field heights at or below t_max=1e-09"),
+    ("-1", "t_max must be positive, got -1.0"),
+    ("nan", "t_max must be positive, got nan"),
+])
+def test_cli_uncovered_region_exits_2(tmp_path, capsys, t_max, message):
+    _, field = _cosine_field(tmp_path)
+    assert main(["maxfn", "--op", "tangential", "--in", str(field),
+                 "--out", str(tmp_path / "nt.csv"), f"--t-max={t_max}"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
+def test_cli_coverage_error_prints_no_traceback(tmp_path):
+    _, field = _cosine_field(tmp_path)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run(
+        [sys.executable, "-m", "fatou_lab", "maxfn", "--op", "tangential",
+         "--in", str(field), "--out", str(tmp_path / "nt.csv"),
+         "--t-max", "1e-9"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: fewer than 2 field heights")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("kind", ["poisson", "surrogate"])
+@pytest.mark.parametrize("heights, message", [
+    ("nan,5", "positive and finite"), ("0,5", "strictly decreasing")])
+def test_cli_extend_checks_heights_first(tmp_path, capsys, monkeypatch, kind,
+                                         heights, message):
+    def no_ball_mean(*args):
+        raise AssertionError("ball mean computed before the height check")
+
+    monkeypatch.setattr(extension, "ball_mean_all_centers", no_ball_mean)
+    src = tmp_path / "f.flgf"
+    save_grid_function(src, from_callable(make_grid(1, 6, 1.0), np.cos))
+    out = tmp_path / "w.flhf"
+    assert main(["extend", "--kind", kind, "--heights", heights,
+                 "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: heights must be {message}\n"
+    assert not out.exists()
 
 
 def test_cli_verify_exit_codes(tmp_path):

@@ -7,13 +7,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fatou_lab import extension
 from fatou_lab.errors import ParameterError
 from fatou_lab.extension import (HalfSpaceField, annuli_surrogate, dyadic_heights,
                                  load_half_space_field, poisson_extend,
                                  save_half_space_field)
 from fatou_lab.grid import (GridFunction, fft_convolve, from_callable, make_grid)
 from fatou_lab.kernels import KernelSpec, poisson_kernel
-from reference import sampled_kernel
+from reference import annuli_surrogate_per_pair, sampled_kernel
 
 
 def test_heights_validation(rng):
@@ -163,6 +164,73 @@ def test_annuli_parameter_errors(rng):
         annuli_surrogate(f, (0.1,), 0.5, 0.5, 5)
     with pytest.raises(ParameterError):
         annuli_surrogate(f, (0.1,), 0.5, 1.5, 0)
+
+
+def _ladders(grid):
+    """The default dyadic ladder, one from t0 = 0.3, and one of ratio 0.9."""
+    count = grid.levels + 2
+    return {"dyadic 1": dyadic_heights(1.0, count=count),
+            "dyadic 0.3": dyadic_heights(0.3, count=count),
+            "0.9^k": tuple(0.9 ** k for k in range(count + 1))}
+
+
+@pytest.mark.parametrize("dim, levels", [(1, 8), (1, 9), (1, 10), (1, 11),
+                                         (1, 12), (2, 5)])
+def test_annuli_matches_per_pair_loop(dim, levels):
+    # sharing one ball mean per distinct radius changes no bit
+    g = make_grid(dim, levels, 1.0)
+    f = GridFunction(g, np.abs(np.random.default_rng(levels).normal(size=g.size)))
+    for hts in _ladders(g).values():
+        for J in (1, 3, 20):
+            for r in (1.0, 1.5, 2.0):
+                got = annuli_surrogate(f, hts, 0.5, r, J)
+                want = annuli_surrogate_per_pair(f, hts, 0.5, r, J)
+                np.testing.assert_array_equal(got.values, want.values)
+                assert got.meta["tail_bound"] == want.meta["tail_bound"]
+
+
+def test_annuli_one_ball_mean_per_distinct_radius(rng, monkeypatch):
+    g = make_grid(1, 10, 1.0)
+    f = GridFunction(g, np.abs(rng.normal(size=g.size)))
+    radii = []
+    real = extension.ball_mean_all_centers
+
+    def spy(f, radius, q=1.0):
+        radii.append(radius)
+        return real(f, radius, q)
+
+    monkeypatch.setattr(extension, "ball_mean_all_centers", spy)
+    J = 20
+    for name, hts in _ladders(g).items():
+        radii.clear()
+        annuli_surrogate(f, hts, 0.5, 1.5, J)
+        distinct = {min(2.0 ** (j + 1) * t, g.extent / 4.0)
+                    for t in hts for j in range(J + 1)}
+        assert radii == sorted(distinct), name
+    # the default ladder has levels + 3 heights, and its radii 2^-m are
+    # capped at extent/4: levels distinct radii for (levels + 3)(J + 1) pairs
+    for levels, pairs in ((8, 231), (10, 273), (12, 315)):
+        grid = make_grid(1, levels, 1.0)
+        hts = dyadic_heights(1.0, grid=grid)
+        radii.clear()
+        annuli_surrogate(GridFunction(grid, np.ones(grid.size)), hts, 0.5,
+                         1.5, J)
+        assert len(hts) * (J + 1) == pairs
+        assert len(radii) == levels
+
+
+@pytest.mark.parametrize("heights", [(math.nan, 0.5), (0.0,),
+                                     (0.5, 0.5), (math.inf, 1.0)])
+def test_annuli_checks_heights_before_any_ball_mean(rng, monkeypatch, heights):
+    g = make_grid(1, 6, 1.0)
+    f = GridFunction(g, np.abs(rng.normal(size=g.size)))
+
+    def no_ball_mean(*args):
+        raise AssertionError("ball mean computed before the height check")
+
+    monkeypatch.setattr(extension, "ball_mean_all_centers", no_ball_mean)
+    with pytest.raises(ParameterError, match="heights must be"):
+        annuli_surrogate(f, heights, 0.5, 1.5, 5)
 
 
 def test_domination_transfer(rng):

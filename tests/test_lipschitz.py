@@ -338,6 +338,14 @@ def test_boundary_tangential_max_flat_regression(rng):
                                           params).samples).max() == 0.0
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
+def test_boundary_tangential_max_rejects_bad_c(c):
+    flat = _flat(6)
+    f = GridFunction(flat.phi.grid, np.ones(flat.phi.grid.size))
+    with pytest.raises(ParameterError, match="c must be finite and positive"):
+        boundary_tangential_max(flat, f, 0.5, c)
+
+
 def test_boundary_max_band(rng):
     # scaled-down version of the boundary maximal bound band
     s, p, beta, c = 0.25, 2.0, 0.5, 0.5

@@ -35,6 +35,24 @@ def test_region_contains_examples():
         ApproachRegionSpec(beta=0.5, aperture=0.0)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"aperture": math.nan}, {"aperture": math.inf}, {"aperture": -1.0},
+    {"t_max": math.nan}, {"t_max": 0.0}, {"t_max": -1.0}, {"t_max": -math.inf},
+])
+def test_region_spec_rejects_non_finite_and_non_positive(kwargs):
+    with pytest.raises(ParameterError):
+        ApproachRegionSpec(beta=0.5, **kwargs)
+
+
+def test_region_spec_infinite_t_max_scans_every_height(rng):
+    g = make_grid(1, 6, 1.0)
+    u = poisson_extend(GridFunction(g, rng.normal(size=g.size)),
+                       (8.0, 4.0, 2.0, 1.0, 0.5))
+    out = tangential_max(u, ApproachRegionSpec(beta=0.5, t_max=math.inf))
+    capped = tangential_max(u, ApproachRegionSpec(beta=0.5, t_max=8.0))
+    np.testing.assert_array_equal(out.samples, capped.samples)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.floats(0.05, 1.0), st.floats(0.05, 1.0), st.floats(1e-3, 0.999),
        st.floats(-0.45, 0.45))
@@ -212,6 +230,8 @@ def test_tangential_coverage_error(rng):
     u = poisson_extend(f, (4.0, 2.0))
     with pytest.raises(CoverageError):
         tangential_max(u, ApproachRegionSpec(beta=0.5, t_max=1.0))
+    # too few heights under t_max is a usage error, exit code 2 in the CLI
+    assert issubclass(CoverageError, ParameterError)
 
 
 def test_mitigated_max_reduces_to_tangential_at_beta_one(rng):
