@@ -13,24 +13,29 @@ from dataclasses import dataclass, fields
 from .errors import ParameterError
 from .grid import MAX_LEVELS
 
-EXPERIMENTS = (
-    "nagel-stein-bound",
-    "dorronsoro-bound",
-    "divergence-dimension",
-    "frostman-lemma",
-    "commute-lemma",
-    "poincare",
-    "corkscrew-geometry",
-    "inclusion-lemma",
-    "boundary-max",
-    "kernel-identities",
-    "poisson-exactness",
-    "j-uniformity",
-    "boxdim-calibration",
-)
+# The keys each runner reads besides experiment and output_dir; every
+# other key must keep its default.  "key:1" marks a list of which the
+# runner uses one entry (the largest level, the first seed), "levels:2"
+# only the smallest and largest level.  dim is listed only where the
+# runner honours dim = 2.
+_READS = {
+    "nagel-stein-bound": "levels extent p alpha beta aperture seeds",
+    "dorronsoro-bound": "levels extent p alpha beta aperture seeds",
+    "divergence-dimension": "levels:2 extent p alpha beta beta_prime aperture "
+                            "eps window seeds:1",
+    "frostman-lemma": "levels:1 extent p alpha s_values depths seeds",
+    "commute-lemma": "dim levels:1 extent seeds",
+    "poincare": "levels extent s_values seeds",
+    "corkscrew-geometry": "levels:1 extent m_values seeds:1",
+    "inclusion-lemma": "levels:1 extent p alpha beta c seeds:1",
+    "boundary-max": "levels extent p alpha beta c alpha_L p0 J seeds",
+    "kernel-identities": "",
+    "poisson-exactness": "dim levels:1 extent",
+    "j-uniformity": "levels:1 extent p alpha beta r seeds",
+    "boxdim-calibration": "levels:1 extent window",
+}
 
-# the experiments whose runners honour dim = 2; the rest run in 1-D only
-_PLANAR = ("commute-lemma", "poisson-exactness")
+EXPERIMENTS = tuple(_READS)
 
 
 @dataclass(frozen=True)
@@ -74,14 +79,30 @@ def _require(cond: bool, message: str) -> None:
         raise ParameterError(message)
 
 
+def reads(experiment: str) -> dict:
+    """Key -> how many of its entries the runner uses (None: all), for each
+    key the experiment's runner reads."""
+    return {key: int(most) if most else None for key, _, most in
+            (word.partition(":") for word in _READS[experiment].split())}
+
+
 def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     """Check the constraints of the selected experiment; return cfg."""
-    _require(cfg.experiment in EXPERIMENTS,
-             f"unknown experiment {cfg.experiment!r}; choose from {EXPERIMENTS}")
+    name = cfg.experiment
+    _require(name in EXPERIMENTS,
+             f"unknown experiment {name!r}; choose from {EXPERIMENTS}")
+    read = reads(name)
+    unread = [f"{f.name!r} (keep the default {f.default!r})"
+              for f in fields(cfg)
+              if f.name not in read and f.name not in ("experiment", "output_dir")
+              and getattr(cfg, f.name) != f.default]
+    _require(not unread, f"{name} does not read {', '.join(unread)}")
+    for key, most in read.items():
+        if most is not None:
+            _require(len(getattr(cfg, key)) <= most,
+                     f"{name} reads at most {most} of {key!r}, got "
+                     f"{list(getattr(cfg, key))}")
     _require(cfg.dim in (1, 2), "dim must be 1 or 2")
-    _require(cfg.dim == 1 or cfg.experiment in _PLANAR,
-             f"{cfg.experiment} runs in one dimension only; dim = 2 is "
-             f"supported by {' and '.join(_PLANAR)}")
     max_level = MAX_LEVELS[cfg.dim]
     _require(len(cfg.levels) >= 1
              and all(2 <= m <= max_level for m in cfg.levels),
@@ -90,21 +111,29 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
     _require(cfg.extent > 0, "extent must be positive")
     _require(cfg.p > 1, "p must exceed 1")
     _require(len(cfg.seeds) >= 1, "need at least one seed")
-    name = cfg.experiment
-    if name in ("nagel-stein-bound", "dorronsoro-bound", "divergence-dimension",
-                "frostman-lemma", "poincare", "j-uniformity"):
+    if "alpha" in read:
         _require(cfg.alpha > 0, "alpha must be positive")
         _require(cfg.alpha * cfg.p <= cfg.dim, "alpha p <= n required")
+    beta = cfg.derived_beta()
+    if "beta" in read:
+        _require(0.0 < beta <= 1.0, f"beta = {beta} must lie in (0, 1]")
+    if "r" in read:
+        r = cfg.derived_r()
+        _require(1.0 < r < cfg.p, f"1 < r < p required, got r={r}, p={cfg.p}")
+    if "c" in read:
+        _require(cfg.c > 0, "c must be positive")
+    # the annuli surrogate's preconditions, named by config key
+    if "p0" in read:
+        _require(cfg.derived_p0() >= 1, f"p0 = {cfg.derived_p0()} must be >= 1")
+    if "alpha_L" in read:
+        _require(0.0 < cfg.alpha_L <= 1.0,
+                 f"alpha_L = {cfg.alpha_L} must lie in (0, 1]")
+    if "J" in read:
+        _require(cfg.J >= 1, f"J = {cfg.J} must be >= 1")
     if name == "nagel-stein-bound":
         _require(cfg.levels[-1] + 6 <= 24,
                  f"nagel-stein-bound probes an extended control at level "
                  f"levels[-1] + 6 = {cfg.levels[-1] + 6}, above the limit 24")
-    beta = cfg.derived_beta()
-    _require(0.0 < beta <= 1.0, f"beta = {beta} must lie in (0, 1]")
-    r = cfg.derived_r()
-    if name in ("nagel-stein-bound", "boundary-max", "divergence-dimension",
-                "j-uniformity"):
-        _require(1.0 < r < cfg.p, f"1 < r < p required, got r={r}, p={cfg.p}")
     if name == "frostman-lemma":
         floor = cfg.dim - cfg.alpha * cfg.p
         _require(len(cfg.s_values) >= 1, "frostman-lemma needs s_values")
@@ -119,21 +148,12 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                  "scale window must fit the finest grid")
     if name == "corkscrew-geometry":
         _require(len(cfg.m_values) >= 1, "corkscrew-geometry needs m_values")
-    if name in ("inclusion-lemma", "boundary-max"):
-        _require(cfg.c > 0, "c must be positive")
-    if name == "boundary-max":
-        # the annuli surrogate's preconditions, named by config key
-        _require(cfg.derived_p0() >= 1, f"p0 = {cfg.derived_p0()} must be >= 1")
-        _require(0.0 < cfg.alpha_L <= 1.0,
-                 f"alpha_L = {cfg.alpha_L} must lie in (0, 1]")
-        _require(cfg.J >= 1, f"J = {cfg.J} must be >= 1")
     return cfg
 
 
 _TUPLE_FIELDS = {"levels": int, "beta_prime": float, "s_values": float,
                  "depths": int, "window": int, "m_values": float,
                  "seeds": int}
-_OPTIONAL_FLOATS = ("beta", "r", "p0")
 
 
 def serialize(cfg: ExperimentConfig) -> str:

@@ -9,8 +9,6 @@ band on data engineered to break the hypothesis.
 """
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -31,23 +29,6 @@ from .maximal import ApproachRegionSpec, dilated_mitigated_max, hl_max_q, \
 from .potentials import bessel_smooth, dyadic_scales, sharp_maximal
 from .report import RunReport
 from .rng import stream, substream
-
-
-def thread_count() -> int:
-    raw = os.environ.get("FATOU_LAB_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
-def _map_seeds(fn, seeds):
-    """Apply fn to each seed, optionally on a thread pool; order preserved."""
-    workers = min(thread_count(), len(seeds))
-    if workers <= 1:
-        return [fn(s) for s in seeds]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, seeds))
 
 
 def _band(values) -> tuple:
@@ -169,7 +150,7 @@ def _run_commute_lemma(cfg: ExperimentConfig) -> RunReport:
             out.append((q, int(np.sum(gap > 1e-8)), float(gap.max())))
         return out
 
-    for seed, rows in zip(cfg.seeds, _map_seeds(one, cfg.seeds)):
+    for seed, rows in zip(cfg.seeds, map(one, cfg.seeds)):
         for q, viol, gap in rows:
             rep.add_row(max(cfg.levels), seed, f"violations_q{q}", viol)
             total_viol += viol
@@ -213,7 +194,7 @@ def _run_poincare(cfg: ExperimentConfig) -> RunReport:
                 den = d ** alpha * (mg.samples[i] + mg.samples[j])
                 return float(np.max(num / den))
 
-            for seed, c in zip(cfg.seeds, _map_seeds(one, cfg.seeds)):
+            for seed, c in zip(cfg.seeds, map(one, cfg.seeds)):
                 rep.add_row(level, seed, f"poincare_C_a{alpha}", c)
                 consts.append(c)
         lo, hi, band = _band(consts)
@@ -247,9 +228,8 @@ def _run_nagel_stein(cfg: ExperimentConfig) -> RunReport:
     beta = cfg.derived_beta()
     ratios = []
     for level in cfg.levels:
-        vals = _map_seeds(lambda s: _ns_ratio(level, s, cfg, beta, "noise"),
-                          cfg.seeds)
-        for seed, v in zip(cfg.seeds, vals):
+        for seed in cfg.seeds:
+            v = _ns_ratio(level, seed, cfg, beta, "noise")
             rep.add_row(level, seed, "ratio", v)
             ratios.append(v)
     lo, hi, band = _band(ratios)
@@ -313,7 +293,7 @@ def _run_j_uniformity(cfg: ExperimentConfig) -> RunReport:
 
     ok = True
     worst = 1.0
-    for seed, ratios in zip(cfg.seeds, _map_seeds(one, cfg.seeds)):
+    for seed, ratios in zip(cfg.seeds, map(one, cfg.seeds)):
         for j, v in enumerate(ratios):
             rep.add_row(level, seed, f"ratio_j{j}", v)
         _, _, band = _band(ratios)
@@ -346,7 +326,7 @@ def _run_frostman(cfg: ExperimentConfig) -> RunReport:
                 f = bessel_smooth(g, cfg.alpha)
                 return integrate_against(f, mu) / lp_norm(g, cfg.p)
 
-            for seed, v in zip(cfg.seeds, _map_seeds(one, cfg.seeds)):
+            for seed, v in zip(cfg.seeds, map(one, cfg.seeds)):
                 rep.add_row(depth, seed, f"ratio_s{s}", v)
                 ratios.append(v)
         lo, hi, band = _band(ratios)
@@ -478,7 +458,7 @@ def _run_inclusion(cfg: ExperimentConfig) -> RunReport:
     rep = _new_report(cfg)
     level = max(cfg.levels)
     grid = make_grid(1, level, cfg.extent)
-    beta = cfg.derived_beta() if cfg.beta is not None else 0.5
+    beta = cfg.derived_beta()
     samples = 100_000
     profiles = [("flat", from_callable(grid, lambda x: np.zeros_like(x)))]
     for M in (0.5, 1.0, 2.0):
@@ -535,7 +515,7 @@ def _run_boundary_max(cfg: ExperimentConfig) -> RunReport:
             return (lp_norm_sigma(graph, btm, cfg.p)
                     / boundary_seminorm(graph, f, s, cfg.p))
 
-        for seed, v in zip(cfg.seeds, _map_seeds(one, cfg.seeds)):
+        for seed, v in zip(cfg.seeds, map(one, cfg.seeds)):
             rep.add_row(level, seed, "ratio", v)
             ratios.append(v)
     lo, hi, band = _band(ratios)
@@ -599,7 +579,7 @@ def _run_dorronsoro(cfg: ExperimentConfig) -> RunReport:
             den = lp_norm(f, cfg.p) + lp_norm(sharp, cfg.p)
             return num / den
 
-        for seed, v in zip(cfg.seeds, _map_seeds(one, cfg.seeds)):
+        for seed, v in zip(cfg.seeds, map(one, cfg.seeds)):
             rep.add_row(level, seed, "ratio", v)
             ratios.append(v)
     lo, hi, band = _band(ratios)

@@ -85,16 +85,14 @@ def window_extreme(values: np.ndarray, grid: Grid, radius: float,
     return out.reshape(-1)
 
 
-def _coverage_check(heights, grid: Grid, spec: ApproachRegionSpec) -> list:
+def _coverage_check(heights, spec: ApproachRegionSpec) -> list:
     """Indices of the heights at or below spec.t_max; at least two."""
     usable = [k for k, t in enumerate(heights)
               if t <= spec.t_max * (1.0 + 1e-12)]
     if len(usable) < 2:
-        t_ref = min(heights)
-        a_min = grid.h / (t_ref ** spec.beta if t_ref <= 1 else t_ref)
         raise CoverageError(
             f"fewer than 2 field heights at or below t_max={spec.t_max}; "
-            f"smallest aperture with a lateral sample at t={t_ref} is {a_min:.4g}")
+            f"the lowest is {min(heights)}: raise t_max or add lower heights")
     return usable
 
 
@@ -112,7 +110,7 @@ def _region_sweep(grid: Grid, scan) -> GridFunction:
 def tangential_max(u: HalfSpaceField, spec: ApproachRegionSpec) -> GridFunction:
     """sup over sampled region points of |u|, per boundary point."""
     return _region_sweep(u.grid, [(u.values[k], spec.radius(u.heights[k]), 1.0)
-                                  for k in _coverage_check(u.heights, u.grid, spec)])
+                                  for k in _coverage_check(u.heights, spec)])
 
 
 def poisson_tangential_max(f: GridFunction, heights,
@@ -121,7 +119,7 @@ def poisson_tangential_max(f: GridFunction, heights,
     the field: each usable Poisson slice is computed, swept and dropped, and
     no slice above spec.t_max is transformed."""
     hts = checked_heights(heights)
-    usable = [hts[k] for k in _coverage_check(hts, f.grid, spec)]
+    usable = [hts[k] for k in _coverage_check(hts, spec)]
     slices = zip(usable, poisson_slices(f, usable))
     return _region_sweep(f.grid, ((check_finite(u), spec.radius(t), 1.0)
                                   for t, u in slices))
@@ -136,7 +134,7 @@ def tangential_argmax(u: HalfSpaceField, spec: ApproachRegionSpec):
     (|u| descending, flat index ascending), and a window min of the ranks
     picks that sample out.
     """
-    usable = _coverage_check(u.heights, u.grid, spec)
+    usable = _coverage_check(u.heights, spec)
     g = u.grid
     best = np.full(g.size, -np.inf)
     wit_k = np.zeros(g.size, dtype=int)
@@ -161,7 +159,7 @@ def mitigated_max(u: HalfSpaceField, p: float, beta: float) -> GridFunction:
     if p <= 0:
         raise ParameterError(f"p must be positive, got {p}")
     spec = ApproachRegionSpec(beta=beta, aperture=1.0, t_max=1.0)
-    usable = _coverage_check(u.heights, u.grid, spec)
+    usable = _coverage_check(u.heights, spec)
     expo = u.grid.dim * (1.0 - beta) / p
     return _region_sweep(u.grid, [(u.values[k], spec.radius(u.heights[k]),
                                    u.heights[k] ** expo) for k in usable])

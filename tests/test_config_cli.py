@@ -1,25 +1,27 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
-from fatou_lab import extension
+from fatou_lab import experiments, extension
 from fatou_lab.cli import main
 from fatou_lab.config import (EXPERIMENTS, ExperimentConfig, config_hash, load,
-                              parse, serialize, validate)
+                              parse, reads, serialize, validate)
 from fatou_lab.errors import ParameterError
-from fatou_lab.experiments import _RUNNERS, run_experiment
+from fatou_lab.experiments import _RUNNERS, acceptance_configs, run_experiment
 from fatou_lab.grid import (from_callable, grid_function_from_csv, make_grid,
                             save_grid_function)
 from fatou_lab.lipschitz import lipschitz_graph, save_lipschitz_graph
-from fatou_lab.report import emit_report
+from fatou_lab.report import RunReport, emit_report
 
 
 def test_config_round_trip():
     cfg = validate(ExperimentConfig(
-        experiment="frostman-lemma", levels=(10, 12), alpha=0.25, p=2.0,
+        experiment="frostman-lemma", levels=(12,), alpha=0.25, p=2.0,
         s_values=(0.6, 0.75, 0.9), depths=(12, 16), seeds=(0, 1, 2),
         output_dir="some/dir"))
     text = serialize(cfg)
@@ -33,7 +35,8 @@ def test_config_validation_messages():
     with pytest.raises(ParameterError, match="s > n-alpha\\*p required"):
         validate(ExperimentConfig(experiment="frostman-lemma", alpha=0.25,
                                   p=2.0, s_values=(0.4,), depths=(12,)))
-    with pytest.raises(ParameterError, match="1 < r < p"):
+    # nagel-stein-bound does not read r
+    with pytest.raises(ParameterError, match="'r'"):
         validate(ExperimentConfig(experiment="nagel-stein-bound", alpha=0.25,
                                   p=2.0, r=2.5))
     # j-uniformity is the runner that reads r, as the ball-mean power
@@ -85,7 +88,7 @@ def test_dim2_accepted_only_where_the_runner_honours_it():
         if name in ("commute-lemma", "poisson-exactness"):
             validate(cfg)
         else:
-            with pytest.raises(ParameterError, match="one dimension only"):
+            with pytest.raises(ParameterError, match="does not read 'dim'"):
                 validate(cfg)
     # make_grid caps dim 2 at 12 levels; validate says so up front
     with pytest.raises(ParameterError, match="\\[2, 12\\] for dim = 2"):
@@ -98,7 +101,7 @@ def test_cli_verify_dim2_configs(tmp_path, capsys):
     ns.write_text("[experiment]\nexperiment = nagel-stein-bound\ndim = 2\n"
                   "levels = 8\n")
     assert main(["verify", "--config", str(ns)]) == 2
-    assert "one dimension only" in capsys.readouterr().err
+    assert "does not read 'dim'" in capsys.readouterr().err
     cfg = validate(ExperimentConfig(experiment="poisson-exactness", dim=2,
                                     levels=(6,),
                                     output_dir=str(tmp_path / "rep")))
@@ -106,6 +109,135 @@ def test_cli_verify_dim2_configs(tmp_path, capsys):
     pe.write_text(serialize(cfg))
     assert main(["verify", "--config", str(pe)]) == 0
     assert "PASS  poisson eigenfunction exactness" in capsys.readouterr().out
+
+
+# one valid config per runner: the acceptance battery plus dorronsoro-bound
+_BASE = {cfg.experiment: cfg for cfg in acceptance_configs()}
+_BASE["dorronsoro-bound"] = ExperimentConfig(experiment="dorronsoro-bound",
+                                             levels=(8, 9), seeds=(0, 1))
+# a valid value other than the default, per settable key
+_OTHER = {"dim": 2, "levels": (8,), "extent": 2.0, "p": 3.0, "alpha": 0.2,
+          "beta": 0.7, "beta_prime": (0.9,), "aperture": 2.0, "c": 2.0,
+          "alpha_L": 0.25, "r": 1.2, "p0": 1.2, "J": 5, "s_values": (0.8,),
+          "depths": (4,), "eps": 0.05, "window": (3, 8), "m_values": (1.0,),
+          "seeds": (1,)}
+_UNREAD = [(name, key) for name in EXPERIMENTS for key in _OTHER
+           if key not in reads(name)]
+_COUNTED = [(name, key, most) for name in EXPERIMENTS
+            for key, most in reads(name).items() if most is not None]
+
+
+def test_settable_keys_are_the_config_fields():
+    defaults = {f.name: f.default for f in fields(ExperimentConfig)
+                if f.name not in ("experiment", "output_dir")}
+    assert set(_OTHER) == set(defaults)
+    assert all(_OTHER[key] != defaults[key] for key in defaults)
+    assert sorted(_BASE) == sorted(EXPERIMENTS)
+    assert sorted(c.experiment for c in _SMALL) == sorted(EXPERIMENTS)
+    for cfg in _BASE.values():
+        validate(cfg)
+    # 13 runners x 19 keys, less the 73 (runner, key) pairs that are read
+    assert len(_UNREAD) == 13 * 19 - 73
+
+
+@pytest.mark.parametrize("name, key", _UNREAD, ids="-".join)
+def test_unread_key_must_keep_its_default(name, key):
+    cfg = replace(_BASE[name], **{key: _OTHER[key]})
+    with pytest.raises(ParameterError, match=f"{name} does not read '{key}'"):
+        validate(cfg)
+
+
+@pytest.mark.parametrize("name, key, most", _COUNTED,
+                         ids=[f"{n}-{k}" for n, k, _ in _COUNTED])
+def test_runner_rejects_entries_it_does_not_use(name, key, most):
+    cfg = _BASE[name]
+    more = tuple(range(10, 11 + most))  # most + 1 levels or seeds
+    validate(replace(cfg, **{key: more[:most]}))
+    with pytest.raises(ParameterError,
+                       match=f"{name} reads at most {most} of '{key}'"):
+        validate(replace(cfg, **{key: more}))
+
+
+@pytest.mark.parametrize("lines, keys", [
+    ("experiment = corkscrew-geometry\nm_values = 1\nseeds = 0,1,2\n",
+     ["seeds"]),
+    ("experiment = corkscrew-geometry\nm_values = 1\nlevels = 6,8\n",
+     ["levels"]),
+    ("experiment = poincare\nalpha = -1\n", ["alpha"]),
+    ("experiment = nagel-stein-bound\nr = 5\n", ["r"]),
+    ("experiment = kernel-identities\nm_values = 3\nlevels = 20\n",
+     ["levels", "m_values"]),
+], ids=["corkscrew-seeds", "corkscrew-levels", "poincare-alpha",
+        "nagel-stein-r", "kernel-identities"])
+def test_cli_verify_rejects_keys_the_runner_ignores(tmp_path, capsys, lines,
+                                                    keys):
+    path = tmp_path / "probe.ini"
+    path.write_text("[experiment]\n" + lines)
+    assert main(["verify", "--config", str(path),
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    for key in keys:
+        assert f"'{key}'" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _fields_read(cfg: ExperimentConfig, monkeypatch) -> set:
+    """The config fields the runner of cfg reads, derived values included."""
+    seen = set()
+    names = {f.name for f in fields(cfg)}
+
+    class Recording(ExperimentConfig):
+        def __getattribute__(self, attr):
+            if attr in names:
+                seen.add(attr)
+            return super().__getattribute__(attr)
+
+    # the report header (hash and seeds) reads every field; leave it out
+    monkeypatch.setattr(experiments, "_new_report", lambda cfg: RunReport(
+        experiment="", config_hash="", seeds=(), version=""))
+    _RUNNERS[cfg.experiment](Recording(**{n: getattr(cfg, n) for n in names}))
+    return seen
+
+
+_SMALL = [
+    ExperimentConfig(experiment="kernel-identities"),
+    ExperimentConfig(experiment="poisson-exactness", levels=(6,)),
+    ExperimentConfig(experiment="commute-lemma", levels=(6,), seeds=(0, 1)),
+    ExperimentConfig(experiment="poincare", levels=(6, 7), s_values=(0.3,)),
+    ExperimentConfig(experiment="nagel-stein-bound", levels=(6, 7)),
+    ExperimentConfig(experiment="dorronsoro-bound", levels=(6, 7)),
+    # beta' = beta takes the limiting branch, 0.75 the box-counting one
+    ExperimentConfig(experiment="divergence-dimension", levels=(7, 9),
+                     beta_prime=(0.5, 0.75), window=(3, 7)),
+    ExperimentConfig(experiment="frostman-lemma", levels=(8,),
+                     s_values=(0.75,), depths=(6,)),
+    ExperimentConfig(experiment="corkscrew-geometry", levels=(8,),
+                     m_values=(1.0,)),
+    ExperimentConfig(experiment="inclusion-lemma", levels=(8,)),
+    ExperimentConfig(experiment="boundary-max", levels=(6, 7)),
+    ExperimentConfig(experiment="j-uniformity", levels=(7,)),
+    ExperimentConfig(experiment="boxdim-calibration", levels=(10,),
+                     window=(3, 8)),
+]
+
+
+@pytest.mark.parametrize("cfg", _SMALL, ids=lambda c: c.experiment)
+def test_reads_table_names_the_fields_each_runner_reads(cfg, monkeypatch):
+    read = _fields_read(validate(cfg), monkeypatch)
+    # dim is listed only where the runner honours dim = 2; the 1-D runners
+    # read it, pinned at 1, as the n of beta = 1 - alpha p / n
+    assert read - {"dim"} == set(reads(cfg.experiment)) - {"dim"}
+    if "dim" in reads(cfg.experiment):
+        assert "dim" in read
+
+
+def test_schema_lists_every_config_key():
+    schema = os.path.join(os.path.dirname(__file__), "..", "config-schema.ini")
+    with open(schema) as fh:
+        table = fh.read().split("# ---")[1].split("# Example")[0]
+    assert re.findall(r"^# (\w+) ", table, re.M) == [
+        f.name for f in fields(ExperimentConfig)]
 
 
 @pytest.mark.parametrize("line", ["levles = 12", "t_min = 0.0625"])
@@ -393,7 +525,10 @@ def test_cli_uncovered_region_exits_2(tmp_path, capsys, t_max, message):
     _, field = _cosine_field(tmp_path)
     assert main(["maxfn", "--op", "tangential", "--in", str(field),
                  "--out", str(tmp_path / "nt.csv"), f"--t-max={t_max}"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}")
+    # the remedy is a larger t_max or lower heights; aperture plays no part
+    assert "t_max" in err and "aperture" not in err
 
 
 def test_cli_coverage_error_prints_no_traceback(tmp_path):
@@ -515,17 +650,7 @@ def test_cli_verify_determinism(tmp_path):
             (tmp_path / "r2" / name).read_bytes()
 
 
-def test_thread_env_does_not_change_results(tmp_path, monkeypatch):
-    cfg = ExperimentConfig(experiment="commute-lemma", levels=(8,),
-                           seeds=(0, 1, 2, 3))
-    monkeypatch.setenv("FATOU_LAB_THREADS", "1")
-    rows1 = run_experiment(cfg).rows
-    monkeypatch.setenv("FATOU_LAB_THREADS", "4")
-    rows2 = run_experiment(cfg).rows
-    assert rows1 == rows2
-
-
-_THREAD_CONFIGS = [
+_MULTI_SEED_CONFIGS = [
     ExperimentConfig(experiment="poincare", levels=(8, 9), seeds=(0, 1, 2)),
     ExperimentConfig(experiment="nagel-stein-bound", levels=(8, 9),
                      seeds=(0, 1, 2)),
@@ -538,12 +663,12 @@ _THREAD_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("cfg", _THREAD_CONFIGS, ids=lambda c: c.experiment)
-def test_thread_count_does_not_change_reports(tmp_path, monkeypatch, cfg):
+@pytest.mark.parametrize("cfg", _MULTI_SEED_CONFIGS, ids=lambda c: c.experiment)
+def test_thread_count_does_not_change_reports(tmp_path, cfg):
+    # the runners loop over seeds serially, so two runs give the same bytes
     outputs = []
-    for threads in ("1", "2"):
-        monkeypatch.setenv("FATOU_LAB_THREADS", threads)
-        out = tmp_path / threads
+    for run in ("1", "2"):
+        out = tmp_path / run
         rep = run_experiment(validate(cfg))
         for fmt in ("csv", "svg", "text"):
             emit_report(rep, fmt, str(out))
