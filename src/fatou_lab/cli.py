@@ -2,18 +2,22 @@
 
 Subcommands: kernel-table, extend, maxfn, potential, fractal, lipschitz,
 verify (one experiment from a config), suite (the full acceptance
-battery).  Exit codes: 0 all checks passed, 1 a criterion failed,
-2 usage error.
+battery).  List flags take comma-separated numbers.  CSV tables are
+written by grid.write_csv_table, to stdout when kernel-table or fractal
+gets no --out.  Exit codes: 0 all checks passed, 1 a criterion failed,
+2 usage error: a malformed flag (argparse prints a usage line) or a
+parameter or input file rejected with ParameterError.
 """
 
 import argparse
 import csv
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from . import __version__
-from .config import EXPERIMENTS, ExperimentConfig, load, validate
+from .config import EXPERIMENTS, ExperimentConfig, load
 from .errors import ParameterError
 from .experiments import acceptance_configs, run_experiment
 from .extension import annuli_surrogate, dyadic_heights, load_half_space_field, \
@@ -21,14 +25,16 @@ from .extension import annuli_surrogate, dyadic_heights, load_half_space_field, 
 from .fractal import PointSet, box_dimension, cantor_measure, divergence_set, \
     frostman_constant
 from .grid import GridFunction, grid_function_from_csv, grid_function_to_csv, \
-    load_grid_function, make_grid, read_csv_table, save_grid_function
+    load_grid_function, make_grid, read_csv_table, save_grid_function, \
+    write_csv_table
 from .kernels import KernelSpec, bessel_kernel, poisson_kernel, riesz_kernel
-from .lipschitz import SurrogateParams, boundary_point, boundary_tangential_max, \
-    corkscrew, graph_distance, load_lipschitz_graph, region_inclusion_check, \
+from .lipschitz import boundary_point, boundary_tangential_max, corkscrew, \
+    graph_distance, load_lipschitz_graph, region_inclusion_check, \
     surface_ball_measure
 from .maximal import ApproachRegionSpec, composite_max, dilated_mitigated_max, \
     fractional_power_max, mitigated_max, tangential_argmax, tangential_max
-from .potentials import bessel_smooth, sharp_maximal, slobodeckij_seminorm
+from .potentials import bessel_smooth, dyadic_scales, sharp_maximal, \
+    slobodeckij_seminorm
 from .report import emit_report
 
 
@@ -46,17 +52,9 @@ def _write_gf(path: str, f: GridFunction) -> None:
 
 
 def _write_points(path: str, ps: PointSet) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        if ps.grid.dim == 1:
-            w.writerow(["x"])
-            for v in np.atleast_1d(ps.points):
-                w.writerow([format(float(v), ".17g")])
-        else:
-            w.writerow(["x0", "x1"])
-            for row in np.atleast_2d(ps.points):
-                w.writerow([format(float(row[0]), ".17g"),
-                            format(float(row[1]), ".17g")])
+    dim = ps.grid.dim
+    write_csv_table(path, ["x"] if dim == 1 else ["x0", "x1"],
+                    ps.points.reshape(-1, dim))
 
 
 def _read_points(path: str, grid) -> PointSet:
@@ -64,12 +62,24 @@ def _read_points(path: str, grid) -> PointSet:
     return PointSet(points=table[:, 0] if grid.dim == 1 else table, grid=grid)
 
 
-def _parse_heights(text: str) -> tuple:
-    try:
-        t0_str, k_str = text.split(",")
-        return float(t0_str), int(k_str)
-    except ValueError as exc:
-        raise ParameterError(f"--heights wants 't0,K', got {text!r}") from exc
+def _numbers(*kinds):
+    """argparse type for comma-separated numbers: one per kind in kinds,
+    or, given a single kind, one or more of it.  argparse turns a
+    malformed list into a usage error (exit 2)."""
+    names = ",".join(k.__name__ for k in kinds)
+    want = names if len(kinds) > 1 else f"{names}[,{names}...]"
+
+    def convert(text: str) -> tuple:
+        cells = text.split(",")
+        each = kinds * len(cells) if len(kinds) == 1 else kinds
+        if len(cells) == len(each):
+            try:
+                return tuple(kind(cell) for kind, cell in zip(each, cells))
+            except ValueError:
+                pass
+        raise argparse.ArgumentTypeError(f"expected {want}, got {text!r}")
+
+    return convert
 
 
 def _cmd_kernel_table(args) -> int:
@@ -98,28 +108,20 @@ def _cmd_kernel_table(args) -> int:
         else:
             v = riesz_kernel(args.n, args.alpha, x)
         out.append((r, v))
-    dest = open(args.out, "w", newline="") if args.out else sys.stdout
-    try:
-        if args.kind == "bessel":
-            # normalization provenance for cross-tool comparisons
-            dest.write("# c_alpha fixed by unit L1 mass, radial quadrature "
-                       "of the subordination integral\n")
-        elif args.kind == "riesz":
-            dest.write("# gamma_{alpha,n} = Gamma((n-alpha)/2) / "
-                       "(2^alpha pi^{n/2} Gamma(alpha/2))\n")
-        w = csv.writer(dest)
-        w.writerow(["r", "value"])
-        for r, v in out:
-            w.writerow([format(r, ".17g"), format(v, ".17g")])
-    finally:
-        if args.out:
-            dest.close()
+    # normalization provenance for cross-tool comparisons
+    preamble = {
+        "bessel": "# c_alpha fixed by unit L1 mass, radial quadrature "
+                  "of the subordination integral\n",
+        "riesz": "# gamma_{alpha,n} = Gamma((n-alpha)/2) / "
+                 "(2^alpha pi^{n/2} Gamma(alpha/2))\n",
+    }.get(args.kind, "")
+    write_csv_table(args.out, ["r", "value"], out, preamble)
     return 0
 
 
 def _cmd_extend(args) -> int:
     f = _read_gf(args.infile, args.extent)
-    t0, count = _parse_heights(args.heights)
+    t0, count = args.heights
     heights = dyadic_heights(t0, count=count)
     if args.kind == "poisson":
         u = poisson_extend(f, heights)
@@ -148,11 +150,8 @@ def _cmd_maxfn(args) -> int:
                 np.asarray(u.heights)[ks],
                 np.stack(np.unravel_index(flat, g.shape), 1) * g.h])
             axes = [""] if g.dim == 1 else ["_1", "_2"]
-            with open(args.argmax, "w", newline="") as fh:
-                w = csv.writer(fh)
-                w.writerow([f"x0{a}" for a in axes] + ["t_star"]
-                           + [f"x_star{a}" for a in axes])
-                w.writerows([format(v, ".17g") for v in row] for row in rows)
+            write_csv_table(args.argmax, [f"x0{a}" for a in axes] + ["t_star"]
+                            + [f"x_star{a}" for a in axes], rows)
         else:
             out = tangential_max(u, spec)
     elif args.op == "mitigated":
@@ -174,12 +173,7 @@ def _cmd_potential(args) -> int:
     if args.action == "smooth":
         _write_gf(args.out, bessel_smooth(f, args.alpha))
     elif args.action == "sharp":
-        if args.scales:
-            scales = [float(v) for v in args.scales.split(",")]
-        else:
-            from .potentials import dyadic_scales
-
-            scales = dyadic_scales(f.grid)
+        scales = args.scales or dyadic_scales(f.grid)
         _write_gf(args.out, sharp_maximal(f, args.alpha, scales))
     else:
         value = slobodeckij_seminorm(f, args.sigma, args.p)
@@ -201,17 +195,8 @@ def _cmd_fractal(args) -> int:
     if args.action == "boxdim":
         grid = make_grid(args.dim, args.levels, args.extent)
         ps = _read_points(args.infile, grid)
-        lo, hi = (int(v) for v in args.window.split(","))
-        bd = box_dimension(ps, (lo, hi))
-        dest = open(args.out, "w", newline="") if args.out else sys.stdout
-        try:
-            w = csv.writer(dest)
-            w.writerow(["scale", "count"])
-            for m, cnt in zip(bd.scales, bd.counts):
-                w.writerow([m, cnt])
-        finally:
-            if args.out:
-                dest.close()
+        bd = box_dimension(ps, args.window)
+        write_csv_table(args.out, ["scale", "count"], zip(bd.scales, bd.counts))
         print(f"slope: {bd.slope:.6g}  r2: {bd.r2:.6g}")
         return 0
     u = load_half_space_field(args.infile)
@@ -227,7 +212,7 @@ def _cmd_lipschitz(args) -> int:
     graph = load_lipschitz_graph(args.profile)
     if args.action == "corkscrew":
         pt = corkscrew(graph, args.x0, args.t)
-        print(f"corkscrew: {tuple(round(v, 12) for v in pt)}  "
+        print(f"corkscrew: {tuple(round(float(v), 12) for v in pt)}  "
               f"clearance: {graph_distance(graph, pt):.8g}")
         return 0
     if args.action == "inclusion":
@@ -244,23 +229,10 @@ def _cmd_lipschitz(args) -> int:
         print(format(surface_ball_measure(graph, q, args.radius), ".17g"))
         return 0
     f = _read_gf(args.infile, graph.phi.grid.extent)
-    params = SurrogateParams(alpha_L=args.alpha_L, p0=args.p0, J=args.J)
-    out = boundary_tangential_max(graph, f, args.beta, args.c, params)
+    out = boundary_tangential_max(graph, f, args.beta, args.c,
+                                  alpha_L=args.alpha_L, p0=args.p0, J=args.J)
     _write_gf(args.out, out)
     return 0
-
-
-def _apply_overrides(cfg: ExperimentConfig, args) -> ExperimentConfig:
-    from dataclasses import replace
-
-    updates = {}
-    if args.levels:
-        updates["levels"] = tuple(int(v) for v in args.levels.split(","))
-    if args.seeds:
-        updates["seeds"] = tuple(int(v) for v in args.seeds.split(","))
-    if args.output_dir:
-        updates["output_dir"] = args.output_dir
-    return validate(replace(cfg, **updates)) if updates else cfg
 
 
 def _emit_all(rep, output_dir: str) -> None:
@@ -272,14 +244,11 @@ def _cmd_verify(args) -> int:
     if args.config:
         cfg = load(args.config)
     elif args.experiment:
-        cfg = validate(ExperimentConfig(experiment=args.experiment))
+        cfg = ExperimentConfig(experiment=args.experiment)
     else:
         raise ParameterError("verify needs --config or --experiment")
-    if args.experiment:
-        from dataclasses import replace
-
-        cfg = validate(replace(cfg, experiment=args.experiment))
-    cfg = _apply_overrides(cfg, args)
+    cfg = replace(cfg, **{k: v for k, v in vars(args).items() if v and k in
+                          ("experiment", "levels", "seeds", "output_dir")})
     rep = run_experiment(cfg)
     _emit_all(rep, cfg.output_dir)
     for c in rep.criteria:
@@ -291,8 +260,6 @@ def _cmd_suite(args) -> int:
     failed = 0
     for cfg in acceptance_configs():
         if args.output_dir:
-            from dataclasses import replace
-
             cfg = replace(cfg, output_dir=args.output_dir)
         rep = run_experiment(cfg)
         _emit_all(rep, cfg.output_dir)
@@ -324,7 +291,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ex = sub.add_parser("extend", help="build a half-space field")
     ex.add_argument("--kind", required=True, choices=["poisson", "surrogate"])
-    ex.add_argument("--heights", required=True, metavar="t0,K")
+    ex.add_argument("--heights", required=True, metavar="t0,K",
+                    type=_numbers(float, int))
     ex.add_argument("--in", dest="infile", required=True)
     ex.add_argument("--out", required=True)
     ex.add_argument("--extent", type=float, default=1.0)
@@ -361,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
     po.add_argument("--alpha", type=float, default=1.0)
     po.add_argument("--p", type=float, default=2.0)
     po.add_argument("--sigma", type=float, default=0.5)
-    po.add_argument("--scales", default="")
+    po.add_argument("--scales", type=_numbers(float))
     po.add_argument("--extent", type=float, default=1.0)
     po.set_defaults(fn=_cmd_potential)
 
@@ -379,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     fr.add_argument("--aperture", type=float, default=1.0)
     fr.add_argument("--eps", type=float, default=0.02)
     fr.add_argument("--tmin", type=float, default=0.0625)
-    fr.add_argument("--window", default="4,10")
+    fr.add_argument("--window", type=_numbers(int, int), default=(4, 10),
+                    metavar="m_lo,m_hi")
     fr.set_defaults(fn=_cmd_fractal)
 
     li = sub.add_parser("lipschitz", help="graph-domain geometry")
@@ -404,8 +373,8 @@ def build_parser() -> argparse.ArgumentParser:
     ve = sub.add_parser("verify", help="run one experiment from a config")
     ve.add_argument("--config")
     ve.add_argument("--experiment", choices=list(EXPERIMENTS))
-    ve.add_argument("--levels")
-    ve.add_argument("--seeds")
+    ve.add_argument("--levels", type=_numbers(int))
+    ve.add_argument("--seeds", type=_numbers(int))
     ve.add_argument("--output-dir", dest="output_dir")
     ve.set_defaults(fn=_cmd_verify)
 

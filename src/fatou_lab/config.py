@@ -108,6 +108,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
              and all(2 <= m <= max_level for m in cfg.levels),
              f"levels must be a nonempty tuple within [2, {max_level}] "
              f"for dim = {cfg.dim}")
+    _require(all(a < b for a, b in zip(cfg.levels, cfg.levels[1:])),
+             f"levels must be strictly ascending, got {list(cfg.levels)}")
     _require(cfg.extent > 0, "extent must be positive")
     _require(cfg.p > 1, "p must exceed 1")
     _require(len(cfg.seeds) >= 1, "need at least one seed")

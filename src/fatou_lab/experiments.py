@@ -138,23 +138,18 @@ def _run_commute_lemma(cfg: ExperimentConfig) -> RunReport:
     total_viol = 0
     worst_gap = -np.inf
 
-    def one(seed):
+    for seed in cfg.seeds:
         kern = nonneg_noise(grid, seed, label=1)
         kern = GridFunction(grid, kern.samples / (kern.samples.sum() * grid.h))
         dens = nonneg_noise(grid, seed, label=2)
-        out = []
         for q in (1.0, 2.0):
             lhs = hl_max_q(fft_convolve(kern, dens), q)
             rhs = fft_convolve(kern, hl_max_q(dens, q))
             gap = lhs.samples - rhs.samples
-            out.append((q, int(np.sum(gap > 1e-8)), float(gap.max())))
-        return out
-
-    for seed, rows in zip(cfg.seeds, map(one, cfg.seeds)):
-        for q, viol, gap in rows:
+            viol = int(np.sum(gap > 1e-8))
             rep.add_row(max(cfg.levels), seed, f"violations_q{q}", viol)
             total_viol += viol
-            worst_gap = max(worst_gap, gap)
+            worst_gap = max(worst_gap, float(gap.max()))
     rep.stats["worst_gap"] = worst_gap
     rep.add_criterion(
         "maximal function commutes with convolution", total_viol == 0,
@@ -176,8 +171,7 @@ def _run_poincare(cfg: ExperimentConfig) -> RunReport:
         consts = []
         for level in cfg.levels:
             grid = make_grid(1, level, cfg.extent)
-
-            def one(seed, grid=grid, alpha=alpha):
+            for seed in cfg.seeds:
                 g = white_noise(grid, seed)
                 f = bessel_smooth(g, alpha)
                 mg = hl_max_q(g, 1.0)
@@ -192,9 +186,7 @@ def _run_poincare(cfg: ExperimentConfig) -> RunReport:
                 d = np.minimum(d, grid.extent - d)
                 num = np.abs(f.samples[i] - f.samples[j])
                 den = d ** alpha * (mg.samples[i] + mg.samples[j])
-                return float(np.max(num / den))
-
-            for seed, c in zip(cfg.seeds, map(one, cfg.seeds)):
+                c = float(np.max(num / den))
                 rep.add_row(level, seed, f"poincare_C_a{alpha}", c)
                 consts.append(c)
         lo, hi, band = _band(consts)
@@ -283,17 +275,15 @@ def _run_j_uniformity(cfg: ExperimentConfig) -> RunReport:
     q = cfg.derived_r()
     heights = dyadic_heights(1.0, grid=grid)
 
-    def one(seed):
-        f = white_noise(grid, seed)
-        vals = np.stack([ball_mean_all_centers(f, 2.0 * t, q) for t in heights])
-        v = HalfSpaceField._adopt(grid, heights, vals)
-        base = lp_norm(f, cfg.p)
-        return [lp_norm(dilated_mitigated_max(v, cfg.p, beta, j), cfg.p) / base
-                for j in range(9)]
-
     ok = True
     worst = 1.0
-    for seed, ratios in zip(cfg.seeds, map(one, cfg.seeds)):
+    for seed in cfg.seeds:
+        f = white_noise(grid, seed)
+        vals = np.stack([ball_mean_all_centers(f, 2.0 * t, q) for t in heights])
+        field = HalfSpaceField._adopt(grid, heights, vals)
+        base = lp_norm(f, cfg.p)
+        ratios = [lp_norm(dilated_mitigated_max(field, cfg.p, beta, j), cfg.p)
+                  / base for j in range(9)]
         for j, v in enumerate(ratios):
             rep.add_row(level, seed, f"ratio_j{j}", v)
         _, _, band = _band(ratios)
@@ -320,13 +310,10 @@ def _run_frostman(cfg: ExperimentConfig) -> RunReport:
         ratios = []
         for depth in cfg.depths:
             mu = cantor_measure(s, depth)
-
-            def one(seed, mu=mu):
+            for seed in cfg.seeds:
                 g = nonneg_noise(grid, seed)
                 f = bessel_smooth(g, cfg.alpha)
-                return integrate_against(f, mu) / lp_norm(g, cfg.p)
-
-            for seed, v in zip(cfg.seeds, map(one, cfg.seeds)):
+                v = integrate_against(f, mu) / lp_norm(g, cfg.p)
                 rep.add_row(depth, seed, f"ratio_s{s}", v)
                 ratios.append(v)
         lo, hi, band = _band(ratios)
@@ -370,7 +357,7 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
         if abs(bp - beta) <= 1e-12:
             rep.notes.append("limiting case covered by maximal bound")
             ratios = []
-            for lev in sorted({min(cfg.levels), max(cfg.levels)}):
+            for lev in cfg.levels:
                 ratios.append(_ns_ratio(lev, cfg.seeds[0], cfg, beta, "spike"))
                 rep.add_row(lev, cfg.seeds[0], "ratio_limiting", ratios[-1])
             _, _, band = _band(ratios)
@@ -501,21 +488,17 @@ def _run_boundary_max(cfg: ExperimentConfig) -> RunReport:
     rep = _new_report(cfg)
     s = cfg.alpha
     beta = cfg.derived_beta()
-    from .lipschitz import SurrogateParams
-
-    params = SurrogateParams(alpha_L=cfg.alpha_L, p0=cfg.derived_p0(), J=cfg.J)
     ratios = []
     for level in cfg.levels:
         grid = make_grid(1, level, cfg.extent)
         graph = lipschitz_graph(_sawtooth(grid, 1.0))
-
-        def one(seed, grid=grid, graph=graph):
+        for seed in cfg.seeds:
             f = bessel_smooth(white_noise(grid, seed), 2.0 * s)
-            btm = boundary_tangential_max(graph, f, beta, cfg.c, params)
-            return (lp_norm_sigma(graph, btm, cfg.p)
-                    / boundary_seminorm(graph, f, s, cfg.p))
-
-        for seed, v in zip(cfg.seeds, map(one, cfg.seeds)):
+            btm = boundary_tangential_max(graph, f, beta, cfg.c,
+                                          alpha_L=cfg.alpha_L,
+                                          p0=cfg.derived_p0(), J=cfg.J)
+            v = (lp_norm_sigma(graph, btm, cfg.p)
+                 / boundary_seminorm(graph, f, s, cfg.p))
             rep.add_row(level, seed, "ratio", v)
             ratios.append(v)
     lo, hi, band = _band(ratios)
@@ -567,8 +550,7 @@ def _run_dorronsoro(cfg: ExperimentConfig) -> RunReport:
     ratios = []
     for level in cfg.levels:
         grid = make_grid(1, level, cfg.extent)
-
-        def one(seed, grid=grid):
+        for seed in cfg.seeds:
             g = unit_l2(grid, white_noise(grid, seed))
             f = bessel_smooth(g, cfg.alpha)
             spec = ApproachRegionSpec(beta=beta, aperture=cfg.aperture,
@@ -576,10 +558,7 @@ def _run_dorronsoro(cfg: ExperimentConfig) -> RunReport:
             num = lp_norm(poisson_tangential_max(
                 f, dyadic_heights(1.0, grid=grid), spec), cfg.p)
             sharp = sharp_maximal(f, cfg.alpha, dyadic_scales(grid))
-            den = lp_norm(f, cfg.p) + lp_norm(sharp, cfg.p)
-            return num / den
-
-        for seed, v in zip(cfg.seeds, map(one, cfg.seeds)):
+            v = num / (lp_norm(f, cfg.p) + lp_norm(sharp, cfg.p))
             rep.add_row(level, seed, "ratio", v)
             ratios.append(v)
     lo, hi, band = _band(ratios)

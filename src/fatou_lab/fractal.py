@@ -179,8 +179,6 @@ def divergence_set(u: HalfSpaceField, f_ref: GridFunction,
     if not any(abs(t - t_min) <= 1e-12 * t_min for t in u.heights):
         raise ParameterError(f"t_min={t_min} is not among the field heights")
     scan = [k for k, t in enumerate(u.heights) if t <= t_min * (1.0 + 1e-12)]
-    if not scan:
-        raise ParameterError(f"t_min={t_min} is below the finest height")
     g = u.grid
     osc = np.zeros(g.size)
     for k in scan:

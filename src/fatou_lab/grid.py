@@ -10,10 +10,12 @@ Grids and grid functions are immutable once built and every operation is
 a pure function, so concurrent callers need no synchronization.
 """
 
+import contextlib
 import csv
 import functools
 import math
 import struct
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -258,18 +260,24 @@ def load_grid_function(path) -> GridFunction:
 def grid_function_to_csv(path, f: GridFunction) -> None:
     """CSV interop format: header then (index coords, value) rows."""
     g = f.grid
-    with open(path, "w", newline="") as fh:
+    index = np.unravel_index(np.arange(g.size), g.shape)
+    write_csv_table(path, ["i", "j"][:g.dim] + ["value"], zip(*index, f.samples))
+
+
+def write_csv_table(path, header, rows, preamble: str = "") -> None:
+    """Write preamble, then the header and rows through csv.writer (line
+    ends \\r\\n), to path or, when path is empty, to stdout.
+
+    Floats are written as .17g, which read_csv_table reads back exactly;
+    other cells as str().
+    """
+    with open(path, "w", newline="") if path else \
+            contextlib.nullcontext(sys.stdout) as fh:
+        fh.write(preamble)
         w = csv.writer(fh)
-        if g.dim == 1:
-            w.writerow(["i", "value"])
-            for i, v in enumerate(f.samples):
-                w.writerow([i, format(v, ".17g")])
-        else:
-            w.writerow(["i", "j", "value"])
-            arr = f.as_array()
-            for i in range(g.n):
-                for j in range(g.n):
-                    w.writerow([i, j, format(arr[i, j], ".17g")])
+        w.writerow(header)
+        w.writerows([format(v, ".17g") if isinstance(v, float) else v
+                     for v in row] for row in rows)
 
 
 def read_csv_table(path, widths) -> tuple:

@@ -65,9 +65,14 @@ def lipschitz_graph(phi: GridFunction, M: float | None = None,
 
 
 def phi_at(graph: LipschitzGraph, x) -> float:
-    """Profile value at the grid sample nearest to a base point."""
+    """Profile value at the grid sample nearest to a base point, given as
+    grid.dim finite coordinates."""
     grid = graph.phi.grid
-    return float(graph.phi.samples[nearest_index(grid, np.reshape(x, grid.dim))])
+    xa = np.asarray(x, dtype=np.float64).reshape(-1)
+    if xa.size != grid.dim or not np.all(np.isfinite(xa)):
+        raise ParameterError(
+            f"base point must have {grid.dim} finite coordinate(s), got {x}")
+    return float(graph.phi.samples[nearest_index(grid, xa)])
 
 
 def boundary_point(graph: LipschitzGraph, x) -> BoundaryPoint:
@@ -108,8 +113,8 @@ def corkscrew_kappa(M: float) -> float:
 
 def corkscrew(graph: LipschitzGraph, x0, t: float) -> np.ndarray:
     """(phi(x0) + t, x0): an interior point with clearance at least kappa(M) t."""
-    if t <= 0:
-        raise ParameterError(f"t must be positive, got {t}")
+    if not (math.isfinite(t) and t > 0):
+        raise ParameterError(f"t must be finite and positive, got {t}")
     x0a = np.atleast_1d(np.asarray(x0, dtype=np.float64))
     return np.concatenate([[phi_at(graph, x0) + t], x0a])
 
@@ -277,23 +282,16 @@ def boundary_seminorm(graph: LipschitzGraph, f: GridFunction, s: float,
     return float(total ** (1.0 / p))
 
 
-@dataclass(frozen=True)
-class SurrogateParams:
-    alpha_L: float = 0.5
-    p0: float = 1.5
-    J: int = 20
-
-
 def boundary_tangential_max(graph: LipschitzGraph, f: GridFunction,
-                            beta: float, c: float,
-                            params: SurrogateParams = SurrogateParams()
-                            ) -> GridFunction:
-    """Flattened localization bound: annuli surrogate of the chart pullback,
-    swept by the tangential maximal operator at aperture 1 + c."""
+                            beta: float, c: float, alpha_L: float = 0.5,
+                            p0: float = 1.5, J: int = 20) -> GridFunction:
+    """Flattened localization bound: annuli surrogate (alpha_L, p0, J) of
+    the chart pullback, swept by the tangential maximal operator at
+    aperture 1 + c."""
     if not (math.isfinite(c) and c > 0.0):
         raise ParameterError(f"c must be finite and positive, got {c}")
     heights = dyadic_heights(1.0, grid=f.grid)
-    w = annuli_surrogate(f, heights, params.alpha_L, params.p0, params.J)
+    w = annuli_surrogate(f, heights, alpha_L, p0, J)
     spec = ApproachRegionSpec(beta=beta, aperture=1.0 + c, t_max=heights[0])
     return tangential_max(w, spec)
 

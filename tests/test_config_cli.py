@@ -78,6 +78,24 @@ def test_config_validation_messages():
         parse("[experiment]\nexperiment = poincare\n[extra]\nlevels = 12\n")
 
 
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(experiment="nagel-stein-bound", levels=(9, 6)),
+    ExperimentConfig(experiment="poincare", levels=(12, 10)),
+    ExperimentConfig(experiment="boundary-max", levels=(10, 10)),
+], ids=["nagel-stein-9-6", "poincare-12-10", "boundary-max-repeated"])
+def test_levels_must_be_strictly_ascending(cfg, capsys):
+    # descending levels made nagel-stein report growth "from N=2^9 to
+    # N=2^6" and cap the extended control by the last, not the largest,
+    # level
+    with pytest.raises(ParameterError, match="levels must be strictly "
+                       "ascending, got \\[" + str(cfg.levels[0])):
+        validate(cfg)
+    levels = ",".join(map(str, cfg.levels))
+    assert main(["verify", "--experiment", cfg.experiment,
+                 "--levels", levels]) == 2
+    assert "strictly ascending" in capsys.readouterr().err
+
+
 def test_runner_names_match_config_names():
     assert set(_RUNNERS) == set(EXPERIMENTS)
 

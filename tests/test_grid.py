@@ -11,8 +11,9 @@ from fatou_lab.errors import GridMismatchError, ParameterError
 from fatou_lab.grid import (GridFunction, ball_mean_all_centers, disc_rows,
                             fft_convolve, from_callable, grid_function_from_csv,
                             grid_function_to_csv, load_grid_function, lp_norm,
-                            make_grid, nearest_index, save_grid_function,
-                            window_halfwidth)
+                            make_grid, nearest_index, read_csv_table,
+                            save_grid_function, window_halfwidth,
+                            write_csv_table)
 from reference import _ball_indices, ball_average, torus_distance
 
 
@@ -212,6 +213,20 @@ def test_csv_round_trip(tmp_path, rng):
         back = grid_function_from_csv(path, 1.5)
         assert back.grid == g
         np.testing.assert_array_equal(back.samples, f.samples)
+
+
+def test_write_csv_table_round_trip_is_exact(tmp_path, rng):
+    # .17g carries every double, subnormals and extremes included
+    values = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(
+        -300, 300, size=40), [5e-324, -2.2250738585072014e-308,
+                              1.7976931348623157e308, 0.1, 1 / 3, -0.0]])
+    rows = values.reshape(-1, 2)
+    path = tmp_path / "t.csv"
+    write_csv_table(path, ["a", "b"], rows)
+    header, back = read_csv_table(path, (2,))
+    assert header == ["a", "b"]
+    np.testing.assert_array_equal(back, rows)
+    assert back.tobytes() == rows.tobytes()
 
 
 _FILE_FUZZ = settings(max_examples=40, deadline=None,

@@ -11,7 +11,7 @@ from fatou_lab.config import ExperimentConfig
 from fatou_lab.errors import ParameterError
 from fatou_lab.experiments import _sawtooth, _smooth_profile, run_experiment
 from fatou_lab.grid import GridFunction, from_callable, make_grid
-from fatou_lab.lipschitz import (SurrogateParams, _certified_members,
+from fatou_lab.lipschitz import (_certified_members,
                                  boundary_point, boundary_seminorm,
                                  boundary_tangential_max,
                                  corkscrew, corkscrew_kappa, graph_distance,
@@ -85,8 +85,23 @@ def test_corkscrew_examples():
         d = graph_distance(hat, corkscrew(hat, 0.5, t))
         assert d >= corkscrew_kappa(1.0) * t - 2 * g.h
         assert d <= t + 1e-12
-    with pytest.raises(ParameterError):
-        corkscrew(hat, 0.5, 0.0)
+    for t in (0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError, match="t must be finite"):
+            corkscrew(hat, 0.5, t)
+
+
+@pytest.mark.parametrize("dim, x", [(1, math.nan), (1, -math.inf),
+                                    (1, (0.25, 0.5)), (2, 0.25),
+                                    (2, (0.25, math.nan))])
+def test_base_point_needs_dim_finite_coordinates(dim, x):
+    graph = lipschitz_graph(from_callable(make_grid(dim, 4, 1.0),
+                                          lambda *xs: 0.1 * np.cos(xs[0])))
+    for call in (lambda: boundary_point(graph, x),
+                 lambda: corkscrew(graph, x, 0.25)):
+        with pytest.raises(ParameterError, match=f"{dim} finite coordinate"):
+            call()
+    ok = (0.25,) * dim
+    assert boundary_point(graph, ok).lift == pytest.approx(0.1 * math.cos(0.25))
 
 
 def test_corkscrew_kappa_values():
@@ -326,8 +341,8 @@ def test_boundary_tangential_max_flat_regression(rng):
     flat = _flat(8)
     g = flat.phi.grid
     f = GridFunction(g, rng.normal(size=g.size))
-    params = SurrogateParams(alpha_L=0.5, p0=1.5, J=10)
-    out = boundary_tangential_max(flat, f, 0.5, 1.0, params)
+    params = dict(alpha_L=0.5, p0=1.5, J=10)
+    out = boundary_tangential_max(flat, f, 0.5, 1.0, **params)
     heights = dyadic_heights(1.0, grid=g)
     w = annuli_surrogate(f, heights, 0.5, 1.5, 10)
     spec = ApproachRegionSpec(beta=0.5, aperture=2.0, t_max=1.0)
@@ -335,7 +350,7 @@ def test_boundary_tangential_max_flat_regression(rng):
     np.testing.assert_allclose(out.samples, expect.samples, atol=1e-10)
     zero = from_callable(g, np.zeros_like)
     assert np.abs(boundary_tangential_max(flat, zero, 0.5, 1.0,
-                                          params).samples).max() == 0.0
+                                          **params).samples).max() == 0.0
 
 
 @pytest.mark.parametrize("c", [math.nan, math.inf, 0.0, -1.0])
@@ -349,7 +364,7 @@ def test_boundary_tangential_max_rejects_bad_c(c):
 def test_boundary_max_band(rng):
     # scaled-down version of the boundary maximal bound band
     s, p, beta, c = 0.25, 2.0, 0.5, 0.5
-    params = SurrogateParams(alpha_L=0.5, p0=1.5, J=10)
+    params = dict(alpha_L=0.5, p0=1.5, J=10)
     ratios = []
     for levels in (9, 10):
         g = make_grid(1, levels, 1.0)
@@ -357,7 +372,7 @@ def test_boundary_max_band(rng):
             g, lambda x: 0.25 - np.abs(np.abs(x - 0.5) - 0.25)))
         for _ in range(4):
             f = bessel_smooth(GridFunction(g, rng.normal(size=g.size)), 2 * s)
-            btm = boundary_tangential_max(graph, f, beta, c, params)
+            btm = boundary_tangential_max(graph, f, beta, c, **params)
             ratios.append(lp_norm_sigma(graph, btm, p)
                           / boundary_seminorm(graph, f, s, p))
     assert max(ratios) / min(ratios) < 4.0
