@@ -1,12 +1,16 @@
 """Command-line interface.
 
-Subcommands: kernel-table, extend, maxfn, potential, fractal, lipschitz,
-verify (one experiment from a config), suite (the full acceptance
-battery).  List flags take comma-separated numbers.  CSV tables are
-written by grid.write_csv_table, to stdout when kernel-table or fractal
-gets no --out.  Exit codes: 0 all checks passed, 1 a criterion failed,
-2 usage error: a malformed flag (argparse prints a usage line) or a
-parameter or input file rejected with ParameterError.
+Commands kernel-table, extend, maxfn, potential, fractal and lipschitz
+take an action word before their flags, as in ``fatou-lab maxfn
+tangential --in u.flhf --out m.flgf``.  Each action has its own parser:
+it accepts only the flags the action reads, and the ones it cannot run
+without are required.  verify runs one experiment from a config, suite
+the full acceptance battery.  List flags take comma-separated numbers.
+CSV tables are written by grid.write_csv_table, to stdout when
+kernel-table or fractal gets no --out.  Exit codes: 0 all checks
+passed, 1 a criterion failed, 2 usage error: a missing, unknown or
+malformed flag (argparse prints a usage line), or a parameter or a file
+rejected with ParameterError.
 """
 
 import argparse
@@ -25,9 +29,9 @@ from .extension import annuli_surrogate, dyadic_heights, load_half_space_field, 
 from .fractal import PointSet, box_dimension, cantor_measure, divergence_set, \
     frostman_constant
 from .grid import GridFunction, grid_function_from_csv, grid_function_to_csv, \
-    load_grid_function, make_grid, read_csv_table, save_grid_function, \
-    write_csv_table
-from .kernels import KernelSpec, bessel_kernel, poisson_kernel, riesz_kernel
+    load_grid_function, make_grid, open_path, read_csv_table, \
+    save_grid_function, write_csv_table
+from .kernels import bessel_kernel, poisson_kernel, riesz_kernel
 from .lipschitz import boundary_point, boundary_tangential_max, corkscrew, \
     graph_distance, load_lipschitz_graph, region_inclusion_check, \
     surface_ball_measure
@@ -35,7 +39,7 @@ from .maximal import ApproachRegionSpec, composite_max, dilated_mitigated_max, \
     fractional_power_max, mitigated_max, tangential_argmax, tangential_max
 from .potentials import bessel_smooth, dyadic_scales, sharp_maximal, \
     slobodeckij_seminorm
-from .report import emit_report
+from .report import emit_report, make_output_dir
 
 
 def _read_gf(path: str, extent: float) -> GridFunction:
@@ -82,8 +86,8 @@ def _numbers(*kinds):
     return convert
 
 
-def _cmd_kernel_table(args) -> int:
-    with open(args.points, newline="") as fh:
+def _read_radii(path) -> list:
+    with open_path(path, newline="") as fh:
         rows = [(line, r) for line, r in enumerate(csv.reader(fh), start=1) if r]
     radii = []
     for k, (line, r) in enumerate(rows):
@@ -92,147 +96,118 @@ def _cmd_kernel_table(args) -> int:
         except ValueError:
             if k > 0:  # only the first row may be a header
                 raise ParameterError(
-                    f"{args.points}: line {line}: {r[0]!r} is not a number")
+                    f"{path}: line {line}: {r[0]!r} is not a number")
     if not radii:
         raise ParameterError(
-            f"{args.points}: no radii, the file holds at most a header row")
-    spec = KernelSpec(kind=args.kind, dim=args.n, order=args.alpha or 0.0,
-                      scale=args.t or 0.0)
-    out = []
-    for r in radii:
-        x = (r, 0.0) if args.n == 2 else r
-        if args.kind == "poisson":
-            v = poisson_kernel(args.n, args.t, x)
-        elif args.kind == "bessel":
-            v = bessel_kernel(args.n, args.alpha, x, route=args.route)
-        else:
-            v = riesz_kernel(args.n, args.alpha, x)
-        out.append((r, v))
-    # normalization provenance for cross-tool comparisons
-    preamble = {
-        "bessel": "# c_alpha fixed by unit L1 mass, radial quadrature "
-                  "of the subordination integral\n",
-        "riesz": "# gamma_{alpha,n} = Gamma((n-alpha)/2) / "
-                 "(2^alpha pi^{n/2} Gamma(alpha/2))\n",
-    }.get(args.kind, "")
-    write_csv_table(args.out, ["r", "value"], out, preamble)
-    return 0
+            f"{path}: no radii, the file holds at most a header row")
+    return radii
 
 
-def _cmd_extend(args) -> int:
-    f = _read_gf(args.infile, args.extent)
+def _kernel_table(kernel, preamble: str = ""):
+    """The fn of a kernel-table action: kernel(args, x) is the value at x;
+    preamble records the normalization for cross-tool comparisons."""
+    def run(args) -> None:
+        out = [(r, kernel(args, (r, 0.0) if args.n == 2 else r))
+               for r in _read_radii(args.points)]
+        write_csv_table(args.out, ["r", "value"], out, preamble)
+    return run
+
+
+def _heights(args) -> tuple:
     t0, count = args.heights
-    heights = dyadic_heights(t0, count=count)
-    if args.kind == "poisson":
-        u = poisson_extend(f, heights)
-    else:
-        u = annuli_surrogate(f, heights, args.alpha_L, args.r, args.J)
-        print(f"surrogate tail bound: {u.meta['tail_bound']:.6g}")
+    return dyadic_heights(t0, count=count)
+
+
+def _surrogate(args) -> None:
+    u = annuli_surrogate(_read_gf(args.infile, args.extent), _heights(args),
+                         args.alpha_L, args.r, args.J)
+    print(f"surrogate tail bound: {u.meta['tail_bound']:.6g}")
     save_half_space_field(args.out, u)
-    return 0
 
 
-def _cmd_maxfn(args) -> int:
-    if args.op in ("tangential", "mitigated", "dilated"):
-        u = load_half_space_field(args.infile)
+def _tangential(args) -> None:
+    u = load_half_space_field(args.infile)
+    spec = ApproachRegionSpec(beta=args.beta, aperture=args.aperture,
+                              t_max=args.t_max)
+    if args.argmax:
+        out, wit = tangential_argmax(u, spec)
+        g = u.grid
+        ks, flat = np.array(wit).T
+        # points take one column per axis, suffixed _1, _2 in 2-D
+        rows = np.column_stack([
+            np.stack(np.unravel_index(np.arange(g.size), g.shape), 1) * g.h,
+            np.asarray(u.heights)[ks],
+            np.stack(np.unravel_index(flat, g.shape), 1) * g.h])
+        axes = [""] if g.dim == 1 else ["_1", "_2"]
+        write_csv_table(args.argmax, [f"x0{a}" for a in axes] + ["t_star"]
+                        + [f"x_star{a}" for a in axes], rows)
     else:
-        u = None
-    if args.op == "tangential":
-        spec = ApproachRegionSpec(beta=args.beta, aperture=args.aperture,
-                                  t_max=args.t_max)
-        if args.argmax:
-            out, wit = tangential_argmax(u, spec)
-            g = u.grid
-            ks, flat = np.array(wit).T
-            # points take one column per axis, suffixed _1, _2 in 2-D
-            rows = np.column_stack([
-                np.stack(np.unravel_index(np.arange(g.size), g.shape), 1) * g.h,
-                np.asarray(u.heights)[ks],
-                np.stack(np.unravel_index(flat, g.shape), 1) * g.h])
-            axes = [""] if g.dim == 1 else ["_1", "_2"]
-            write_csv_table(args.argmax, [f"x0{a}" for a in axes] + ["t_star"]
-                            + [f"x_star{a}" for a in axes], rows)
-        else:
-            out = tangential_max(u, spec)
-    elif args.op == "mitigated":
-        out = mitigated_max(u, args.p, args.beta)
-    elif args.op == "dilated":
-        out = dilated_mitigated_max(u, args.p, args.beta, args.j)
-    elif args.op == "fractional":
-        f = _read_gf(args.infile, args.extent)
-        out = fractional_power_max(f, args.s, args.alpha)
-    else:
-        f = _read_gf(args.infile, args.extent)
-        out = composite_max(f, args.p, args.r, args.beta, args.alpha_L, args.J)
+        out = tangential_max(u, spec)
     _write_gf(args.out, out)
-    return 0
 
 
-def _cmd_potential(args) -> int:
+def _sharp(args) -> None:
     f = _read_gf(args.infile, args.extent)
-    if args.action == "smooth":
-        _write_gf(args.out, bessel_smooth(f, args.alpha))
-    elif args.action == "sharp":
-        scales = args.scales or dyadic_scales(f.grid)
-        _write_gf(args.out, sharp_maximal(f, args.alpha, scales))
-    else:
-        value = slobodeckij_seminorm(f, args.sigma, args.p)
-        print(format(value, ".17g"))
-    return 0
+    scales = args.scales or dyadic_scales(f.grid)
+    _write_gf(args.out, sharp_maximal(f, args.alpha, scales))
 
 
-def _cmd_fractal(args) -> int:
-    if args.action == "cantor":
-        mu = cantor_measure(args.s, args.depth)
-        grid = make_grid(1, args.levels, args.extent)
-        _write_points(args.out, PointSet(points=mu.lefts * args.extent,
-                                         grid=grid))
-        radii = [2.0 ** (-k / 2.0) for k in range(2 * args.depth)
-                 if 2.0 ** (-k / 2.0) >= mu.interval_length]
-        print(f"intervals: {mu.lefts.size}  frostman constant: "
-              f"{frostman_constant(mu, radii):.6g}")
-        return 0
-    if args.action == "boxdim":
-        grid = make_grid(args.dim, args.levels, args.extent)
-        ps = _read_points(args.infile, grid)
-        bd = box_dimension(ps, args.window)
-        write_csv_table(args.out, ["scale", "count"], zip(bd.scales, bd.counts))
-        print(f"slope: {bd.slope:.6g}  r2: {bd.r2:.6g}")
-        return 0
+def _cantor(args) -> None:
+    mu = cantor_measure(args.s, args.depth)
+    grid = make_grid(1, args.levels, args.extent)
+    _write_points(args.out, PointSet(points=mu.lefts * args.extent, grid=grid))
+    radii = [2.0 ** (-k / 2.0) for k in range(2 * args.depth)
+             if 2.0 ** (-k / 2.0) >= mu.interval_length]
+    print(f"intervals: {mu.lefts.size}  frostman constant: "
+          f"{frostman_constant(mu, radii):.6g}")
+
+
+def _boxdim(args) -> None:
+    grid = make_grid(args.dim, args.levels, args.extent)
+    bd = box_dimension(_read_points(args.infile, grid), args.window)
+    write_csv_table(args.out, ["scale", "count"], zip(bd.scales, bd.counts))
+    print(f"slope: {bd.slope:.6g}  r2: {bd.r2:.6g}")
+
+
+def _divset(args) -> None:
     u = load_half_space_field(args.infile)
     ref = _read_gf(args.ref, u.grid.extent)
     spec = ApproachRegionSpec(beta=args.beta, aperture=args.aperture, t_max=1.0)
     ps = divergence_set(u, ref, spec, args.eps, args.tmin)
     _write_points(args.out, ps)
     print(f"divergence points: {np.atleast_1d(ps.points).shape[0]}")
-    return 0
 
 
-def _cmd_lipschitz(args) -> int:
+def _corkscrew(args) -> None:
     graph = load_lipschitz_graph(args.profile)
-    if args.action == "corkscrew":
-        pt = corkscrew(graph, args.x0, args.t)
-        print(f"corkscrew: {tuple(round(float(v), 12) for v in pt)}  "
-              f"clearance: {graph_distance(graph, pt):.8g}")
-        return 0
-    if args.action == "inclusion":
-        rep = region_inclusion_check(graph, args.beta, args.c, args.samples,
-                                     seed=args.seed)
-        print(f"checked {rep.checked}, violations {rep.violations}")
-        if rep.checked < args.samples:
-            print(f"shortfall: only {rep.checked} of {args.samples} samples "
-                  "were found in the domain region", file=sys.stderr)
-            return 1
-        return 0 if rep.violations == 0 else 1
-    if args.action == "surface":
-        q = boundary_point(graph, args.x0)
-        print(format(surface_ball_measure(graph, q, args.radius), ".17g"))
-        return 0
+    pt = corkscrew(graph, args.x0, args.t)
+    print(f"corkscrew: {tuple(round(float(v), 12) for v in pt)}  "
+          f"clearance: {graph_distance(graph, pt):.8g}")
+
+
+def _inclusion(args) -> int:
+    graph = load_lipschitz_graph(args.profile)
+    rep = region_inclusion_check(graph, args.beta, args.c, args.samples,
+                                 seed=args.seed)
+    print(f"checked {rep.checked}, violations {rep.violations}")
+    if rep.checked < args.samples:
+        print(f"shortfall: only {rep.checked} of {args.samples} samples "
+              "were found in the domain region", file=sys.stderr)
+        return 1
+    return 0 if rep.violations == 0 else 1
+
+
+def _surface(args) -> None:
+    graph = load_lipschitz_graph(args.profile)
+    q = boundary_point(graph, args.x0)
+    print(format(surface_ball_measure(graph, q, args.radius), ".17g"))
+
+
+def _boundary_max(args) -> None:
+    graph = load_lipschitz_graph(args.profile)
     f = _read_gf(args.infile, graph.phi.grid.extent)
-    out = boundary_tangential_max(graph, f, args.beta, args.c,
-                                  alpha_L=args.alpha_L, p0=args.p0, J=args.J)
-    _write_gf(args.out, out)
-    return 0
+    _write_gf(args.out, boundary_tangential_max(
+        graph, f, args.beta, args.c, alpha_L=args.alpha_L, p0=args.p0, J=args.J))
 
 
 def _emit_all(rep, output_dir: str) -> None:
@@ -249,6 +224,7 @@ def _cmd_verify(args) -> int:
         raise ParameterError("verify needs --config or --experiment")
     cfg = replace(cfg, **{k: v for k, v in vars(args).items() if v and k in
                           ("experiment", "levels", "seeds", "output_dir")})
+    make_output_dir(cfg.output_dir)
     rep = run_experiment(cfg)
     _emit_all(rep, cfg.output_dir)
     for c in rep.criteria:
@@ -257,10 +233,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_suite(args) -> int:
+    cfgs = acceptance_configs()
+    if args.output_dir:
+        cfgs = [replace(cfg, output_dir=args.output_dir) for cfg in cfgs]
+    for output_dir in {cfg.output_dir for cfg in cfgs}:
+        make_output_dir(output_dir)
     failed = 0
-    for cfg in acceptance_configs():
-        if args.output_dir:
-            cfg = replace(cfg, output_dir=args.output_dir)
+    for cfg in cfgs:
         rep = run_experiment(cfg)
         _emit_all(rep, cfg.output_dir)
         for c in rep.criteria:
@@ -271,104 +250,106 @@ def _cmd_suite(args) -> int:
     return 0 if failed == 0 else 1
 
 
+# Every action flag once, as name -> (type, default).  A command whose
+# default differs passes its own to _actions.
+_FLAGS = {
+    "alpha": (float, 1.0), "alpha-L": (float, 0.5), "aperture": (float, 1.0),
+    "argmax": (str, None), "beta": (float, 1.0), "c": (float, 1.0),
+    "depth": (int, 12), "dim": (int, 1), "eps": (float, 0.02),
+    "extent": (float, 1.0), "heights": (_numbers(float, int), None),
+    "in": (str, None), "J": (int, 20), "j": (int, 0), "levels": (int, 14),
+    "n": (int, 1), "out": (str, None), "p": (float, 2.0), "p0": (float, 1.5),
+    "points": (str, None), "profile": (str, None), "r": (float, 1.5),
+    "radius": (float, 0.1), "ref": (str, None), "route": (str, "series"),
+    "s": (float, 1.0), "samples": (int, 10000), "scales": (_numbers(float), None),
+    "seed": (int, 0), "sigma": (float, 0.5), "t": (float, 0.25),
+    "t-max": (float, 1.0), "tmin": (float, 0.0625),
+    "window": (_numbers(int, int), (4, 10)), "x0": (float, 0.0),
+}
+_EXTRA = {  # argparse settings beyond type and default
+    "n": {"choices": (1, 2)},
+    "route": {"choices": ("series", "quadrature")},
+    "heights": {"metavar": "t0,K"},
+    "window": {"metavar": "m_lo,m_hi"},
+    "points": {"help": "CSV of radii, one per row"},
+    "argmax": {"help": "CSV path for (x0, t*, x*) witnesses, points per axis"},
+}
+
+
+def _actions(sub, command: str, summary: str, actions: dict,
+             **defaults) -> None:
+    """Add command with one parser per action word.  actions maps each
+    word to (flags, fn): flags names the _FLAGS that fn reads, and a
+    trailing ! marks one that it cannot run without."""
+    words = sub.add_parser(command, help=summary).add_subparsers(
+        dest="action", required=True)
+    for word, (flags, fn) in actions.items():
+        ap = words.add_parser(word)
+        for flag in flags.split():
+            name = flag.rstrip("!")
+            kind, default = _FLAGS[name]
+            ap.add_argument(
+                f"--{name}", type=kind, default=defaults.get(name, default),
+                required=flag.endswith("!"), **_EXTRA.get(name, {}),
+                dest="infile" if name == "in" else name.replace("-", "_"))
+        ap.set_defaults(fn=fn)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="fatou-lab",
                                 description="harmonic analysis lab")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
-
-    kt = sub.add_parser("kernel-table", help="tabulate a kernel at radii")
-    kt.add_argument("--kind", required=True,
-                    choices=["poisson", "bessel", "riesz"])
-    kt.add_argument("--n", type=int, default=1)
-    kt.add_argument("--alpha", type=float)
-    kt.add_argument("--t", type=float)
-    kt.add_argument("--route", default="series",
-                    choices=["series", "quadrature"])
-    kt.add_argument("--points", required=True, help="CSV of radii, one per row")
-    kt.add_argument("--out")
-    kt.set_defaults(fn=_cmd_kernel_table)
-
-    ex = sub.add_parser("extend", help="build a half-space field")
-    ex.add_argument("--kind", required=True, choices=["poisson", "surrogate"])
-    ex.add_argument("--heights", required=True, metavar="t0,K",
-                    type=_numbers(float, int))
-    ex.add_argument("--in", dest="infile", required=True)
-    ex.add_argument("--out", required=True)
-    ex.add_argument("--extent", type=float, default=1.0)
-    ex.add_argument("--alpha-L", dest="alpha_L", type=float, default=0.5)
-    ex.add_argument("--r", type=float, default=1.5)
-    ex.add_argument("--J", type=int, default=20)
-    ex.set_defaults(fn=_cmd_extend)
-
-    mx = sub.add_parser("maxfn", help="apply a maximal operator")
-    mx.add_argument("--op", required=True,
-                    choices=["tangential", "mitigated", "dilated",
-                             "fractional", "composite"])
-    mx.add_argument("--in", dest="infile", required=True)
-    mx.add_argument("--out", required=True)
-    mx.add_argument("--beta", type=float, default=1.0)
-    mx.add_argument("--aperture", type=float, default=1.0)
-    mx.add_argument("--t-max", dest="t_max", type=float, default=1.0)
-    mx.add_argument("--p", type=float, default=2.0)
-    mx.add_argument("--r", type=float, default=1.5)
-    mx.add_argument("--j", type=int, default=0)
-    mx.add_argument("--s", type=float, default=1.0)
-    mx.add_argument("--alpha", type=float, default=0.0)
-    mx.add_argument("--alpha-L", dest="alpha_L", type=float, default=0.5)
-    mx.add_argument("--J", type=int, default=20)
-    mx.add_argument("--extent", type=float, default=1.0)
-    mx.add_argument("--argmax",
-                    help="CSV path for (x0, t*, x*) witnesses, points per axis")
-    mx.set_defaults(fn=_cmd_maxfn)
-
-    po = sub.add_parser("potential", help="smoothing and seminorm operations")
-    po.add_argument("action", choices=["smooth", "sharp", "seminorm"])
-    po.add_argument("--in", dest="infile", required=True)
-    po.add_argument("--out")
-    po.add_argument("--alpha", type=float, default=1.0)
-    po.add_argument("--p", type=float, default=2.0)
-    po.add_argument("--sigma", type=float, default=0.5)
-    po.add_argument("--scales", type=_numbers(float))
-    po.add_argument("--extent", type=float, default=1.0)
-    po.set_defaults(fn=_cmd_potential)
-
-    fr = sub.add_parser("fractal", help="measures, box dimension, divergence")
-    fr.add_argument("action", choices=["cantor", "boxdim", "divset"])
-    fr.add_argument("--s", type=float, default=0.5)
-    fr.add_argument("--depth", type=int, default=12)
-    fr.add_argument("--dim", type=int, default=1)
-    fr.add_argument("--levels", type=int, default=14)
-    fr.add_argument("--extent", type=float, default=1.0)
-    fr.add_argument("--in", dest="infile")
-    fr.add_argument("--ref")
-    fr.add_argument("--out")
-    fr.add_argument("--beta", type=float, default=1.0)
-    fr.add_argument("--aperture", type=float, default=1.0)
-    fr.add_argument("--eps", type=float, default=0.02)
-    fr.add_argument("--tmin", type=float, default=0.0625)
-    fr.add_argument("--window", type=_numbers(int, int), default=(4, 10),
-                    metavar="m_lo,m_hi")
-    fr.set_defaults(fn=_cmd_fractal)
-
-    li = sub.add_parser("lipschitz", help="graph-domain geometry")
-    li.add_argument("action",
-                    choices=["corkscrew", "inclusion", "surface",
-                             "boundary-max"])
-    li.add_argument("--profile", required=True)
-    li.add_argument("--beta", type=float, default=0.5)
-    li.add_argument("--c", type=float, default=1.0)
-    li.add_argument("--x0", type=float, default=0.0)
-    li.add_argument("--t", type=float, default=0.25)
-    li.add_argument("--radius", type=float, default=0.1)
-    li.add_argument("--samples", type=int, default=10000)
-    li.add_argument("--seed", type=int, default=0)
-    li.add_argument("--in", dest="infile")
-    li.add_argument("--out")
-    li.add_argument("--alpha-L", dest="alpha_L", type=float, default=0.5)
-    li.add_argument("--p0", type=float, default=1.5)
-    li.add_argument("--J", type=int, default=20)
-    li.set_defaults(fn=_cmd_lipschitz)
+    _actions(sub, "kernel-table", "tabulate a kernel at radii", {
+        "poisson": ("n t! points! out", _kernel_table(
+            lambda a, x: poisson_kernel(a.n, a.t, x))),
+        "bessel": ("n alpha! route points! out", _kernel_table(
+            lambda a, x: bessel_kernel(a.n, a.alpha, x, route=a.route),
+            "# c_alpha fixed by unit L1 mass, radial quadrature "
+            "of the subordination integral\n")),
+        "riesz": ("n alpha! points! out", _kernel_table(
+            lambda a, x: riesz_kernel(a.n, a.alpha, x),
+            "# gamma_{alpha,n} = Gamma((n-alpha)/2) / "
+            "(2^alpha pi^{n/2} Gamma(alpha/2))\n")),
+    })
+    _actions(sub, "extend", "build a half-space field", {
+        "poisson": ("heights! in! out! extent", lambda a: save_half_space_field(
+            a.out, poisson_extend(_read_gf(a.infile, a.extent), _heights(a)))),
+        "surrogate": ("heights! in! out! extent alpha-L r J", _surrogate),
+    })
+    _actions(sub, "maxfn", "apply a maximal operator", {
+        "tangential": ("in! out! beta aperture t-max argmax", _tangential),
+        "mitigated": ("in! out! p beta", lambda a: _write_gf(
+            a.out, mitigated_max(load_half_space_field(a.infile), a.p, a.beta))),
+        "dilated": ("in! out! p beta j", lambda a: _write_gf(
+            a.out, dilated_mitigated_max(load_half_space_field(a.infile),
+                                         a.p, a.beta, a.j))),
+        "fractional": ("in! out! extent s alpha", lambda a: _write_gf(
+            a.out, fractional_power_max(_read_gf(a.infile, a.extent),
+                                        a.s, a.alpha))),
+        "composite": ("in! out! extent p r beta alpha-L J", lambda a: _write_gf(
+            a.out, composite_max(_read_gf(a.infile, a.extent), a.p, a.r,
+                                 a.beta, a.alpha_L, a.J))),
+    }, alpha=0.0)
+    _actions(sub, "potential", "smoothing and seminorm operations", {
+        "smooth": ("in! out! extent alpha", lambda a: _write_gf(
+            a.out, bessel_smooth(_read_gf(a.infile, a.extent), a.alpha))),
+        "sharp": ("in! out! extent alpha scales", _sharp),
+        "seminorm": ("in! extent sigma p", lambda a: print(format(
+            slobodeckij_seminorm(_read_gf(a.infile, a.extent), a.sigma, a.p),
+            ".17g"))),
+    })
+    _actions(sub, "fractal", "measures, box dimension, divergence", {
+        "cantor": ("s depth levels extent out", _cantor),
+        "boxdim": ("in! dim levels extent window out", _boxdim),
+        "divset": ("in! ref! out beta aperture eps tmin", _divset),
+    }, s=0.5)
+    _actions(sub, "lipschitz", "graph-domain geometry", {
+        "corkscrew": ("profile! x0 t", _corkscrew),
+        "inclusion": ("profile! beta c samples seed", _inclusion),
+        "surface": ("profile! x0 radius", _surface),
+        "boundary-max": ("profile! in! out! beta c alpha-L p0 J", _boundary_max),
+    }, beta=0.5)
 
     ve = sub.add_parser("verify", help="run one experiment from a config")
     ve.add_argument("--config")
@@ -385,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
+        # actions that check a criterion return 0 or 1, the others None
+        return args.fn(args) or 0
     except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -11,7 +11,7 @@ import io
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError
-from .grid import MAX_LEVELS
+from .grid import MAX_LEVELS, open_path
 
 # The keys each runner reads besides experiment and output_dir; every
 # other key must keep its default.  "key:1" marks a list of which the
@@ -217,7 +217,7 @@ def parse(text: str) -> ExperimentConfig:
 
 
 def load(path) -> ExperimentConfig:
-    with open(path) as fh:
+    with open_path(path) as fh:
         return parse(fh.read())
 
 

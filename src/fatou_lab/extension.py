@@ -7,8 +7,7 @@ assembled from weighted ball averages.  Surrogate outputs are model fields, not 
 solutions; they majorize the solutions the annuli decomposition bounds.
 
 Fields are immutable: values are read-only, and the constructor copies
-the caller's array.  Each slice is computed independently of the
-others, with no shared mutable state.
+the caller's array.
 """
 
 import math
@@ -20,7 +19,7 @@ import numpy as np
 
 from .errors import ParameterError
 from .grid import (Grid, GridFunction, ball_mean_all_centers, make_grid,
-                   read_exact)
+                   open_path, read_exact)
 from .potentials import _apply_multiplier, _half_spectrum
 
 _MAGIC = b"FLHF"
@@ -158,7 +157,7 @@ def annuli_surrogate(f: GridFunction, heights, alpha_L: float, r: float,
 def save_half_space_field(path, u: HalfSpaceField) -> None:
     """Binary format: FLHF, version, grid header, K, heights, row-major slices."""
     g = u.grid
-    with open(path, "wb") as fh:
+    with open_path(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIIdI", _VERSION, g.dim, g.levels, g.extent,
                              len(u.heights) - 1))
@@ -167,7 +166,7 @@ def save_half_space_field(path, u: HalfSpaceField) -> None:
 
 
 def load_half_space_field(path) -> HalfSpaceField:
-    with open(path, "rb") as fh:
+    with open_path(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
             raise ParameterError(f"bad magic {magic!r}, expected {_MAGIC!r}")

@@ -7,7 +7,7 @@ the torus metric (per-axis wrapped distances, squared-distance fields)
 in any dimension, norms, ball means, and scaled circular convolution.
 
 Grids and grid functions are immutable once built and every operation is
-a pure function, so concurrent callers need no synchronization.
+a pure function.
 """
 
 import contextlib
@@ -210,10 +210,19 @@ def fft_convolve(f: GridFunction, k: GridFunction) -> GridFunction:
     return GridFunction(g, out * (g.h ** g.dim))
 
 
+def open_path(path, mode: str = "r", **kwargs):
+    """open(path, mode), but a file that cannot be opened (missing, a
+    directory, no permission) raises ParameterError naming the path."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as exc:
+        raise ParameterError(f"cannot open {path}: {exc.strerror or exc}") from exc
+
+
 def save_grid_function(path, f: GridFunction) -> None:
     """Binary format: magic FLGF, u32 version/dim/levels, f64 extent, f64 samples."""
     g = f.grid
-    with open(path, "wb") as fh:
+    with open_path(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIId", _VERSION, g.dim, g.levels, g.extent))
         np.asarray(f.samples, dtype="<f8").tofile(fh)
@@ -253,7 +262,7 @@ def read_grid_function(fh) -> GridFunction:
 
 
 def load_grid_function(path) -> GridFunction:
-    with open(path, "rb") as fh:
+    with open_path(path, "rb") as fh:
         return read_grid_function(fh)
 
 
@@ -271,7 +280,7 @@ def write_csv_table(path, header, rows, preamble: str = "") -> None:
     Floats are written as .17g, which read_csv_table reads back exactly;
     other cells as str().
     """
-    with open(path, "w", newline="") if path else \
+    with open_path(path, "w", newline="") if path else \
             contextlib.nullcontext(sys.stdout) as fh:
         fh.write(preamble)
         w = csv.writer(fh)
@@ -286,7 +295,7 @@ def read_csv_table(path, widths) -> tuple:
     The header must have one of the given widths and every row as many
     cells as the header, each a number; otherwise ParameterError.
     """
-    with open(path, newline="") as fh:
+    with open_path(path, newline="") as fh:
         rows = list(csv.reader(fh))
     if not rows:
         raise ParameterError(f"{path}: empty CSV file, expected a header row")

@@ -4,12 +4,11 @@ The Bessel kernel has two independent routes: adaptive quadrature of its
 subordination integral (after the substitution u = log t), and a closed
 form in terms of the modified Bessel function K_nu.  The normalizing
 constant c_alpha is fixed numerically, once per (n, alpha), by radial
-integration; the cache is write-once and thread-safe.
+integration, and cached.
 """
 
+import functools
 import math
-import threading
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
@@ -19,33 +18,6 @@ from .errors import NumericError, ParameterError, SingularityError
 
 _POISSON_C = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi)}
 
-_norm_cache: dict = {}
-_norm_lock = threading.Lock()
-
-
-@dataclass(frozen=True)
-class KernelSpec:
-    """kind in {poisson, bessel, riesz}; order is alpha, scale is the Poisson t."""
-
-    kind: str
-    dim: int
-    order: float = 0.0
-    scale: float = 0.0
-
-    def __post_init__(self):
-        if self.kind not in ("poisson", "bessel", "riesz"):
-            raise ParameterError(f"unknown kernel kind {self.kind!r}")
-        if self.dim not in (1, 2):
-            raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
-        if self.kind == "bessel" and not self.order > 0:
-            raise ParameterError("bessel kernel needs order > 0")
-        if self.kind == "riesz" and not (0 < self.order < self.dim):
-            raise ParameterError(
-                f"riesz order must lie in (0, {self.dim}), got {self.order}")
-        if self.kind == "poisson" and not self.scale > 0:
-            raise ParameterError("poisson kernel needs scale > 0")
-
-
 def _norm_sq(x) -> float:
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
     return float(np.dot(arr, arr))
@@ -53,7 +25,7 @@ def _norm_sq(x) -> float:
 
 def poisson_kernel(n: int, t: float, x) -> float:
     """c_n * t / (t^2 + |x|^2)^((n+1)/2), normalized to unit mass."""
-    if t <= 0:
+    if not t > 0:
         raise ParameterError(f"t must be positive, got {t}")
     if n not in _POISSON_C:
         raise ParameterError(f"n must be 1 or 2, got {n}")
@@ -97,6 +69,7 @@ def _series_prefactor(n: int, alpha: float) -> float:
         (4.0 * math.pi) ** (alpha / 2.0) * gamma(alpha / 2.0))
 
 
+@functools.cache
 def bessel_normalization(n: int, alpha: float) -> float:
     """c_alpha with ||G_alpha||_L1 = 1, computed once per (n, alpha) and cached.
 
@@ -104,10 +77,6 @@ def bessel_normalization(n: int, alpha: float) -> float:
     the substitution r = e^v, keeping this path independent of the K_nu
     closed form used by the series route.
     """
-    key = (n, float(alpha))
-    with _norm_lock:
-        if key in _norm_cache:
-            return _norm_cache[key]
     omega = 2.0 if n == 1 else 2.0 * math.pi
 
     def radial_log(v: float) -> float:
@@ -121,15 +90,12 @@ def bessel_normalization(n: int, alpha: float) -> float:
     mass = omega * total
     if not (np.isfinite(mass) and mass > 0):
         raise NumericError(f"bessel normalization failed for (n={n}, alpha={alpha})")
-    value = 1.0 / mass
-    with _norm_lock:
-        _norm_cache.setdefault(key, value)
-        return _norm_cache[key]
+    return 1.0 / mass
 
 
 def bessel_kernel(n: int, alpha: float, x, route: str = "quadrature") -> float:
     """G_alpha at a point, by adaptive quadrature or by the K_nu closed form."""
-    if alpha <= 0:
+    if not alpha > 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
     if n not in (1, 2):
         raise ParameterError(f"n must be 1 or 2, got {n}")

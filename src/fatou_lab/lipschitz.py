@@ -15,11 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .errors import ParameterError
+from .errors import GridMismatchError, ParameterError
 from .extension import annuli_surrogate, dyadic_heights
-from .grid import (GridFunction, lp_norm, nearest_index, read_exact,
-                   read_grid_function, save_grid_function, torus_sq_distance,
-                   wrapped_abs_delta)
+from .grid import (GridFunction, lp_norm, nearest_index, open_path,
+                   read_exact, read_grid_function, save_grid_function,
+                   torus_sq_distance, wrapped_abs_delta)
 from .maximal import ApproachRegionSpec, tangential_max
 from .potentials import multi_indices, slobodeckij_seminorm, spectral_derivative
 from .rng import stream
@@ -287,7 +287,10 @@ def boundary_tangential_max(graph: LipschitzGraph, f: GridFunction,
                             p0: float = 1.5, J: int = 20) -> GridFunction:
     """Flattened localization bound: annuli surrogate (alpha_L, p0, J) of
     the chart pullback, swept by the tangential maximal operator at
-    aperture 1 + c."""
+    aperture 1 + c.  f must lie on the profile's grid."""
+    if f.grid != graph.phi.grid:
+        raise GridMismatchError(
+            f"grids differ: data {f.grid} vs profile {graph.phi.grid}")
     if not (math.isfinite(c) and c > 0.0):
         raise ParameterError(f"c must be finite and positive, got {c}")
     heights = dyadic_heights(1.0, grid=f.grid)
@@ -299,12 +302,12 @@ def boundary_tangential_max(graph: LipschitzGraph, f: GridFunction,
 def save_lipschitz_graph(path, graph: LipschitzGraph) -> None:
     """Profile in the grid-function binary format plus (M, smooth_class)."""
     save_grid_function(path, graph.phi)
-    with open(path, "ab") as fh:
+    with open_path(path, "ab") as fh:
         fh.write(struct.pack("<dI", graph.M, graph.smooth_class))
 
 
 def load_lipschitz_graph(path) -> LipschitzGraph:
-    with open(path, "rb") as fh:
+    with open_path(path, "rb") as fh:
         phi = read_grid_function(fh)
         M, smooth_class = struct.unpack(
             "<dI", read_exact(fh, 12, "Lipschitz trailer (M, smooth_class)"))

@@ -15,7 +15,7 @@ offset dy and folded into the output.  That is O(N^2 K) time and O(N^2)
 memory for halfwidth K, and exact, since max and min do not round.
 
 Operators read fields without mutating them, and the scan order per
-output point is fixed, so results are independent of execution layout.
+output point is fixed, so results are deterministic.
 """
 
 import math

@@ -157,28 +157,16 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
     return GridFunction(g, out)
 
 
-def slobodeckij_seminorm(f: GridFunction, sigma: float, p: float,
-                         domain=None) -> float:
-    """Discrete double sum [f]_{sigma,p}: pairs weighted by |x-y|^-(n+sigma p).
-
-    domain is an optional set of flat indices in [0, size) restricting both
-    sum variables; diagonal pairs are excluded.  At p = 2 this is one torus
-    convolution of the data centred on the domain (see _kernels), within
-    ~1e-10 relative of the pair loop on very smooth data.
+def slobodeckij_seminorm(f: GridFunction, sigma: float, p: float) -> float:
+    """Discrete double sum [f]_{sigma,p}: pairs weighted by |x-y|^-(n+sigma p),
+    diagonal pairs excluded.  At p = 2 this is one torus convolution of the
+    centred data (see _kernels), within ~1e-10 relative of the pair loop on
+    very smooth data.
     """
     if not (0 < sigma < 1):
         raise ParameterError(f"sigma must lie in (0,1), got {sigma}")
     if not (math.isfinite(p) and p >= 1):
         raise ParameterError(f"p must be finite and >= 1, got {p}")
     g = f.grid
-    mask = None
-    if domain is not None:
-        idx = np.asarray(list(domain))
-        if (idx.size == 0 or idx.ndim != 1 or not np.issubdtype(idx.dtype, np.integer)
-                or idx.min() < 0 or idx.max() >= g.size):
-            raise ParameterError(
-                f"domain must be a nonempty set of integer indices in [0, {g.size})")
-        mask = np.zeros(g.shape)
-        mask.flat[idx] = 1.0
-    total = _kernels.slobodeckij_sum(f.as_array(), g.h, sigma, p, mask)
+    total = _kernels.slobodeckij_sum(f.as_array(), g.h, sigma, p)
     return float(total ** (1.0 / p))

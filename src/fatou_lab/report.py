@@ -9,6 +9,7 @@ import os
 from dataclasses import dataclass, field
 
 from .errors import ParameterError
+from .grid import open_path
 
 
 @dataclass(frozen=True)
@@ -133,33 +134,39 @@ def _svg_plot(series: dict, title: str, xlabel: str, ylabel: str,
     return "\n".join(out) + "\n"
 
 
+def make_output_dir(output_dir: str) -> None:
+    """Create output_dir if missing; ParameterError if it cannot be."""
+    try:
+        os.makedirs(output_dir, exist_ok=True)
+    except OSError as exc:
+        raise ParameterError(f"cannot create output directory {output_dir}: "
+                             f"{exc.strerror or exc}") from exc
+
+
 def emit_report(report: RunReport, fmt: str, output_dir: str) -> list:
     """Write report files; returns the written paths."""
     if fmt not in ("csv", "svg", "text"):
         raise ParameterError(f"unknown report format {fmt!r}")
-    os.makedirs(output_dir, exist_ok=True)
+    make_output_dir(output_dir)
     base = os.path.join(output_dir, f"{report.experiment}")
-    try:
-        if fmt == "csv":
-            path = base + ".csv"
-            with open(path, "w", newline="") as fh:
-                fh.write(_csv_text(report))
-        elif fmt == "text":
-            path = base + ".txt"
-            with open(path, "w") as fh:
-                fh.write(_text_summary(report))
-        else:
-            path = base + ".svg"
-            series: dict = {}
-            for level, seed, quantity, value in report.rows:
-                if not quantity.startswith("ratio"):
-                    continue
-                series.setdefault(quantity, []).append((float(level), value))
-            slope = report.stats.get("fit_slope")
-            note = f"fitted slope {slope:.4g}" if slope is not None else ""
-            with open(path, "w") as fh:
-                fh.write(_svg_plot(series, report.experiment, "level (log2 N)",
-                                   "ratio", note))
-    except OSError as exc:
-        raise OSError(f"failed writing report under {output_dir}: {exc}") from exc
+    if fmt == "csv":
+        path = base + ".csv"
+        with open_path(path, "w", newline="") as fh:
+            fh.write(_csv_text(report))
+    elif fmt == "text":
+        path = base + ".txt"
+        with open_path(path, "w") as fh:
+            fh.write(_text_summary(report))
+    else:
+        path = base + ".svg"
+        series: dict = {}
+        for level, seed, quantity, value in report.rows:
+            if not quantity.startswith("ratio"):
+                continue
+            series.setdefault(quantity, []).append((float(level), value))
+        slope = report.stats.get("fit_slope")
+        note = f"fitted slope {slope:.4g}" if slope is not None else ""
+        with open_path(path, "w") as fh:
+            fh.write(_svg_plot(series, report.experiment, "level (log2 N)",
+                               "ratio", note))
     return [path]

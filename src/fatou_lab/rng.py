@@ -3,7 +3,7 @@
 Every stochastic routine in the toolkit draws from a Philox 4x64
 counter-based generator keyed by an explicit integer seed.  Philox is
 stateless apart from its (key, counter) pair, so identical seeds produce
-identical streams on every platform and under any threading layout.
+identical streams on every platform.
 """
 
 import numpy as np

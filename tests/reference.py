@@ -11,6 +11,7 @@ annulus) pair.  No runner uses them.
 """
 
 import math
+from dataclasses import dataclass
 from types import MappingProxyType
 
 import numpy as np
@@ -21,12 +22,35 @@ from fatou_lab.errors import ParameterError, SingularityError
 from fatou_lab.extension import HalfSpaceField
 from fatou_lab.grid import (Grid, GridFunction, ball_mean_all_centers,
                             nearest_index, wrapped_abs_delta)
-from fatou_lab.kernels import (_POISSON_C, KernelSpec, _norm_sq,
-                               _series_prefactor, bessel_kernel, riesz_constant)
+from fatou_lab.kernels import (_POISSON_C, _norm_sq, _series_prefactor,
+                               bessel_kernel, riesz_constant)
 from fatou_lab.lipschitz import (BoundaryPoint, InclusionReport, LipschitzGraph,
                                  graph_distance, graph_distance_batch, phi_at)
 from fatou_lab.maximal import ApproachRegionSpec
 from fatou_lab.rng import stream
+
+
+@dataclass(frozen=True)
+class KernelSpec:
+    """kind in {poisson, bessel, riesz}; order is alpha, scale is the Poisson t."""
+
+    kind: str
+    dim: int
+    order: float = 0.0
+    scale: float = 0.0
+
+    def __post_init__(self):
+        if self.kind not in ("poisson", "bessel", "riesz"):
+            raise ParameterError(f"unknown kernel kind {self.kind!r}")
+        if self.dim not in (1, 2):
+            raise ParameterError(f"dim must be 1 or 2, got {self.dim}")
+        if self.kind == "bessel" and not self.order > 0:
+            raise ParameterError("bessel kernel needs order > 0")
+        if self.kind == "riesz" and not (0 < self.order < self.dim):
+            raise ParameterError(
+                f"riesz order must lie in (0, {self.dim}), got {self.order}")
+        if self.kind == "poisson" and not self.scale > 0:
+            raise ParameterError("poisson kernel needs scale > 0")
 
 
 class DomainError(ValueError):

@@ -1,6 +1,8 @@
 """CLI input and output at the byte level: malformed flags and inputs exit 2
-without a traceback, and every CSV writer keeps its exact bytes."""
+without a traceback, every action takes exactly the flags it reads, and
+every CSV writer keeps its exact bytes."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -8,7 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from fatou_lab.cli import _write_points, main
+from fatou_lab import cli
+from fatou_lab.cli import _write_points, build_parser, main
+from fatou_lab.extension import dyadic_heights, poisson_extend, \
+    save_half_space_field
 from fatou_lab.fractal import PointSet
 from fatou_lab.grid import (from_callable, grid_function_to_csv, make_grid,
                             save_grid_function)
@@ -17,14 +22,22 @@ from fatou_lab.lipschitz import lipschitz_graph, save_lipschitz_graph
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A 1-D grid function and 1-D and 2-D Lipschitz profiles on disk."""
+    """A level-6 grid function and its Poisson field, 1-D Lipschitz profiles
+    at levels 6 and 8, a 2-D profile, a radii file and a points file."""
     d = tmp_path_factory.mktemp("inputs")
     g1, g2 = make_grid(1, 6, 1.0), make_grid(2, 3, 1.0)
-    save_grid_function(d / "f.flgf", from_callable(g1, np.cos))
+    f = from_callable(g1, np.cos)
+    save_grid_function(d / "f.flgf", f)
+    save_half_space_field(d / "u.flhf",
+                          poisson_extend(f, dyadic_heights(1.0, count=10)))
     save_lipschitz_graph(d / "prof.flgf",
                          lipschitz_graph(from_callable(g1, np.zeros_like)))
+    save_lipschitz_graph(d / "prof8.flgf", lipschitz_graph(
+        from_callable(make_grid(1, 8, 1.0), np.zeros_like)))
     save_lipschitz_graph(d / "prof2.flgf", lipschitz_graph(
         from_callable(g2, lambda x, y: 0.1 * np.cos(2 * np.pi * x))))
+    (d / "r.csv").write_text("r\n0.5\n1.0\n")
+    (d / "pts.csv").write_text("x\n0\n0.1875\n0.75\n0.9375\n")
     return d
 
 
@@ -34,17 +47,17 @@ _MALFORMED = {
     "window-not-numbers": ["fractal", "boxdim", "--in", "pts.csv",
                            "--window", "a,b"],
     "scales-not-numbers": ["potential", "sharp", "--in", "{d}/f.flgf",
-                           "--scales", "x"],
+                           "--out", "{d}/s.flgf", "--scales", "x"],
     "scales-empty": ["potential", "sharp", "--in", "{d}/f.flgf",
-                     "--scales", ""],
+                     "--out", "{d}/s.flgf", "--scales", ""],
     "levels-not-numbers": ["verify", "--experiment", "poincare",
                            "--levels", "x"],
     "levels-empty": ["verify", "--experiment", "poincare", "--levels", ""],
     "seeds-empty-entry": ["verify", "--experiment", "poincare",
                           "--seeds", "1,,2"],
-    "heights-fractional-count": ["extend", "--kind", "poisson", "--heights",
+    "heights-fractional-count": ["extend", "poisson", "--heights",
                                  "1,2.5", "--in", "{d}/f.flgf",
-                                 "--out", "{d}/u.flhf"],
+                                 "--out", "{d}/v.flhf"],
     "corkscrew-2d-profile": ["lipschitz", "corkscrew",
                              "--profile", "{d}/prof2.flgf"],
     "surface-2d-profile": ["lipschitz", "surface",
@@ -53,6 +66,49 @@ _MALFORMED = {
                          "{d}/prof.flgf", "--x0", "nan"],
     "surface-inf-x0": ["lipschitz", "surface", "--profile",
                        "{d}/prof.flgf", "--x0", "inf"],
+    # a flag that the action cannot run without
+    "smooth-without-out": ["potential", "smooth", "--in", "{d}/f.flgf"],
+    "boxdim-without-in": ["fractal", "boxdim"],
+    "divset-without-ref": ["fractal", "divset", "--in", "{d}/u.flhf",
+                           "--out", "{d}/x.csv"],
+    "boundary-max-without-in": ["lipschitz", "boundary-max", "--profile",
+                                "{d}/prof.flgf", "--out", "{d}/x.flgf"],
+    "bessel-without-alpha": ["kernel-table", "bessel", "--points",
+                             "{d}/r.csv"],
+    "poisson-without-t": ["kernel-table", "poisson", "--points", "{d}/r.csv"],
+    "riesz-n-3": ["kernel-table", "riesz", "--n", "3", "--alpha", "0.5",
+                  "--points", "{d}/r.csv"],
+    "poisson-nan-t": ["kernel-table", "poisson", "--t", "nan",
+                      "--points", "{d}/r.csv", "--out", "{d}/x.csv"],
+    "bessel-nan-alpha": ["kernel-table", "bessel", "--alpha", "nan",
+                         "--points", "{d}/r.csv", "--out", "{d}/x.csv"],
+    # a flag that the action does not read, or a retired spelling
+    "fractional-beta": ["maxfn", "fractional", "--beta", "0.3", "--in",
+                        "{d}/f.flgf", "--out", "{d}/x.flgf"],
+    "corkscrew-samples": ["lipschitz", "corkscrew", "--profile",
+                          "{d}/prof.flgf", "--samples", "5"],
+    "maxfn-op-flag": ["maxfn", "--op", "tangential", "--in", "{d}/u.flhf",
+                      "--out", "{d}/x.flgf"],
+    # a file that cannot be opened
+    "smooth-missing-in": ["potential", "smooth", "--in", "nofile.csv",
+                          "--out", "{d}/x.flgf"],
+    "boxdim-missing-in": ["fractal", "boxdim", "--in", "nofile.csv"],
+    "divset-missing-in": ["fractal", "divset", "--in", "nofile",
+                          "--ref", "{d}/f.flgf", "--out", "{d}/x.csv"],
+    "verify-missing-config": ["verify", "--config", "nofile.ini"],
+    "kernel-table-missing-points": ["kernel-table", "poisson", "--t", "1",
+                                    "--points", "nofile"],
+    "cantor-out-in-missing-dir": ["fractal", "cantor", "--depth", "2",
+                                  "--out", "{d}/no-dir/x.csv"],
+    "cantor-out-under-a-file": ["fractal", "cantor", "--depth", "2",
+                                "--out", "{d}/f.flgf/x.csv"],
+    "verify-output-dir-under-a-file": ["verify", "--experiment",
+                                       "poisson-exactness", "--output-dir",
+                                       "{d}/f.flgf/out"],
+    # data on another grid than the profile
+    "boundary-max-grid-mismatch": ["lipschitz", "boundary-max", "--profile",
+                                   "{d}/prof8.flgf", "--in", "{d}/f.flgf",
+                                   "--out", "{d}/x.flgf"],
 }
 
 
@@ -61,15 +117,112 @@ def test_malformed_cli_input_exits_2_without_traceback(inputs, case):
     argv = [a.format(d=inputs) for a in _MALFORMED[case]]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    before = sorted(os.listdir(inputs))
     proc = subprocess.run([sys.executable, "-m", "fatou_lab", *argv],
                           capture_output=True, text=True, env=env,
                           cwd=inputs)
     assert proc.returncode == 2, proc.stderr
     assert "Traceback" not in proc.stderr
     assert "error: " in proc.stderr
-    assert not (inputs / "u.flhf").exists()
+    assert sorted(os.listdir(inputs)) == before
 
 
+# The flags each action reads; verify and suite have no action word.
+_ACTION_FLAGS = {
+    ("kernel-table", "poisson"): "n t points out",
+    ("kernel-table", "bessel"): "n alpha route points out",
+    ("kernel-table", "riesz"): "n alpha points out",
+    ("extend", "poisson"): "heights in out extent",
+    ("extend", "surrogate"): "heights in out extent alpha-L r J",
+    ("maxfn", "tangential"): "in out beta aperture t-max argmax",
+    ("maxfn", "mitigated"): "in out p beta",
+    ("maxfn", "dilated"): "in out p beta j",
+    ("maxfn", "fractional"): "in out extent s alpha",
+    ("maxfn", "composite"): "in out extent p r beta alpha-L J",
+    ("potential", "smooth"): "in out extent alpha",
+    ("potential", "sharp"): "in out extent alpha scales",
+    ("potential", "seminorm"): "in extent sigma p",
+    ("fractal", "cantor"): "s depth levels extent out",
+    ("fractal", "boxdim"): "in dim levels extent window out",
+    ("fractal", "divset"): "in ref out beta aperture eps tmin",
+    ("lipschitz", "corkscrew"): "profile x0 t",
+    ("lipschitz", "inclusion"): "profile beta c samples seed",
+    ("lipschitz", "surface"): "profile x0 radius",
+    ("lipschitz", "boundary-max"): "profile in out beta c alpha-L p0 J",
+    ("verify", None): "config experiment levels seeds output-dir",
+    ("suite", None): "output-dir",
+}
+
+
+def _choices(parser) -> dict:
+    """The parsers of parser's subcommands, or {} when it has none."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def _walk() -> dict:
+    """{(command, action word or None): the flags its parser accepts}."""
+    out = {}
+    for command, cp in _choices(build_parser()).items():
+        for word, ap in (_choices(cp) or {None: cp}).items():
+            out[command, word] = {opt[2:] for act in ap._actions
+                                  for opt in act.option_strings
+                                  if opt not in ("-h", "--help")}
+    return out
+
+
+def test_each_action_takes_exactly_the_flags_it_reads():
+    walked = _walk()
+    assert walked == {k: set(v.split()) for k, v in _ACTION_FLAGS.items()}
+    assert sum(len(flags) for flags in walked.values()) == 108
+
+
+class _Reads(argparse.Namespace):
+    """A namespace that records the names read from it."""
+
+    def __getattribute__(self, name):
+        object.__getattribute__(self, "__dict__").setdefault(
+            "_read", set()).add(name)
+        return object.__getattribute__(self, name)
+
+
+# one valid run of each action; {d} holds the inputs, {o} takes the outputs
+_RUNS = {
+    ("kernel-table", "poisson"): "--t 1 --points {d}/r.csv",
+    ("kernel-table", "bessel"): "--alpha 2 --points {d}/r.csv",
+    ("kernel-table", "riesz"): "--alpha 0.5 --points {d}/r.csv",
+    ("extend", "poisson"): "--heights 1,4 --in {d}/f.flgf --out {o}/u.flhf",
+    ("extend", "surrogate"): "--heights 1,4 --in {d}/f.flgf --out {o}/u.flhf",
+    ("maxfn", "tangential"): "--in {d}/u.flhf --out {o}/m.flgf",
+    ("maxfn", "mitigated"): "--in {d}/u.flhf --out {o}/m.flgf",
+    ("maxfn", "dilated"): "--in {d}/u.flhf --out {o}/m.flgf --beta 0.5",
+    ("maxfn", "fractional"): "--in {d}/f.flgf --out {o}/m.flgf",
+    ("maxfn", "composite"): "--in {d}/f.flgf --out {o}/m.flgf --beta 0.5 --J 4",
+    ("potential", "smooth"): "--in {d}/f.flgf --out {o}/s.flgf",
+    ("potential", "sharp"): "--in {d}/f.flgf --out {o}/s.flgf",
+    ("potential", "seminorm"): "--in {d}/f.flgf",
+    ("fractal", "cantor"): "--depth 4 --levels 6",
+    ("fractal", "boxdim"): "--in {d}/pts.csv --levels 6 --window 2,5",
+    ("fractal", "divset"): "--in {d}/u.flhf --ref {d}/f.flgf",
+    ("lipschitz", "corkscrew"): "--profile {d}/prof.flgf",
+    ("lipschitz", "inclusion"): "--profile {d}/prof.flgf --samples 200",
+    ("lipschitz", "surface"): "--profile {d}/prof.flgf",
+    ("lipschitz", "boundary-max"):
+        "--profile {d}/prof.flgf --in {d}/f.flgf --out {o}/b.flgf --J 4",
+}
+
+
+@pytest.mark.parametrize("key", sorted(_RUNS), ids="-".join)
+def test_each_action_reads_every_flag_it_takes(inputs, tmp_path, capsys, key):
+    argv = [*key, *_RUNS[key].format(d=inputs, o=tmp_path).split()]
+    args = build_parser().parse_args(argv, namespace=_Reads())
+    args.__dict__["_read"] = set()
+    assert args.fn(args) in (None, 0)
+    dests = {"infile" if f == "in" else f.replace("-", "_")
+             for f in _ACTION_FLAGS[key].split()}
+    assert args.__dict__["_read"] - {"fn", "__dict__"} == dests
 def test_lipschitz_non_finite_inputs_exit_2(inputs, capsys):
     prof = str(inputs / "prof.flgf")
     for flag, value in (("--x0", "nan"), ("--x0", "inf"), ("--t", "nan"),
@@ -96,7 +249,7 @@ def test_corkscrew_prints_plain_floats(inputs, capsys):
 def test_kernel_table_stdout_bytes(tmp_path, capsys):
     pts = tmp_path / "r.csv"
     pts.write_text("r\n0.5\n1.0\n")
-    assert main(["kernel-table", "--kind", "bessel", "--n", "1",
+    assert main(["kernel-table", "bessel", "--n", "1",
                  "--alpha", "2.0", "--points", str(pts)]) == 0
     assert capsys.readouterr().out == (
         "# c_alpha fixed by unit L1 mass, radial quadrature of the "
@@ -126,9 +279,9 @@ def test_argmax_witness_bytes(tmp_path):
     src, field, wit = (tmp_path / n for n in ("f.flgf", "u.flhf", "w.csv"))
     save_grid_function(src, from_callable(make_grid(1, 3, 1.0),
                                           lambda x: np.cos(2 * np.pi * x)))
-    assert main(["extend", "--kind", "poisson", "--heights", "0.5,3",
+    assert main(["extend", "poisson", "--heights", "0.5,3",
                  "--in", str(src), "--out", str(field)]) == 0
-    assert main(["maxfn", "--op", "tangential", "--beta", "0.5",
+    assert main(["maxfn", "tangential", "--beta", "0.5",
                  "--in", str(field), "--out", str(tmp_path / "nt.flgf"),
                  "--argmax", str(wit)]) == 0
     assert wit.read_bytes() == (
@@ -153,3 +306,17 @@ def test_grid_function_csv_bytes(tmp_path):
         b"2,0,0.16666666666666666\r\n2,1,-0.083333333333333343\r\n"
         b"2,2,-0.33333333333333337\r\n2,3,-0.58333333333333337\r\n"
         b"3,0,0.25\r\n3,1,0\r\n3,2,-0.25\r\n3,3,-0.5\r\n")
+
+
+@pytest.mark.parametrize("argv", [["verify", "--experiment", "poincare"],
+                                  ["suite"]], ids=["verify", "suite"])
+def test_output_dir_is_checked_before_any_experiment(tmp_path, monkeypatch,
+                                                     capsys, argv):
+    def refuse(cfg):
+        raise AssertionError("experiment run before the output check")
+
+    monkeypatch.setattr(cli, "run_experiment", refuse)
+    (tmp_path / "file").write_text("")
+    assert main([*argv, "--output-dir", str(tmp_path / "file" / "out")]) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: cannot create output directory {tmp_path / 'file' / 'out'}")

@@ -321,7 +321,7 @@ def test_cli_kernel_table(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     pts.write_text("r\n0.5\n1.0\n")
     out = tmp_path / "table.csv"
-    code = main(["kernel-table", "--kind", "bessel", "--n", "1", "--alpha",
+    code = main(["kernel-table", "bessel", "--n", "1", "--alpha",
                  "2.0", "--points", str(pts), "--out", str(out)])
     assert code == 0
     lines = [ln for ln in out.read_text().strip().splitlines()
@@ -338,7 +338,7 @@ def test_cli_kernel_table_rejects_non_numeric_rows(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     pts.write_text("r\n0.5\n1.O\n2.0\n")
     out = tmp_path / "table.csv"
-    args = ["kernel-table", "--kind", "bessel", "--n", "1", "--alpha", "2.0",
+    args = ["kernel-table", "bessel", "--n", "1", "--alpha", "2.0",
             "--points", str(pts), "--out", str(out)]
     assert main(args) == 2
     err = capsys.readouterr().err
@@ -355,16 +355,16 @@ def test_cli_extend_and_maxfn(tmp_path):
     src = tmp_path / "f.flgf"
     save_grid_function(src, f)
     field = tmp_path / "u.flhf"
-    assert main(["extend", "--kind", "poisson", "--heights", "1.0,10",
+    assert main(["extend", "poisson", "--heights", "1.0,10",
                  "--in", str(src), "--out", str(field)]) == 0
     out = tmp_path / "nt.csv"
-    assert main(["maxfn", "--op", "tangential", "--beta", "0.5",
+    assert main(["maxfn", "tangential", "--beta", "0.5",
                  "--in", str(field), "--out", str(out)]) == 0
     nt = grid_function_from_csv(out, 1.0)
     assert nt.samples.max() <= 1.0 + 1e-9
     assert nt.samples.min() > 0.5
     wit = tmp_path / "wit.csv"
-    assert main(["maxfn", "--op", "tangential", "--beta", "0.5",
+    assert main(["maxfn", "tangential", "--beta", "0.5",
                  "--in", str(field), "--out", str(out),
                  "--argmax", str(wit)]) == 0
     assert wit.read_text().startswith("x0,t_star,x_star")
@@ -376,10 +376,10 @@ def test_cli_maxfn_argmax_2d(tmp_path):
     src = tmp_path / "f.flgf"
     save_grid_function(src, f)
     field = tmp_path / "u.flhf"
-    assert main(["extend", "--kind", "poisson", "--heights", "1.0,6",
+    assert main(["extend", "poisson", "--heights", "1.0,6",
                  "--in", str(src), "--out", str(field)]) == 0
     wit = tmp_path / "wit.csv"
-    assert main(["maxfn", "--op", "tangential", "--beta", "0.5",
+    assert main(["maxfn", "tangential", "--beta", "0.5",
                  "--in", str(field), "--out", str(tmp_path / "nt.csv"),
                  "--argmax", str(wit)]) == 0
     lines = wit.read_text().splitlines()
@@ -468,16 +468,16 @@ def test_cli_surrogate_dilated_composite(tmp_path, capsys):
     src = tmp_path / "f.flgf"
     save_grid_function(src, f)
     field = tmp_path / "w.flhf"
-    assert main(["extend", "--kind", "surrogate", "--heights", "0.25,8",
+    assert main(["extend", "surrogate", "--heights", "0.25,8",
                  "--in", str(src), "--out", str(field),
                  "--alpha-L", "0.5", "--r", "1.5", "--J", "10"]) == 0
     assert "tail bound" in capsys.readouterr().out
     out = tmp_path / "d.flgf"
-    assert main(["maxfn", "--op", "dilated", "--beta", "0.5", "--p", "2",
+    assert main(["maxfn", "dilated", "--beta", "0.5", "--p", "2",
                  "--j", "1", "--in", str(field), "--out", str(out)]) == 0
-    assert main(["maxfn", "--op", "composite", "--beta", "0.5", "--p", "2",
+    assert main(["maxfn", "composite", "--beta", "0.5", "--p", "2",
                  "--r", "1.5", "--in", str(src), "--out", str(out)]) == 0
-    assert main(["maxfn", "--op", "fractional", "--s", "2", "--alpha", "0.5",
+    assert main(["maxfn", "fractional", "--s", "2", "--alpha", "0.5",
                  "--in", str(src), "--out", str(out)]) == 0
 
 
@@ -487,7 +487,7 @@ def test_cli_divset_and_boundary_max(tmp_path, capsys):
     src = tmp_path / "f.flgf"
     save_grid_function(src, f)
     field = tmp_path / "u.flhf"
-    assert main(["extend", "--kind", "poisson", "--heights", "1.0,10",
+    assert main(["extend", "poisson", "--heights", "1.0,10",
                  "--in", str(src), "--out", str(field)]) == 0
     pts = tmp_path / "div.csv"
     assert main(["fractal", "divset", "--in", str(field), "--ref", str(src),
@@ -509,7 +509,7 @@ def _cosine_field(tmp_path):
     save_grid_function(src, from_callable(make_grid(1, 8, 1.0),
                                           lambda x: np.cos(2 * np.pi * x)))
     field = tmp_path / "u.flhf"
-    assert main(["extend", "--kind", "poisson", "--heights", "1.0,10",
+    assert main(["extend", "poisson", "--heights", "1.0,10",
                  "--in", str(src), "--out", str(field)]) == 0
     return src, field
 
@@ -518,7 +518,7 @@ def _cosine_field(tmp_path):
 def test_cli_non_finite_region_parameters_exit_2(tmp_path, capsys, value):
     src, field = _cosine_field(tmp_path)
     out = tmp_path / "out.csv"
-    assert main(["maxfn", "--op", "tangential", "--in", str(field),
+    assert main(["maxfn", "tangential", "--in", str(field),
                  "--out", str(out), "--aperture", value]) == 2
     assert main(["fractal", "divset", "--in", str(field), "--ref", str(src),
                  "--out", str(out), "--aperture", value]) == 2
@@ -541,7 +541,7 @@ def test_cli_non_finite_region_parameters_exit_2(tmp_path, capsys, value):
 ])
 def test_cli_uncovered_region_exits_2(tmp_path, capsys, t_max, message):
     _, field = _cosine_field(tmp_path)
-    assert main(["maxfn", "--op", "tangential", "--in", str(field),
+    assert main(["maxfn", "tangential", "--in", str(field),
                  "--out", str(tmp_path / "nt.csv"), f"--t-max={t_max}"]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
@@ -554,7 +554,7 @@ def test_cli_coverage_error_prints_no_traceback(tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
     proc = subprocess.run(
-        [sys.executable, "-m", "fatou_lab", "maxfn", "--op", "tangential",
+        [sys.executable, "-m", "fatou_lab", "maxfn", "tangential",
          "--in", str(field), "--out", str(tmp_path / "nt.csv"),
          "--t-max", "1e-9"], capture_output=True, text=True, env=env)
     assert proc.returncode == 2
@@ -574,7 +574,7 @@ def test_cli_extend_checks_heights_first(tmp_path, capsys, monkeypatch, kind,
     src = tmp_path / "f.flgf"
     save_grid_function(src, from_callable(make_grid(1, 6, 1.0), np.cos))
     out = tmp_path / "w.flhf"
-    assert main(["extend", "--kind", kind, "--heights", heights,
+    assert main(["extend", kind, "--heights", heights,
                  "--in", str(src), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: heights must be {message}\n"
     assert not out.exists()
@@ -644,7 +644,7 @@ def test_cli_malformed_points_csv_exits_2(tmp_path, capsys, case):
 
 def test_cli_usage_error_exit_code():
     with pytest.raises(SystemExit) as err:
-        main(["maxfn", "--op", "warp"])
+        main(["maxfn", "warp"])
     assert err.value.code == 2
 
 
@@ -716,7 +716,7 @@ def test_cli_kernel_table_without_radii_exits_2(tmp_path, capsys, text):
     pts = tmp_path / "pts.csv"
     pts.write_text(text)
     out = tmp_path / "table.csv"
-    assert main(["kernel-table", "--kind", "bessel", "--n", "1", "--alpha",
+    assert main(["kernel-table", "bessel", "--n", "1", "--alpha",
                  "2.0", "--points", str(pts), "--out", str(out)]) == 2
     assert "no radii" in capsys.readouterr().err
     assert not out.exists()

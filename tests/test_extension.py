@@ -13,8 +13,8 @@ from fatou_lab.extension import (HalfSpaceField, annuli_surrogate, dyadic_height
                                  load_half_space_field, poisson_extend,
                                  save_half_space_field)
 from fatou_lab.grid import (GridFunction, fft_convolve, from_callable, make_grid)
-from fatou_lab.kernels import KernelSpec, poisson_kernel
-from reference import annuli_surrogate_per_pair, sampled_kernel
+from fatou_lab.kernels import poisson_kernel
+from reference import KernelSpec, annuli_surrogate_per_pair, sampled_kernel
 
 
 def test_heights_validation(rng):

@@ -6,9 +6,9 @@ from scipy.integrate import quad
 
 from fatou_lab.errors import ParameterError, SingularityError
 from fatou_lab.grid import fft_convolve, from_callable, make_grid
-from fatou_lab.kernels import (KernelSpec, bessel_kernel, bessel_l1_norm,
-                               poisson_kernel, riesz_kernel)
-from reference import kernel_symbol, sampled_kernel
+from fatou_lab.kernels import (bessel_kernel, bessel_l1_norm, poisson_kernel,
+                               riesz_kernel)
+from reference import KernelSpec, kernel_symbol, sampled_kernel
 
 PAIRS = [(1, 0.25), (1, 0.5), (1, 1.0), (1, 1.5),
          (2, 0.25), (2, 0.5), (2, 1.0), (2, 1.5)]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fatou_lab import _kernels
 from fatou_lab.cli import main
 from fatou_lab.config import ExperimentConfig
-from fatou_lab.errors import ParameterError
+from fatou_lab.errors import GridMismatchError, ParameterError
 from fatou_lab.experiments import _sawtooth, _smooth_profile, run_experiment
 from fatou_lab.grid import GridFunction, from_callable, make_grid
 from fatou_lab.lipschitz import (_certified_members,
@@ -359,6 +359,12 @@ def test_boundary_tangential_max_rejects_bad_c(c):
     f = GridFunction(flat.phi.grid, np.ones(flat.phi.grid.size))
     with pytest.raises(ParameterError, match="c must be finite and positive"):
         boundary_tangential_max(flat, f, 0.5, c)
+
+
+def test_boundary_tangential_max_rejects_data_on_another_grid():
+    f = GridFunction(make_grid(1, 6, 1.0), np.ones(64))
+    with pytest.raises(GridMismatchError, match="grids differ"):
+        boundary_tangential_max(_flat(8), f, 0.5, 1.0)
 
 
 def test_boundary_max_band(rng):
