@@ -321,13 +321,13 @@ def build_parser() -> argparse.ArgumentParser:
         "tangential": ("in! out! beta aperture t-max argmax", _tangential),
         "mitigated": ("in! out! p beta", lambda a: _write_gf(
             a.out, mitigated_max(load_half_space_field(a.infile), a.p, a.beta))),
-        "dilated": ("in! out! p beta j", lambda a: _write_gf(
+        "dilated": ("in! out! p beta! j", lambda a: _write_gf(
             a.out, dilated_mitigated_max(load_half_space_field(a.infile),
                                          a.p, a.beta, a.j))),
         "fractional": ("in! out! extent s alpha", lambda a: _write_gf(
             a.out, fractional_power_max(_read_gf(a.infile, a.extent),
                                         a.s, a.alpha))),
-        "composite": ("in! out! extent p r beta alpha-L J", lambda a: _write_gf(
+        "composite": ("in! out! extent p r beta! alpha-L J", lambda a: _write_gf(
             a.out, composite_max(_read_gf(a.infile, a.extent), a.p, a.r,
                                  a.beta, a.alpha_L, a.J))),
     }, alpha=0.0)

@@ -210,13 +210,22 @@ def fft_convolve(f: GridFunction, k: GridFunction) -> GridFunction:
     return GridFunction(g, out * (g.h ** g.dim))
 
 
+@contextlib.contextmanager
 def open_path(path, mode: str = "r", **kwargs):
-    """open(path, mode), but a file that cannot be opened (missing, a
-    directory, no permission) raises ParameterError naming the path."""
+    """with open(path, mode), but an OSError while opening (missing, a
+    directory, no permission), reading, writing or closing (disk full)
+    raises ParameterError naming the path."""
     try:
-        return open(path, mode, **kwargs)
+        fh = open(path, mode, **kwargs)
     except OSError as exc:
         raise ParameterError(f"cannot open {path}: {exc.strerror or exc}") from exc
+    try:
+        with fh:
+            yield fh
+    except OSError as exc:
+        raise ParameterError(
+            f"cannot {'read' if mode.startswith('r') else 'write'} {path}: "
+            f"{exc.strerror or exc}") from exc
 
 
 def save_grid_function(path, f: GridFunction) -> None:

@@ -4,14 +4,14 @@ The Bessel kernel has two independent routes: adaptive quadrature of its
 subordination integral (after the substitution u = log t), and a closed
 form in terms of the modified Bessel function K_nu.  The normalizing
 constant c_alpha is fixed numerically, once per (n, alpha), by radial
-integration, and cached.
+integration, and cached.  The quadrature route loads scipy.integrate on
+its first call, so a process that never integrates does not import it.
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import gamma, kv
 
 from .errors import NumericError, ParameterError, SingularityError
@@ -51,6 +51,8 @@ def _bessel_unnormalized(n: int, alpha: float, r: float) -> float:
         return (4.0 * math.pi) ** c * gamma(c)
     if r > 740.0:
         return 0.0  # below double-precision underflow
+    from scipy.integrate import quad
+
     cut = max(25.0, math.log(1500.0 / r))
     lo, err_lo = quad(_cosh_integrand, -cut, 0.0, args=(r, c),
                       epsabs=0.0, epsrel=1e-10, limit=300)
@@ -77,6 +79,8 @@ def bessel_normalization(n: int, alpha: float) -> float:
     the substitution r = e^v, keeping this path independent of the K_nu
     closed form used by the series route.
     """
+    from scipy.integrate import quad
+
     omega = 2.0 if n == 1 else 2.0 * math.pi
 
     def radial_log(v: float) -> float:
@@ -131,6 +135,8 @@ def riesz_kernel(n: int, alpha: float, x) -> float:
 
 def bessel_l1_norm(n: int, alpha: float) -> float:
     """||G_alpha||_L1 by radial quadrature of the normalized kernel."""
+    from scipy.integrate import quad
+
     omega = 2.0 if n == 1 else 2.0 * math.pi
 
     def radial_log(v: float) -> float:

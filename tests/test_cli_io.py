@@ -76,6 +76,10 @@ _MALFORMED = {
     "bessel-without-alpha": ["kernel-table", "bessel", "--points",
                              "{d}/r.csv"],
     "poisson-without-t": ["kernel-table", "poisson", "--points", "{d}/r.csv"],
+    "dilated-without-beta": ["maxfn", "dilated", "--in", "{d}/u.flhf",
+                             "--out", "{d}/x.flgf"],
+    "composite-without-beta": ["maxfn", "composite", "--in", "{d}/f.flgf",
+                               "--out", "{d}/x.flgf"],
     "riesz-n-3": ["kernel-table", "riesz", "--n", "3", "--alpha", "0.5",
                   "--points", "{d}/r.csv"],
     "poisson-nan-t": ["kernel-table", "poisson", "--t", "nan",
@@ -105,6 +109,13 @@ _MALFORMED = {
     "verify-output-dir-under-a-file": ["verify", "--experiment",
                                        "poisson-exactness", "--output-dir",
                                        "{d}/f.flgf/out"],
+    # a write that fails after its file opened (CSV, FLGF, FLHF)
+    "cantor-out-disk-full": ["fractal", "cantor", "--depth", "2",
+                             "--out", "/dev/full"],
+    "smooth-out-disk-full": ["potential", "smooth", "--in", "{d}/f.flgf",
+                             "--out", "/dev/full"],
+    "extend-out-disk-full": ["extend", "poisson", "--heights", "1,4",
+                             "--in", "{d}/f.flgf", "--out", "/dev/full"],
     # data on another grid than the profile
     "boundary-max-grid-mismatch": ["lipschitz", "boundary-max", "--profile",
                                    "{d}/prof8.flgf", "--in", "{d}/f.flgf",
@@ -115,6 +126,8 @@ _MALFORMED = {
 @pytest.mark.parametrize("case", sorted(_MALFORMED))
 def test_malformed_cli_input_exits_2_without_traceback(inputs, case):
     argv = [a.format(d=inputs) for a in _MALFORMED[case]]
+    if "/dev/full" in argv and not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
     before = sorted(os.listdir(inputs))
@@ -127,28 +140,29 @@ def test_malformed_cli_input_exits_2_without_traceback(inputs, case):
     assert sorted(os.listdir(inputs)) == before
 
 
-# The flags each action reads; verify and suite have no action word.
+# The flags each action reads, a trailing ! on each that it cannot run
+# without; verify and suite have no action word.
 _ACTION_FLAGS = {
-    ("kernel-table", "poisson"): "n t points out",
-    ("kernel-table", "bessel"): "n alpha route points out",
-    ("kernel-table", "riesz"): "n alpha points out",
-    ("extend", "poisson"): "heights in out extent",
-    ("extend", "surrogate"): "heights in out extent alpha-L r J",
-    ("maxfn", "tangential"): "in out beta aperture t-max argmax",
-    ("maxfn", "mitigated"): "in out p beta",
-    ("maxfn", "dilated"): "in out p beta j",
-    ("maxfn", "fractional"): "in out extent s alpha",
-    ("maxfn", "composite"): "in out extent p r beta alpha-L J",
-    ("potential", "smooth"): "in out extent alpha",
-    ("potential", "sharp"): "in out extent alpha scales",
-    ("potential", "seminorm"): "in extent sigma p",
+    ("kernel-table", "poisson"): "n t! points! out",
+    ("kernel-table", "bessel"): "n alpha! route points! out",
+    ("kernel-table", "riesz"): "n alpha! points! out",
+    ("extend", "poisson"): "heights! in! out! extent",
+    ("extend", "surrogate"): "heights! in! out! extent alpha-L r J",
+    ("maxfn", "tangential"): "in! out! beta aperture t-max argmax",
+    ("maxfn", "mitigated"): "in! out! p beta",
+    ("maxfn", "dilated"): "in! out! p beta! j",
+    ("maxfn", "fractional"): "in! out! extent s alpha",
+    ("maxfn", "composite"): "in! out! extent p r beta! alpha-L J",
+    ("potential", "smooth"): "in! out! extent alpha",
+    ("potential", "sharp"): "in! out! extent alpha scales",
+    ("potential", "seminorm"): "in! extent sigma p",
     ("fractal", "cantor"): "s depth levels extent out",
-    ("fractal", "boxdim"): "in dim levels extent window out",
-    ("fractal", "divset"): "in ref out beta aperture eps tmin",
-    ("lipschitz", "corkscrew"): "profile x0 t",
-    ("lipschitz", "inclusion"): "profile beta c samples seed",
-    ("lipschitz", "surface"): "profile x0 radius",
-    ("lipschitz", "boundary-max"): "profile in out beta c alpha-L p0 J",
+    ("fractal", "boxdim"): "in! dim levels extent window out",
+    ("fractal", "divset"): "in! ref! out beta aperture eps tmin",
+    ("lipschitz", "corkscrew"): "profile! x0 t",
+    ("lipschitz", "inclusion"): "profile! beta c samples seed",
+    ("lipschitz", "surface"): "profile! x0 radius",
+    ("lipschitz", "boundary-max"): "profile! in! out! beta c alpha-L p0 J",
     ("verify", None): "config experiment levels seeds output-dir",
     ("suite", None): "output-dir",
 }
@@ -163,11 +177,13 @@ def _choices(parser) -> dict:
 
 
 def _walk() -> dict:
-    """{(command, action word or None): the flags its parser accepts}."""
+    """{(command, action word or None): the flags its parser accepts, a
+    trailing ! on the required ones}."""
     out = {}
     for command, cp in _choices(build_parser()).items():
         for word, ap in (_choices(cp) or {None: cp}).items():
-            out[command, word] = {opt[2:] for act in ap._actions
+            out[command, word] = {opt[2:] + "!" * act.required
+                                  for act in ap._actions
                                   for opt in act.option_strings
                                   if opt not in ("-h", "--help")}
     return out
@@ -221,7 +237,7 @@ def test_each_action_reads_every_flag_it_takes(inputs, tmp_path, capsys, key):
     args.__dict__["_read"] = set()
     assert args.fn(args) in (None, 0)
     dests = {"infile" if f == "in" else f.replace("-", "_")
-             for f in _ACTION_FLAGS[key].split()}
+             for f in _ACTION_FLAGS[key].replace("!", "").split()}
     assert args.__dict__["_read"] - {"fn", "__dict__"} == dests
 def test_lipschitz_non_finite_inputs_exit_2(inputs, capsys):
     prof = str(inputs / "prof.flgf")

@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -86,6 +89,25 @@ def test_route_agreement():
 def test_bessel_unit_mass():
     for n, a in PAIRS:
         assert bessel_l1_norm(n, a) == pytest.approx(1.0, abs=1e-4)
+
+
+def test_quadrature_loads_scipy_integrate_on_first_use():
+    # a fresh interpreter: this process already holds scipy.integrate
+    code = "\n".join([
+        "import sys",
+        "import fatou_lab.cli, fatou_lab.experiments",
+        "print('scipy.integrate' in sys.modules)",
+        "from fatou_lab.kernels import bessel_kernel, bessel_l1_norm",
+        "print(bessel_kernel(1, 1.5, 0.3).hex())",
+        "print(bessel_l1_norm(1, 1.5).hex())",
+        "print('scipy.integrate' in sys.modules)"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split() == [
+        "False", bessel_kernel(1, 1.5, 0.3).hex(),
+        bessel_l1_norm(1, 1.5).hex(), "True"]
 
 
 def test_riesz_homogeneity():
