@@ -92,11 +92,16 @@ def _read_radii(path) -> list:
     radii = []
     for k, (line, r) in enumerate(rows):
         try:
-            radii.append(float(r[0]))
+            radius = float(r[0])
         except ValueError:
             if k > 0:  # only the first row may be a header
                 raise ParameterError(
                     f"{path}: line {line}: {r[0]!r} is not a number")
+            continue
+        if not 0.0 <= radius < np.inf:
+            raise ParameterError(
+                f"{path}: line {line}: radius {r[0]!r} must be finite and >= 0")
+        radii.append(radius)
     if not radii:
         raise ParameterError(
             f"{path}: no radii, the file holds at most a header row")
@@ -170,10 +175,9 @@ def _boxdim(args) -> None:
 
 
 def _divset(args) -> None:
-    u = load_half_space_field(args.infile)
-    ref = _read_gf(args.ref, u.grid.extent)
+    f = _read_gf(args.infile, args.extent)
     spec = ApproachRegionSpec(beta=args.beta, aperture=args.aperture, t_max=1.0)
-    ps = divergence_set(u, ref, spec, args.eps, args.tmin)
+    ps = divergence_set(f, spec, args.eps, args.tmin)
     _write_points(args.out, ps)
     print(f"divergence points: {np.atleast_1d(ps.points).shape[0]}")
 
@@ -260,7 +264,7 @@ _FLAGS = {
     "in": (str, None), "J": (int, 20), "j": (int, 0), "levels": (int, 14),
     "n": (int, 1), "out": (str, None), "p": (float, 2.0), "p0": (float, 1.5),
     "points": (str, None), "profile": (str, None), "r": (float, 1.5),
-    "radius": (float, 0.1), "ref": (str, None), "route": (str, "series"),
+    "radius": (float, 0.1), "route": (str, "series"),
     "s": (float, 1.0), "samples": (int, 10000), "scales": (_numbers(float), None),
     "seed": (int, 0), "sigma": (float, 0.5), "t": (float, 0.25),
     "t-max": (float, 1.0), "tmin": (float, 0.0625),
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     _actions(sub, "fractal", "measures, box dimension, divergence", {
         "cantor": ("s depth levels extent out", _cantor),
         "boxdim": ("in! dim levels extent window out", _boxdim),
-        "divset": ("in! ref! out beta aperture eps tmin", _divset),
+        "divset": ("in! extent out beta aperture eps tmin", _divset),
     }, s=0.5)
     _actions(sub, "lipschitz", "graph-domain geometry", {
         "corkscrew": ("profile! x0 t", _corkscrew),

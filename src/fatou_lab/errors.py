@@ -9,7 +9,7 @@ class GridMismatchError(ParameterError):
     """Two grid-carried objects live on different grids."""
 
 
-class SingularityError(ValueError):
+class SingularityError(ParameterError):
     """Evaluation requested at a point where the kernel is singular."""
 
 

@@ -14,8 +14,7 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, config_hash, validate
-from .extension import HalfSpaceField, dyadic_heights, poisson_extend, \
-    poisson_slices
+from .extension import HalfSpaceField, dyadic_heights, poisson_slices
 from .fractal import PointSet, box_dimension, cantor_measure, \
     integrate_against, divergence_set
 from .grid import GridFunction, ball_mean_all_centers, from_callable, fft_convolve, \
@@ -48,15 +47,13 @@ def unit_l2(grid, f: GridFunction) -> GridFunction:
     return GridFunction(grid, f.samples / lp_norm(f, 2.0))
 
 
-def spike_data(grid, positions, weights=None) -> GridFunction:
+def spike_data(grid, positions) -> GridFunction:
     """Sum of single-sample spikes, L2-normalized."""
     g = np.zeros(grid.size)
     positions = np.atleast_1d(positions)
-    if weights is None:
-        weights = np.ones(positions.size)
-    # spikes at one grid point add up, in the order given
+    # spikes at one grid point add up
     np.add.at(g, nearest_index(grid, positions[:, None]),
-              np.asarray(weights, dtype=np.float64) / math.sqrt(grid.h))
+              1.0 / math.sqrt(grid.h))
     f = GridFunction(grid, g)
     return unit_l2(grid, f)
 
@@ -211,7 +208,7 @@ def _ns_ratio(level: int, seed: int, cfg: ExperimentConfig, beta: float,
         g = spike_data(grid, [0.5 * grid.extent])
     f = bessel_smooth(g, cfg.alpha)
     spec = ApproachRegionSpec(beta=beta, aperture=cfg.aperture, t_max=1.0)
-    nt = poisson_tangential_max(f, dyadic_heights(1.0, grid=grid), spec)
+    nt = poisson_tangential_max(f, spec)
     return lp_norm(nt, cfg.p) / lp_norm(g, cfg.p)
 
 
@@ -280,7 +277,7 @@ def _run_j_uniformity(cfg: ExperimentConfig) -> RunReport:
     for seed in cfg.seeds:
         f = white_noise(grid, seed)
         vals = np.stack([ball_mean_all_centers(f, 2.0 * t, q) for t in heights])
-        field = HalfSpaceField._adopt(grid, heights, vals)
+        field = HalfSpaceField(grid, heights, vals)
         base = lp_norm(f, cfg.p)
         ratios = [lp_norm(dilated_mitigated_max(field, cfg.p, beta, j), cfg.p)
                   / base for j in range(9)]
@@ -346,8 +343,6 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
     depth = 5
     g = _cantor_spike_density(grid, set_dim, depth)
     f = bessel_smooth(g, cfg.alpha)
-    heights = dyadic_heights(1.0, grid=grid)
-    u = poisson_extend(f, heights)
     # localize at the sample scale so the detected set hugs the spike set
     t_min = 2.0 ** (-level) * grid.extent
     eps = cfg.eps * float(np.abs(f.samples).max())
@@ -365,7 +360,7 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
             details.append(f"beta'=beta: maximal-bound band {band:.3f} (< 3)")
         else:
             spec = ApproachRegionSpec(beta=bp, aperture=cfg.aperture, t_max=1.0)
-            div = divergence_set(u, f, spec, eps, t_min)
+            div = divergence_set(f, spec, eps, t_min)
             bd = box_dimension(div, cfg.window)
             bound = grid.dim - grid.dim * (bp - beta)
             ok = bd.slope <= bound + 0.1
@@ -376,9 +371,8 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
                 f"({div.points.size} pts)")
         all_ok = all_ok and ok
     smooth = from_callable(grid, lambda x: np.cos(2 * np.pi * x / grid.extent))
-    su = poisson_extend(smooth, heights)
-    sdiv = divergence_set(su, smooth,
-                          ApproachRegionSpec(beta=1.0, t_max=1.0), 0.01, t_min)
+    sdiv = divergence_set(smooth, ApproachRegionSpec(beta=1.0, t_max=1.0),
+                          0.01, t_min)
     empty_ok = sdiv.points.size == 0
     details.append(f"smooth-data control: {sdiv.points.size} divergence points")
     rep.add_criterion("divergence-set dimension bounds",
@@ -555,8 +549,7 @@ def _run_dorronsoro(cfg: ExperimentConfig) -> RunReport:
             f = bessel_smooth(g, cfg.alpha)
             spec = ApproachRegionSpec(beta=beta, aperture=cfg.aperture,
                                       t_max=1.0)
-            num = lp_norm(poisson_tangential_max(
-                f, dyadic_heights(1.0, grid=grid), spec), cfg.p)
+            num = lp_norm(poisson_tangential_max(f, spec), cfg.p)
             sharp = sharp_maximal(f, cfg.alpha, dyadic_scales(grid))
             v = num / (lp_norm(f, cfg.p) + lp_norm(sharp, cfg.p))
             rep.add_row(level, seed, "ratio", v)

@@ -56,9 +56,6 @@ class HalfSpaceField:
         object.__setattr__(self, "heights", hts)
         object.__setattr__(self, "values", vals)
 
-    def slice_function(self, k: int) -> GridFunction:
-        return GridFunction(self.grid, self.values[k])
-
 
 def checked_heights(heights) -> tuple:
     """heights as a tuple of floats, which must be strictly decreasing,

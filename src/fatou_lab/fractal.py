@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .extension import HalfSpaceField
+from .extension import check_finite, dyadic_heights, poisson_slices
 from .grid import Grid, GridFunction, nearest_index
 from .maximal import ApproachRegionSpec, window_extreme
 
@@ -131,7 +131,6 @@ class BoxDimension:
     r2: float
     counts: tuple
     scales: tuple
-    empty: bool = False
 
 
 def box_dimension(points: PointSet, scale_window) -> BoxDimension:
@@ -144,7 +143,7 @@ def box_dimension(points: PointSet, scale_window) -> BoxDimension:
             f"m_hi={m_hi} exceeds grid levels {points.grid.levels}")
     pts = np.atleast_2d(points.points.reshape(-1, points.grid.dim))
     if pts.shape[0] == 0:
-        return BoxDimension(slope=0.0, r2=0.0, counts=(), scales=(), empty=True)
+        return BoxDimension(slope=0.0, r2=0.0, counts=(), scales=())
     ms = list(range(m_lo, m_hi + 1))
     counts = []
     for m in ms:
@@ -163,30 +162,33 @@ def box_dimension(points: PointSet, scale_window) -> BoxDimension:
     ss_tot = float(np.sum((y - ym) ** 2))
     r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
     return BoxDimension(slope=slope, r2=r2, counts=tuple(counts),
-                        scales=tuple(ms), empty=False)
+                        scales=tuple(ms))
 
 
-def divergence_set(u: HalfSpaceField, f_ref: GridFunction,
-                   spec: ApproachRegionSpec, eps: float,
+def divergence_set(f: GridFunction, spec: ApproachRegionSpec, eps: float,
                    t_min: float) -> PointSet:
-    """Grid points whose localized region oscillation against f_ref exceeds eps.
+    """Grid points where the localized region oscillation of the Poisson
+    extension of f against f exceeds eps.
 
-    Scans sampled region points with height at most t_min; the set
-    shrinks as eps grows and grows as t_min grows.
+    Scans the heights of the ladder dyadic_heights(1.0, grid=f.grid) at
+    most t_min, one Poisson slice at a time; the set shrinks as eps grows
+    and grows as t_min grows.
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    if not any(abs(t - t_min) <= 1e-12 * t_min for t in u.heights):
-        raise ParameterError(f"t_min={t_min} is not among the field heights")
-    scan = [k for k, t in enumerate(u.heights) if t <= t_min * (1.0 + 1e-12)]
-    g = u.grid
+    heights = dyadic_heights(1.0, grid=f.grid)
+    if not any(abs(t - t_min) <= 1e-12 * t_min for t in heights):
+        raise ParameterError(f"t_min={t_min} is not among the ladder heights")
+    scan = [t for t in heights if t <= t_min * (1.0 + 1e-12)]
+    g = f.grid
     osc = np.zeros(g.size)
-    for k in scan:
-        rad = spec.radius(u.heights[k])
-        hi = window_extreme(u.values[k], g, rad, mode="max")
-        lo = window_extreme(u.values[k], g, rad, mode="min")
-        np.maximum(osc, hi - f_ref.samples, out=osc)
-        np.maximum(osc, f_ref.samples - lo, out=osc)
+    for t, u in zip(scan, poisson_slices(f, scan)):
+        check_finite(u)
+        rad = spec.radius(t)
+        hi = window_extreme(u, g, rad, mode="max")
+        lo = window_extreme(u, g, rad, mode="min")
+        np.maximum(osc, hi - f.samples, out=osc)
+        np.maximum(osc, f.samples - lo, out=osc)
     flat = np.nonzero(osc > eps)[0]
     coords = g.h * np.stack(np.unravel_index(flat, g.shape), axis=1)
     return PointSet(points=coords[:, 0] if g.dim == 1 else coords, grid=g)

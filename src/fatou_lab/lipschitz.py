@@ -31,7 +31,6 @@ class LipschitzGraph:
 
     phi: GridFunction
     M: float
-    smooth_class: int = 0
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,7 @@ def _max_discrete_slope(phi: GridFunction) -> float:
     return float(max(steps) / phi.grid.h)
 
 
-def lipschitz_graph(phi: GridFunction, M: float | None = None,
-                    smooth_class: int = 0) -> LipschitzGraph:
+def lipschitz_graph(phi: GridFunction, M: float | None = None) -> LipschitzGraph:
     """Certify the discrete Lipschitz constant; reject declared-M violations."""
     slope = _max_discrete_slope(phi)
     if M is None:
@@ -59,9 +57,7 @@ def lipschitz_graph(phi: GridFunction, M: float | None = None,
     elif slope > M * (1.0 + 1e-9):
         raise ParameterError(
             f"profile has discrete slope {slope:.6g} exceeding declared M={M}")
-    if smooth_class < 0:
-        raise ParameterError("smooth_class must be >= 0")
-    return LipschitzGraph(phi=phi, M=float(M), smooth_class=int(smooth_class))
+    return LipschitzGraph(phi=phi, M=float(M))
 
 
 def phi_at(graph: LipschitzGraph, x) -> float:
@@ -300,17 +296,18 @@ def boundary_tangential_max(graph: LipschitzGraph, f: GridFunction,
 
 
 def save_lipschitz_graph(path, graph: LipschitzGraph) -> None:
-    """Profile in the grid-function binary format plus (M, smooth_class)."""
+    """Profile in the grid-function binary format plus (M, smooth_class = 0)."""
     save_grid_function(path, graph.phi)
     with open_path(path, "ab") as fh:
-        fh.write(struct.pack("<dI", graph.M, graph.smooth_class))
+        fh.write(struct.pack("<dI", graph.M, 0))
 
 
 def load_lipschitz_graph(path) -> LipschitzGraph:
+    """Profile and M; the trailer's smooth_class is read and ignored."""
     with open_path(path, "rb") as fh:
         phi = read_grid_function(fh)
-        M, smooth_class = struct.unpack(
+        M, _ = struct.unpack(
             "<dI", read_exact(fh, 12, "Lipschitz trailer (M, smooth_class)"))
         if fh.read(1):
             raise ParameterError("trailing bytes after the Lipschitz trailer")
-    return lipschitz_graph(phi, M=M, smooth_class=smooth_class)
+    return lipschitz_graph(phi, M=M)

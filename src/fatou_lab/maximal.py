@@ -27,7 +27,7 @@ from scipy.ndimage import maximum_filter, minimum_filter
 from . import _kernels
 from .errors import CoverageError, ParameterError
 from .extension import HalfSpaceField, annuli_surrogate, check_finite, \
-    checked_heights, dyadic_heights, poisson_slices
+    dyadic_heights, poisson_slices
 from .grid import Grid, GridFunction, ball_mean_all_centers, disc_rows, \
     window_halfwidth
 from .potentials import dyadic_scales, sharp_maximal
@@ -113,12 +113,13 @@ def tangential_max(u: HalfSpaceField, spec: ApproachRegionSpec) -> GridFunction:
                                   for k in _coverage_check(u.heights, spec)])
 
 
-def poisson_tangential_max(f: GridFunction, heights,
+def poisson_tangential_max(f: GridFunction,
                            spec: ApproachRegionSpec) -> GridFunction:
-    """tangential_max(poisson_extend(f, heights), spec), bit for bit, without
-    the field: each usable Poisson slice is computed, swept and dropped, and
-    no slice above spec.t_max is transformed."""
-    hts = checked_heights(heights)
+    """tangential_max(poisson_extend(f, heights), spec) on the grid's ladder
+    heights = dyadic_heights(1.0, grid=f.grid), bit for bit, without the
+    field: each usable Poisson slice is computed, swept and dropped, and no
+    slice above spec.t_max is transformed."""
+    hts = dyadic_heights(1.0, grid=f.grid)
     usable = [hts[k] for k in _coverage_check(hts, spec)]
     slices = zip(usable, poisson_slices(f, usable))
     return _region_sweep(f.grid, ((check_finite(u), spec.radius(t), 1.0)
@@ -248,7 +249,7 @@ def composite_max(f: GridFunction, p: float, r: float, beta: float,
             continue
         total += weight * term.samples
     spec = ApproachRegionSpec(beta=beta, aperture=1.0, t_max=heights[0])
-    ntan = poisson_tangential_max(f, heights, spec)
+    ntan = poisson_tangential_max(f, spec)
     mr = hl_max_q(f, r)
     total += geo * (ntan.samples + mr.samples)
     return GridFunction(g, total)

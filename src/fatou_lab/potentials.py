@@ -91,10 +91,10 @@ def _ball_measure(dim: int, radius: float) -> float:
     return 2.0 * radius if dim == 1 else math.pi * radius * radius
 
 
-def dyadic_scales(grid: Grid, lo_factor: float = 4.0, hi_fraction: float = 0.25) -> list:
-    """Dyadic radii r = extent/2^m inside [lo_factor*h, hi_fraction*extent]."""
+def dyadic_scales(grid: Grid, lo_factor: float = 4.0) -> list:
+    """Dyadic radii r = extent/2^m inside [lo_factor*h, extent/4]."""
     out = []
-    r = grid.extent * hi_fraction
+    r = grid.extent / 4.0
     while r >= lo_factor * grid.h * (1.0 - 1e-12):
         out.append(r)
         r /= 2.0

@@ -6,8 +6,9 @@ sets, kernels sampled on the grid (with image sums and cell averages
 near the singularity) for checking spectral multipliers by spatial
 convolution, Fourier symbols, membership tests for the half-space and
 domain approach regions, the inclusion sampler with every distance
-computed, and the annuli surrogate with one ball mean per (height,
-annulus) pair.  No runner uses them.
+computed, the annuli surrogate with one ball mean per (height,
+annulus) pair, and the divergence set swept over a stored Poisson field.
+No runner uses them.
 """
 
 import math
@@ -20,13 +21,14 @@ from scipy.special import kv
 
 from fatou_lab.errors import ParameterError, SingularityError
 from fatou_lab.extension import HalfSpaceField
+from fatou_lab.fractal import PointSet
 from fatou_lab.grid import (Grid, GridFunction, ball_mean_all_centers,
                             nearest_index, wrapped_abs_delta)
 from fatou_lab.kernels import (_POISSON_C, _norm_sq, _series_prefactor,
                                bessel_kernel, riesz_constant)
 from fatou_lab.lipschitz import (BoundaryPoint, InclusionReport, LipschitzGraph,
                                  graph_distance, graph_distance_batch, phi_at)
-from fatou_lab.maximal import ApproachRegionSpec
+from fatou_lab.maximal import ApproachRegionSpec, window_extreme
 from fatou_lab.rng import stream
 
 
@@ -400,3 +402,29 @@ def annuli_surrogate_per_pair(f: GridFunction, heights, alpha_L: float,
     tail = 2.0 ** (-alpha_L * J) / (1.0 - 2.0 ** (-alpha_L)) * float(
         np.max(np.abs(f.samples)))
     return HalfSpaceField(g, hts, vals, MappingProxyType({"tail_bound": tail}))
+
+
+def divergence_set(u: HalfSpaceField, f_ref: GridFunction,
+                   spec: ApproachRegionSpec, eps: float,
+                   t_min: float) -> PointSet:
+    """Grid points whose localized region oscillation against f_ref exceeds eps.
+
+    Scans sampled region points with height at most t_min; the set
+    shrinks as eps grows and grows as t_min grows.
+    """
+    if eps <= 0:
+        raise ParameterError(f"eps must be positive, got {eps}")
+    if not any(abs(t - t_min) <= 1e-12 * t_min for t in u.heights):
+        raise ParameterError(f"t_min={t_min} is not among the field heights")
+    scan = [k for k, t in enumerate(u.heights) if t <= t_min * (1.0 + 1e-12)]
+    g = u.grid
+    osc = np.zeros(g.size)
+    for k in scan:
+        rad = spec.radius(u.heights[k])
+        hi = window_extreme(u.values[k], g, rad, mode="max")
+        lo = window_extreme(u.values[k], g, rad, mode="min")
+        np.maximum(osc, hi - f_ref.samples, out=osc)
+        np.maximum(osc, f_ref.samples - lo, out=osc)
+    flat = np.nonzero(osc > eps)[0]
+    coords = g.h * np.stack(np.unravel_index(flat, g.shape), axis=1)
+    return PointSet(points=coords[:, 0] if g.dim == 1 else coords, grid=g)

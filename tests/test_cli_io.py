@@ -23,7 +23,8 @@ from fatou_lab.lipschitz import lipschitz_graph, save_lipschitz_graph
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
     """A level-6 grid function and its Poisson field, 1-D Lipschitz profiles
-    at levels 6 and 8, a 2-D profile, a radii file and a points file."""
+    at levels 6 and 8, a 2-D profile, radii files (valid, with a zero, and
+    with a NaN, an infinite and a negative radius) and a points file."""
     d = tmp_path_factory.mktemp("inputs")
     g1, g2 = make_grid(1, 6, 1.0), make_grid(2, 3, 1.0)
     f = from_callable(g1, np.cos)
@@ -37,6 +38,10 @@ def inputs(tmp_path_factory):
     save_lipschitz_graph(d / "prof2.flgf", lipschitz_graph(
         from_callable(g2, lambda x, y: 0.1 * np.cos(2 * np.pi * x))))
     (d / "r.csv").write_text("r\n0.5\n1.0\n")
+    (d / "r0.csv").write_text("r\n0.5\n0\n")
+    (d / "r-nan.csv").write_text("r\n0.5\nnan\n")
+    (d / "r-inf.csv").write_text("inf\n")
+    (d / "r-neg.csv").write_text("r\n-0.5\n1.0\n")
     (d / "pts.csv").write_text("x\n0\n0.1875\n0.75\n0.9375\n")
     return d
 
@@ -69,8 +74,7 @@ _MALFORMED = {
     # a flag that the action cannot run without
     "smooth-without-out": ["potential", "smooth", "--in", "{d}/f.flgf"],
     "boxdim-without-in": ["fractal", "boxdim"],
-    "divset-without-ref": ["fractal", "divset", "--in", "{d}/u.flhf",
-                           "--out", "{d}/x.csv"],
+    "divset-without-in": ["fractal", "divset", "--out", "{d}/x.csv"],
     "boundary-max-without-in": ["lipschitz", "boundary-max", "--profile",
                                 "{d}/prof.flgf", "--out", "{d}/x.flgf"],
     "bessel-without-alpha": ["kernel-table", "bessel", "--points",
@@ -93,12 +97,35 @@ _MALFORMED = {
                           "{d}/prof.flgf", "--samples", "5"],
     "maxfn-op-flag": ["maxfn", "--op", "tangential", "--in", "{d}/u.flhf",
                       "--out", "{d}/x.flgf"],
+    "divset-ref-flag": ["fractal", "divset", "--in", "{d}/f.flgf",
+                        "--ref", "{d}/f.flgf", "--out", "{d}/x.csv"],
+    # a radius where the kernel is singular, or one that is no radius
+    "riesz-zero-radius": ["kernel-table", "riesz", "--alpha", "0.5",
+                          "--points", "{d}/r0.csv", "--out", "{d}/x.csv"],
+    "bessel-2d-zero-radius": ["kernel-table", "bessel", "--n", "2",
+                              "--alpha", "1.5", "--points", "{d}/r0.csv",
+                              "--out", "{d}/x.csv"],
+    "bessel-quadrature-zero-radius": ["kernel-table", "bessel", "--alpha",
+                                      "0.5", "--route", "quadrature",
+                                      "--points", "{d}/r0.csv",
+                                      "--out", "{d}/x.csv"],
+    "poisson-nan-radius": ["kernel-table", "poisson", "--t", "1", "--points",
+                           "{d}/r-nan.csv", "--out", "{d}/x.csv"],
+    "bessel-nan-radius": ["kernel-table", "bessel", "--alpha", "2",
+                          "--points", "{d}/r-nan.csv", "--out", "{d}/x.csv"],
+    "riesz-nan-radius": ["kernel-table", "riesz", "--alpha", "0.5",
+                         "--points", "{d}/r-nan.csv", "--out", "{d}/x.csv"],
+    "poisson-inf-radius": ["kernel-table", "poisson", "--t", "1", "--points",
+                           "{d}/r-inf.csv", "--out", "{d}/x.csv"],
+    "poisson-negative-radius": ["kernel-table", "poisson", "--t", "1",
+                                "--points", "{d}/r-neg.csv",
+                                "--out", "{d}/x.csv"],
     # a file that cannot be opened
     "smooth-missing-in": ["potential", "smooth", "--in", "nofile.csv",
                           "--out", "{d}/x.flgf"],
     "boxdim-missing-in": ["fractal", "boxdim", "--in", "nofile.csv"],
     "divset-missing-in": ["fractal", "divset", "--in", "nofile",
-                          "--ref", "{d}/f.flgf", "--out", "{d}/x.csv"],
+                          "--out", "{d}/x.csv"],
     "verify-missing-config": ["verify", "--config", "nofile.ini"],
     "kernel-table-missing-points": ["kernel-table", "poisson", "--t", "1",
                                     "--points", "nofile"],
@@ -158,7 +185,7 @@ _ACTION_FLAGS = {
     ("potential", "seminorm"): "in! extent sigma p",
     ("fractal", "cantor"): "s depth levels extent out",
     ("fractal", "boxdim"): "in! dim levels extent window out",
-    ("fractal", "divset"): "in! ref! out beta aperture eps tmin",
+    ("fractal", "divset"): "in! extent out beta aperture eps tmin",
     ("lipschitz", "corkscrew"): "profile! x0 t",
     ("lipschitz", "inclusion"): "profile! beta c samples seed",
     ("lipschitz", "surface"): "profile! x0 radius",
@@ -221,7 +248,7 @@ _RUNS = {
     ("potential", "seminorm"): "--in {d}/f.flgf",
     ("fractal", "cantor"): "--depth 4 --levels 6",
     ("fractal", "boxdim"): "--in {d}/pts.csv --levels 6 --window 2,5",
-    ("fractal", "divset"): "--in {d}/u.flhf --ref {d}/f.flgf",
+    ("fractal", "divset"): "--in {d}/f.flgf",
     ("lipschitz", "corkscrew"): "--profile {d}/prof.flgf",
     ("lipschitz", "inclusion"): "--profile {d}/prof.flgf --samples 200",
     ("lipschitz", "surface"): "--profile {d}/prof.flgf",

@@ -486,11 +486,8 @@ def test_cli_divset_and_boundary_max(tmp_path, capsys):
     f = from_callable(g, lambda x: np.cos(2 * np.pi * x))
     src = tmp_path / "f.flgf"
     save_grid_function(src, f)
-    field = tmp_path / "u.flhf"
-    assert main(["extend", "poisson", "--heights", "1.0,10",
-                 "--in", str(src), "--out", str(field)]) == 0
     pts = tmp_path / "div.csv"
-    assert main(["fractal", "divset", "--in", str(field), "--ref", str(src),
+    assert main(["fractal", "divset", "--in", str(src),
                  "--beta", "1.0", "--eps", "0.01",
                  "--tmin", str(2.0 ** -10), "--out", str(pts)]) == 0
     assert "divergence points: 0" in capsys.readouterr().out
@@ -520,7 +517,7 @@ def test_cli_non_finite_region_parameters_exit_2(tmp_path, capsys, value):
     out = tmp_path / "out.csv"
     assert main(["maxfn", "tangential", "--in", str(field),
                  "--out", str(out), "--aperture", value]) == 2
-    assert main(["fractal", "divset", "--in", str(field), "--ref", str(src),
+    assert main(["fractal", "divset", "--in", str(src),
                  "--out", str(out), "--aperture", value]) == 2
     assert capsys.readouterr().err.count(
         f"error: aperture must be positive and finite, got {value}") == 2
@@ -695,9 +692,15 @@ def test_thread_count_does_not_change_reports(tmp_path, cfg):
     assert outputs[0] == outputs[1]
 
 
-@pytest.mark.parametrize("experiment", ["nagel-stein-bound", "dorronsoro-bound"])
-def test_tangential_bound_runners_never_build_the_poisson_field(monkeypatch,
-                                                                experiment):
+@pytest.mark.parametrize("cfg", [
+    ExperimentConfig(experiment="nagel-stein-bound", levels=(8, 9),
+                     seeds=(0, 1)),
+    ExperimentConfig(experiment="dorronsoro-bound", levels=(8, 9),
+                     seeds=(0, 1)),
+    ExperimentConfig(experiment="divergence-dimension", levels=(7, 9),
+                     beta_prime=(0.5, 0.75), window=(3, 7)),
+], ids=lambda cfg: cfg.experiment)
+def test_poisson_runners_never_build_the_poisson_field(monkeypatch, cfg):
     import fatou_lab
 
     def refuse(*args, **kwargs):
@@ -707,7 +710,6 @@ def test_tangential_bound_runners_never_build_the_poisson_field(monkeypatch,
         if name.startswith("fatou_lab") and hasattr(mod, "poisson_extend"):
             monkeypatch.setattr(mod, "poisson_extend", refuse)
     assert fatou_lab.extension.poisson_extend is refuse
-    cfg = ExperimentConfig(experiment=experiment, levels=(8, 9), seeds=(0, 1))
     assert run_experiment(validate(cfg)).rows
 
 

@@ -1,8 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import reference
+from fatou_lab import fractal
 from fatou_lab.errors import ParameterError
 from fatou_lab.extension import dyadic_heights, poisson_extend
 from fatou_lab.fractal import (PointSet, box_dimension, cantor_measure,
@@ -131,7 +134,7 @@ def test_box_dimension_empty_and_errors():
     g = make_grid(1, 10, 1.0)
     empty = PointSet(points=np.array([]), grid=g)
     bd = box_dimension(empty, (3, 8))
-    assert bd.empty and bd.slope == 0.0
+    assert bd.counts == () and bd.slope == 0.0
     ps = PointSet(points=np.array([0.5]), grid=g)
     with pytest.raises(ParameterError):
         box_dimension(ps, (5, 12))
@@ -170,11 +173,9 @@ def test_riesz_content_bound(rng):
 def test_divergence_set_smooth_data_empty():
     g = make_grid(1, 10, 1.0)
     f = from_callable(g, lambda x: np.cos(2 * np.pi * x))
-    hts = dyadic_heights(1.0, grid=g)
-    u = poisson_extend(f, hts)
     t_min = 2.0 ** (-g.levels)
     spec = ApproachRegionSpec(beta=1.0, t_max=1.0)
-    div = divergence_set(u, f, spec, 0.01, t_min)
+    div = divergence_set(f, spec, 0.01, t_min)
     assert div.points.size == 0
 
 
@@ -183,16 +184,14 @@ def test_divergence_set_monotone(rng):
     spike = np.zeros(g.size)
     spike[g.n // 2] = 1.0 / math.sqrt(g.h)
     f = bessel_smooth(GridFunction(g, spike), 0.25)
-    hts = dyadic_heights(1.0, grid=g)
-    u = poisson_extend(f, hts)
     spec = ApproachRegionSpec(beta=0.75, t_max=1.0)
     t1 = 2.0 ** (-g.levels)
     scale = float(np.abs(f.samples).max())
-    d_small = divergence_set(u, f, spec, 0.05 * scale, t1)
-    d_big = divergence_set(u, f, spec, 0.01 * scale, t1)
+    d_small = divergence_set(f, spec, 0.05 * scale, t1)
+    d_big = divergence_set(f, spec, 0.01 * scale, t1)
     assert set(np.round(d_small.points / g.h).astype(int)) <= \
         set(np.round(d_big.points / g.h).astype(int))
-    d_deeper = divergence_set(u, f, spec, 0.05 * scale, 2 * t1)
+    d_deeper = divergence_set(f, spec, 0.05 * scale, 2 * t1)
     assert set(np.round(d_small.points / g.h).astype(int)) <= \
         set(np.round(d_deeper.points / g.h).astype(int))
 
@@ -200,9 +199,81 @@ def test_divergence_set_monotone(rng):
 def test_divergence_set_errors(rng):
     g = make_grid(1, 8, 1.0)
     f = GridFunction(g, rng.normal(size=g.size))
-    u = poisson_extend(f, dyadic_heights(1.0, grid=g))
     spec = ApproachRegionSpec(beta=1.0, t_max=1.0)
     with pytest.raises(ParameterError):
-        divergence_set(u, f, spec, 0.0, 0.25)
+        divergence_set(f, spec, 0.0, 0.25)
     with pytest.raises(ParameterError):
-        divergence_set(u, f, spec, 0.1, 0.3)  # not among the heights
+        divergence_set(f, spec, 0.1, 0.3)  # not among the heights
+
+
+def _spiky(g, rng) -> GridFunction:
+    """Smoothed noise plus a smoothed spike: a divergence set that is
+    neither empty nor the whole grid at the eps of the tests below."""
+    spike = np.zeros(g.size)
+    spike[g.size // 2] = 1.0 / math.sqrt(g.h ** g.dim)
+    return bessel_smooth(GridFunction(g, spike + rng.normal(size=g.size)),
+                         0.25)
+
+
+@pytest.mark.parametrize("aperture", [0.7, 1.0])
+@pytest.mark.parametrize("beta", [0.5, 0.75, 1.0])
+@pytest.mark.parametrize("dim,level", [(1, lev) for lev in range(8, 13)]
+                         + [(2, 5), (2, 6)])
+def test_divergence_set_matches_stored_field_sweep(rng, dim, level, beta,
+                                                   aperture):
+    g = make_grid(dim, level, 1.0)
+    f = _spiky(g, rng)
+    hts = dyadic_heights(1.0, grid=g)
+    u = poisson_extend(f, hts)
+    spec = ApproachRegionSpec(beta=beta, aperture=aperture, t_max=1.0)
+    scale = float(np.abs(f.samples).max())
+    sizes = []
+    for t_min in (hts[-1], hts[level], hts[level - 3]):
+        for eps in (0.01 * scale, 0.05 * scale, 0.2 * scale):
+            got = divergence_set(f, spec, eps, t_min)
+            want = reference.divergence_set(u, f, spec, eps, t_min)
+            assert got.grid == want.grid
+            np.testing.assert_array_equal(got.points, want.points)
+            sizes.append(got.points.shape[0])
+    assert 0 < max(sizes) and min(sizes) < g.size
+
+
+@pytest.mark.parametrize("dim,level", [(1, 10), (2, 5)])
+def test_divergence_set_transforms_only_heights_up_to_t_min(rng, monkeypatch,
+                                                            dim, level):
+    g = make_grid(dim, level, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    hts = dyadic_heights(1.0, grid=g)
+    real = fractal.poisson_slices
+    for t_min in (hts[-1], hts[level], hts[1]):
+        seen = []
+
+        def spy(f, heights):
+            seen.extend(heights)
+            return real(f, heights)
+
+        monkeypatch.setattr(fractal, "poisson_slices", spy)
+        divergence_set(f, ApproachRegionSpec(beta=0.5), 0.1, t_min)
+        assert seen == [t for t in hts if t <= t_min]
+
+
+def test_divergence_set_does_not_hold_the_field(rng):
+    g = make_grid(1, 16, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    hts = dyadic_heights(1.0, grid=g)
+    assert len(hts) == 19
+    spec = ApproachRegionSpec(beta=0.75)
+    t_min = 2.0 ** (-g.levels)
+    peaks = []
+    for run in (lambda: divergence_set(f, spec, 0.5, t_min),
+                lambda: reference.divergence_set(poisson_extend(f, hts), f,
+                                                 spec, 0.5, t_min)):
+        tracemalloc.start()
+        try:
+            run()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    streamed, field = peaks
+    assert streamed < 10 * g.size * 8
+    assert field > len(hts) * g.size * 8

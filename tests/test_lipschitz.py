@@ -1,4 +1,5 @@
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -390,8 +391,15 @@ def test_graph_file_round_trip(tmp_path):
     save_lipschitz_graph(path, hat)
     back = load_lipschitz_graph(path)
     assert back.M == hat.M
-    assert back.smooth_class == hat.smooth_class
     np.testing.assert_array_equal(back.phi.samples, hat.phi.samples)
+    # the trailer keeps its (M, smooth_class) layout: smooth_class is
+    # written as 0, and a loader reads whatever is there and ignores it
+    data = path.read_bytes()
+    assert data[-12:] == struct.pack("<dI", hat.M, 0)
+    path.write_bytes(data[:-4] + struct.pack("<I", 7))
+    again = load_lipschitz_graph(path)
+    assert again.M == hat.M
+    np.testing.assert_array_equal(again.phi.samples, hat.phi.samples)
 
 
 @settings(max_examples=40, deadline=None,

@@ -524,7 +524,7 @@ def test_poisson_tangential_max_matches_field_sweep(rng, dim, level, beta,
     hts = dyadic_heights(1.0, grid=g)
     spec = ApproachRegionSpec(beta=beta, aperture=0.7, t_max=t_max)
     np.testing.assert_array_equal(
-        maximal.poisson_tangential_max(f, hts, spec).samples,
+        maximal.poisson_tangential_max(f, spec).samples,
         tangential_max(poisson_extend(f, hts), spec).samples)
 
 
@@ -540,12 +540,15 @@ def test_poisson_tangential_max_skips_heights_above_t_max(rng, monkeypatch):
         return real(f, heights)
 
     monkeypatch.setattr(maximal, "poisson_slices", spy)
-    maximal.poisson_tangential_max(f, hts, ApproachRegionSpec(0.5, t_max=0.3))
+    maximal.poisson_tangential_max(f, ApproachRegionSpec(0.5, t_max=0.3))
     assert seen == [t for t in hts if t <= 0.3]
 
 
-def _both_paths(f, hts, spec):
-    return [lambda: maximal.poisson_tangential_max(f, hts, spec),
+def _both_paths(f, spec):
+    """The streamed sweep and the sweep of the stored field, on the grid's
+    ladder."""
+    hts = dyadic_heights(1.0, grid=f.grid)
+    return [lambda: maximal.poisson_tangential_max(f, spec),
             lambda: tangential_max(poisson_extend(f, hts), spec)]
 
 
@@ -554,19 +557,18 @@ def _both_paths(f, hts, spec):
     ((1.0, math.nan, 0.25), "positive and finite"),
 ])
 def test_poisson_tangential_max_rejects_bad_heights(rng, hts, match):
+    # the streamed sweep takes no heights; the stored field validates them
     g = make_grid(1, 6, 1.0)
     f = GridFunction(g, rng.normal(size=g.size))
-    for path in _both_paths(f, hts, ApproachRegionSpec(beta=0.5)):
-        with pytest.raises(ParameterError, match=match):
-            path()
+    with pytest.raises(ParameterError, match=match):
+        tangential_max(poisson_extend(f, hts), ApproachRegionSpec(beta=0.5))
 
 
 def test_poisson_tangential_max_rejects_non_finite_slices():
     # finite samples whose transform overflows to inf
     g = make_grid(1, 6, 1.0)
     f = GridFunction(g, np.full(g.size, 1e308))
-    for path in _both_paths(f, dyadic_heights(1.0, grid=g),
-                            ApproachRegionSpec(beta=0.5)):
+    for path in _both_paths(f, ApproachRegionSpec(beta=0.5)):
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ParameterError, match="field values must be finite"):
             path()
@@ -581,7 +583,7 @@ def test_poisson_tangential_max_does_not_hold_the_field(rng):
     assert len(hts) == 19
     spec = ApproachRegionSpec(beta=0.5)
     peaks = []
-    for run in _both_paths(f, hts, spec):
+    for run in _both_paths(f, spec):
         tracemalloc.start()
         try:
             run()

@@ -112,7 +112,7 @@ def _oracle_pairs(case, f):
         return [spectral_derivative(f, gam) for gam in gammas], mults
     hts = (1.0, 0.25, 1 / 16, 1 / 64)
     u = poisson_extend(f, hts)
-    return ([u.slice_function(i) for i in range(len(hts))],
+    return ([GridFunction(g, u.values[i]) for i in range(len(hts))],
             [np.exp(-2 * np.pi * t * mag) for t in hts])
 
 

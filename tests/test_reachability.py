@@ -1,10 +1,13 @@
-"""Every top-level function or class of the package is reached.
+"""Every top-level function or class of the package is reached, and
+every parameter with a default is set by some call.
 
 A name counts as used when an ``ast.Name`` or ``ast.Attribute`` outside
 its own definition refers to it, anywhere in ``src/fatou_lab/`` or
 ``perfbench/``, or when ``perfbench/layers.py`` names it as a string in
 ``LAYERS``.  Code only the tests call belongs in ``tests/`` (reference
-implementations live in ``tests/reference.py``).
+implementations live in ``tests/reference.py``).  A default that no call
+in those directories overrides is a knob with one value in use: the
+value belongs in the body, not in the signature.
 """
 
 import ast
@@ -19,6 +22,11 @@ ALLOWED = {
     # writes the FLGF profile format that `fatou-lab` reads with
     # --profile; kept so the format has a writer next to its reader
     "save_lipschitz_graph",
+}
+
+ALLOWED_DEFAULTS = {
+    # the console entry point calls main() and lets argparse read sys.argv
+    "cli.main(argv)",
 }
 
 
@@ -64,3 +72,49 @@ def unreached() -> list:
 
 def test_every_package_definition_is_used_outside_itself():
     assert unreached() == []
+
+
+def _passes(call: ast.Call, index: int, name: str) -> bool:
+    """Whether call sets the parameter at positional index (None when it
+    is keyword-only) called name; *args and **kwargs may set any."""
+    if any(k.arg in (name, None) for k in call.keywords):
+        return True
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def unset_defaults() -> list:
+    """Parameters with a default in src/fatou_lab/ that no call in
+    src/fatou_lab/ or perfbench/ passes, as "module.function(param)"."""
+    calls = defaultdict(list)  # callee name -> [ast.Call]
+    defs = []
+    for path in FILES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(
+                    fn, "attr", None)
+                calls[name].append(node)
+            elif (isinstance(node, ast.FunctionDef)
+                    and path.parent.name == "fatou_lab"):
+                defs.append((path, node))
+    unset = []
+    for path, fn in defs:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        bound = 1 if positional and positional[0].arg in ("self", "cls") else 0
+        params = [(i - bound, positional[i].arg) for i in
+                  range(len(positional) - len(args.defaults), len(positional))]
+        params += [(None, a.arg) for a, d in zip(args.kwonlyargs,
+                                                 args.kw_defaults)
+                   if d is not None]
+        for index, name in params:
+            if not any(_passes(c, index, name) for c in calls[fn.name]):
+                unset.append(f"{path.stem}.{fn.name}({name})")
+    return sorted(set(unset) - ALLOWED_DEFAULTS)
+
+
+def test_every_parameter_default_is_overridden_by_some_call():
+    assert unset_defaults() == []
