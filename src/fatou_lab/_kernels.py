@@ -113,14 +113,33 @@ def min_dist_graph_1d(qt: np.ndarray, qx: np.ndarray, phi: np.ndarray,
     """Min Euclidean distance from (t, x) queries to graph samples (phi_j, j*h).
 
     Base displacements use the torus metric on [0, extent); the samples
-    tile it, N*h = extent.  Exact pruned sweep: a sample at lateral
-    distance l can only win if l^2 < u - L^2, where u is the squared
-    distance to the sample left of the query and L the query's vertical
-    clearance to [min phi, max phi].  Queries are sorted by that reach and
-    the samples at offset d = 1 .. N/2 on both sides, which lie at least
-    (d-1)h away, are visited only for the queries that can still reach
-    them.  Every candidate's squared distance is formed by the same float
+    tile it, N*h = extent.  Exact two-phase sweep.
+
+    Phase 1 prunes sideways: a sample at lateral distance l can only win if
+    l^2 < u - L^2, where u is the squared distance to the sample left of
+    the query and L the query's vertical clearance to [min phi, max phi].
+    Queries are sorted by that reach, and the samples at offset
+    d = 1 .. B on both sides, which lie at least (d-1)h away, are visited
+    only for the queries that can still reach them.  B = 2^floor(log2(N)/2),
+    about sqrt(N).
+
+    Phase 2 takes the queries whose reach is still above B*h.  The profile
+    is cut into ceil(N/B) blocks of B samples, each with its min and max
+    phi.  Phase 1 has covered the query's own block; the other blocks are
+    visited at block offsets D = +-1, +-2, .. up to half the torus.  A block
+    is scanned only if lat^2 + gap^2 < best, with lat the torus distance
+    from x to the block's x-span and gap the distance from t to the block's
+    phi range; a query leaves once every block left lies at least
+    sqrt(best) away sideways.  lat is shrunk by a slack that covers the
+    rounding of the lateral displacements, and rounding is monotone, so
+    fl(t - max phi) <= fl(t - phi_j) and each bound is <= every candidate
+    in its block: a pruned block holds no candidate below best.
+
+    Every candidate's squared distance is formed by the same float
     expressions as a dense scan, so the minimum is the same number.
+    Non-finite queries give inf or NaN for every sample, as in a dense
+    scan.  Scanned blocks are gathered at most 2^14 candidates at a time,
+    so working memory stays O(queries).
     """
     qt = np.ascontiguousarray(qt, dtype=np.float64)
     qx = np.ascontiguousarray(qx, dtype=np.float64)
@@ -128,6 +147,7 @@ def min_dist_graph_1d(qt: np.ndarray, qx: np.ndarray, phi: np.ndarray,
     n = phi.shape[0]
     m = qt.shape[0]
     half = n // 2
+    b = 1 << (n.bit_length() - 1) // 2
     # samples extended by half a period on each side, so that index
     # j0 + half +- d needs no wrap
     xs = h * np.arange(n)
@@ -136,11 +156,13 @@ def min_dist_graph_1d(qt: np.ndarray, qx: np.ndarray, phi: np.ndarray,
 
     def sq_dist(t, x, j):
         # |x - x_j|, torus min, t - phi_j, dx*dx + dt*dt; in place
-        dx = x - xs_e[j]
+        dx = xs_e[j]
+        np.subtract(x, dx, out=dx)
         np.abs(dx, out=dx)
         np.minimum(dx, extent - dx, out=dx)
         dx *= dx
-        dt = t - phi_e[j]
+        dt = phi_e[j]
+        np.subtract(t, dt, out=dt)
         dt *= dt
         dx += dt
         return dx
@@ -160,12 +182,65 @@ def min_dist_graph_1d(qt: np.ndarray, qx: np.ndarray, phi: np.ndarray,
     reach = reach[order]
     qt_s, qx_s, j0_s = qt[order], qx[order], j0[order]
     best_s = best[order]
-    for d in range(1, half + 1):
+    for d in range(1, min(b, half) + 1):
         lo = int(np.searchsorted(reach, (d - 1) * h, side="right"))
         if lo == m:
             break
-        t, x, j, b = qt_s[lo:], qx_s[lo:], j0_s[lo:], best_s[lo:]
-        np.minimum(b, sq_dist(t, x, j + d), out=b)
-        np.minimum(b, sq_dist(t, x, j - d), out=b)
+        t, x, j, bs = qt_s[lo:], qx_s[lo:], j0_s[lo:], best_s[lo:]
+        np.minimum(bs, sq_dist(t, x, j + d), out=bs)
+        np.minimum(bs, sq_dist(t, x, j - d), out=bs)
+    lo = int(np.searchsorted(reach, b * h, side="right"))
+    if b < half and lo < m:
+        with np.errstate(invalid="ignore"):
+            _block_sweep(qt_s[lo:], qx_s[lo:], j0_s[lo:] - half,
+                         slack[order[lo:]], best_s[lo:], phi, h, extent, b,
+                         sq_dist)
     best[order] = best_s
     return np.sqrt(best)
+
+
+def _block_sweep(qt, qx, j0, slack, best, phi, h, extent, b, sq_dist):
+    """Phase 2 of min_dist_graph_1d: lower best over the blocks of b
+    samples other than the block of each query's sample j0, in place."""
+    n = phi.shape[0]
+    nb = -(-n // b)
+    first = np.arange(0, n, b)
+    lo, hi = h * first, h * (np.minimum(first + b, n) - 1)
+    mid, width = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    top = np.maximum.reduceat(phi, first)
+    bottom = np.minimum.reduceat(phi, first)
+    # the short last block shortens a lateral path by b - (n mod b) samples
+    pad = nb * b - n
+    q = np.arange(qt.shape[0])
+    home, x = j0 // b, np.mod(qx, extent)
+    for D in range(1, nb // 2 + 1):
+        # every block at offset >= D lies at least ((D-1)b - pad)h away
+        far = np.maximum(max((D - 1) * b - pad, 0) * h - slack, 0.0)
+        keep = far * far < best[q]
+        q, home, x, slack = q[keep], home[keep], x[keep], slack[keep]
+        t = qt[q]
+        for side in (D, -D) if 2 * D < nb else (D,):
+            k = (home + side) % nb
+            lat = np.abs(x - mid[k])
+            np.minimum(lat, extent - lat, out=lat)
+            lat -= width[k] + slack
+            np.maximum(lat, 0.0, out=lat)
+            gap = np.maximum(np.maximum(t - top[k], bottom[k] - t), 0.0)
+            hit = lat * lat + gap * gap < best[q]
+            qi = q[hit]
+            cand = _block_min(qt[qi], qx[qi], first[k[hit]] + n // 2, b,
+                              sq_dist)
+            best[qi] = np.minimum(best[qi], cand)
+
+
+def _block_min(t, x, first, b, sq_dist):
+    """Least squared distance from each query (t, x) to the b extended
+    samples from index first, at most 2^14 candidates at a time."""
+    out = np.empty(t.shape[0])
+    lane = np.arange(b)
+    step = (1 << 14) // b
+    for i in range(0, t.shape[0], step):
+        s = slice(i, i + step)
+        j = first[s, None] + lane
+        out[s] = sq_dist(t[s, None], x[s, None], j).min(axis=1)
+    return out

@@ -343,8 +343,9 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
     depth = 5
     g = _cantor_spike_density(grid, set_dim, depth)
     f = bessel_smooth(g, cfg.alpha)
-    # localize at the sample scale so the detected set hugs the spike set
-    t_min = 2.0 ** (-level) * grid.extent
+    # localize near the sample scale so the detected set hugs the spike
+    # set; the rung must come from the ladder divergence_set scans
+    t_min = dyadic_heights(1.0, grid=grid)[level]
     eps = cfg.eps * float(np.abs(f.samples).max())
     all_ok = True
     details = []

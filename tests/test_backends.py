@@ -267,3 +267,114 @@ def test_min_dist_property(levels, extent, slope, seed, lift):
     qt = np.concatenate([phi[on_grid], r.choice(phi, size=m - m // 2)])
     qt = qt + gap * r.choice([-1.0, 1.0], size=m)
     _assert_min_dist_exact(qt, qx, phi, h, extent)
+
+
+def _sawtooth(n, M):
+    x = np.arange(n) / n
+    return M * (0.25 - np.abs(np.abs(x - 0.5) - 0.25))
+
+
+def _far_queries(rng, phi, h, extent, m):
+    """(phi(x0) +- t, x0) with t log-uniform in [h, extent]; half of the x0
+    on the grid, half anywhere in [-extent/4, 5 extent/4)."""
+    n = phi.size
+    idx = rng.integers(0, n, size=m)
+    qx = np.where(np.arange(m) % 2 == 0, idx * h,
+                  rng.uniform(-0.25 * extent, 1.25 * extent, size=m))
+    t = np.exp(rng.uniform(np.log(h), np.log(extent), size=m))
+    return phi[idx] + t * rng.choice([-1.0, 1.0], size=m), qx
+
+
+@pytest.mark.parametrize("kind, M", [("sawtooth", 0.5), ("sawtooth", 3.0),
+                                     ("smooth", 2.0)])
+def test_min_dist_far_queries_block_sweep(rng, kind, M):
+    # N = 2048: B = 32, so every query that reaches past 32 samples goes
+    # through the block sweep
+    n, extent = 2048, 1.0
+    h = extent / n
+    if kind == "sawtooth":
+        phi = _sawtooth(n, M)
+    else:
+        phi = _smoothed_noise(rng, 1, n, 2.0)
+        phi = phi * (M * h / np.abs(np.diff(phi)).max())
+    qt, qx = _far_queries(rng, phi, h, extent, 600)
+    _assert_min_dist_exact(qt, qx, phi, h, extent)
+
+
+@pytest.mark.parametrize("extent", [1.0, 3.0])
+@pytest.mark.parametrize("n", [24, 25, 40, 96, 97, 999, 1000])
+def test_min_dist_block_counts_off_a_power_of_two(rng, n, extent):
+    # B = 4, 4, 4, 8, 8, 16, 16: the torus holds a number of blocks that is
+    # no power of two, and at 25, 97, 999 and 1000 the last block is short
+    h = extent / n
+    phi = 2.0 * h * np.cumsum(rng.uniform(-1.0, 1.0, size=n))
+    qt, qx = _far_queries(rng, phi, h, extent, 400)
+    _assert_min_dist_exact(qt, qx, phi, h, extent)
+
+
+@pytest.mark.parametrize("n", [25, 2048])
+def test_min_dist_non_finite_queries(rng, n):
+    extent = 1.0
+    h = extent / n
+    phi = _sawtooth(n, 3.0)
+    qt, qx = _far_queries(rng, phi, h, extent, 60)
+    bad = np.array([np.nan, np.inf, -np.inf])
+    qt[:3], qx[3:6], qt[6:9], qx[6:9] = bad, bad, bad, bad[::-1]
+    with np.errstate(invalid="ignore"):
+        # assert_array_equal counts NaN equal to NaN
+        _assert_min_dist_exact(qt, qx, phi, h, extent)
+
+
+@pytest.mark.parametrize("M", [0.5, 3.0])
+def test_min_dist_block_sweep_scans_only_blocks_within_reach(rng, monkeypatch,
+                                                            M):
+    # every scanned block lies within the query's first candidate distance
+    # |t - phi(x0)|, both sideways and vertically, on either side of the graph
+    n, extent = 2048, 1.0
+    h = extent / n
+    phi = _sawtooth(n, M)
+    idx = rng.integers(0, n, size=2000)
+    t = np.exp(rng.uniform(np.log(h), 0.0, size=idx.size))
+    qt, qx = phi[idx] + t * rng.choice([-1.0, 1.0], size=idx.size), idx * h
+    scans = []
+
+    def spy(t, x, first, b, sq_dist):
+        scans.append((t, x, first, b))
+        return block_min(t, x, first, b, sq_dist)
+
+    block_min = _kernels._block_min
+    monkeypatch.setattr(_kernels, "_block_min", spy)
+    _assert_min_dist_exact(qt, qx, phi, h, extent)
+    pairs = 0
+    for t, x, first, b in scans:
+        j = (first[:, None] - n // 2 + np.arange(b)) % n
+        seed = (t - phi[np.rint(x / h).astype(int) % n]) ** 2
+        gap = np.maximum(np.maximum(t - phi[j].max(axis=1),
+                                    phi[j].min(axis=1) - t), 0.0)
+        lat = np.abs(x[:, None] - h * j)
+        lat = np.minimum(lat, extent - lat).min(axis=1)
+        assert np.all(gap * gap < seed)
+        assert np.all(np.maximum(lat - 1e-12, 0.0) ** 2 + gap * gap
+                      <= seed * (1 + 1e-12))
+        pairs += t.size * b
+    assert 0 < pairs < 0.1 * idx.size * n
+
+
+def test_min_dist_block_gather_memory_stays_bounded(rng):
+    # a domain-sized call: 8000 far queries at N = 2048 hold a few per-query
+    # arrays and one capped gather, not a (queries x block) slab
+    import tracemalloc
+
+    n, extent = 2048, 1.0
+    h = extent / n
+    phi = _sawtooth(n, 3.0)
+    idx = rng.integers(0, n, size=8000)
+    qt = phi[idx] + np.exp(rng.uniform(np.log(h), 0.0, size=idx.size))
+    qx = idx * h
+    tracemalloc.start()
+    try:
+        _kernels.min_dist_graph_1d(qt, qx, phi, h, extent)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2_000_000

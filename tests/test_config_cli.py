@@ -317,6 +317,17 @@ def test_divergence_limiting_case_note():
                for n in rep.notes)
 
 
+def test_divergence_dimension_runs_at_an_extent_off_the_ladder():
+    # t_min is a rung of the unit ladder the divergence set scans, so an
+    # extent that is not a power of two runs to the end
+    cfg = validate(ExperimentConfig(
+        experiment="divergence-dimension", levels=(7, 9),
+        beta_prime=(0.5, 0.75), window=(3, 7), extent=3.0))
+    rep = run_experiment(cfg)
+    assert rep.criteria
+    assert any(q.startswith("slope_bp") for _, _, q, _ in rep.rows)
+
+
 def test_cli_kernel_table(tmp_path, capsys):
     pts = tmp_path / "pts.csv"
     pts.write_text("r\n0.5\n1.0\n")
