@@ -14,24 +14,33 @@ import numpy as np
 from scipy.ndimage import maximum_filter1d, minimum_filter1d
 
 
-def circ_max_1d(values: np.ndarray, halfwidth: int) -> np.ndarray:
+def _circ_extreme(values, halfwidth: int, out, window_filter, reduce) -> np.ndarray:
     v = np.ascontiguousarray(values, dtype=np.float64)
+    if out is None:
+        out = np.empty_like(v)
     if halfwidth <= 0:
-        return v.copy()
-    size = 2 * halfwidth + 1
-    if size >= v.shape[0]:
-        return np.full_like(v, v.max())
-    return maximum_filter1d(v, size=size, mode="wrap")
+        np.copyto(out, v)
+    elif 2 * halfwidth + 1 >= v.shape[0]:
+        out.fill(reduce(v))
+    else:
+        # one 1-D line is buffered whole before any output is written, so
+        # out may be the input itself
+        window_filter(v, size=2 * halfwidth + 1, mode="wrap", output=out)
+    return out
 
 
-def circ_min_1d(values: np.ndarray, halfwidth: int) -> np.ndarray:
-    v = np.ascontiguousarray(values, dtype=np.float64)
-    if halfwidth <= 0:
-        return v.copy()
-    size = 2 * halfwidth + 1
-    if size >= v.shape[0]:
-        return np.full_like(v, v.min())
-    return minimum_filter1d(v, size=size, mode="wrap")
+def circ_max_1d(values: np.ndarray, halfwidth: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Max over every circular window; written into out if given, which
+    may be values itself."""
+    return _circ_extreme(values, halfwidth, out, maximum_filter1d, np.max)
+
+
+def circ_min_1d(values: np.ndarray, halfwidth: int,
+                out: np.ndarray | None = None) -> np.ndarray:
+    """Min over every circular window; written into out if given, which
+    may be values itself."""
+    return _circ_extreme(values, halfwidth, out, minimum_filter1d, np.min)
 
 
 def circ_max_table(values: np.ndarray) -> np.ndarray:

@@ -206,10 +206,15 @@ def _ns_ratio(level: int, seed: int, cfg: ExperimentConfig, beta: float,
         g = unit_l2(grid, white_noise(grid, seed))
     else:
         g = spike_data(grid, [0.5 * grid.extent])
-    f = bessel_smooth(g, cfg.alpha)
+    norm = lp_norm(g, cfg.p)
+    smoothed = [bessel_smooth(g, cfg.alpha)]
+    del g
     spec = ApproachRegionSpec(beta=beta, aperture=cfg.aperture, t_max=1.0)
-    nt = poisson_tangential_max(f, spec)
-    return lp_norm(nt, cfg.p) / lp_norm(g, cfg.p)
+    # once popped, the smoothed data has no reference but the sweep's,
+    # which drops it after the transform: at 2^20 samples neither it nor g
+    # (8 MB each) is alive while the slices are swept
+    nt = poisson_tangential_max(smoothed.pop(), spec)
+    return lp_norm(nt, cfg.p) / norm
 
 
 def _run_nagel_stein(cfg: ExperimentConfig) -> RunReport:

@@ -86,15 +86,22 @@ def dyadic_heights(t0: float = 1.0, count: int | None = None,
 
 
 def poisson_slices(f: GridFunction, heights):
-    """Yield the flat slice irfftn(rfftn(f) * exp(-2 pi t |xi|)) at each
-    height t in turn, all from one transform of f.
+    """Iterate over the flat slice irfftn(rfftn(f) * exp(-2 pi t |xi|)) at
+    each height t in turn, all from one transform of f, taken at the call.
 
-    Only one slice is alive at a time unless the caller keeps it, so a
-    sweep over the slices never holds the whole field."""
+    Every slice is a fresh array that the caller owns and may overwrite.
+    The iterator refers to the spectrum, not to f, and drops each slice
+    once yielded: unless the caller keeps them, one slice is alive at a
+    time, so a sweep over the slices never holds the whole field."""
     mag = np.sqrt(_half_spectrum(f.grid)[1])
-    mults = (np.exp(-2.0 * math.pi * float(t) * mag) for t in heights)
-    for u in _apply_multiplier(f, mults):
-        yield u.reshape(-1)
+    mult = np.empty_like(mag)
+
+    def mults():
+        for t in heights:
+            np.multiply(mag, -2.0 * math.pi * float(t), out=mult)
+            yield np.exp(mult, out=mult)
+
+    return _apply_multiplier(f, mults())
 
 
 def poisson_extend(f: GridFunction, heights) -> HalfSpaceField:

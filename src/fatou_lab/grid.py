@@ -110,7 +110,11 @@ def lp_norm(f: GridFunction, p: float) -> float:
     if p < 1:
         raise ParameterError(f"p must be >= 1 or inf, got {p}")
     hpow = f.grid.h ** f.grid.dim
-    return float((hpow * np.sum(np.abs(f.samples) ** p)) ** (1.0 / p))
+    powers = np.abs(f.samples)
+    # in place: **= takes the scalar fast paths (square, sqrt) that ** does,
+    # so these are the floats of np.abs(samples) ** p
+    powers **= p
+    return float((hpow * np.sum(powers)) ** (1.0 / p))
 
 
 def wrapped_abs_delta(a, b, extent: float):

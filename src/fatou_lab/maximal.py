@@ -57,12 +57,16 @@ class ApproachRegionSpec:
 
 
 def window_extreme(values: np.ndarray, grid: Grid, radius: float,
-                   mode: str = "max") -> np.ndarray:
+                   mode: str = "max", out: np.ndarray | None = None) -> np.ndarray:
     """Max (mode "max") or min ("min") of flat slice values over the torus
-    ball of the given radius around every grid point, as a flat array."""
+    ball of the given radius around every grid point, as a flat array.
+
+    The result goes into out if given, which may be values itself."""
     if grid.dim == 1:
-        fn = _kernels.circ_max_1d if mode == "max" else _kernels.circ_min_1d
-        return fn(values, window_halfwidth(radius, grid.h))
+        k = window_halfwidth(radius, grid.h)
+        if mode == "max":
+            return _kernels.circ_max_1d(values, k, out=out)
+        return _kernels.circ_min_1d(values, k, out=out)
     n = grid.n
     arr = values.reshape(grid.shape)
     if mode == "max":
@@ -74,15 +78,19 @@ def window_extreme(values: np.ndarray, grid: Grid, radius: float,
     # 2(n//2)+1 already covers its row
     near = np.abs(dys) <= n // 2
     dys, ws = dys[near], np.minimum(ws[near], n // 2)
-    out = np.full(grid.shape, fill)
+    # every row filter reads all of arr, so fold into a separate array
+    acc = np.full(grid.shape, fill)
     for w in np.unique(ws).tolist():
         if 2 * w + 1 >= n:
             rows = reduce(arr, axis=1, keepdims=True)
         else:
             rows = row_filter(arr, size=(1, 2 * w + 1), mode="wrap")
         for dy in dys[ws == w].tolist():
-            fold(out, np.roll(rows, -dy, axis=0), out=out)
-    return out.reshape(-1)
+            fold(acc, np.roll(rows, -dy, axis=0), out=acc)
+    if out is None:
+        return acc.reshape(-1)
+    out[:] = acc.reshape(-1)
+    return out
 
 
 def _coverage_check(heights, spec: ApproachRegionSpec) -> list:
@@ -97,33 +105,50 @@ def _coverage_check(heights, spec: ApproachRegionSpec) -> list:
 
 
 def _region_sweep(grid: Grid, scan) -> GridFunction:
-    """max over (slice, radius, weight) in scan of weight * window max of
-    |slice|; scan may be a generator, so each slice can be dropped once swept."""
+    """max over (|slice|, radius, weight) in scan of weight * window max of
+    |slice|.
+
+    The sweep owns every |slice| array that scan yields and overwrites it
+    with its window max: callers pass np.abs(row) for a field row and
+    np.abs(u, out=u) for a slice of their own.  scan may be a generator,
+    so each array can be dropped once swept; field-row scans stay
+    generators, so that no more than one |row| is alive at a time."""
     out = np.zeros(grid.size)
-    for values, radius, weight in scan:
-        wm = window_extreme(np.abs(values), grid, radius)
-        np.multiply(wm, weight, out=wm)  # wm is a fresh array
-        np.maximum(out, wm, out=out)
+    for absvals, radius, weight in scan:
+        window_extreme(absvals, grid, radius, out=absvals)
+        if weight != 1.0:  # x * 1.0 == x
+            np.multiply(absvals, weight, out=absvals)
+        np.maximum(out, absvals, out=out)
+        del absvals  # free it before scan makes the next one
     return GridFunction(grid, out)
 
 
 def tangential_max(u: HalfSpaceField, spec: ApproachRegionSpec) -> GridFunction:
     """sup over sampled region points of |u|, per boundary point."""
-    return _region_sweep(u.grid, [(u.values[k], spec.radius(u.heights[k]), 1.0)
-                                  for k in _coverage_check(u.heights, spec)])
+    return _region_sweep(u.grid, ((np.abs(u.values[k]), spec.radius(u.heights[k]), 1.0)
+                                  for k in _coverage_check(u.heights, spec)))
 
 
 def poisson_tangential_max(f: GridFunction,
                            spec: ApproachRegionSpec) -> GridFunction:
     """tangential_max(poisson_extend(f, heights), spec) on the grid's ladder
     heights = dyadic_heights(1.0, grid=f.grid), bit for bit, without the
-    field: each usable Poisson slice is computed, swept and dropped, and no
-    slice above spec.t_max is transformed."""
-    hts = dyadic_heights(1.0, grid=f.grid)
+    field: each usable Poisson slice is computed, swept in place and
+    dropped, and no slice above spec.t_max is transformed.  Once f is
+    transformed nothing here refers to it, so data passed as a temporary
+    is freed before the first slice is swept."""
+    grid = f.grid
+    hts = dyadic_heights(1.0, grid=grid)
     usable = [hts[k] for k in _coverage_check(hts, spec)]
-    slices = zip(usable, poisson_slices(f, usable))
-    return _region_sweep(f.grid, ((check_finite(u), spec.radius(t), 1.0)
-                                  for t, u in slices))
+    slices = poisson_slices(f, usable)
+    del f  # the slices hold the spectrum, not f
+
+    def swept(t, u):
+        return np.abs(check_finite(u), out=u), spec.radius(t), 1.0
+
+    # map, unlike zip or a generator expression, keeps no reference to the
+    # last slice while it asks for the next one
+    return _region_sweep(grid, map(swept, usable, slices))
 
 
 def tangential_argmax(u: HalfSpaceField, spec: ApproachRegionSpec):
@@ -162,8 +187,8 @@ def mitigated_max(u: HalfSpaceField, p: float, beta: float) -> GridFunction:
     spec = ApproachRegionSpec(beta=beta, aperture=1.0, t_max=1.0)
     usable = _coverage_check(u.heights, spec)
     expo = u.grid.dim * (1.0 - beta) / p
-    return _region_sweep(u.grid, [(u.values[k], spec.radius(u.heights[k]),
-                                   u.heights[k] ** expo) for k in usable])
+    return _region_sweep(u.grid, ((np.abs(u.values[k]), spec.radius(u.heights[k]),
+                                   u.heights[k] ** expo) for k in usable))
 
 
 def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
@@ -185,8 +210,8 @@ def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
             f"no field heights give dilated heights below {threshold:.4g} for j={j}")
     expo = g.dim * (1.0 - beta) / p
     pref = 2.0 ** (g.dim * j / p)
-    return _region_sweep(g, [(v.values[k], t ** beta, pref * t ** expo)
-                             for k, t in scan])
+    return _region_sweep(g, ((np.abs(v.values[k]), t ** beta, pref * t ** expo)
+                             for k, t in scan))
 
 
 def fractional_power_max(f: GridFunction, s: float = 1.0,

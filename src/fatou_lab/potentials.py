@@ -15,6 +15,9 @@ from . import _kernels
 from .errors import ParameterError
 from .grid import Grid, GridFunction, disc_rows, window_halfwidth
 
+# _mean_residuals gathers and fits a 1/_BLOCKS slice of its matrix at a time
+_BLOCKS = 8
+
 
 def _half_spectrum(grid: Grid) -> tuple:
     """(per-axis frequencies, |xi|^2) on the rfftn half spectrum, broadcastable.
@@ -32,12 +35,23 @@ def _nyquist_mask(xi: np.ndarray, n: int) -> np.ndarray:
 
 
 def _apply_multiplier(f: GridFunction, mults):
-    """Transform f once; yield irfftn(rfftn(f) * m) for each multiplier m,
-    a Hermitian multiplier given on the half spectrum."""
+    """Transform f now, once; return an iterator over irfftn(rfftn(f) * m),
+    flattened, for each multiplier m, a Hermitian multiplier given on the
+    half spectrum.
+
+    The iterator holds the spectrum, not f, and forms every product in one
+    reused buffer.  Each array it yields is fresh, and it keeps no
+    reference to one once yielded."""
     axes = tuple(range(f.grid.dim))
-    spec = np.fft.rfftn(f.as_array(), axes=axes)
+    return _multiplied(np.fft.rfftn(f.as_array(), axes=axes), f.grid.shape,
+                       axes, mults)
+
+
+def _multiplied(spec: np.ndarray, shape: tuple, axes: tuple, mults):
+    prod = np.empty_like(spec)
     for m in mults:
-        yield np.fft.irfftn(spec * m, s=f.grid.shape, axes=axes)
+        yield np.fft.irfftn(np.multiply(spec, m, out=prod), s=shape,
+                            axes=axes).reshape(-1)
 
 
 def bessel_smooth(g: GridFunction, alpha: float) -> GridFunction:
@@ -109,10 +123,11 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
     |Delta|^(-alpha/n) avg_Delta |f - P^k_Delta f| with k = floor(alpha).
     A lower bound for the continuum supremum, monotone under refinement.
 
-    Per scale, one gather from the wrap-padded samples lays the ball of
-    every center out as an (offsets x centers) matrix; the moments
-    against the scaled monomials, the fitted polynomials and the mean
-    absolute residuals are then matrix products and reductions over it.
+    Per scale, gathers from the wrap-padded samples lay the ball of every
+    center out as an (offsets x centers) matrix; the moments against the
+    scaled monomials, the fitted polynomials and the mean absolute
+    residuals are then matrix products and reductions over it
+    (_mean_residuals).
     """
     if alpha <= 0:
         raise ParameterError(f"alpha must be positive, got {alpha}")
@@ -139,15 +154,9 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
         offs = np.stack([np.repeat(dys, 2 * ws + 1),
                          np.concatenate([np.arange(-w, w + 1) for w in ws])],
                         axis=1)[:, 2 - g.dim:]
-        n_off = offs.shape[0]
         # one contiguous row per monomial: w @ w.T rounds as a row-major product
         w = np.ascontiguousarray(_monomials(offs * g.h / r, mi).T)
-        gram_inv = np.linalg.inv((w @ w.T) / n_off)
-        vals = padded.take(np.add.outer(offs @ pitch, centers.reshape(-1)))
-        coeff = gram_inv @ (w @ vals / n_off)
-        # mean absolute residual against the fitted polynomial
-        vals -= w.T @ coeff
-        resid = np.abs(vals, out=vals).sum(axis=0) / n_off
+        resid = _mean_residuals(padded, offs @ pitch, centers.reshape(-1), w)
         e = _ball_measure(g.dim, r) ** (-alpha / g.dim) * resid
         # every point of Delta(c, r) sees the ball's value: the disc is
         # symmetric, so that is a window max of the values placed on centres
@@ -155,6 +164,31 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
         placed[np.ix_(*[axis] * g.dim)] = e.reshape(centers.shape)
         np.maximum(out, window_extreme(placed.reshape(-1), g, r), out=out)
     return GridFunction(g, out)
+
+
+def _mean_residuals(padded: np.ndarray, rel: np.ndarray, centres: np.ndarray,
+                    w: np.ndarray) -> np.ndarray:
+    """Per centre c, the mean over offsets d of |v - P v| on the values
+    v_d = padded.flat[c + rel[d]], P the least-squares fit by the rows of w.
+
+    One (offsets x centres) array is alive, with temporaries of a slice
+    of it: the values are gathered a block of offsets at a time, and the
+    fit is subtracted a block of centres at a time.  Centre blocks are at
+    least 2 wide; on a dyadic scale the centre count is a power of two,
+    so they are all of one power-of-two width.  One-column and odd-width
+    blocks were seen to round the fit differently from one product over
+    all centres, as BLAS takes other kernels for them."""
+    n_off = rel.size
+    gram_inv = np.linalg.inv((w @ w.T) / n_off)
+    vals = np.empty((n_off, centres.size))
+    rows = -(-n_off // _BLOCKS)
+    for i in range(0, n_off, rows):
+        vals[i:i + rows] = padded.take(np.add.outer(rel[i:i + rows], centres))
+    coeff = gram_inv @ (w @ vals / n_off)
+    step = max(2, centres.size // _BLOCKS)
+    for j in range(0, centres.size, step):
+        vals[:, j:j + step] -= w.T @ coeff[:, j:j + step]
+    return np.abs(vals, out=vals).sum(axis=0) / n_off
 
 
 def slobodeckij_seminorm(f: GridFunction, sigma: float, p: float) -> float:

@@ -32,6 +32,24 @@ def test_circ_extremes_match_brute_force(rng):
         np.testing.assert_array_equal(_kernels.circ_min_1d(v, k), expect_min)
 
 
+def test_circ_extremes_into_out(rng):
+    # halfwidth <= 0, a window covering the circle, and the window filter,
+    # each into a separate buffer and into the values themselves
+    v = rng.normal(size=173)
+    for k in (-1, 0, 1, 5, 86, 90):
+        for fn, pick in ((_kernels.circ_max_1d, max), (_kernels.circ_min_1d, min)):
+            expect = _brute_extreme(v, max(k, 0), pick) if 2 * k + 1 < 173 \
+                else np.full(173, pick(v))
+            fresh = fn(v, k)
+            np.testing.assert_array_equal(fresh, expect)
+            out = np.full(173, np.nan)
+            assert fn(v, k, out=out) is out
+            np.testing.assert_array_equal(out, fresh)
+            own = v.copy()
+            assert fn(own, k, out=own) is own
+            np.testing.assert_array_equal(own, fresh)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 37, 64])
 def test_circ_window_max_matches_brute_force(rng, n):
     # every (center, K) with K = 0 .. N // 2, so windows wrap both ends of

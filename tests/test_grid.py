@@ -60,6 +60,17 @@ def test_lp_norm_examples():
         lp_norm(one, 0.5)
 
 
+def test_lp_norm_is_the_power_sum_bit_for_bit(rng):
+    # the in-place power gives the floats of the plain expression, fast
+    # paths (p = 1, 2) included
+    for dim, level in ((1, 10), (2, 5)):
+        g = make_grid(dim, level, 3.0)
+        f = GridFunction(g, rng.normal(size=g.size))
+        for p in (1, 1.0, 1.5, 2, 2.0, 3.0, 4.5):
+            expect = float((g.h ** dim * np.sum(np.abs(f.samples) ** p)) ** (1.0 / p))
+            assert lp_norm(f, p) == expect
+
+
 def test_ball_average_examples():
     g = make_grid(1, 10, 1.0)
     const = from_callable(g, lambda x: np.full_like(x, 3.0))

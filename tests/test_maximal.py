@@ -1,11 +1,12 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fatou_lab import maximal
+from fatou_lab import _kernels, maximal
 from fatou_lab.errors import CoverageError, ParameterError
 from fatou_lab.extension import HalfSpaceField, annuli_surrogate, dyadic_heights, \
     poisson_extend
@@ -455,6 +456,24 @@ def test_window_extreme_torus_disc_oracle(rng, dim, levels, extent):
                 _torus_window_oracle(values, g, radius, mode))
 
 
+@pytest.mark.parametrize("dim,levels", [(1, 6), (2, 4)])
+def test_window_extreme_into_out(rng, dim, levels):
+    # out may be a separate buffer or the values themselves
+    g = make_grid(dim, levels, 1.0)
+    values = rng.normal(size=g.size)
+    for radius in (0.6 * g.h, 2.7 * g.h, 0.25, 0.7):
+        for mode in ("max", "min"):
+            fresh = window_extreme(values, g, radius, mode)
+            np.testing.assert_array_equal(
+                fresh, _torus_window_oracle(values, g, radius, mode))
+            out = np.full(g.size, np.nan)
+            assert window_extreme(values, g, radius, mode, out=out) is out
+            np.testing.assert_array_equal(out, fresh)
+            own = values.copy()
+            assert window_extreme(own, g, radius, mode, out=own) is own
+            np.testing.assert_array_equal(own, fresh)
+
+
 def test_window_extreme_row_filters_stay_narrower_than_the_torus(
         rng, monkeypatch):
     # rows as wide as the torus take a full-row reduce, not a wider filter
@@ -591,5 +610,59 @@ def test_poisson_tangential_max_does_not_hold_the_field(rng):
         finally:
             tracemalloc.stop()
     streamed, field = peaks
-    assert streamed < 10 * g.size * 8
+    # per height: spectrum 1, |xi| 1/2, multiplier 1/2, product 1, slice 1
+    # and running max 1, in units of N * 8 B (7 before the slices were
+    # swept in place)
+    assert streamed < 5.5 * g.size * 8
     assert field > len(hts) * g.size * 8
+
+
+def test_poisson_tangential_max_frees_temporary_data_before_sweeping(
+        rng, monkeypatch):
+    # data passed as a temporary is referenced by nothing once transformed
+    g = make_grid(1, 10, 1.0)
+    samples = []
+
+    def data():
+        f = GridFunction(g, rng.normal(size=g.size))
+        samples.append(weakref.ref(f.samples))
+        return f
+
+    alive = []
+    real = _kernels.circ_max_1d
+
+    def spy(*args, **kwargs):
+        alive.append(samples[0]() is not None)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "circ_max_1d", spy)
+    maximal.poisson_tangential_max(data(), ApproachRegionSpec(beta=0.5))
+    assert alive and not any(alive)
+
+
+def test_ns_ratio_holds_neither_data_nor_smoothing_while_sweeping(monkeypatch):
+    from fatou_lab import experiments
+    from fatou_lab.config import ExperimentConfig
+
+    cfg = ExperimentConfig(experiment="nagel-stein-bound", levels=(8, 10),
+                           alpha=0.25, p=2.0, seeds=(0,))
+    arrays = []
+    real_smooth = experiments.bessel_smooth
+
+    def smooth(g, alpha):
+        f = real_smooth(g, alpha)
+        arrays.extend([weakref.ref(g.samples), weakref.ref(f.samples)])
+        return f
+
+    alive = []
+    real = _kernels.circ_max_1d
+
+    def spy(*args, **kwargs):
+        alive.append([ref() is not None for ref in arrays])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "bessel_smooth", smooth)
+    monkeypatch.setattr(_kernels, "circ_max_1d", spy)
+    experiments._ns_ratio(10, 0, cfg, 0.3, "spike")
+    assert len(arrays) == 2 and alive
+    assert not any(any(row) for row in alive)

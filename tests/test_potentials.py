@@ -4,7 +4,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fatou_lab import _kernels
+from fatou_lab import _kernels, potentials
 from fatou_lab.errors import ParameterError
 from fatou_lab.extension import poisson_extend
 from fatou_lab.grid import (GridFunction, fft_convolve, from_callable, lp_norm,
@@ -357,3 +357,37 @@ def test_sharp_maximal_brute_force_oracle(rng, dim, levels, alpha):
     for point in [0, g.size - 1, *rng.integers(0, g.size, size=6)]:
         assert sharp.samples[point] == pytest.approx(
             _brute_sharp_at(f, alpha, scales, point), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim,levels", [(1, 10), (2, 6)])
+def test_sharp_maximal_blocks_of_centres_match_one_product(rng, monkeypatch,
+                                                           dim, levels):
+    # two-column blocks, the default blocks and one block per scale give the
+    # same floats, at one monomial (alpha < 1) and at several
+    g = make_grid(dim, levels, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    scales = dyadic_scales(g)
+    for alpha in (0.5, 1.3, 2.2):
+        runs = []
+        for blocks in (1 << 20, potentials._BLOCKS, 1):
+            monkeypatch.setattr(potentials, "_BLOCKS", blocks)
+            runs.append(sharp_maximal(f, alpha, scales).samples)
+        np.testing.assert_array_equal(runs[0], runs[2])
+        np.testing.assert_array_equal(runs[1], runs[2])
+
+
+def test_sharp_maximal_holds_one_ball_matrix(rng):
+    # the (offsets x centres) ball values take about 4 pi N^2 * 8 B per
+    # scale; neither the fit nor the gather index makes a second one
+    import tracemalloc
+
+    g = make_grid(2, 7, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    scales = dyadic_scales(g)
+    tracemalloc.start()
+    try:
+        sharp_maximal(f, 0.5, scales)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * 4 * math.pi * g.size * 8
