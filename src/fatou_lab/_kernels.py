@@ -4,6 +4,12 @@ Every function is deterministic.  Windows are circular (torus wrap) and
 given by an integer halfwidth ``K``: the window at index ``i`` is the
 2K+1 samples ``i-K .. i+K`` modulo N.
 
+Window extremes double: the max (or min) over 2^j samples from each
+index, for j = 0, 1, ..., overwritten in place, until 2^j <= 2K+1 <
+2^(j+1); two such windows cover each window of 2K+1 (_circ_folds).  Max
+and min do not round, so the result is exact, in O(N log K) time.
+Given a workspace, a call takes at most 128 KB of scratch beyond it.
+
 At p = 2 the Slobodeckij pair sum is one torus convolution, O(N^n log N):
 sum_d w_d sum_i (v_i - v_{i+d})^2 = 2[v.v sum(w) - v.(w*v)]
 with v centred on its mean first, which keeps ~1e-10 relative accuracy
@@ -11,36 +17,137 @@ on very smooth data (Bessel order 4, sigma = 0.9).  Other p loop over offsets.
 """
 
 import numpy as np
-from scipy.ndimage import maximum_filter1d, minimum_filter1d
+
+# samples per chunk of the low levels: two buffers of 64 KB, which stay in
+# cache and small beside the arrays of a streamed 2^16-sample sweep
+_CHUNK = 1 << 13
+_LOW_SPAN = _CHUNK // 8  # windows up to this long are built chunk by chunk
 
 
-def _circ_extreme(values, halfwidth: int, out, window_filter, reduce) -> np.ndarray:
+def _circ_folds(values, halfwidths, fold, work, out):
+    """Circular window extremes along the rows of values, for several
+    halfwidths from one set of doubling levels.
+
+    values, work and out are (rows, n) float arrays.  halfwidths are not
+    empty and ascend, each with 0 <= 2K+1 < n.  fold is np.maximum or
+    np.minimum.  Level s holds, at column i, the fold of the s samples
+    from i on (circular), as in the sparse table of Bender & Farach-Colton
+    (LATIN 2000), but only the current level is kept, in work, and
+    doubled in place.  A window of 2K+1 is the union of two windows of
+    the largest level s <= 2K+1, so every result is exact.  Levels up to _LOW_SPAN are built chunk by
+    chunk in a small scratch that stays in cache.
+
+    values is read during this call only; the returned iterator writes,
+    for each halfwidth in turn, the window extreme into out and yields the
+    halfwidth.  It uses out as scratch between yields, so each result must
+    be taken before the next is asked for.  out may be values; work may
+    alias neither.
+    """
+    sizes = [2 * k + 1 for k in halfwidths]
+    span = min(_LOW_SPAN, _floor_pow2(sizes[0]))
+    _low_levels(values, span, fold, work)
+
+    def serve(span):
+        for k, size in zip(halfwidths, sizes):
+            while 2 * span <= size:
+                _double(work, span, fold, out)
+                span *= 2
+            # [i-K, i-K+span) and [i+K+1-span, i+K] cover the window of i
+            # when it is shorter than 2 span
+            _fold_rolled(work, -k, k + 1 - span, fold, out)
+            yield k
+
+    return serve(span)
+
+
+def _floor_pow2(x: int) -> int:
+    return 1 << (x.bit_length() - 1)
+
+
+def _low_levels(values, span, fold, work):
+    """work[r, i] = fold of values[r, i .. i+span-1 mod n], span a power
+    of two, by blocks of at most _CHUNK samples with their halo."""
+    rows, n = values.shape
+    halo = span - 1
+    cols = n if n + halo <= _CHUNK else _CHUNK - halo
+    block = min(rows, max(1, _CHUNK // (cols + halo)))
+    # two buffers: a fold whose output overlaps its input runs unvectorised
+    scratch = np.empty((2, block * (cols + halo)))
+    for r0 in range(0, rows, block):
+        r1 = min(r0 + block, rows)
+        for c0 in range(0, n, cols):
+            c1 = min(c0 + cols, n)
+            width = c1 - c0 + halo
+            size = (r1 - r0) * width
+            s = scratch[0, :size].reshape(r1 - r0, width)
+            head = min(n - c0, width)
+            s[:, :head] = values[r0:r1, c0:c0 + head]
+            s[:, head:] = values[r0:r1, :width - head]
+            # flat shifts: a column that reads into the next row lies past
+            # the valid part of its own row
+            src, dst = scratch[0, :size], scratch[1, :size]
+            step = 1
+            while 2 * step < span:
+                fold(src[:-step], src[step:], out=dst[:-step])
+                src, dst = dst, src
+                step *= 2
+            # the last level goes into work; at span 1, fold(x, x) is x
+            last, half = src.reshape(r1 - r0, width), span // 2
+            fold(last[:, :c1 - c0], last[:, half:half + c1 - c0],
+                 out=work[r0:r1, c0:c1])
+
+
+def _double(b, step, fold, spare):
+    """Level step to level 2 step in place along the rows of b; the
+    first step columns of spare are scratch."""
+    tail = spare[:, :step]
+    fold(b[:, -step:], b[:, :step], out=tail)
+    flat = b.reshape(-1)
+    fold(flat[:-step], flat[step:], out=flat[:-step])
+    b[:, -step:] = tail
+
+
+def _fold_rolled(b, a, c, fold, out):
+    """out[:, i] = fold(b[:, (i + a) % n], b[:, (i + c) % n]), by slices
+    that do not wrap."""
+    n = b.shape[1]
+    cuts = sorted({0, n, -a % n, -c % n})
+    for lo, hi in zip(cuts, cuts[1:]):
+        x, y = (lo + a) % n, (lo + c) % n
+        fold(b[:, x:x + hi - lo], b[:, y:y + hi - lo], out=out[:, lo:hi])
+
+
+def _circ_extreme(values, halfwidth: int, out, work, fold, reduce) -> np.ndarray:
     v = np.ascontiguousarray(values, dtype=np.float64)
     if out is None:
         out = np.empty_like(v)
+    n = v.shape[0]
     if halfwidth <= 0:
         np.copyto(out, v)
-    elif 2 * halfwidth + 1 >= v.shape[0]:
+    elif 2 * halfwidth + 1 >= n:
         out.fill(reduce(v))
     else:
-        # one 1-D line is buffered whole before any output is written, so
-        # out may be the input itself
-        window_filter(v, size=2 * halfwidth + 1, mode="wrap", output=out)
+        if work is None:
+            work = np.empty_like(v)
+        next(_circ_folds(v.reshape(1, n), [halfwidth], fold,
+                         work.reshape(1, n), out.reshape(1, n)))
     return out
 
 
 def circ_max_1d(values: np.ndarray, halfwidth: int,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """Max over every circular window; written into out if given, which
-    may be values itself."""
-    return _circ_extreme(values, halfwidth, out, maximum_filter1d, np.max)
+    may be values itself.  work, if given, is scratch of values' size."""
+    return _circ_extreme(values, halfwidth, out, work, np.maximum, np.max)
 
 
 def circ_min_1d(values: np.ndarray, halfwidth: int,
-                out: np.ndarray | None = None) -> np.ndarray:
+                out: np.ndarray | None = None,
+                work: np.ndarray | None = None) -> np.ndarray:
     """Min over every circular window; written into out if given, which
-    may be values itself."""
-    return _circ_extreme(values, halfwidth, out, minimum_filter1d, np.min)
+    may be values itself.  work, if given, is scratch of values' size."""
+    return _circ_extreme(values, halfwidth, out, work, np.minimum, np.min)
 
 
 def circ_max_table(values: np.ndarray) -> np.ndarray:

@@ -85,14 +85,24 @@ def dyadic_heights(t0: float = 1.0, count: int | None = None,
     return tuple(t0 * 2.0 ** (-k) for k in range(count + 1))
 
 
-def poisson_slices(f: GridFunction, heights):
+def slice_buffers(grid: Grid) -> tuple:
+    """(prod, work): an empty complex array of the grid's rfftn half
+    spectrum, for poisson_slices to form its products in, and a flat float
+    view of its first grid.size entries, which is free scratch from the
+    moment a slice is yielded until the next is asked for."""
+    prod = np.empty(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=np.complex128)
+    return prod, prod.reshape(-1).view(np.float64)[:grid.size]
+
+
+def poisson_slices(f: GridFunction, heights, prod: np.ndarray | None = None):
     """Iterate over the flat slice irfftn(rfftn(f) * exp(-2 pi t |xi|)) at
     each height t in turn, all from one transform of f, taken at the call.
 
     Every slice is a fresh array that the caller owns and may overwrite.
     The iterator refers to the spectrum, not to f, and drops each slice
     once yielded: unless the caller keeps them, one slice is alive at a
-    time, so a sweep over the slices never holds the whole field."""
+    time, so a sweep over the slices never holds the whole field.  The
+    products are formed in prod if given (see slice_buffers)."""
     mag = np.sqrt(_half_spectrum(f.grid)[1])
     mult = np.empty_like(mag)
 
@@ -101,7 +111,7 @@ def poisson_slices(f: GridFunction, heights):
             np.multiply(mag, -2.0 * math.pi * float(t), out=mult)
             yield np.exp(mult, out=mult)
 
-    return _apply_multiplier(f, mults())
+    return _apply_multiplier(f, mults(), prod)
 
 
 def poisson_extend(f: GridFunction, heights) -> HalfSpaceField:

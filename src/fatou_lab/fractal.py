@@ -12,7 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .extension import check_finite, dyadic_heights, poisson_slices
+from .extension import check_finite, dyadic_heights, poisson_slices, \
+    slice_buffers
 from .grid import Grid, GridFunction, nearest_index
 from .maximal import ApproachRegionSpec, window_extreme
 
@@ -182,13 +183,20 @@ def divergence_set(f: GridFunction, spec: ApproachRegionSpec, eps: float,
     scan = [t for t in heights if t <= t_min * (1.0 + 1e-12)]
     g = f.grid
     osc = np.zeros(g.size)
-    for t, u in zip(scan, poisson_slices(f, scan)):
-        check_finite(u)
+    hi = np.empty(g.size)
+    prod, work = slice_buffers(g)
+
+    def widen(t, u):
+        # hi - f and f - lo, formed in hi and in the slice itself
         rad = spec.radius(t)
-        hi = window_extreme(u, g, rad, mode="max")
-        lo = window_extreme(u, g, rad, mode="min")
-        np.maximum(osc, hi - f.samples, out=osc)
-        np.maximum(osc, f.samples - lo, out=osc)
+        window_extreme(check_finite(u), g, rad, "max", out=hi, work=work)
+        np.maximum(osc, np.subtract(hi, f.samples, out=hi), out=osc)
+        window_extreme(u, g, rad, "min", out=u, work=work)
+        np.maximum(osc, np.subtract(f.samples, u, out=u), out=osc)
+
+    # map keeps no reference to a swept slice while the next is formed
+    for _ in map(widen, scan, poisson_slices(f, scan, prod)):
+        pass
     flat = np.nonzero(osc > eps)[0]
     coords = g.h * np.stack(np.unravel_index(flat, g.shape), axis=1)
     return PointSet(points=coords[:, 0] if g.dim == 1 else coords, grid=g)

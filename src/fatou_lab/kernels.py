@@ -4,15 +4,16 @@ The Bessel kernel has two independent routes: adaptive quadrature of its
 subordination integral (after the substitution u = log t), and a closed
 form in terms of the modified Bessel function K_nu.  The normalizing
 constant c_alpha is fixed numerically, once per (n, alpha), by radial
-integration, and cached.  The quadrature route loads scipy.integrate on
-its first call, so a process that never integrates does not import it.
+integration, and cached.  Each route loads the SciPy module it needs on
+its first call: scipy.integrate for quadrature, scipy.special for K_nu
+and the Gamma function.  A process that evaluates no Bessel or Riesz
+kernel imports no SciPy module.
 """
 
 import functools
 import math
 
 import numpy as np
-from scipy.special import gamma, kv
 
 from .errors import NumericError, ParameterError, SingularityError
 
@@ -48,6 +49,8 @@ def _bessel_unnormalized(n: int, alpha: float, r: float) -> float:
     if r == 0.0:
         if alpha <= n:
             raise SingularityError("bessel kernel is singular at the origin")
+        from scipy.special import gamma
+
         return (4.0 * math.pi) ** c * gamma(c)
     if r > 740.0:
         return 0.0  # below double-precision underflow
@@ -67,6 +70,8 @@ def _bessel_unnormalized(n: int, alpha: float, r: float) -> float:
 
 def _series_prefactor(n: int, alpha: float) -> float:
     # analytic constant of the K_nu closed form, c_alpha * 2 (2 pi)^{-nu}
+    from scipy.special import gamma
+
     return 2.0 * (2.0 * math.pi) ** ((alpha - n) / 2.0) / (
         (4.0 * math.pi) ** (alpha / 2.0) * gamma(alpha / 2.0))
 
@@ -107,6 +112,8 @@ def bessel_kernel(n: int, alpha: float, x, route: str = "quadrature") -> float:
     if route == "quadrature":
         return bessel_normalization(n, alpha) * _bessel_unnormalized(n, alpha, r)
     if route == "series":
+        from scipy.special import gamma, kv
+
         nu = (n - alpha) / 2.0
         if r == 0.0:
             if alpha <= n:
@@ -119,6 +126,8 @@ def bessel_kernel(n: int, alpha: float, x, route: str = "quadrature") -> float:
 
 def riesz_constant(n: int, alpha: float) -> float:
     """gamma_{alpha,n} = Gamma((n-alpha)/2) / (2^alpha pi^{n/2} Gamma(alpha/2))."""
+    from scipy.special import gamma
+
     return gamma((n - alpha) / 2.0) / (
         2.0 ** alpha * math.pi ** (n / 2.0) * gamma(alpha / 2.0))
 

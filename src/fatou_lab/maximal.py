@@ -7,12 +7,15 @@ region of a boundary point at height t is a centered window whose
 radius follows the region law.
 
 window_extreme is the one place a max or min over such a window is
-taken.  In 1-D it is a circular window filter.  In 2-D the torus disc
-is a union of row runs (grid.disc_rows; Urbach & Wilkinson, IEEE TIP 17,
-2008): rows of one halfwidth w share a single (1, 2w+1) wrap filter, or
-a full-row reduce once 2w+1 >= N, whose result is rolled by each row
-offset dy and folded into the output.  That is O(N^2 K) time and O(N^2)
-memory for halfwidth K, and exact, since max and min do not round.
+taken.  In 1-D it is a circular window extreme (_kernels.circ_max_1d).
+In 2-D the torus disc is a union of row runs (grid.disc_rows; Urbach &
+Wilkinson, IEEE TIP 17, 2008): rows of one halfwidth w share one
+circular window extreme of 2w+1 along every row, or a full-row reduce
+once 2w+1 >= N, which is folded into each output row from the row dy
+away by two slices.  The windows of all widths of a disc come from one
+set of doubling levels (_kernels._circ_folds).  That is O(N^2 K) time
+and O(N^2) memory for halfwidth K, and exact, since max and min do not
+round.
 
 Operators read fields without mutating them, and the scan order per
 output point is fixed, so results are deterministic.
@@ -22,12 +25,11 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import maximum_filter, minimum_filter
 
 from . import _kernels
 from .errors import CoverageError, ParameterError
 from .extension import HalfSpaceField, annuli_surrogate, check_finite, \
-    dyadic_heights, poisson_slices
+    dyadic_heights, poisson_slices, slice_buffers
 from .grid import Grid, GridFunction, ball_mean_all_centers, disc_rows, \
     window_halfwidth
 from .potentials import dyadic_scales, sharp_maximal
@@ -57,40 +59,79 @@ class ApproachRegionSpec:
 
 
 def window_extreme(values: np.ndarray, grid: Grid, radius: float,
-                   mode: str = "max", out: np.ndarray | None = None) -> np.ndarray:
+                   mode: str = "max", out: np.ndarray | None = None,
+                   work: np.ndarray | None = None) -> np.ndarray:
     """Max (mode "max") or min ("min") of flat slice values over the torus
     ball of the given radius around every grid point, as a flat array.
 
-    The result goes into out if given, which may be values itself."""
+    The result goes into out if given, which may be values itself.  work,
+    if given, is a flat array of grid.size floats used as scratch."""
     if grid.dim == 1:
         k = window_halfwidth(radius, grid.h)
         if mode == "max":
-            return _kernels.circ_max_1d(values, k, out=out)
-        return _kernels.circ_min_1d(values, k, out=out)
+            return _kernels.circ_max_1d(values, k, out=out, work=work)
+        return _kernels.circ_min_1d(values, k, out=out, work=work)
     n = grid.n
-    arr = values.reshape(grid.shape)
-    if mode == "max":
-        row_filter, fold, reduce, fill = maximum_filter, np.maximum, np.max, -np.inf
-    else:
-        row_filter, fold, reduce, fill = minimum_filter, np.minimum, np.min, np.inf
     dys, ws = disc_rows(grid, radius)
     # a row past half the torus repeats a nearer, wider one, and a run of
     # 2(n//2)+1 already covers its row
     near = np.abs(dys) <= n // 2
     dys, ws = dys[near], np.minimum(ws[near], n // 2)
-    # every row filter reads all of arr, so fold into a separate array
-    acc = np.full(grid.shape, fill)
-    for w in np.unique(ws).tolist():
-        if 2 * w + 1 >= n:
-            rows = reduce(arr, axis=1, keepdims=True)
-        else:
-            rows = row_filter(arr, size=(1, 2 * w + 1), mode="wrap")
-        for dy in dys[ws == w].tolist():
-            fold(acc, np.roll(rows, -dy, axis=0), out=acc)
     if out is None:
-        return acc.reshape(-1)
-    out[:] = acc.reshape(-1)
+        out = np.empty(grid.size)
+    row_filter = maximum_filter if mode == "max" else minimum_filter
+    row_filter(values.reshape(grid.shape), dys, ws, out.reshape(grid.shape),
+               work)
     return out
+
+
+def maximum_filter(arr, dys, ws, out, work):
+    """out[i, j] = max over the runs (dy, w) of arr[i + dy, j - w .. j + w],
+    rows and columns mod n; see _row_runs."""
+    return _row_runs(arr, dys, ws, out, work, np.maximum, np.max, -np.inf)
+
+
+def minimum_filter(arr, dys, ws, out, work):
+    """As maximum_filter, with min."""
+    return _row_runs(arr, dys, ws, out, work, np.minimum, np.min, np.inf)
+
+
+def _row_runs(arr, dys, ws, out, work, fold, reduce, fill):
+    """Fold the row runs (dy, w) of an (n, n) array into out, which may be
+    arr itself; work, if given, holds n * n floats of scratch.
+
+    Runs of 2w+1 >= n take the whole row.  The circular windows of every
+    narrower width come from one set of doubling levels
+    (_kernels._circ_folds), widths in ascending order, and each is folded
+    into every output row i from row i + dy by two slices."""
+    n = arr.shape[1]
+    wide = 2 * ws + 1 >= n
+    whole = reduce(arr, axis=1, keepdims=True) if wide.any() else None
+    narrow = np.unique(ws[~wide]).tolist()
+    if narrow:
+        if work is None:
+            work = np.empty(arr.size)
+        rows = np.empty(arr.shape)
+        folds = _kernels._circ_folds(arr, narrow, fold, work.reshape(arr.shape),
+                                     rows)
+    else:
+        folds = ()
+    # arr is not read from here on
+    out.fill(fill)
+    for dy in dys[wide].tolist():
+        _fold_row_shift(out, whole, dy, fold)
+    for k in folds:
+        for dy in dys[ws == k].tolist():
+            _fold_row_shift(out, rows, dy, fold)
+    return out
+
+
+def _fold_row_shift(acc, rows, dy, fold):
+    """acc[i] = fold(acc[i], rows[(i + dy) % n]) for every row i."""
+    n = acc.shape[0]
+    d = dy % n
+    fold(acc[:n - d], rows[d:], out=acc[:n - d])
+    fold(acc[n - d:], rows[:d], out=acc[n - d:])
 
 
 def _coverage_check(heights, spec: ApproachRegionSpec) -> list:
@@ -104,7 +145,8 @@ def _coverage_check(heights, spec: ApproachRegionSpec) -> list:
     return usable
 
 
-def _region_sweep(grid: Grid, scan) -> GridFunction:
+def _region_sweep(grid: Grid, scan,
+                  work: np.ndarray | None = None) -> GridFunction:
     """max over (|slice|, radius, weight) in scan of weight * window max of
     |slice|.
 
@@ -112,10 +154,14 @@ def _region_sweep(grid: Grid, scan) -> GridFunction:
     with its window max: callers pass np.abs(row) for a field row and
     np.abs(u, out=u) for a slice of their own.  scan may be a generator,
     so each array can be dropped once swept; field-row scans stay
-    generators, so that no more than one |row| is alive at a time."""
+    generators, so that no more than one |row| is alive at a time.  work
+    (grid.size floats, allocated here if not given) is the window
+    scratch, reused for every slice."""
     out = np.zeros(grid.size)
+    if work is None:
+        work = np.empty(grid.size)
     for absvals, radius, weight in scan:
-        window_extreme(absvals, grid, radius, out=absvals)
+        window_extreme(absvals, grid, radius, out=absvals, work=work)
         if weight != 1.0:  # x * 1.0 == x
             np.multiply(absvals, weight, out=absvals)
         np.maximum(out, absvals, out=out)
@@ -140,7 +186,9 @@ def poisson_tangential_max(f: GridFunction,
     grid = f.grid
     hts = dyadic_heights(1.0, grid=grid)
     usable = [hts[k] for k in _coverage_check(hts, spec)]
-    slices = poisson_slices(f, usable)
+    # the product buffer idles while a slice is swept: lend it to the sweep
+    prod, work = slice_buffers(grid)
+    slices = poisson_slices(f, usable, prod)
     del f  # the slices hold the spectrum, not f
 
     def swept(t, u):
@@ -148,7 +196,7 @@ def poisson_tangential_max(f: GridFunction,
 
     # map, unlike zip or a generator expression, keeps no reference to the
     # last slice while it asks for the next one
-    return _region_sweep(grid, map(swept, usable, slices))
+    return _region_sweep(grid, map(swept, usable, slices), work)
 
 
 def tangential_argmax(u: HalfSpaceField, spec: ApproachRegionSpec):

@@ -34,21 +34,23 @@ def _nyquist_mask(xi: np.ndarray, n: int) -> np.ndarray:
     return xi != xi.flat[n // 2]
 
 
-def _apply_multiplier(f: GridFunction, mults):
+def _apply_multiplier(f: GridFunction, mults, prod: np.ndarray | None = None):
     """Transform f now, once; return an iterator over irfftn(rfftn(f) * m),
     flattened, for each multiplier m, a Hermitian multiplier given on the
     half spectrum.
 
     The iterator holds the spectrum, not f, and forms every product in one
-    reused buffer.  Each array it yields is fresh, and it keeps no
-    reference to one once yielded."""
+    reused buffer: prod if given, a complex array of the half spectrum's
+    shape, which is free between one yield and the next.  Each array it
+    yields is fresh, and it keeps no reference to one once yielded."""
     axes = tuple(range(f.grid.dim))
     return _multiplied(np.fft.rfftn(f.as_array(), axes=axes), f.grid.shape,
-                       axes, mults)
+                       axes, mults, prod)
 
 
-def _multiplied(spec: np.ndarray, shape: tuple, axes: tuple, mults):
-    prod = np.empty_like(spec)
+def _multiplied(spec: np.ndarray, shape: tuple, axes: tuple, mults, prod):
+    if prod is None:
+        prod = np.empty_like(spec)
     for m in mults:
         yield np.fft.irfftn(np.multiply(spec, m, out=prod), s=shape,
                             axes=axes).reshape(-1)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import fatou_lab
-from fatou_lab import _kernels
+from fatou_lab import _kernels, maximal
 from fatou_lab.grid import GridFunction, make_grid
 from fatou_lab.potentials import bessel_smooth
 
@@ -48,6 +49,134 @@ def test_circ_extremes_into_out(rng):
             own = v.copy()
             assert fn(own, k, out=own) is own
             np.testing.assert_array_equal(own, fresh)
+
+
+def _grown_windows(v, fold):
+    """Brute-force window extremes for K = 0, 1, 2, ...: the window of K
+    is the window of K - 1 with the samples at i - K and i + K folded in."""
+    acc = v.copy()
+    k = 0
+    while True:
+        yield k, acc
+        k += 1
+        acc = fold(fold(acc, np.roll(v, k)), np.roll(v, -k))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 96, 1000])
+def test_circ_extremes_every_halfwidth(rng, n):
+    # every K up to past half the circle, so 2K+1 runs through n-1, n and
+    # n+1; infinite samples of both signs; out as None, a separate array
+    # and the values themselves
+    v = rng.normal(size=n)
+    if n >= 2:
+        v[rng.permutation(n)[:2]] = (np.inf, -np.inf)
+    for fn, fold in ((_kernels.circ_max_1d, np.maximum),
+                     (_kernels.circ_min_1d, np.minimum)):
+        grown = _grown_windows(v, fold)
+        for k, expect in grown:
+            if k > n // 2 + 1:
+                break
+            np.testing.assert_array_equal(fn(v, k), expect)
+            out = np.full(n, np.nan)
+            assert fn(v, k, out=out) is out
+            np.testing.assert_array_equal(out, expect)
+            own = v.copy()
+            assert fn(own, k, out=own, work=np.full(n, np.nan)) is own
+            np.testing.assert_array_equal(own, expect)
+        np.testing.assert_array_equal(fn(v, -1), v)
+
+
+@pytest.mark.parametrize("n,ks", [(40000, (700, 2100, 4500)),
+                                  (70001, (3000, 9000))])
+def test_circ_extremes_across_chunks(rng, n, ks):
+    # arrays long enough to build the low doubling levels chunk by chunk,
+    # with windows that need levels beyond them
+    v = np.cumsum(rng.normal(size=n))
+    for fn, fold in ((_kernels.circ_max_1d, np.maximum),
+                     (_kernels.circ_min_1d, np.minimum)):
+        for k in ks:
+            ext = np.concatenate([v[-k:], v, v[:k]])
+            windows = np.lib.stride_tricks.sliding_window_view(ext, 2 * k + 1)
+            expect = windows.max(axis=1) if fold is np.maximum \
+                else windows.min(axis=1)
+            np.testing.assert_array_equal(fn(v, k), expect)
+
+
+def _rolled_doubling(v, k, fold):
+    """Window extremes of 2K+1 by whole-array rolls: the fold of the 2^j
+    samples from each index, doubled until 2^(j+1) > 2K+1, read at two
+    offsets."""
+    size, span, level = 2 * k + 1, 1, v
+    while 2 * span <= size:
+        level = fold(level, np.roll(level, -span))
+        span *= 2
+    return fold(np.roll(level, k), np.roll(level, k + span - size))
+
+
+@pytest.mark.parametrize("n", [1 << 18, (1 << 18) + 1000])
+@pytest.mark.parametrize("k", [511, 512, 4095, 4096, 5000, 8192, 70000,
+                               131071])
+def test_circ_extremes_on_a_large_array(rng, n, k):
+    # windows from just below and above the longest level built in chunks
+    # up to half the circle, on arrays that are and are not a multiple of
+    # the chunk
+    small = rng.normal(size=96)
+    for j, expect in _grown_windows(small, np.maximum):
+        if j == 48:
+            break
+        np.testing.assert_array_equal(_rolled_doubling(small, j, np.maximum),
+                                      expect)
+    v = np.cumsum(rng.normal(size=n))
+    v[rng.permutation(n)[:2]] = (np.inf, -np.inf)
+    for fn, fold in ((_kernels.circ_max_1d, np.maximum),
+                     (_kernels.circ_min_1d, np.minimum)):
+        np.testing.assert_array_equal(fn(v, k), _rolled_doubling(v, k, fold))
+
+
+def test_circ_extremes_given_work_allocate_no_grid_array(rng):
+    n = 1 << 16
+    v = rng.normal(size=n)
+    work = np.empty(n)
+    for k in (1, 100, 5000, n // 2 - 1):
+        for fn in (_kernels.circ_max_1d, _kernels.circ_min_1d):
+            tracemalloc.start()
+            try:
+                fn(v, k, out=v, work=work)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < n * 8 / 2
+
+
+def _row_run_oracle(arr, dys, ws, fold):
+    # the definition: fold arr[(i + dy) % n, (j + dx) % n] over every run
+    # offset (dy, dx), |dx| <= w
+    acc = None
+    for dy, w in zip(dys.tolist(), ws.tolist()):
+        for dx in range(-w, w + 1):
+            shifted = np.roll(arr, (-dy, -dx), axis=(0, 1))
+            acc = shifted if acc is None else fold(acc, shifted)
+    return acc
+
+
+@pytest.mark.parametrize("n", [1, 2, 5, 16])
+def test_row_filters_match_their_definition(rng, n):
+    # widths 0 to past the row, repeated widths, and row offsets of both
+    # signs beyond the torus; out separate or the array itself
+    arr = rng.normal(size=(n, n))
+    arr.flat[rng.permutation(n * n)[:2]] = (np.inf, -np.inf) if n > 1 else 0.0
+    dys = np.array([-n - 1, -2, -1, 0, 0, 1, 3, n])
+    ws = np.array([1, 0, n // 2, n, 2, n // 2 - 1, 1, 0]).clip(0)
+    for filt, fold in ((maximal.maximum_filter, np.maximum),
+                       (maximal.minimum_filter, np.minimum)):
+        for pick in ([0], [1, 3], [2, 4, 6], list(range(8))):
+            expect = _row_run_oracle(arr, dys[pick], ws[pick], fold)
+            out = np.full((n, n), np.nan)
+            assert filt(arr, dys[pick], ws[pick], out, None) is out
+            np.testing.assert_array_equal(out, expect)
+            own = arr.copy()
+            filt(own, dys[pick], ws[pick], own, np.full(n * n, np.nan))
+            np.testing.assert_array_equal(own, expect)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 16, 37, 64])

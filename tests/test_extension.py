@@ -330,3 +330,22 @@ def test_poisson_extend_matches_per_height_transforms(rng, dim, level):
                       axes=axes).reshape(-1) for t in hts])
     np.testing.assert_array_equal(poisson_extend(f, hts).values, expect)
     np.testing.assert_array_equal(np.stack(list(poisson_slices(f, hts))), expect)
+
+
+def test_poisson_exactness_holds_one_slice_at_a_time():
+    # f 1, spectrum 1, |xi| 1/2, multiplier 1/2, product 1, slice 1 and the
+    # expected slice 1, in units of N * 8 B; 8 while zip kept the previous
+    # slice alive during the next transform
+    from fatou_lab import experiments
+    from fatou_lab.config import ExperimentConfig
+
+    cfg = ExperimentConfig(experiment="poisson-exactness", levels=(16,),
+                           seeds=(0,))
+    tracemalloc.start()
+    try:
+        rep = experiments._run_poisson_exactness(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rep.stats["max_slice_error"] <= 1e-12
+    assert peak < 7 * (1 << 16) * 8

@@ -248,13 +248,30 @@ def test_divergence_set_transforms_only_heights_up_to_t_min(rng, monkeypatch,
     for t_min in (hts[-1], hts[level], hts[1]):
         seen = []
 
-        def spy(f, heights):
+        def spy(f, heights, *args):
             seen.extend(heights)
-            return real(f, heights)
+            return real(f, heights, *args)
 
         monkeypatch.setattr(fractal, "poisson_slices", spy)
         divergence_set(f, ApproachRegionSpec(beta=0.5), 0.1, t_min)
         assert seen == [t for t in hts if t <= t_min]
+
+
+def test_divergence_set_forms_its_differences_in_place(rng):
+    # per height: spectrum 1, |xi| 1/2, multiplier 1/2, product 1 (also the
+    # window scratch), slice 1, window max 1 and oscillation 1, in units of
+    # N * 8 B; 8 while the previous slice stayed alive and hi - f, f - lo
+    # were temporaries
+    g = make_grid(1, 16, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    t_min = dyadic_heights(1.0, grid=g)[8]
+    tracemalloc.start()
+    try:
+        divergence_set(f, ApproachRegionSpec(beta=0.75), 0.5, t_min)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 7 * g.size * 8
 
 
 def test_divergence_set_does_not_hold_the_field(rng):

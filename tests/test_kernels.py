@@ -110,6 +110,27 @@ def test_quadrature_loads_scipy_integrate_on_first_use():
         bessel_l1_norm(1, 1.5).hex(), "True"]
 
 
+def test_a_verify_run_imports_no_scipy(tmp_path):
+    # a fresh interpreter: this process already holds scipy.  Window
+    # extremes are NumPy code, and scipy.special loads with the first
+    # closed-form Bessel kernel.
+    code = "\n".join([
+        "import sys",
+        "from fatou_lab import cli, kernels",
+        "cli.main(['verify', '--experiment', 'nagel-stein-bound', '--levels',",
+        f"          '8,10', '--seeds', '0', '--output-dir', {str(tmp_path)!r}])",
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
+        "print(kernels.bessel_kernel(1, 1.5, 0.3, 'series').hex())",
+        "print('scipy.special' in sys.modules)"])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert proc.stdout.split("\n")[-4:] == [
+        "[]", bessel_kernel(1, 1.5, 0.3, "series").hex(), "True", ""]
+    assert any(tmp_path.iterdir())
+
+
 def test_riesz_homogeneity():
     for n, a in ((1, 0.5), (2, 1.0), (2, 0.3)):
         x = (0.2, 0.1) if n == 2 else 0.37

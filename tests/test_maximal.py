@@ -476,18 +476,16 @@ def test_window_extreme_into_out(rng, dim, levels):
 
 def test_window_extreme_row_filters_stay_narrower_than_the_torus(
         rng, monkeypatch):
-    # rows as wide as the torus take a full-row reduce, not a wider filter
+    # rows as wide as the torus take a full-row reduce, not a wider window
     g = make_grid(2, 4, 1.0)
     widths = []
+    real = _kernels._circ_folds
 
-    def spy(fn):
-        def filt(arr, size, mode):
-            widths.append(size[1])
-            return fn(arr, size=size, mode=mode)
-        return filt
+    def spy(values, halfwidths, *args):
+        widths.extend(2 * k + 1 for k in halfwidths)
+        return real(values, halfwidths, *args)
 
-    monkeypatch.setattr(maximal, "maximum_filter", spy(maximal.maximum_filter))
-    monkeypatch.setattr(maximal, "minimum_filter", spy(maximal.minimum_filter))
+    monkeypatch.setattr(_kernels, "_circ_folds", spy)
     values = rng.normal(size=g.size)
     for radius in (0.45, 0.55, 1.3):
         for mode in ("max", "min"):
@@ -554,9 +552,9 @@ def test_poisson_tangential_max_skips_heights_above_t_max(rng, monkeypatch):
     seen = []
     real = maximal.poisson_slices
 
-    def spy(f, heights):
+    def spy(f, heights, *args):
         seen.extend(heights)
-        return real(f, heights)
+        return real(f, heights, *args)
 
     monkeypatch.setattr(maximal, "poisson_slices", spy)
     maximal.poisson_tangential_max(f, ApproachRegionSpec(0.5, t_max=0.3))
