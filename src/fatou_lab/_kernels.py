@@ -6,8 +6,9 @@ given by an integer halfwidth ``K``: the window at index ``i`` is the
 
 Window extremes double: the max (or min) over 2^j samples from each
 index, for j = 0, 1, ..., overwritten in place, until 2^j <= 2K+1 <
-2^(j+1); two such windows cover each window of 2K+1 (_circ_folds).  Max
-and min do not round, so the result is exact, in O(N log K) time.
+2^(j+1); two such windows cover each window of 2K+1.  One walk (_levels)
+serves whole rows (_circ_folds) and single windows (circ_window_max).
+Max and min do not round, so the result is exact, in O(N log K) time.
 Given a workspace, a call takes at most 128 KB of scratch beyond it.
 
 At p = 2 the Slobodeckij pair sum is one torus convolution, O(N^n log N):
@@ -26,16 +27,10 @@ _LOW_SPAN = _CHUNK // 8  # windows up to this long are built chunk by chunk
 
 def _circ_folds(values, halfwidths, fold, work, out):
     """Circular window extremes along the rows of values, for several
-    halfwidths from one set of doubling levels.
+    halfwidths from one walk of the doubling levels (_levels).
 
-    values, work and out are (rows, n) float arrays.  halfwidths are not
-    empty and ascend, each with 0 <= 2K+1 < n.  fold is np.maximum or
-    np.minimum.  Level s holds, at column i, the fold of the s samples
-    from i on (circular), as in the sparse table of Bender & Farach-Colton
-    (LATIN 2000), but only the current level is kept, in work, and
-    doubled in place.  A window of 2K+1 is the union of two windows of
-    the largest level s <= 2K+1, so every result is exact.  Levels up to _LOW_SPAN are built chunk by
-    chunk in a small scratch that stays in cache.
+    values, work and out are (rows, n) float arrays, fold is np.maximum or
+    np.minimum; halfwidths are not empty and ascend, 0 <= 2K+1 < n.
 
     values is read during this call only; the returned iterator writes,
     for each halfwidth in turn, the window extreme into out and yields the
@@ -43,25 +38,46 @@ def _circ_folds(values, halfwidths, fold, work, out):
     be taken before the next is asked for.  out may be values; work may
     alias neither.
     """
-    sizes = [2 * k + 1 for k in halfwidths]
-    span = min(_LOW_SPAN, _floor_pow2(sizes[0]))
-    _low_levels(values, span, fold, work)
+    # 2^j <= 2K+1 < 2^(j+1) at 2^j = 1 << bit_length(K)
+    levels = _levels(values, [1 << int(k).bit_length() for k in halfwidths],
+                     fold, work, out)
 
-    def serve(span):
-        for k, size in zip(halfwidths, sizes):
-            while 2 * span <= size:
-                _double(work, span, fold, out)
-                span *= 2
+    def serve():
+        for k, span in zip(halfwidths, levels):
             # [i-K, i-K+span) and [i+K+1-span, i+K] cover the window of i
             # when it is shorter than 2 span
             _fold_rolled(work, -k, k + 1 - span, fold, out)
             yield k
 
-    return serve(span)
+    return serve()
 
 
-def _floor_pow2(x: int) -> int:
-    return 1 << (x.bit_length() - 1)
+def _levels(values, spans, fold, work, spare):
+    """Doubling levels of the rows of values, in place in work: level s
+    holds at column i the fold of the s samples from i on (circular), as
+    in the sparse table of Bender & Farach-Colton (LATIN 2000), but only
+    the current level is kept.  spans ascend, powers of two up to n.
+
+    Levels up to _LOW_SPAN are built now, chunk by chunk in a small
+    scratch that stays in cache, so values is read during this call only.
+    The returned iterator doubles work in place, with
+    spare[:, :spans[-1] // 2] as scratch, up to each span and yields it.
+    """
+    span = min(_LOW_SPAN, spans[0])
+    _low_levels(values, span, fold, work)
+    flat = work.reshape(-1)
+
+    def walk(span):
+        for s in spans:
+            while span < s:
+                # the last span columns wrap to the row's start
+                fold(work[:, -span:], work[:, :span], out=spare[:, :span])
+                fold(flat[:-span], flat[span:], out=flat[:-span])
+                work[:, -span:] = spare[:, :span]
+                span *= 2
+            yield s
+
+    return walk(span)
 
 
 def _low_levels(values, span, fold, work):
@@ -95,16 +111,6 @@ def _low_levels(values, span, fold, work):
             last, half = src.reshape(r1 - r0, width), span // 2
             fold(last[:, :c1 - c0], last[:, half:half + c1 - c0],
                  out=work[r0:r1, c0:c1])
-
-
-def _double(b, step, fold, spare):
-    """Level step to level 2 step in place along the rows of b; the
-    first step columns of spare are scratch."""
-    tail = spare[:, :step]
-    fold(b[:, -step:], b[:, :step], out=tail)
-    flat = b.reshape(-1)
-    fold(flat[:-step], flat[step:], out=flat[:-step])
-    b[:, -step:] = tail
 
 
 def _fold_rolled(b, a, c, fold, out):
@@ -150,36 +156,28 @@ def circ_min_1d(values: np.ndarray, halfwidth: int,
     return _circ_extreme(values, halfwidth, out, work, np.minimum, np.min)
 
 
-def circ_max_table(values: np.ndarray) -> np.ndarray:
-    """Sparse table (range max by doubling) for circ_window_max.
-
-    Row k, column i holds the max of the 2^k samples from index i of the
-    values tiled three times; rows run to floor(log2(N + 1)), the longest
-    window.  O(N log N) to build.
-    """
-    v = np.asarray(values, dtype=np.float64)
-    table = np.empty(((v.size + 1).bit_length(), 3 * v.size))
-    table[0] = np.tile(v, 3)
-    for k in range(1, table.shape[0]):
-        s = 1 << (k - 1)
-        table[k] = table[k - 1]
-        np.maximum(table[k - 1, :-s], table[k - 1, s:], out=table[k, :-s])
-    return table
-
-
-def circ_window_max(table: np.ndarray, centers: np.ndarray,
+def circ_window_max(values: np.ndarray, centers: np.ndarray,
                     halfwidths: np.ndarray) -> np.ndarray:
     """Max over the circular windows centers[i] +- halfwidths[i].
 
-    table comes from circ_max_table; centers lie in [0, N) and halfwidths
-    in [0, N // 2].  Each window is the union of two table cells of the
-    largest power-of-two length that fits, read with one gather.
+    centers lie in [0, N) and halfwidths in [0, N // 2].  The queries of
+    level 2^j <= 2K+1 < 2^(j+1) are answered when the walk (_levels)
+    reaches that level L, by two gathers, max(L[c-K], L[c+K+1-2^j]) mod N,
+    so beside the queries this holds one level and half a level of scratch.
     """
-    n = table.shape[1] // 3
-    size = 2 * np.asarray(halfwidths, dtype=np.int64) + 1
-    lo = np.asarray(centers, dtype=np.int64) + n - (size >> 1)
-    lev = np.frexp(size)[1] - 1
-    return np.maximum(table[lev, lo], table[lev, lo + size - (1 << lev)])
+    v = np.ascontiguousarray(values, dtype=np.float64).reshape(1, -1)
+    c = np.asarray(centers, dtype=np.int64)
+    k = np.asarray(halfwidths, dtype=np.int64)
+    j = np.frexp(k)[1].astype(np.int8)  # bit_length(K): 2^j <= 2K+1
+    spans = [1 << x for x in np.flatnonzero(np.bincount(j)).tolist()] or [1]
+    out = np.empty(k.shape)
+    level, spare = np.empty_like(v), np.empty((1, spans[-1] // 2))
+    for s in _levels(v, spans, np.maximum, level, spare):
+        q = np.flatnonzero(j == s.bit_length() - 1)
+        cq, kq = c[q], k[q]
+        out[q] = np.maximum(np.take(level, cq - kq, mode="wrap"),
+                            np.take(level, cq + kq + 1 - s, mode="wrap"))
+    return out
 
 
 def circ_sum_1d(values: np.ndarray, halfwidth: int) -> np.ndarray:

@@ -181,8 +181,8 @@ def ball_mean_all_centers(f: GridFunction, radius: float, q: float = 1.0) -> np.
     windowed sum: cumulative sums in dim 1, an FFT disc correlation in
     dim 2.
     """
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
+    if not (math.isfinite(q) and q >= 1):
+        raise ParameterError(f"power q must be finite and >= 1, got {q}")
     if radius <= 0:
         raise ParameterError(f"radius must be positive, got {radius}")
     g = f.grid

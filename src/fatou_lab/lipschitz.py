@@ -127,24 +127,25 @@ def _b(s: np.ndarray, beta: float) -> np.ndarray:
     return np.where(s <= 1.0, s ** beta, s)
 
 
-def _certified_members(graph: LipschitzGraph, table: np.ndarray, beta: float,
-                       c: float, sep: np.ndarray, t: np.ndarray,
+def _certified_members(graph: LipschitzGraph, beta: float, c: float,
+                       sep: np.ndarray, t: np.ndarray,
                        ix: np.ndarray) -> np.ndarray:
     """Samples (t, ix h) at separation sep from their vertex that are
     members of the domain region by a certificate, without a distance
-    query; table is _kernels.circ_max_table of the profile.
+    query.
 
     A sample is a member once d > rho = b^-1(sep / (1 + c)).  The columns
     ix +- K, K = ceil(rho / h) + 1, hold every profile sample within rho
-    sideways, so d >= min(K h, t - max phi over them).  The bound is
-    compared in b, as the membership test is, with a relative margin of
-    1e-9 for the rounding of d and b; False means undecided.
+    sideways, so d >= min(K h, t - max phi over them), a circular window
+    max (_kernels.circ_window_max).  The bound is compared in b, as the
+    membership test is, with a relative margin of 1e-9 for the rounding
+    of d and b; False means undecided.
     """
     g = graph.phi.grid
     y = sep / (1.0 + c)
     rho = np.where(y <= 1.0, np.minimum(y, 1.0) ** (1.0 / beta), y)
     K = np.minimum(np.ceil(rho / g.h) + 1.0, g.n // 2).astype(np.int64)
-    wmax = _kernels.circ_window_max(table, ix, K)
+    wmax = _kernels.circ_window_max(graph.phi.samples, ix, K)
     low = np.maximum(np.minimum(K * g.h, t - wmax), 0.0)
     return sep * (1.0 + 1e-9) < (1.0 + c) * _b(low, beta)
 
@@ -183,7 +184,6 @@ def region_inclusion_check(graph: LipschitzGraph, beta: float, c: float,
     max_attempts = 60 * samples
     n = g.n
     phi = graph.phi.samples
-    table = _kernels.circ_max_table(phi)
     if target_aperture is None:
         target_aperture = 1.0 + c
     while checked < samples and attempts < max_attempts:
@@ -204,8 +204,8 @@ def region_inclusion_check(graph: LipschitzGraph, beta: float, c: float,
         # member, so its distance query is skipped and d stays 0
         tv = np.abs(t - phi[ix])
         live = np.nonzero(sep < (1.0 + c) * _b(tv, beta) * (1.0 + 1e-12))[0]
-        certified = _certified_members(graph, table, beta, c, sep[live],
-                                       t[live], ix[live])
+        certified = _certified_members(graph, beta, c, sep[live], t[live],
+                                       ix[live])
         ask = live[~certified]
         d = np.zeros(batch)
         d[ask] = graph_distance_batch(graph, t[ask], x[ask])

@@ -278,8 +278,6 @@ def fractional_power_max(f: GridFunction, s: float = 1.0,
 
 def hl_max_q(f: GridFunction, q: float = 1.0) -> GridFunction:
     """Hardy-Littlewood q-power maximal function over dyadic radii in [h, extent/4]."""
-    if q < 1:
-        raise ParameterError(f"q must be >= 1, got {q}")
     return _radius_family_max(f, q, 0.0, lo_factor=1.0)
 
 

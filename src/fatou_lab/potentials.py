@@ -136,9 +136,12 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
     scales = sorted(float(r) for r in np.atleast_1d(scales))
     if not scales:
         raise ParameterError("empty scale list")
+    g = f.grid
+    # the floor of dyadic_scales: a smaller ball may hold too few samples
+    if not all(4.0 * g.h * (1.0 - 1e-12) <= r < math.inf for r in scales):
+        raise ParameterError(f"scales must be finite and >= 4h, got {scales}")
     from .maximal import window_extreme  # maximal imports this module
 
-    g = f.grid
     k = min(int(math.floor(alpha)), 3)
     mi = multi_indices(g.dim, k)
     out = np.zeros(g.size)

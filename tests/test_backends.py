@@ -184,13 +184,30 @@ def test_circ_window_max_matches_brute_force(rng, n):
     # every (center, K) with K = 0 .. N // 2, so windows wrap both ends of
     # the torus and K = N // 2 covers the whole circle
     v = rng.normal(size=n)
-    table = _kernels.circ_max_table(v)
     centers, ks = np.meshgrid(np.arange(n), np.arange(n // 2 + 1))
-    got = _kernels.circ_window_max(table, centers.ravel(), ks.ravel())
+    got = _kernels.circ_window_max(v, centers.ravel(), ks.ravel())
     expect = [max(v[(i + j) % n] for j in range(-k, k + 1))
               for i, k in zip(centers.ravel(), ks.ravel())]
     np.testing.assert_array_equal(got, expect)
     np.testing.assert_array_equal(got[ks.ravel() == n // 2], v.max())
+
+
+def test_circ_window_max_holds_o_n_memory(rng):
+    # one level and half a level of scratch beside the queries; a sparse
+    # table of every level would take (log2 N + 1) * 3N * 8 B, about 27 MB
+    n = 1 << 16
+    v = rng.normal(size=n)
+    centers = rng.integers(0, n, size=10 ** 4)
+    ks = rng.integers(0, n // 2 + 1, size=10 ** 4)
+    # a first call loads what NumPy imports lazily; tracemalloc counts that
+    _kernels.circ_window_max(v[:8], centers[:4] % 8, ks[:4] % 5)
+    tracemalloc.start()
+    try:
+        _kernels.circ_window_max(v, centers, ks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * n * 8 + 512 * 1024
 
 
 def test_circ_sum_matches_brute_force(rng):

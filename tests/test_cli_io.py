@@ -278,6 +278,21 @@ def test_lipschitz_non_finite_inputs_exit_2(inputs, capsys):
     assert "finite" in capsys.readouterr().err
 
 
+def test_non_finite_power_or_scale_off_the_floor_exits_2(inputs, tmp_path,
+                                                         capsys):
+    # an infinite power once wrote all-ones output, and a scale that is not
+    # finite or lies below 4h stopped in a traceback
+    f, out = str(inputs / "f.flgf"), str(tmp_path / "x.flgf")
+    cases = [["maxfn", "fractional", f"--s={s}"] for s in ("inf", "nan")]
+    cases += [["extend", "surrogate", "--heights", "1,4", "--r=inf"]]
+    cases += [["potential", "sharp", f"--scales={r}"]
+              for r in ("inf", "nan", "0", "-1", "1e-9")]
+    for argv in cases:
+        assert main([*argv, "--in", f, "--out", out]) == 2, argv
+        assert "error:" in capsys.readouterr().err
+        assert not os.path.exists(out)
+
+
 def test_corkscrew_prints_plain_floats(inputs, capsys):
     # NumPy 2 scalars print as np.float64(...); the point prints as floats
     assert main(["lipschitz", "corkscrew", "--profile",

@@ -6,7 +6,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fatou_lab import _kernels
 from fatou_lab.cli import main
 from fatou_lab.config import ExperimentConfig
 from fatou_lab.errors import GridMismatchError, ParameterError
@@ -508,8 +507,7 @@ def test_region_inclusion_certificate_is_sound(kind, beta, c, seed):
     i0 = np.argmin(np.abs(sep_all - bound[:, None]), axis=1)
     sep = sep_all[np.arange(m), i0]
     member = (d > 0) & (sep < bound)
-    certified = _certified_members(graph, _kernels.circ_max_table(phi), beta,
-                                   c, sep, t, ix)
+    certified = _certified_members(graph, beta, c, sep, t, ix)
     assert not np.any(certified & ~member)
     if kind == "flat":
         assert np.any(certified)

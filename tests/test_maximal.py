@@ -14,7 +14,7 @@ from fatou_lab.grid import GridFunction, fft_convolve, from_callable, lp_norm, \
     make_grid, window_halfwidth
 from fatou_lab.maximal import (ApproachRegionSpec, composite_max,
                                dilated_mitigated_max, fractional_power_max,
-                               mitigated_max, tangential_argmax,
+                               hl_max_q, mitigated_max, tangential_argmax,
                                tangential_max, window_extreme)
 from fatou_lab.potentials import bessel_smooth
 from reference import region_contains
@@ -331,8 +331,14 @@ def test_fractional_power_max_examples(rng):
     a = fractional_power_max(f, 1.0, 0.0)
     b = fractional_power_max(f, 2.0, 0.0)
     assert np.all(a.samples <= b.samples + 1e-12)
-    with pytest.raises(ParameterError):
-        fractional_power_max(f, 0.5, 0.0)
+    # one check in ball_mean_all_centers serves every power mean; q = inf
+    # once gave 1.0 everywhere for |f| < 1
+    for q in (0.5, math.inf, math.nan):
+        for op in (lambda: fractional_power_max(f, q, 0.0),
+                   lambda: hl_max_q(f, q),
+                   lambda: annuli_surrogate(f, (1.0, 4), 0.5, q, 2)):
+            with pytest.raises(ParameterError):
+                op()
     with pytest.raises(ParameterError):
         fractional_power_max(f, 1.0, 1.5)
 
