@@ -26,8 +26,7 @@ from .errors import ParameterError
 from .experiments import acceptance_configs, run_experiment
 from .extension import annuli_surrogate, dyadic_heights, load_half_space_field, \
     poisson_extend, save_half_space_field
-from .fractal import PointSet, box_dimension, cantor_measure, divergence_set, \
-    frostman_constant
+from .fractal import PointSet, box_dimension, cantor_measure, divergence_set
 from .grid import GridFunction, grid_function_from_csv, grid_function_to_csv, \
     load_grid_function, make_grid, open_path, read_csv_table, \
     save_grid_function, write_csv_table
@@ -36,7 +35,7 @@ from .lipschitz import boundary_point, boundary_tangential_max, corkscrew, \
     graph_distance, load_lipschitz_graph, region_inclusion_check, \
     surface_ball_measure
 from .maximal import ApproachRegionSpec, composite_max, dilated_mitigated_max, \
-    fractional_power_max, mitigated_max, tangential_argmax, tangential_max
+    tangential_max
 from .potentials import bessel_smooth, dyadic_scales, sharp_maximal, \
     slobodeckij_seminorm
 from .report import emit_report, make_output_dir
@@ -134,21 +133,7 @@ def _tangential(args) -> None:
     u = load_half_space_field(args.infile)
     spec = ApproachRegionSpec(beta=args.beta, aperture=args.aperture,
                               t_max=args.t_max)
-    if args.argmax:
-        out, wit = tangential_argmax(u, spec)
-        g = u.grid
-        ks, flat = np.array(wit).T
-        # points take one column per axis, suffixed _1, _2 in 2-D
-        rows = np.column_stack([
-            np.stack(np.unravel_index(np.arange(g.size), g.shape), 1) * g.h,
-            np.asarray(u.heights)[ks],
-            np.stack(np.unravel_index(flat, g.shape), 1) * g.h])
-        axes = [""] if g.dim == 1 else ["_1", "_2"]
-        write_csv_table(args.argmax, [f"x0{a}" for a in axes] + ["t_star"]
-                        + [f"x_star{a}" for a in axes], rows)
-    else:
-        out = tangential_max(u, spec)
-    _write_gf(args.out, out)
+    _write_gf(args.out, tangential_max(u, spec))
 
 
 def _sharp(args) -> None:
@@ -161,10 +146,7 @@ def _cantor(args) -> None:
     mu = cantor_measure(args.s, args.depth)
     grid = make_grid(1, args.levels, args.extent)
     _write_points(args.out, PointSet(points=mu.lefts * args.extent, grid=grid))
-    radii = [2.0 ** (-k / 2.0) for k in range(2 * args.depth)
-             if 2.0 ** (-k / 2.0) >= mu.interval_length]
-    print(f"intervals: {mu.lefts.size}  frostman constant: "
-          f"{frostman_constant(mu, radii):.6g}")
+    print(f"intervals: {mu.lefts.size}")
 
 
 def _boxdim(args) -> None:
@@ -258,14 +240,14 @@ def _cmd_suite(args) -> int:
 # default differs passes its own to _actions.
 _FLAGS = {
     "alpha": (float, 1.0), "alpha-L": (float, 0.5), "aperture": (float, 1.0),
-    "argmax": (str, None), "beta": (float, 1.0), "c": (float, 1.0),
+    "beta": (float, 1.0), "c": (float, 1.0),
     "depth": (int, 12), "dim": (int, 1), "eps": (float, 0.02),
     "extent": (float, 1.0), "heights": (_numbers(float, int), None),
     "in": (str, None), "J": (int, 20), "j": (int, 0), "levels": (int, 14),
     "n": (int, 1), "out": (str, None), "p": (float, 2.0), "p0": (float, 1.5),
     "points": (str, None), "profile": (str, None), "r": (float, 1.5),
     "radius": (float, 0.1), "route": (str, "series"),
-    "s": (float, 1.0), "samples": (int, 10000), "scales": (_numbers(float), None),
+    "s": (float, 0.5), "samples": (int, 10000), "scales": (_numbers(float), None),
     "seed": (int, 0), "sigma": (float, 0.5), "t": (float, 0.25),
     "t-max": (float, 1.0), "tmin": (float, 0.0625),
     "window": (_numbers(int, int), (4, 10)), "x0": (float, 0.0),
@@ -276,7 +258,6 @@ _EXTRA = {  # argparse settings beyond type and default
     "heights": {"metavar": "t0,K"},
     "window": {"metavar": "m_lo,m_hi"},
     "points": {"help": "CSV of radii, one per row"},
-    "argmax": {"help": "CSV path for (x0, t*, x*) witnesses, points per axis"},
 }
 
 
@@ -322,19 +303,14 @@ def build_parser() -> argparse.ArgumentParser:
         "surrogate": ("heights! in! out! extent alpha-L r J", _surrogate),
     })
     _actions(sub, "maxfn", "apply a maximal operator", {
-        "tangential": ("in! out! beta aperture t-max argmax", _tangential),
-        "mitigated": ("in! out! p beta", lambda a: _write_gf(
-            a.out, mitigated_max(load_half_space_field(a.infile), a.p, a.beta))),
+        "tangential": ("in! out! beta aperture t-max", _tangential),
         "dilated": ("in! out! p beta! j", lambda a: _write_gf(
             a.out, dilated_mitigated_max(load_half_space_field(a.infile),
                                          a.p, a.beta, a.j))),
-        "fractional": ("in! out! extent s alpha", lambda a: _write_gf(
-            a.out, fractional_power_max(_read_gf(a.infile, a.extent),
-                                        a.s, a.alpha))),
         "composite": ("in! out! extent p r beta! alpha-L J", lambda a: _write_gf(
             a.out, composite_max(_read_gf(a.infile, a.extent), a.p, a.r,
                                  a.beta, a.alpha_L, a.J))),
-    }, alpha=0.0)
+    })
     _actions(sub, "potential", "smoothing and seminorm operations", {
         "smooth": ("in! out! extent alpha", lambda a: _write_gf(
             a.out, bessel_smooth(_read_gf(a.infile, a.extent), a.alpha))),
@@ -347,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         "cantor": ("s depth levels extent out", _cantor),
         "boxdim": ("in! dim levels extent window out", _boxdim),
         "divset": ("in! extent out beta aperture eps tmin", _divset),
-    }, s=0.5)
+    })
     _actions(sub, "lipschitz", "graph-domain geometry", {
         "corkscrew": ("profile! x0 t", _corkscrew),
         "inclusion": ("profile! beta c samples seed", _inclusion),

@@ -77,11 +77,24 @@ def check_finite(values: np.ndarray) -> np.ndarray:
 
 def dyadic_heights(t0: float = 1.0, count: int | None = None,
                    grid: Grid | None = None) -> tuple:
-    """Ladder t_k = t0 * 2^-k; by default reaches about h/4 of the grid."""
+    """Ladder t_k = t0 * 2^-k; by default reaches about h/4 of the grid.
+
+    A ladder whose last rung is not > 0 is rejected before any rung is
+    built: with checked_heights' message when t0 is not positive and
+    finite, as an underflow otherwise."""
     if count is None:
         if grid is None:
             raise ParameterError("need either count or grid")
         count = grid.levels + 2
+    if count < 0:
+        raise ParameterError(f"height count must be >= 0, got {count}")
+    # ldexp(1, -k) == 2.0 ** -k, and does not overflow at a huge count
+    if not t0 * math.ldexp(1.0, -count) > 0.0:
+        # a t0 that is not positive and finite fails checked_heights on
+        # the first two rungs as it would on the whole ladder
+        checked_heights((t0, t0 / 2.0)[:count + 1])
+        raise ParameterError(
+            f"heights must be positive, but {t0} * 2^-{count} rounds to 0")
     return tuple(t0 * 2.0 ** (-k) for k in range(count + 1))
 
 

@@ -2,9 +2,8 @@
 
 The Cantor measure at depth d is the uniform measure on the 2^d level-d
 intervals of a two-branch self-similar set with contraction 2^(-1/s),
-so its similarity dimension is exactly s.  Ball masses are computed
-from the exact piecewise-linear CDF of this approximation.  All types
-here are frozen and all routines pure.
+so its similarity dimension is exactly s.  All types here are frozen
+and all routines pure.
 """
 
 from dataclasses import dataclass
@@ -22,7 +21,6 @@ from .maximal import ApproachRegionSpec, window_extreme
 class CantorMeasure:
     """Two-branch self-similar probability measure of dimension s on [0, 1]."""
 
-    dim_target: float
     ratio: float
     depth: int
     lefts: np.ndarray  # sorted left endpoints of the level-depth intervals
@@ -39,28 +37,6 @@ class CantorMeasure:
     @property
     def interval_mass(self) -> float:
         return 2.0 ** (-self.depth)
-
-    @property
-    def rights(self) -> np.ndarray:
-        return self.lefts + self.interval_length
-
-    def cdf(self, x) -> np.ndarray:
-        """Exact CDF of the depth-approximation at points x."""
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        rights = self.rights
-        full = np.searchsorted(rights, x, side="right")
-        idx = np.searchsorted(self.lefts, x, side="right") - 1
-        partial = np.zeros_like(x)
-        inside = (idx >= 0) & (idx < self.lefts.size)
-        ii = idx[inside]
-        frac = (x[inside] - self.lefts[ii]) / self.interval_length
-        straddle = (frac > 0) & (frac < 1)
-        partial[inside] = np.where(straddle, np.clip(frac, 0, 1), 0.0)
-        return (full + partial) * self.interval_mass
-
-    def ball_mass(self, x, r) -> np.ndarray:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        return self.cdf(x + r) - self.cdf(x - r)
 
 
 @dataclass(frozen=True)
@@ -90,29 +66,7 @@ def cantor_measure(s: float, depth: int) -> CantorMeasure:
     for _ in range(depth):
         lefts = np.concatenate([lefts, lefts + size * (1.0 - rho)])
         size *= rho
-    return CantorMeasure(dim_target=float(s), ratio=rho, depth=depth,
-                         lefts=np.sort(lefts))
-
-
-def frostman_constant(mu: CantorMeasure, radii) -> float:
-    """max over radii and ball positions of mu(Delta(x, r)) / r^s.
-
-    For each radius the map x -> mu((x-r, x+r)) is piecewise linear with
-    breakpoints where x -+ r meets an interval endpoint, so scanning
-    interval endpoints, midpoints, and their +-r shifts certifies the
-    exact maximum at that radius.
-    """
-    radii = [float(r) for r in np.atleast_1d(radii)]
-    lo = mu.interval_length * (1.0 - 1e-12)
-    if any(r < lo or r > 1.0 + 1e-12 for r in radii):
-        raise ParameterError("radii must lie in [ratio^depth, 1]")
-    ends = np.concatenate([mu.lefts, mu.rights,
-                           mu.lefts + mu.interval_length / 2.0])
-    best = 0.0
-    for r in radii:
-        centers = np.concatenate([ends, ends - r, ends + r])
-        best = max(best, float(np.max(mu.ball_mass(centers, r))) / r ** mu.dim_target)
-    return best
+    return CantorMeasure(ratio=rho, depth=depth, lefts=np.sort(lefts))
 
 
 def integrate_against(f: GridFunction, mu: CantorMeasure) -> float:

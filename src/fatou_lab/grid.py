@@ -171,37 +171,50 @@ def nearest_index(grid: Grid, points):
 
 
 def ball_mean_all_centers(f: GridFunction, radius: float, q: float = 1.0) -> np.ndarray:
-    """q-power mean (avg |f|^q)^(1/q) over the torus ball of the given
-    radius around every grid point x_i, as a flat array aligned with
-    f.samples.
+    """ball_means(f, (radius,), q), the one mean it yields."""
+    return next(ball_means(f, (radius,), q))
+
+
+def ball_means(f: GridFunction, radii, q: float):
+    """Per radius in radii, the q-power mean (avg |f|^q)^(1/q) over the
+    torus ball of that radius around every grid point x_i, as a flat
+    array aligned with f.samples.
 
     The ball is the set of grid points strictly within radius of x_i
     (disc_rows), each point counted once.  On the torus every
     grid-centered ball holds the same number of points, so this is a
     windowed sum: cumulative sums in dim 1, an FFT disc correlation in
-    dim 2.
+    dim 2, with |f|^q and its spectrum formed once for all radii.
     """
     if not (math.isfinite(q) and q >= 1):
         raise ParameterError(f"power q must be finite and >= 1, got {q}")
-    if radius <= 0:
-        raise ParameterError(f"radius must be positive, got {radius}")
     g = f.grid
     power = np.abs(f.samples) ** q
-    if g.dim == 1:
-        k = window_halfwidth(radius, g.h)
-        sums = _kernels.circ_sum_1d(power, k)
-        count = min(2 * k + 1, g.n)
-    else:
-        # the disc around index 0 on the torus; each point counts once
-        mask = np.zeros(g.shape)
-        for dy, w in zip(*disc_rows(g, radius)):
-            w = min(w, g.n // 2)  # a run of 2(n//2)+1 already covers the row
-            mask[dy % g.n, np.arange(-w, w + 1) % g.n] = 1.0
-        count = int(mask.sum())
-        arr = power.reshape(g.shape)
-        sums = np.fft.irfft2(np.fft.rfft2(arr) * np.fft.rfft2(mask), s=g.shape)
-        sums = np.maximum(sums, 0.0).reshape(-1)
-    return (sums / count) ** (1.0 / q)
+    if g.dim == 2:
+        spec = np.fft.rfft2(power.reshape(g.shape))
+        del power  # the radii need only its spectrum
+    for radius in radii:
+        if radius <= 0:
+            raise ParameterError(f"radius must be positive, got {radius}")
+        if g.dim == 1:
+            k = window_halfwidth(radius, g.h)
+            sums = _kernels.circ_sum_1d(power, k)
+            count = min(2 * k + 1, g.n)
+        else:
+            # the disc around index 0 on the torus; each point counts once
+            mask = np.zeros(g.shape)
+            for dy, w in zip(*disc_rows(g, radius)):
+                w = min(w, g.n // 2)  # a run of 2(n//2)+1 already covers the row
+                mask[dy % g.n, np.arange(-w, w + 1) % g.n] = 1.0
+            count = int(mask.sum())
+            prod = np.fft.rfft2(mask)
+            del mask
+            np.multiply(spec, prod, out=prod)
+            sums = np.fft.irfft2(prod, s=g.shape).reshape(-1)
+            np.maximum(sums, 0.0, out=sums)
+        sums /= count
+        sums **= 1.0 / q
+        yield sums
 
 
 def fft_convolve(f: GridFunction, k: GridFunction) -> GridFunction:

@@ -30,7 +30,7 @@ from . import _kernels
 from .errors import CoverageError, ParameterError
 from .extension import HalfSpaceField, annuli_surrogate, check_finite, \
     dyadic_heights, poisson_slices, slice_buffers
-from .grid import Grid, GridFunction, ball_mean_all_centers, disc_rows, \
+from .grid import Grid, GridFunction, ball_means, disc_rows, \
     window_halfwidth
 from .potentials import dyadic_scales, sharp_maximal
 
@@ -199,46 +199,6 @@ def poisson_tangential_max(f: GridFunction,
     return _region_sweep(grid, map(swept, usable, slices), work)
 
 
-def tangential_argmax(u: HalfSpaceField, spec: ApproachRegionSpec):
-    """(maximal values, witnesses): per x0 the lowest (k, i) attaining the sup.
-
-    k is the first usable height whose window reaches the maximum; i is
-    the lowest flat sample index in that window attaining it, wrap
-    included, in any dimension.  Per height every sample is ranked by
-    (|u| descending, flat index ascending), and a window min of the ranks
-    picks that sample out.
-    """
-    usable = _coverage_check(u.heights, spec)
-    g = u.grid
-    best = np.full(g.size, -np.inf)
-    wit_k = np.zeros(g.size, dtype=int)
-    wit_i = np.zeros(g.size, dtype=int)
-    rank = np.empty(g.size)
-    for k in usable:
-        absrow = np.abs(u.values[k])
-        order = np.argsort(-absrow, kind="stable")
-        rank[order] = np.arange(g.size)
-        first = order[window_extreme(rank, g, spec.radius(u.heights[k]),
-                                     "min").astype(np.int64)]
-        top = absrow[first]
-        better = top > best
-        best[better] = top[better]
-        wit_k[better] = k
-        wit_i[better] = first[better]
-    return GridFunction(g, best), list(zip(wit_k.tolist(), wit_i.tolist()))
-
-
-def mitigated_max(u: HalfSpaceField, p: float, beta: float) -> GridFunction:
-    """sup of t^{n(1-beta)/p} |u(t,x)| over the beta-region with t <= 1."""
-    if p <= 0:
-        raise ParameterError(f"p must be positive, got {p}")
-    spec = ApproachRegionSpec(beta=beta, aperture=1.0, t_max=1.0)
-    usable = _coverage_check(u.heights, spec)
-    expo = u.grid.dim * (1.0 - beta) / p
-    return _region_sweep(u.grid, ((np.abs(u.values[k]), spec.radius(u.heights[k]),
-                                   u.heights[k] ** expo) for k in usable))
-
-
 def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
                           j: int) -> GridFunction:
     """Dilated local maximal function: slice at height t_k stands for the
@@ -262,31 +222,11 @@ def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
                              for k, t in scan))
 
 
-def fractional_power_max(f: GridFunction, s: float = 1.0,
-                         alpha: float = 0.0) -> GridFunction:
-    """sup over dyadic radii in [4h, extent/4] of r^alpha (avg_Delta |f|^s)^{1/s}.
-
-    alpha = 0, s = 1 is the (restricted-radius) Hardy-Littlewood maximal
-    function; positive alpha gives the fractional variant.
-    """
-    if s < 1:
-        raise ParameterError(f"s must be >= 1, got {s}")
-    if not (0 <= alpha < f.grid.dim):
-        raise ParameterError(f"alpha must lie in [0, {f.grid.dim}), got {alpha}")
-    return _radius_family_max(f, s, alpha, lo_factor=4.0)
-
-
 def hl_max_q(f: GridFunction, q: float = 1.0) -> GridFunction:
     """Hardy-Littlewood q-power maximal function over dyadic radii in [h, extent/4]."""
-    return _radius_family_max(f, q, 0.0, lo_factor=1.0)
-
-
-def _radius_family_max(f: GridFunction, s: float, alpha: float,
-                       lo_factor: float) -> GridFunction:
     out = np.zeros(f.grid.size)
-    for rad in dyadic_scales(f.grid, lo_factor):
-        vals = rad ** alpha * ball_mean_all_centers(f, rad, s)
-        np.maximum(out, vals, out=out)
+    for mean in ball_means(f, dyadic_scales(f.grid, 1.0), q):
+        np.maximum(out, mean, out=out)
     return GridFunction(f.grid, out)
 
 

@@ -137,9 +137,13 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
     if not scales:
         raise ParameterError("empty scale list")
     g = f.grid
-    # the floor of dyadic_scales: a smaller ball may hold too few samples
-    if not all(4.0 * g.h * (1.0 - 1e-12) <= r < math.inf for r in scales):
-        raise ParameterError(f"scales must be finite and >= 4h, got {scales}")
+    # the floor and cap of dyadic_scales: a smaller ball may hold too few
+    # samples, and the wrap pad grows with the largest
+    if not all(4.0 * g.h * (1.0 - 1e-12) <= r <= g.extent / 4.0 * (1.0 + 1e-12)
+               for r in scales):
+        raise ParameterError(
+            f"scales must lie in [4h, extent/4] = [{4.0 * g.h:.6g}, "
+            f"{g.extent / 4.0:.6g}], got {scales}")
     from .maximal import window_extreme  # maximal imports this module
 
     k = min(int(math.floor(alpha)), 3)

@@ -91,8 +91,8 @@ _MALFORMED = {
     "bessel-nan-alpha": ["kernel-table", "bessel", "--alpha", "nan",
                          "--points", "{d}/r.csv", "--out", "{d}/x.csv"],
     # a flag that the action does not read, or a retired spelling
-    "fractional-beta": ["maxfn", "fractional", "--beta", "0.3", "--in",
-                        "{d}/f.flgf", "--out", "{d}/x.flgf"],
+    "smooth-beta": ["potential", "smooth", "--beta", "0.3", "--in",
+                    "{d}/f.flgf", "--out", "{d}/x.flgf"],
     "corkscrew-samples": ["lipschitz", "corkscrew", "--profile",
                           "{d}/prof.flgf", "--samples", "5"],
     "maxfn-op-flag": ["maxfn", "--op", "tangential", "--in", "{d}/u.flhf",
@@ -175,10 +175,8 @@ _ACTION_FLAGS = {
     ("kernel-table", "riesz"): "n alpha! points! out",
     ("extend", "poisson"): "heights! in! out! extent",
     ("extend", "surrogate"): "heights! in! out! extent alpha-L r J",
-    ("maxfn", "tangential"): "in! out! beta aperture t-max argmax",
-    ("maxfn", "mitigated"): "in! out! p beta",
+    ("maxfn", "tangential"): "in! out! beta aperture t-max",
     ("maxfn", "dilated"): "in! out! p beta! j",
-    ("maxfn", "fractional"): "in! out! extent s alpha",
     ("maxfn", "composite"): "in! out! extent p r beta! alpha-L J",
     ("potential", "smooth"): "in! out! extent alpha",
     ("potential", "sharp"): "in! out! extent alpha scales",
@@ -219,7 +217,7 @@ def _walk() -> dict:
 def test_each_action_takes_exactly_the_flags_it_reads():
     walked = _walk()
     assert walked == {k: set(v.split()) for k, v in _ACTION_FLAGS.items()}
-    assert sum(len(flags) for flags in walked.values()) == 108
+    assert sum(len(flags) for flags in walked.values()) == 98
 
 
 class _Reads(argparse.Namespace):
@@ -239,9 +237,7 @@ _RUNS = {
     ("extend", "poisson"): "--heights 1,4 --in {d}/f.flgf --out {o}/u.flhf",
     ("extend", "surrogate"): "--heights 1,4 --in {d}/f.flgf --out {o}/u.flhf",
     ("maxfn", "tangential"): "--in {d}/u.flhf --out {o}/m.flgf",
-    ("maxfn", "mitigated"): "--in {d}/u.flhf --out {o}/m.flgf",
     ("maxfn", "dilated"): "--in {d}/u.flhf --out {o}/m.flgf --beta 0.5",
-    ("maxfn", "fractional"): "--in {d}/f.flgf --out {o}/m.flgf",
     ("maxfn", "composite"): "--in {d}/f.flgf --out {o}/m.flgf --beta 0.5 --J 4",
     ("potential", "smooth"): "--in {d}/f.flgf --out {o}/s.flgf",
     ("potential", "sharp"): "--in {d}/f.flgf --out {o}/s.flgf",
@@ -283,10 +279,11 @@ def test_non_finite_power_or_scale_off_the_floor_exits_2(inputs, tmp_path,
     # an infinite power once wrote all-ones output, and a scale that is not
     # finite or lies below 4h stopped in a traceback
     f, out = str(inputs / "f.flgf"), str(tmp_path / "x.flgf")
-    cases = [["maxfn", "fractional", f"--s={s}"] for s in ("inf", "nan")]
-    cases += [["extend", "surrogate", "--heights", "1,4", "--r=inf"]]
+    cases = [["extend", "surrogate", "--heights", "1,4", f"--r={r}"]
+             for r in ("inf", "nan")]
+    # above extent/4 the wrap pad, and the memory, grew with the scale
     cases += [["potential", "sharp", f"--scales={r}"]
-              for r in ("inf", "nan", "0", "-1", "1e-9")]
+              for r in ("inf", "nan", "0", "-1", "1e-9", "0.5", "1e6")]
     for argv in cases:
         assert main([*argv, "--in", f, "--out", out]) == 2, argv
         assert "error:" in capsys.readouterr().err
@@ -331,21 +328,6 @@ def test_points_and_boxdim_counts_bytes(tmp_path, capsys):
         grid=make_grid(2, 4, 1.0)))
     assert path.read_bytes() == (b"x0,x1\r\n0.25,0.33333333333333331\r\n"
                                  b"0.75,0.125\r\n")
-
-
-def test_argmax_witness_bytes(tmp_path):
-    src, field, wit = (tmp_path / n for n in ("f.flgf", "u.flhf", "w.csv"))
-    save_grid_function(src, from_callable(make_grid(1, 3, 1.0),
-                                          lambda x: np.cos(2 * np.pi * x)))
-    assert main(["extend", "poisson", "--heights", "0.5,3",
-                 "--in", str(src), "--out", str(field)]) == 0
-    assert main(["maxfn", "tangential", "--beta", "0.5",
-                 "--in", str(field), "--out", str(tmp_path / "nt.flgf"),
-                 "--argmax", str(wit)]) == 0
-    assert wit.read_bytes() == (
-        b"x0,t_star,x_star\r\n0,0.0625,0\r\n0.125,0.0625,0\r\n"
-        b"0.25,0.0625,0.125\r\n0.375,0.0625,0.5\r\n0.5,0.0625,0.5\r\n"
-        b"0.625,0.0625,0.5\r\n0.75,0.0625,0.625\r\n0.875,0.0625,0\r\n")
 
 
 def test_grid_function_csv_bytes(tmp_path):

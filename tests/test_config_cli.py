@@ -374,29 +374,6 @@ def test_cli_extend_and_maxfn(tmp_path):
     nt = grid_function_from_csv(out, 1.0)
     assert nt.samples.max() <= 1.0 + 1e-9
     assert nt.samples.min() > 0.5
-    wit = tmp_path / "wit.csv"
-    assert main(["maxfn", "tangential", "--beta", "0.5",
-                 "--in", str(field), "--out", str(out),
-                 "--argmax", str(wit)]) == 0
-    assert wit.read_text().startswith("x0,t_star,x_star")
-
-
-def test_cli_maxfn_argmax_2d(tmp_path):
-    g = make_grid(2, 4, 1.0)
-    f = from_callable(g, lambda x, y: np.cos(2 * np.pi * x) * np.sin(2 * np.pi * y))
-    src = tmp_path / "f.flgf"
-    save_grid_function(src, f)
-    field = tmp_path / "u.flhf"
-    assert main(["extend", "poisson", "--heights", "1.0,6",
-                 "--in", str(src), "--out", str(field)]) == 0
-    wit = tmp_path / "wit.csv"
-    assert main(["maxfn", "tangential", "--beta", "0.5",
-                 "--in", str(field), "--out", str(tmp_path / "nt.csv"),
-                 "--argmax", str(wit)]) == 0
-    lines = wit.read_text().splitlines()
-    assert lines[0] == "x0_1,x0_2,t_star,x_star_1,x_star_2"
-    assert len(lines) == 1 + g.size
-    assert all(len(line.split(",")) == 5 for line in lines[1:])
 
 
 def test_dorronsoro_bound_band_passes():
@@ -488,8 +465,6 @@ def test_cli_surrogate_dilated_composite(tmp_path, capsys):
                  "--j", "1", "--in", str(field), "--out", str(out)]) == 0
     assert main(["maxfn", "composite", "--beta", "0.5", "--p", "2",
                  "--r", "1.5", "--in", str(src), "--out", str(out)]) == 0
-    assert main(["maxfn", "fractional", "--s", "2", "--alpha", "0.5",
-                 "--in", str(src), "--out", str(out)]) == 0
 
 
 def test_cli_divset_and_boundary_max(tmp_path, capsys):
@@ -585,6 +560,26 @@ def test_cli_extend_checks_heights_first(tmp_path, capsys, monkeypatch, kind,
     assert main(["extend", kind, "--heights", heights,
                  "--in", str(src), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: heights must be {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("heights, message", [
+    ("1,-1", "height count must be >= 0, got -1"),
+    ("1,2000000", "heights must be positive, but 1.0 * 2^-2000000 rounds to 0"),
+    ("1e300,1100", "heights must be positive, but 1e+300 * 2^-1100 rounds"),
+    ("1," + "9" * 400, "heights must be positive, but 1.0 * 2^-999"),
+], ids=["negative-count", "underflow", "underflow-large-t0", "huge-count"])
+def test_cli_extend_rejects_a_ladder_before_building_it(tmp_path, capsys,
+                                                        heights, message):
+    # K = 2e6 once built all K + 1 rungs (92 MiB, 6.4 s) before a check
+    # that read "not strictly decreasing", as the rungs had underflowed to
+    # 0; the check that replaces it must not overflow at a huge K either
+    src = tmp_path / "f.flgf"
+    save_grid_function(src, from_callable(make_grid(1, 6, 1.0), np.cos))
+    out = tmp_path / "u.flhf"
+    assert main(["extend", "poisson", "--heights", heights,
+                 "--in", str(src), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
     assert not out.exists()
 
 

@@ -8,8 +8,7 @@ import pytest
 from fatou_lab.extension import annuli_surrogate, dyadic_heights, poisson_extend
 from fatou_lab.fractal import PointSet, box_dimension
 from fatou_lab.grid import GridFunction, from_callable, lp_norm, make_grid
-from fatou_lab.maximal import (ApproachRegionSpec, fractional_power_max,
-                               hl_max_q, tangential_max)
+from fatou_lab.maximal import ApproachRegionSpec, hl_max_q, tangential_max
 from fatou_lab.potentials import (bessel_smooth, dyadic_scales, sharp_maximal,
                                   slobodeckij_seminorm, spectral_derivative)
 from reference import ball_average, region_contains
@@ -78,13 +77,12 @@ def test_annuli_surrogate_2d_constant():
     assert np.abs(w.values - 2.0 * geo).max() < 1e-10
 
 
-def test_fractional_and_hl_max_2d(rng):
+def test_hl_max_q_2d_monotone_in_q(rng):
     g = make_grid(2, 5, 1.0)
     f = GridFunction(g, rng.normal(size=g.size))
-    a = fractional_power_max(f, 1.0, 0.0)
-    b = fractional_power_max(f, 2.0, 0.0)
+    a, b = hl_max_q(f, 1.0), hl_max_q(f, 2.0)
+    assert np.all(a.samples >= 0)
     assert np.all(a.samples <= b.samples + 1e-12)
-    assert np.all(hl_max_q(f, 1.0).samples >= 0)
 
 
 def test_spectral_derivative_2d_mixed():

@@ -9,8 +9,7 @@ from fatou_lab import fractal
 from fatou_lab.errors import ParameterError
 from fatou_lab.extension import dyadic_heights, poisson_extend
 from fatou_lab.fractal import (PointSet, box_dimension, cantor_measure,
-                               divergence_set, frostman_constant,
-                               integrate_against)
+                               divergence_set, integrate_against)
 from fatou_lab.grid import GridFunction, from_callable, lp_norm, make_grid
 from fatou_lab.maximal import ApproachRegionSpec
 from fatou_lab.potentials import bessel_smooth
@@ -27,53 +26,11 @@ def test_cantor_construction():
     assert mt.lefts.size == 64
     assert mt.interval_length == pytest.approx(3.0 ** -6)
     # child interval masses renormalize exactly: rho^s = 1/2
-    assert (mt.ratio ** mt.dim_target) == pytest.approx(0.5)
+    assert (mt.ratio ** THIRDS) == pytest.approx(0.5)
     with pytest.raises(ParameterError):
         cantor_measure(1.5, 4)
     with pytest.raises(ParameterError):
         cantor_measure(0.5, 30)
-
-
-def test_cantor_cdf_and_masses():
-    mu = cantor_measure(THIRDS, 10)
-    assert mu.cdf([1.1])[0] == pytest.approx(1.0)
-    assert mu.cdf([-0.1])[0] == 0.0
-    # level-k children carry mass 2^-k: reading off the first third
-    assert mu.cdf([1.0 / 3.0])[0] == pytest.approx(0.5)
-    assert mu.cdf([1.0 / 9.0])[0] == pytest.approx(0.25)
-
-
-def test_frostman_constant_lebesgue():
-    mu = cantor_measure(1.0, 12)
-    radii = [2.0 ** (-k) for k in range(0, 11)]
-    c = frostman_constant(mu, radii)
-    assert c == pytest.approx(2.0, rel=1e-6)
-
-
-def test_frostman_constant_middle_thirds_stable():
-    # compare depths over a common radius range two levels above the
-    # coarser approximation floor, where both represent the same measure
-    common = [r for r in (2.0 ** (-k / 2.0) for k in range(0, 30))
-              if r >= 3.0 ** -8]
-    cs = []
-    for depth in (10, 16):
-        mu = cantor_measure(THIRDS, depth)
-        cs.append(frostman_constant(mu, common))
-        full = [r for r in (2.0 ** (-k / 2.0) for k in range(0, 52))
-                if r >= mu.interval_length]
-        assert 1.0 <= frostman_constant(mu, full) <= 4.0
-    assert abs(cs[1] - cs[0]) / cs[0] < 0.1
-
-
-def test_frostman_consistency_random_balls(rng):
-    mu = cantor_measure(0.7, 12)
-    radii = np.asarray([2.0 ** (-k / 4.0) for k in range(0, 48)
-                        if 2.0 ** (-k / 4.0) >= mu.interval_length])
-    c = frostman_constant(mu, radii)
-    x = rng.uniform(-0.5, 1.5, size=10_000)
-    r = rng.choice(radii, size=10_000)
-    masses = mu.ball_mass(x, r)
-    assert np.all(masses <= c * r ** mu.dim_target + 1e-12)
 
 
 def test_integrate_against_examples(rng):

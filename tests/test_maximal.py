@@ -13,8 +13,7 @@ from fatou_lab.extension import HalfSpaceField, annuli_surrogate, dyadic_heights
 from fatou_lab.grid import GridFunction, fft_convolve, from_callable, lp_norm, \
     make_grid, window_halfwidth
 from fatou_lab.maximal import (ApproachRegionSpec, composite_max,
-                               dilated_mitigated_max, fractional_power_max,
-                               hl_max_q, mitigated_max, tangential_argmax,
+                               dilated_mitigated_max, hl_max_q,
                                tangential_max, window_extreme)
 from fatou_lab.potentials import bessel_smooth
 from reference import region_contains
@@ -114,63 +113,29 @@ def test_tangential_max_beta_monotone(rng):
     assert np.all(n1.samples >= n2.samples - 1e-12)
 
 
-def test_tangential_argmax_witnesses(rng):
-    g = make_grid(1, 5, 1.0)
-    f = GridFunction(g, rng.normal(size=g.size))
-    u = poisson_extend(f, dyadic_heights(1.0, grid=g))
-    spec = ApproachRegionSpec(beta=0.5)
-    vals, wits = tangential_argmax(u, spec)
-    fast = tangential_max(u, spec)
-    np.testing.assert_allclose(vals.samples, fast.samples, atol=1e-12)
-    for i0, (k, i) in enumerate(wits):
-        assert vals.samples[i0] == pytest.approx(abs(u.values[k][i]))
-
-
-def test_tangential_argmax_tie_breaking():
-    # constant field: every sample ties, so the witness must be the
-    # lowest (k, i) pair, wrap included
-    g = make_grid(1, 5, 1.0)
-    const = from_callable(g, lambda x: np.full_like(x, 1.0))
-    u = poisson_extend(const, dyadic_heights(1.0, grid=g))
-    spec = ApproachRegionSpec(beta=0.5)
-    _, wits = tangential_argmax(u, spec)
-    hw = int(np.ceil(spec.radius(u.heights[0]) / g.h)) - 1
-    for x0, (k, i) in enumerate(wits):
-        assert k == 0
-        lo = x0 - hw
-        expect = min((lo + d) % g.n for d in range(2 * hw + 1))
-        assert i == expect
-
-
-def _argmax_loop_1d(u, spec):
-    """Reference witnesses in 1-D by a scan per boundary point: the first
-    usable height reaching the max, then the lowest index attaining it."""
+def _max_loop_1d(u, spec):
+    """Reference maxima in 1-D by a scan per boundary point over every
+    usable height."""
     g = u.grid
     n = g.n
     usable = [k for k, t in enumerate(u.heights)
               if t <= spec.t_max * (1.0 + 1e-12)]
     best = np.full(g.size, -np.inf)
-    wit = [(0, 0)] * g.size
     for k in usable:
         absrow = np.abs(u.values[k])
         hw = window_halfwidth(spec.radius(u.heights[k]), g.h)
         for x0 in range(n):
             idxs = np.arange(x0 - hw, x0 + hw + 1) % n
-            vals = absrow[idxs]
-            top = vals.max()
-            if top > best[x0]:
-                best[x0] = top
-                wit[x0] = (k, int(idxs[vals == top].min()))
-    return best, wit
+            best[x0] = max(best[x0], absrow[idxs].max())
+    return best
 
 
-def _argmax_disc_scan_2d(u, spec):
-    """Reference witnesses in 2-D by scanning every offset (dy, dx) of the
+def _max_disc_scan_2d(u, spec):
+    """Reference maxima in 2-D by scanning every offset (dy, dx) of the
     grid disc, |dy|, |dx| <= K and (dy^2 + dx^2) h^2 < r^2 (1 - 1e-12)."""
     g = u.grid
     n, h = g.n, g.h
     best = np.full(g.size, -np.inf)
-    wit = [(0, 0)] * g.size
     for k, t in enumerate(u.heights):
         if t > spec.t_max * (1.0 + 1e-12):
             continue
@@ -182,11 +147,8 @@ def _argmax_disc_scan_2d(u, spec):
         for x0 in range(g.size):
             i, j = divmod(x0, n)
             idxs = np.array([((i + dy) % n) * n + (j + dx) % n for dy, dx in disc])
-            top = absrow[idxs].max()
-            if top > best[x0]:
-                best[x0] = top
-                wit[x0] = (k, int(idxs[absrow[idxs] == top].min()))
-    return best, wit
+            best[x0] = max(best[x0], absrow[idxs].max())
+    return best
 
 
 def _test_fields(rng, grid):
@@ -206,10 +168,8 @@ def test_tangential_argmax_matches_scan_1d(rng, levels, beta, aperture):
     g = make_grid(1, levels, 1.0)
     spec = ApproachRegionSpec(beta=beta, aperture=aperture)
     for u in _test_fields(rng, g):
-        vals, wits = tangential_argmax(u, spec)
-        best, expect = _argmax_loop_1d(u, spec)
-        assert np.array_equal(vals.samples, best)
-        assert wits == expect
+        assert np.array_equal(tangential_max(u, spec).samples,
+                              _max_loop_1d(u, spec))
 
 
 @pytest.mark.parametrize("levels", [3, 4])
@@ -218,11 +178,8 @@ def test_tangential_argmax_matches_disc_scan_2d(rng, levels, beta, aperture):
     g = make_grid(2, levels, 1.0)
     spec = ApproachRegionSpec(beta=beta, aperture=aperture)
     for u in _test_fields(rng, g):
-        vals, wits = tangential_argmax(u, spec)
-        best, expect = _argmax_disc_scan_2d(u, spec)
-        assert np.array_equal(vals.samples, best)
-        assert wits == expect
-        np.testing.assert_array_equal(vals.samples, tangential_max(u, spec).samples)
+        assert np.array_equal(tangential_max(u, spec).samples,
+                              _max_disc_scan_2d(u, spec))
 
 
 def test_tangential_coverage_error(rng):
@@ -233,41 +190,6 @@ def test_tangential_coverage_error(rng):
         tangential_max(u, ApproachRegionSpec(beta=0.5, t_max=1.0))
     # too few heights under t_max is a usage error, exit code 2 in the CLI
     assert issubclass(CoverageError, ParameterError)
-
-
-def test_mitigated_max_reduces_to_tangential_at_beta_one(rng):
-    g = make_grid(1, 7, 1.0)
-    f = GridFunction(g, rng.normal(size=g.size))
-    u = poisson_extend(f, dyadic_heights(1.0, grid=g))
-    a = mitigated_max(u, 2.0, 1.0)
-    b = tangential_max(u, ApproachRegionSpec(beta=1.0, aperture=1.0, t_max=1.0))
-    np.testing.assert_allclose(a.samples, b.samples, atol=1e-12)
-
-
-def test_mitigated_max_constant():
-    g = make_grid(1, 7, 1.0)
-    const = from_callable(g, lambda x: np.full_like(x, 3.0))
-    hts = dyadic_heights(1.0, grid=g)
-    u = poisson_extend(const, hts)
-    out = mitigated_max(u, 2.0, 0.5)
-    expect = 3.0 * max(t ** 0.25 for t in hts if t <= 1.0)
-    np.testing.assert_allclose(out.samples, expect, atol=1e-12)
-
-
-def test_mitigated_lp_domination(rng):
-    g = make_grid(1, 9, 1.0)
-    p, beta = 2.0, 0.5
-    ratios = []
-    for _ in range(8):
-        half = np.zeros(g.n // 2 + 1, complex)
-        half[1:32] = rng.normal(size=31) + 1j * rng.normal(size=31)
-        f = GridFunction(g, np.fft.irfft(half, n=g.n))
-        u = poisson_extend(f, dyadic_heights(1.0, grid=g))
-        mit = mitigated_max(u, p, beta)
-        nt = tangential_max(u, ApproachRegionSpec(beta=1.0, t_max=1.0))
-        ratios.append(lp_norm(mit, p) / lp_norm(nt, p))
-    assert max(ratios) < 3.0
-    assert max(ratios) / min(ratios) < 2.0
 
 
 def _v_field(grid, f, q):
@@ -285,11 +207,15 @@ def test_dilated_j0_matches_mitigated_up_to_range(rng):
     v = _v_field(g, f, 1.5)
     p, beta = 2.0, 0.5
     d0 = dilated_mitigated_max(v, p, beta, 0)
-    # same scan by hand: heights strictly below 1 at j = 0
-    m = mitigated_max(v, p, beta)
-    # mitigated includes t = 1 while the dilated scan stops below 1
-    assert np.all(d0.samples <= m.samples + 1e-12)
-    ratio = d0.samples / m.samples
+    # the undilated mitigated scan by hand: t^{n(1-beta)/p} times the max
+    # of |v| over the beta-region, heights up to 1
+    m = np.zeros(g.size)
+    for k, t in enumerate(v.heights):
+        wm = window_extreme(np.abs(v.values[k]), g, t ** beta)
+        m = np.maximum(m, t ** ((1.0 - beta) / p) * wm)
+    # the mitigated scan includes t = 1 while the dilated one stops below 1
+    assert np.all(d0.samples <= m + 1e-12)
+    ratio = d0.samples / m
     assert ratio.min() > 0.4
 
 
@@ -318,29 +244,23 @@ def test_dilated_coverage_error(rng):
         dilated_mitigated_max(v, 2.0, 0.5, 8)
 
 
-def test_fractional_power_max_examples(rng):
+def test_hl_max_q_examples(rng):
     g = make_grid(1, 9, 1.0)
     const = from_callable(g, lambda x: np.full_like(x, 2.0))
-    for s in (1.0, 2.0):
-        np.testing.assert_allclose(fractional_power_max(const, s, 0.0).samples,
-                                   2.0, atol=1e-12)
+    for q in (1.0, 2.0):
+        np.testing.assert_allclose(hl_max_q(const, q).samples, 2.0, atol=1e-12)
     ind = from_callable(g, lambda x: (np.minimum(x, 1 - x) < 0.1).astype(float))
-    out = fractional_power_max(ind, 1.0, 0.0)
-    assert out.samples[0] == pytest.approx(1.0, abs=2 * g.h / 0.1)
+    assert hl_max_q(ind, 1.0).samples[0] == pytest.approx(1.0, abs=2 * g.h / 0.1)
     f = GridFunction(g, rng.normal(size=g.size))
-    a = fractional_power_max(f, 1.0, 0.0)
-    b = fractional_power_max(f, 2.0, 0.0)
+    a, b = hl_max_q(f, 1.0), hl_max_q(f, 2.0)
     assert np.all(a.samples <= b.samples + 1e-12)
-    # one check in ball_mean_all_centers serves every power mean; q = inf
+    # one check in grid.ball_means serves every power mean; q = inf
     # once gave 1.0 everywhere for |f| < 1
     for q in (0.5, math.inf, math.nan):
-        for op in (lambda: fractional_power_max(f, q, 0.0),
-                   lambda: hl_max_q(f, q),
+        for op in (lambda: hl_max_q(f, q),
                    lambda: annuli_surrogate(f, (1.0, 4), 0.5, q, 2)):
             with pytest.raises(ParameterError):
                 op()
-    with pytest.raises(ParameterError):
-        fractional_power_max(f, 1.0, 1.5)
 
 
 def test_aperture_insensitivity(rng):
@@ -523,10 +443,6 @@ def test_region_sweeps_match_slice_by_slice_scan(rng):
     np.testing.assert_array_equal(
         tangential_max(u, spec).samples,
         scan([(k, spec.radius(hts[k]), 1.0) for k in usable]))
-    unit = [k for k, t in enumerate(hts) if t <= 1.0 * (1 + 1e-12)]
-    np.testing.assert_array_equal(
-        mitigated_max(u, p, beta).samples,
-        scan([(k, hts[k] ** beta, hts[k] ** expo) for k in unit]))
     j = 1
     pref = 2.0 ** (g.dim * j / p)
     dilated = [(k, t / 2 ** j) for k, t in enumerate(hts)

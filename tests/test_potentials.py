@@ -151,8 +151,10 @@ def test_sharp_maximal_kills_polynomials():
     assert np.abs(band).max() < 1e-8
     const = from_callable(g, lambda x: np.full_like(x, 2.0))
     assert np.abs(sharp_maximal(const, 0.7, scales).samples).max() < 1e-12
-    # empty, not finite, or below 4h, the floor of dyadic_scales
-    for bad in ([], [math.inf], [math.nan], [0.0], [-1.0], [3.99 * g.h]):
+    # empty, not finite, below 4h or above extent/4, the floor and cap of
+    # dyadic_scales
+    for bad in ([], [math.inf], [math.nan], [0.0], [-1.0], [3.99 * g.h],
+                [0.2501], [1024.0]):
         with pytest.raises(ParameterError):
             sharp_maximal(aff, 0.5, bad)
 

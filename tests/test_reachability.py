@@ -1,17 +1,20 @@
-"""Every top-level function or class of the package is reached, and
-every parameter with a default is set by some call.
+"""Every top-level function or class of the package, and every method or
+property of its classes, is reached, and every parameter with a default
+is set by some call.
 
 A name counts as used when an ``ast.Name`` or ``ast.Attribute`` outside
 its own definition refers to it, anywhere in ``src/fatou_lab/`` or
 ``perfbench/``, or when ``perfbench/layers.py`` names it as a string in
-``LAYERS``.  Code only the tests call belongs in ``tests/`` (reference
-implementations live in ``tests/reference.py``).  A default that no call
-in those directories overrides is a knob with one value in use: the
-value belongs in the body, not in the signature.
+``LAYERS``.  A method counts by its name alone, whatever the object it
+is read from; dunder methods, which Python calls itself, are exempt.
+Code only the tests call belongs in ``tests/`` (reference implementations
+live in ``tests/reference.py``).  A default that no call in those
+directories overrides is a knob with one value in use: the value belongs
+in the body, not in the signature.
 """
 
 import ast
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -30,15 +33,28 @@ ALLOWED_DEFAULTS = {
 }
 
 
-def _names(node) -> set:
-    """Names referred to by Name and Attribute nodes under node."""
-    out = set()
+def _names(node) -> Counter:
+    """Names referred to by Name and Attribute nodes under node, counted."""
+    out = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            out.add(sub.id)
+            out[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            out.add(sub.attr)
+            out[sub.attr] += 1
     return out
+
+
+def _definitions(tree):
+    """(label, name, node) of each top-level function or class of tree and
+    of each method or property of its classes, dunders left out."""
+    for stmt in tree.body:
+        if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+            yield stmt.name, stmt.name, stmt
+        if isinstance(stmt, ast.ClassDef):
+            for sub in stmt.body:
+                if (isinstance(sub, ast.FunctionDef)
+                        and not sub.name.startswith("__")):
+                    yield f"{stmt.name}.{sub.name}", sub.name, sub
 
 
 def _layer_strings(tree) -> set:
@@ -52,22 +68,19 @@ def _layer_strings(tree) -> set:
 
 
 def unreached() -> list:
-    """Top-level definitions in src/fatou_lab/ that nothing else uses."""
-    used_by = defaultdict(set)  # name -> {(file, top-level statement index)}
+    """Definitions in src/fatou_lab/ (see _definitions) that nothing
+    outside themselves uses."""
+    uses = Counter()  # name -> references in all FILES
     defined = []
     for path in FILES:
         tree = ast.parse(path.read_text(), filename=str(path))
-        for i, stmt in enumerate(tree.body):
-            for name in _names(stmt):
-                used_by[name].add((path, i))
-            if path.parent.name == "fatou_lab" and isinstance(
-                    stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((path, i, stmt.name))
+        uses += _names(tree)
         if path.name == "layers.py":
-            for name in _layer_strings(tree):
-                used_by[name].add((path, -1))
-    return sorted(f"{path.stem}.{name}" for path, i, name in defined
-                  if name not in ALLOWED and not used_by[name] - {(path, i)})
+            uses.update(_layer_strings(tree))
+        if path.parent.name == "fatou_lab":
+            defined += [(path, *d) for d in _definitions(tree)]
+    return sorted(f"{path.stem}.{label}" for path, label, name, node in defined
+                  if name not in ALLOWED and uses[name] == _names(node)[name])
 
 
 def test_every_package_definition_is_used_outside_itself():
