@@ -8,6 +8,7 @@ root for the full key list with types and constraints.
 import configparser
 import hashlib
 import io
+import math
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError
@@ -123,7 +124,8 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         r = cfg.derived_r()
         _require(1.0 < r < cfg.p, f"1 < r < p required, got r={r}, p={cfg.p}")
     if "c" in read:
-        _require(cfg.c > 0, "c must be positive")
+        _require(math.isfinite(cfg.c) and cfg.c > 0,
+                 f"c must be finite and positive, got {cfg.c}")
     # the annuli surrogate's preconditions, named by config key
     if "p0" in read:
         _require(cfg.derived_p0() >= 1, f"p0 = {cfg.derived_p0()} must be >= 1")
@@ -132,6 +134,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                  f"alpha_L = {cfg.alpha_L} must lie in (0, 1]")
     if "J" in read:
         _require(cfg.J >= 1, f"J = {cfg.J} must be >= 1")
+    if "window" in read:
+        _require(len(cfg.window) == 2,
+                 f"window must hold two scales, got {list(cfg.window)}")
     if name == "nagel-stein-bound":
         _require(cfg.levels[-1] + 6 <= 24,
                  f"nagel-stein-bound probes an extended control at level "
@@ -160,7 +165,7 @@ _TUPLE_FIELDS = {"levels": int, "beta_prime": float, "s_values": float,
 
 def serialize(cfg: ExperimentConfig) -> str:
     """INI text; parse(serialize(cfg)) == cfg."""
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     cp["experiment"] = {}
     sect = cp["experiment"]
     for f in fields(cfg):
@@ -180,7 +185,7 @@ def serialize(cfg: ExperimentConfig) -> str:
 
 
 def parse(text: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -218,7 +223,12 @@ def parse(text: str) -> ExperimentConfig:
 
 def load(path) -> ExperimentConfig:
     with open_path(path) as fh:
-        return parse(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParameterError(f"config {path} is not UTF-8 text: {exc}") \
+                from exc
+    return parse(text)
 
 
 def config_hash(cfg: ExperimentConfig) -> str:

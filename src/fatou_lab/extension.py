@@ -11,19 +11,14 @@ the caller's array.
 """
 
 import math
-import struct
 from dataclasses import dataclass, field
 from types import MappingProxyType
 
 import numpy as np
 
 from .errors import ParameterError
-from .grid import (Grid, GridFunction, ball_mean_all_centers, make_grid,
-                   open_path, read_exact)
+from .grid import Grid, GridFunction, ball_mean_all_centers
 from .potentials import _apply_multiplier, _half_spectrum
-
-_MAGIC = b"FLHF"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -46,9 +41,10 @@ class HalfSpaceField:
 
     def __post_init__(self, copy: bool = True):
         hts = checked_heights(self.heights)
-        vals = np.asarray(self.values, dtype=np.float64).reshape(len(hts), -1)
-        if vals.shape[1] != self.grid.size:
+        vals = np.asarray(self.values, dtype=np.float64)
+        if vals.size != len(hts) * self.grid.size:
             raise ParameterError("values shape does not match grid")
+        vals = vals.reshape(len(hts), self.grid.size)
         check_finite(vals)
         if copy:
             vals = vals.copy()
@@ -75,27 +71,10 @@ def check_finite(values: np.ndarray) -> np.ndarray:
     return values
 
 
-def dyadic_heights(t0: float = 1.0, count: int | None = None,
-                   grid: Grid | None = None) -> tuple:
-    """Ladder t_k = t0 * 2^-k; by default reaches about h/4 of the grid.
-
-    A ladder whose last rung is not > 0 is rejected before any rung is
-    built: with checked_heights' message when t0 is not positive and
-    finite, as an underflow otherwise."""
-    if count is None:
-        if grid is None:
-            raise ParameterError("need either count or grid")
-        count = grid.levels + 2
-    if count < 0:
-        raise ParameterError(f"height count must be >= 0, got {count}")
-    # ldexp(1, -k) == 2.0 ** -k, and does not overflow at a huge count
-    if not t0 * math.ldexp(1.0, -count) > 0.0:
-        # a t0 that is not positive and finite fails checked_heights on
-        # the first two rungs as it would on the whole ladder
-        checked_heights((t0, t0 / 2.0)[:count + 1])
-        raise ParameterError(
-            f"heights must be positive, but {t0} * 2^-{count} rounds to 0")
-    return tuple(t0 * 2.0 ** (-k) for k in range(count + 1))
+def dyadic_heights(t0: float, grid: Grid) -> tuple:
+    """Ladder t_k = t0 * 2^-k, k = 0 .. grid.levels + 2, which reaches
+    about h/4 of the grid."""
+    return tuple(t0 * 2.0 ** (-k) for k in range(grid.levels + 3))
 
 
 def slice_buffers(grid: Grid) -> tuple:
@@ -179,34 +158,3 @@ def annuli_surrogate(f: GridFunction, heights, alpha_L: float, r: float,
         np.max(np.abs(f.samples)))
     return HalfSpaceField._adopt(g, hts, vals,
                                  MappingProxyType({"tail_bound": tail}))
-
-
-def save_half_space_field(path, u: HalfSpaceField) -> None:
-    """Binary format: FLHF, version, grid header, K, heights, row-major slices."""
-    g = u.grid
-    with open_path(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIIdI", _VERSION, g.dim, g.levels, g.extent,
-                             len(u.heights) - 1))
-        np.asarray(u.heights, dtype="<f8").tofile(fh)
-        np.asarray(u.values, dtype="<f8").tofile(fh)
-
-
-def load_half_space_field(path) -> HalfSpaceField:
-    with open_path(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ParameterError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-        version, dim, levels, extent, kk = struct.unpack(
-            "<IIIdI", read_exact(fh, 24, "FLHF header"))
-        if version != _VERSION:
-            raise ParameterError(f"unsupported version {version}")
-        grid = make_grid(dim, levels, extent)
-        heights = np.frombuffer(read_exact(fh, 8 * (kk + 1), "FLHF heights"),
-                                dtype="<f8")
-        vals = np.frombuffer(
-            read_exact(fh, 8 * (kk + 1) * grid.size, "FLHF values"),
-            dtype="<f8")
-        # vals is a read-only view of immutable bytes: nothing can write it
-        return HalfSpaceField._adopt(grid, tuple(heights),
-                                     vals.reshape(kk + 1, grid.size))

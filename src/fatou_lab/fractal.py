@@ -83,9 +83,7 @@ def integrate_against(f: GridFunction, mu: CantorMeasure) -> float:
 @dataclass(frozen=True)
 class BoxDimension:
     slope: float
-    r2: float
-    counts: tuple
-    scales: tuple
+    counts: tuple  # boxes met at each scale 2^-m of the window
 
 
 def box_dimension(points: PointSet, scale_window) -> BoxDimension:
@@ -98,7 +96,7 @@ def box_dimension(points: PointSet, scale_window) -> BoxDimension:
             f"m_hi={m_hi} exceeds grid levels {points.grid.levels}")
     pts = np.atleast_2d(points.points.reshape(-1, points.grid.dim))
     if pts.shape[0] == 0:
-        return BoxDimension(slope=0.0, r2=0.0, counts=(), scales=())
+        return BoxDimension(slope=0.0, counts=())
     ms = list(range(m_lo, m_hi + 1))
     counts = []
     for m in ms:
@@ -113,11 +111,7 @@ def box_dimension(points: PointSet, scale_window) -> BoxDimension:
     xm, ym = x.mean(), y.mean()
     denom = np.sum((x - xm) ** 2)
     slope = float(np.sum((x - xm) * (y - ym)) / denom)
-    ss_res = float(np.sum((y - ym - slope * (x - xm)) ** 2))
-    ss_tot = float(np.sum((y - ym) ** 2))
-    r2 = 1.0 if ss_tot == 0 else 1.0 - ss_res / ss_tot
-    return BoxDimension(slope=slope, r2=r2, counts=tuple(counts),
-                        scales=tuple(ms))
+    return BoxDimension(slope=slope, counts=tuple(counts))
 
 
 def divergence_set(f: GridFunction, spec: ApproachRegionSpec, eps: float,

@@ -3,28 +3,23 @@
 Functions live on the torus [0, extent)^dim sampled on a uniform grid of
 N = 2^levels points per axis.  Everything downstream (smoothing and
 maximal operators, boundary geometry) is built on the primitives here:
-the torus metric (per-axis wrapped distances, squared-distance fields)
-in any dimension, norms, ball means, and scaled circular convolution.
+the torus metric (per-axis wrapped distances) in any dimension, norms,
+ball means, and scaled circular convolution, plus open_path, which
+turns a file that cannot be opened, read or written into a
+ParameterError.
 
 Grids and grid functions are immutable once built and every operation is
 a pure function.
 """
 
 import contextlib
-import csv
-import functools
 import math
-import struct
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _kernels
 from .errors import GridMismatchError, ParameterError
-
-_MAGIC = b"FLGF"
-_VERSION = 1
 
 
 @dataclass(frozen=True)
@@ -122,14 +117,6 @@ def wrapped_abs_delta(a, b, extent: float):
     d = np.abs(np.asarray(a, dtype=np.float64) - np.asarray(b, dtype=np.float64))
     d = np.fmod(d, extent)
     return np.minimum(d, extent - d)
-
-
-def torus_sq_distance(grid: Grid, point) -> np.ndarray:
-    """Squared torus distance from every grid point to point, flat."""
-    c = np.asarray(point, dtype=np.float64).reshape(grid.dim)
-    x = grid.axis_coords()
-    squares = [wrapped_abs_delta(x, ca, grid.extent) ** 2 for ca in c]
-    return functools.reduce(np.add.outer, squares).reshape(-1)
 
 
 def window_halfwidth(radius: float, h: float) -> int:
@@ -243,120 +230,3 @@ def open_path(path, mode: str = "r", **kwargs):
         raise ParameterError(
             f"cannot {'read' if mode.startswith('r') else 'write'} {path}: "
             f"{exc.strerror or exc}") from exc
-
-
-def save_grid_function(path, f: GridFunction) -> None:
-    """Binary format: magic FLGF, u32 version/dim/levels, f64 extent, f64 samples."""
-    g = f.grid
-    with open_path(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<IIId", _VERSION, g.dim, g.levels, g.extent))
-        np.asarray(f.samples, dtype="<f8").tofile(fh)
-
-
-def read_exact(fh, size: int, what: str) -> bytes:
-    """Read exactly size bytes; a short read means a truncated file.
-
-    Reads in bounded pieces, so a corrupt header that declares a huge
-    body fails at the end of the file instead of allocating the body.
-    """
-    parts = []
-    left = size
-    while left > 0:
-        part = fh.read(min(left, 1 << 24))
-        if not part:
-            raise ParameterError(
-                f"truncated file: {what} needs {size} bytes, "
-                f"found {size - left}")
-        parts.append(part)
-        left -= len(part)
-    return b"".join(parts)
-
-
-def read_grid_function(fh) -> GridFunction:
-    """Read one FLGF record from an open binary file, leaving the rest."""
-    magic = fh.read(4)
-    if magic != _MAGIC:
-        raise ParameterError(f"bad magic {magic!r}, expected {_MAGIC!r}")
-    version, dim, levels, extent = struct.unpack(
-        "<IIId", read_exact(fh, 20, "FLGF header"))
-    if version != _VERSION:
-        raise ParameterError(f"unsupported version {version}")
-    grid = make_grid(dim, levels, extent)
-    data = read_exact(fh, 8 * grid.size, "FLGF samples")
-    return GridFunction(grid, np.frombuffer(data, dtype="<f8"))
-
-
-def load_grid_function(path) -> GridFunction:
-    with open_path(path, "rb") as fh:
-        return read_grid_function(fh)
-
-
-def grid_function_to_csv(path, f: GridFunction) -> None:
-    """CSV interop format: header then (index coords, value) rows."""
-    g = f.grid
-    index = np.unravel_index(np.arange(g.size), g.shape)
-    write_csv_table(path, ["i", "j"][:g.dim] + ["value"], zip(*index, f.samples))
-
-
-def write_csv_table(path, header, rows, preamble: str = "") -> None:
-    """Write preamble, then the header and rows through csv.writer (line
-    ends \\r\\n), to path or, when path is empty, to stdout.
-
-    Floats are written as .17g, which read_csv_table reads back exactly;
-    other cells as str().
-    """
-    with open_path(path, "w", newline="") if path else \
-            contextlib.nullcontext(sys.stdout) as fh:
-        fh.write(preamble)
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([format(v, ".17g") if isinstance(v, float) else v
-                     for v in row] for row in rows)
-
-
-def read_csv_table(path, widths) -> tuple:
-    """Header and numeric body of a CSV file, as (header, rows x width array).
-
-    The header must have one of the given widths and every row as many
-    cells as the header, each a number; otherwise ParameterError.
-    """
-    with open_path(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ParameterError(f"{path}: empty CSV file, expected a header row")
-    header, body = rows[0], rows[1:]
-    width = len(header)
-    if width not in widths:
-        raise ParameterError(
-            f"{path}: header has {width} columns, expected "
-            f"{' or '.join(str(w) for w in widths)}")
-    for line, row in enumerate(body, start=2):
-        if len(row) != width:
-            raise ParameterError(
-                f"{path}: line {line} has {len(row)} cells, expected {width}")
-    try:
-        table = np.array([[float(cell) for cell in row] for row in body])
-    except ValueError as exc:
-        raise ParameterError(f"{path}: non-numeric cell: {exc}") from exc
-    return header, table.reshape(len(body), width)
-
-
-def grid_function_from_csv(path, extent: float) -> GridFunction:
-    header, table = read_csv_table(path, (2, 3))
-    dim = len(header) - 1
-    count = table.shape[0]
-    n = count if dim == 1 else math.isqrt(count)
-    levels = n.bit_length() - 1
-    if n < 1 or (1 << levels) != n or n ** dim != count:
-        raise ParameterError(f"row count {count} is not a full 2^m grid")
-    grid = make_grid(dim, levels, extent)
-    index = table[:, :dim]
-    if not np.all((index >= 0) & (index < n) & (index == np.floor(index))):
-        raise ParameterError(f"{path}: grid indices must be integers in [0, {n})")
-    flat = index.astype(np.int64) @ np.array([n, 1][-dim:])
-    if np.unique(flat).size != count:
-        raise ParameterError(f"{path}: repeated grid index")
-    samples = np.zeros(grid.size)
-    samples[flat] = table[:, dim]
-    return GridFunction(grid, samples)

@@ -1,4 +1,4 @@
-"""Poisson, Bessel and Riesz kernels with cross-checked evaluation routes.
+"""Bessel and Riesz kernels with cross-checked evaluation routes.
 
 The Bessel kernel has two independent routes: adaptive quadrature of its
 subordination integral (after the substitution u = log t), and a closed
@@ -17,21 +17,10 @@ import numpy as np
 
 from .errors import NumericError, ParameterError, SingularityError
 
-_POISSON_C = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi)}
 
 def _norm_sq(x) -> float:
     arr = np.asarray(x, dtype=np.float64).reshape(-1)
     return float(np.dot(arr, arr))
-
-
-def poisson_kernel(n: int, t: float, x) -> float:
-    """c_n * t / (t^2 + |x|^2)^((n+1)/2), normalized to unit mass."""
-    if not t > 0:
-        raise ParameterError(f"t must be positive, got {t}")
-    if n not in _POISSON_C:
-        raise ParameterError(f"n must be 1 or 2, got {n}")
-    r2 = _norm_sq(x)
-    return _POISSON_C[n] * t / (t * t + r2) ** ((n + 1) / 2.0)
 
 
 def _cosh_integrand(w: float, r: float, c: float) -> float:

@@ -1,6 +1,7 @@
-"""Lipschitz graph domains: distance, corkscrew points, the inclusion of
-domain approach regions into flattened half-space regions, surface
-measure, and boundary norms.
+"""Lipschitz graph domains: distance, the corkscrew clearance constant,
+the inclusion of domain approach regions into flattened half-space
+regions, surface density, boundary norms and the boundary maximal
+operator.
 
 The domain is the epigraph of a sampled profile phi on the periodic
 base grid.  The certified Lipschitz constant is the maximum discrete
@@ -9,7 +10,6 @@ are rejected at construction.  Boundary scans only read the graph data.
 """
 
 import math
-import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,9 +17,7 @@ import numpy as np
 from . import _kernels
 from .errors import GridMismatchError, ParameterError
 from .extension import annuli_surrogate, dyadic_heights
-from .grid import (GridFunction, lp_norm, nearest_index, open_path,
-                   read_exact, read_grid_function, save_grid_function,
-                   torus_sq_distance, wrapped_abs_delta)
+from .grid import GridFunction, lp_norm, wrapped_abs_delta
 from .maximal import ApproachRegionSpec, tangential_max
 from .potentials import multi_indices, slobodeckij_seminorm, spectral_derivative
 from .rng import stream
@@ -31,14 +29,6 @@ class LipschitzGraph:
 
     phi: GridFunction
     M: float
-
-
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Q = (lift, x) with lift = phi(x) at grid resolution."""
-
-    x: np.ndarray
-    lift: float
 
 
 def _max_discrete_slope(phi: GridFunction) -> float:
@@ -60,39 +50,10 @@ def lipschitz_graph(phi: GridFunction, M: float | None = None) -> LipschitzGraph
     return LipschitzGraph(phi=phi, M=float(M))
 
 
-def phi_at(graph: LipschitzGraph, x) -> float:
-    """Profile value at the grid sample nearest to a base point, given as
-    grid.dim finite coordinates."""
-    grid = graph.phi.grid
-    xa = np.asarray(x, dtype=np.float64).reshape(-1)
-    if xa.size != grid.dim or not np.all(np.isfinite(xa)):
-        raise ParameterError(
-            f"base point must have {grid.dim} finite coordinate(s), got {x}")
-    return float(graph.phi.samples[nearest_index(grid, xa)])
-
-
-def boundary_point(graph: LipschitzGraph, x) -> BoundaryPoint:
-    xa = np.atleast_1d(np.asarray(x, dtype=np.float64))
-    return BoundaryPoint(x=xa, lift=phi_at(graph, x))
-
-
-def graph_distance(graph: LipschitzGraph, X) -> float:
-    """Distance from X = (t, x) to the sampled boundary points (phi(x_i), x_i).
-
-    An upper bound of the true distance, within O(h (1 + M)).
-    """
-    X = np.asarray(X, dtype=np.float64).reshape(-1)
-    g = graph.phi.grid
-    if g.dim == 1:
-        out = _kernels.min_dist_graph_1d(np.array([X[0]]), np.array([X[1]]),
-                                         graph.phi.samples, g.h, g.extent)
-        return float(out[0])
-    dt = graph.phi.samples - X[0]
-    return float(np.sqrt(np.min(torus_sq_distance(g, X[1:]) + dt * dt)))
-
-
 def graph_distance_batch(graph: LipschitzGraph, ts, xs) -> np.ndarray:
-    """Vector version of graph_distance for dim-1 bases."""
+    """Distances from the points (ts[k], xs[k]) to the sampled boundary
+    points (phi(x_i), x_i), for dim-1 bases: upper bounds of the true
+    distances, within O(h (1 + M))."""
     g = graph.phi.grid
     if g.dim != 1:
         raise ParameterError("batch distance is implemented for dim=1 bases")
@@ -101,18 +62,11 @@ def graph_distance_batch(graph: LipschitzGraph, ts, xs) -> np.ndarray:
 
 
 def corkscrew_kappa(M: float) -> float:
-    """Interior-clearance constant of the explicit corkscrew point."""
+    """Interior-clearance constant of the corkscrew point (phi(x0) + t, x0):
+    its distance to the graph is at least kappa(M) t."""
     if M <= 1.0:
         return 0.5
     return min(0.25, 1.0 / (2.0 * (M - 1.0)))
-
-
-def corkscrew(graph: LipschitzGraph, x0, t: float) -> np.ndarray:
-    """(phi(x0) + t, x0): an interior point with clearance at least kappa(M) t."""
-    if not (math.isfinite(t) and t > 0):
-        raise ParameterError(f"t must be finite and positive, got {t}")
-    x0a = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    return np.concatenate([[phi_at(graph, x0) + t], x0a])
 
 
 @dataclass(frozen=True)
@@ -236,18 +190,6 @@ def surface_density(graph: LipschitzGraph) -> np.ndarray:
     return np.sqrt(1.0 + _grad_norm_sq(graph.phi))
 
 
-def surface_ball_measure(graph: LipschitzGraph, Q: BoundaryPoint,
-                         r: float) -> float:
-    """sigma of the surface ball: area-formula sum over base samples whose
-    lifts fall inside the ambient ball around Q."""
-    g = graph.phi.grid
-    if not (4.0 * g.h * (1.0 - 1e-12) <= r <= g.extent / 4.0 * (1.0 + 1e-12)):
-        raise ParameterError(f"r must lie in [4h, extent/4], got {r}")
-    dens = surface_density(graph)
-    inside = torus_sq_distance(g, Q.x) + (graph.phi.samples - Q.lift) ** 2 < r * r
-    return float(np.sum(dens[inside]) * g.h ** g.dim)
-
-
 def lp_norm_sigma(graph: LipschitzGraph, f: GridFunction, p: float) -> float:
     """L^p norm of boundary data against the surface measure."""
     dens = surface_density(graph)
@@ -293,21 +235,3 @@ def boundary_tangential_max(graph: LipschitzGraph, f: GridFunction,
     w = annuli_surrogate(f, heights, alpha_L, p0, J)
     spec = ApproachRegionSpec(beta=beta, aperture=1.0 + c, t_max=heights[0])
     return tangential_max(w, spec)
-
-
-def save_lipschitz_graph(path, graph: LipschitzGraph) -> None:
-    """Profile in the grid-function binary format plus (M, smooth_class = 0)."""
-    save_grid_function(path, graph.phi)
-    with open_path(path, "ab") as fh:
-        fh.write(struct.pack("<dI", graph.M, 0))
-
-
-def load_lipschitz_graph(path) -> LipschitzGraph:
-    """Profile and M; the trailer's smooth_class is read and ignored."""
-    with open_path(path, "rb") as fh:
-        phi = read_grid_function(fh)
-        M, _ = struct.unpack(
-            "<dI", read_exact(fh, 12, "Lipschitz trailer (M, smooth_class)"))
-        if fh.read(1):
-            raise ParameterError("trailing bytes after the Lipschitz trailer")
-    return lipschitz_graph(phi, M=M)

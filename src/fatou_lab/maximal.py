@@ -28,11 +28,11 @@ import numpy as np
 
 from . import _kernels
 from .errors import CoverageError, ParameterError
-from .extension import HalfSpaceField, annuli_surrogate, check_finite, \
-    dyadic_heights, poisson_slices, slice_buffers
+from .extension import HalfSpaceField, check_finite, dyadic_heights, \
+    poisson_slices, slice_buffers
 from .grid import Grid, GridFunction, ball_means, disc_rows, \
     window_halfwidth
-from .potentials import dyadic_scales, sharp_maximal
+from .potentials import dyadic_scales
 
 
 @dataclass(frozen=True)
@@ -228,39 +228,3 @@ def hl_max_q(f: GridFunction, q: float = 1.0) -> GridFunction:
     for mean in ball_means(f, dyadic_scales(f.grid, 1.0), q):
         np.maximum(out, mean, out=out)
     return GridFunction(f.grid, out)
-
-
-def composite_max(f: GridFunction, p: float, r: float, beta: float,
-                  alpha_L: float = 0.5, J: int = 20) -> GridFunction:
-    """Weighted assembly dominating tangential maxima of annuli-model fields.
-
-    sum_j 2^{-alpha_L j} M_{p,beta,j}(w)  +  (sum_j 2^{-alpha_L j}) *
-    (N_{*,beta} applied to the Poisson extension of f  +  M_r f),
-    with w the annuli surrogate built on the sharp maximal function of f
-    at smoothness alpha = n(1-beta)/p.  Terms whose dilated scan range is
-    empty at this grid's height ladder contribute zero.
-    """
-    if not (1.0 < r < p):
-        raise ParameterError(f"need 1 < r < p, got r={r}, p={p}")
-    if not (0.0 < beta < 1.0):
-        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
-    g = f.grid
-    alpha = g.dim * (1.0 - beta) / p
-    heights = dyadic_heights(1.0, grid=g)
-    sharp = sharp_maximal(f, alpha, dyadic_scales(g))
-    w_field = annuli_surrogate(sharp, heights, alpha_L, r, J)
-    total = np.zeros(g.size)
-    geo = 0.0
-    for j in range(J + 1):
-        weight = 2.0 ** (-alpha_L * j)
-        geo += weight
-        try:
-            term = dilated_mitigated_max(w_field, p, beta, j)
-        except CoverageError:
-            continue
-        total += weight * term.samples
-    spec = ApproachRegionSpec(beta=beta, aperture=1.0, t_max=heights[0])
-    ntan = poisson_tangential_max(f, spec)
-    mr = hl_max_q(f, r)
-    total += geo * (ntan.samples + mr.samples)
-    return GridFunction(g, total)

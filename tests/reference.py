@@ -4,10 +4,13 @@ These are direct, point-by-point versions of what the package computes
 by faster routes: torus distances and ball averages over explicit index
 sets, kernels sampled on the grid (with image sums and cell averages
 near the singularity) for checking spectral multipliers by spatial
-convolution, Fourier symbols, membership tests for the half-space and
-domain approach regions, the inclusion sampler with every distance
-computed, the annuli surrogate with one ball mean per (height,
-annulus) pair, and the divergence set swept over a stored Poisson field.
+convolution, the Poisson kernel at a point, Fourier symbols, boundary
+points, corkscrew points, distances to a Lipschitz graph and surface
+ball measures by a scan over every sample, the composite maximal bound,
+membership tests for the half-space and domain approach regions, the
+inclusion sampler with every distance computed, the annuli surrogate
+with one ball mean per (height, annulus) pair, and the divergence set
+swept over a stored Poisson field.
 No runner uses them.
 """
 
@@ -19,16 +22,19 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import kv
 
-from fatou_lab.errors import ParameterError, SingularityError
-from fatou_lab.extension import HalfSpaceField
+from fatou_lab.errors import CoverageError, ParameterError, SingularityError
+from fatou_lab.extension import HalfSpaceField, annuli_surrogate, dyadic_heights
 from fatou_lab.fractal import PointSet
 from fatou_lab.grid import (Grid, GridFunction, ball_mean_all_centers,
                             nearest_index, wrapped_abs_delta)
-from fatou_lab.kernels import (_POISSON_C, _norm_sq, _series_prefactor,
-                               bessel_kernel, riesz_constant)
-from fatou_lab.lipschitz import (BoundaryPoint, InclusionReport, LipschitzGraph,
-                                 graph_distance, graph_distance_batch, phi_at)
-from fatou_lab.maximal import ApproachRegionSpec, window_extreme
+from fatou_lab.kernels import (_norm_sq, _series_prefactor, bessel_kernel,
+                               riesz_constant)
+from fatou_lab.lipschitz import (InclusionReport, LipschitzGraph,
+                                 graph_distance_batch, surface_density)
+from fatou_lab.maximal import (ApproachRegionSpec, dilated_mitigated_max,
+                               hl_max_q, poisson_tangential_max,
+                               window_extreme)
+from fatou_lab.potentials import dyadic_scales, sharp_maximal
 from fatou_lab.rng import stream
 
 
@@ -153,6 +159,18 @@ def _cell_average_at_origin(spec: KernelSpec, h: float) -> float:
     total, _ = quad(outer, 0.0, math.pi / 4.0, epsabs=0.0, epsrel=1e-8,
                     limit=100)
     return 8.0 * total / (h * h)
+
+
+_POISSON_C = {1: 1.0 / math.pi, 2: 1.0 / (2.0 * math.pi)}
+
+
+def poisson_kernel(n: int, t: float, x) -> float:
+    """c_n * t / (t^2 + |x|^2)^((n+1)/2), normalized to unit mass."""
+    if not t > 0:
+        raise ParameterError(f"t must be positive, got {t}")
+    if n not in _POISSON_C:
+        raise ParameterError(f"n must be 1 or 2, got {n}")
+    return _POISSON_C[n] * t / (t * t + _norm_sq(x)) ** ((n + 1) / 2.0)
 
 
 def _poisson_values(n: int, t: float, r: np.ndarray) -> np.ndarray:
@@ -298,6 +316,42 @@ def sampled_kernel(spec: KernelSpec, grid: Grid, normalize: bool = True) -> Grid
     return GridFunction(grid, vals)
 
 
+def composite_max(f: GridFunction, p: float, r: float, beta: float,
+                  alpha_L: float = 0.5, J: int = 20) -> GridFunction:
+    """The paper's weighted assembly that dominates tangential maxima of
+    annuli-model fields:
+
+    sum_j 2^{-alpha_L j} M_{p,beta,j}(w)  +  (sum_j 2^{-alpha_L j}) *
+    (N_{*,beta} applied to the Poisson extension of f  +  M_r f),
+    with w the annuli surrogate built on the sharp maximal function of f
+    at smoothness alpha = n(1-beta)/p.  Terms whose dilated scan range is
+    empty at this grid's height ladder contribute zero.
+    """
+    if not (1.0 < r < p):
+        raise ParameterError(f"need 1 < r < p, got r={r}, p={p}")
+    if not (0.0 < beta < 1.0):
+        raise ParameterError(f"beta must lie in (0, 1), got {beta}")
+    g = f.grid
+    alpha = g.dim * (1.0 - beta) / p
+    heights = dyadic_heights(1.0, grid=g)
+    sharp = sharp_maximal(f, alpha, dyadic_scales(g))
+    w_field = annuli_surrogate(sharp, heights, alpha_L, r, J)
+    total = np.zeros(g.size)
+    geo = 0.0
+    for j in range(J + 1):
+        weight = 2.0 ** (-alpha_L * j)
+        geo += weight
+        try:
+            term = dilated_mitigated_max(w_field, p, beta, j)
+        except CoverageError:
+            continue
+        total += weight * term.samples
+    spec = ApproachRegionSpec(beta=beta, aperture=1.0, t_max=heights[0])
+    total += geo * (poisson_tangential_max(f, spec).samples
+                    + hl_max_q(f, r).samples)
+    return GridFunction(g, total)
+
+
 def region_contains(spec: ApproachRegionSpec, x0, t: float, x,
                     grid: Grid | None = None, extent: float = 1.0) -> bool:
     """Membership of (t, x) in the region with vertex x0, torus metric."""
@@ -305,6 +359,64 @@ def region_contains(spec: ApproachRegionSpec, x0, t: float, x,
         raise ParameterError(f"t must be positive, got {t}")
     dist = float(torus_distance(x, x0, grid.extent if grid is not None else extent))
     return dist < spec.radius(t)
+
+
+@dataclass(frozen=True)
+class BoundaryPoint:
+    """Q = (lift, x) with lift = phi(x) at grid resolution."""
+
+    x: np.ndarray
+    lift: float
+
+
+def phi_at(graph: LipschitzGraph, x) -> float:
+    """Profile value at the grid sample nearest to a base point, given as
+    grid.dim finite coordinates."""
+    grid = graph.phi.grid
+    xa = np.asarray(x, dtype=np.float64).reshape(-1)
+    if xa.size != grid.dim or not np.all(np.isfinite(xa)):
+        raise ParameterError(
+            f"base point must have {grid.dim} finite coordinate(s), got {x}")
+    return float(graph.phi.samples[nearest_index(grid, xa)])
+
+
+def boundary_point(graph: LipschitzGraph, x) -> BoundaryPoint:
+    return BoundaryPoint(x=np.atleast_1d(np.asarray(x, dtype=np.float64)),
+                         lift=phi_at(graph, x))
+
+
+def corkscrew(graph: LipschitzGraph, x0, t: float) -> np.ndarray:
+    """(phi(x0) + t, x0): an interior point with clearance at least
+    lipschitz.corkscrew_kappa(M) t."""
+    if not (math.isfinite(t) and t > 0):
+        raise ParameterError(f"t must be finite and positive, got {t}")
+    return np.concatenate([[phi_at(graph, x0) + t],
+                           np.atleast_1d(np.asarray(x0, dtype=np.float64))])
+
+
+def surface_ball_measure(graph: LipschitzGraph, Q: BoundaryPoint,
+                         r: float) -> float:
+    """sigma of the surface ball: lipschitz.surface_density summed over
+    the base samples whose lifts fall inside the ambient ball around Q."""
+    g = graph.phi.grid
+    if not (4.0 * g.h * (1.0 - 1e-12) <= r <= g.extent / 4.0 * (1.0 + 1e-12)):
+        raise ParameterError(f"r must lie in [4h, extent/4], got {r}")
+    axes = np.meshgrid(*[g.axis_coords()] * g.dim, indexing="ij")
+    lateral = sum(wrapped_abs_delta(a.reshape(-1), xa, g.extent) ** 2
+                  for a, xa in zip(axes, Q.x))
+    inside = lateral + (graph.phi.samples - Q.lift) ** 2 < r * r
+    return float(np.sum(surface_density(graph)[inside]) * g.h ** g.dim)
+
+
+def graph_distance(graph: LipschitzGraph, X) -> float:
+    """Distance from X = (t, x) to the sampled boundary points
+    (phi(x_i), x_i), by a scan over every sample."""
+    X = np.asarray(X, dtype=np.float64).reshape(-1)
+    g = graph.phi.grid
+    axes = np.meshgrid(*[g.axis_coords()] * g.dim, indexing="ij")
+    lateral = sum(wrapped_abs_delta(a.reshape(-1), xa, g.extent) ** 2
+                  for a, xa in zip(axes, X[1:]))
+    return float(np.sqrt(np.min(lateral + (X[0] - graph.phi.samples) ** 2)))
 
 
 def flatten(graph: LipschitzGraph, X, direction: str = "forward") -> np.ndarray:

@@ -5,25 +5,11 @@ These tests run the same experiment configurations as `fatou-lab suite`,
 so the command-line battery and this module always agree.
 """
 
-import time
-
 import pytest
 
-from fatou_lab.experiments import acceptance_configs, run_experiment
 
-_CONFIGS = {cfg.experiment: cfg for cfg in acceptance_configs()}
-_REPORTS = {}
-
-
-def _report(name):
-    if name not in _REPORTS:
-        t0 = time.time()
-        _REPORTS[name] = (run_experiment(_CONFIGS[name]), time.time() - t0)
-    return _REPORTS[name]
-
-
-def _check(name, runtime_cap, criterion_filter=None, expect_pass=True):
-    rep, elapsed = _report(name)
+def _check(battery, name, runtime_cap, criterion_filter=None):
+    rep, elapsed = battery[name]
     failures = []
     for c in rep.criteria:
         if criterion_filter is not None and not criterion_filter(c.name):
@@ -35,24 +21,24 @@ def _check(name, runtime_cap, criterion_filter=None, expect_pass=True):
     assert not failures, "; ".join(f"{c.name}: {c.detail}" for c in failures)
 
 
-def test_criterion_01_kernel_identities():
-    _check("kernel-identities", 30.0)
+def test_criterion_01_kernel_identities(battery):
+    _check(battery, "kernel-identities", 30.0)
 
 
-def test_criterion_02_poisson_eigenfunction_exactness():
-    _check("poisson-exactness", 5.0)
+def test_criterion_02_poisson_eigenfunction_exactness(battery):
+    _check(battery, "poisson-exactness", 5.0)
 
 
-def test_criterion_03_commutation_lemma():
-    _check("commute-lemma", 60.0)
+def test_criterion_03_commutation_lemma(battery):
+    _check(battery, "commute-lemma", 60.0)
 
 
-def test_criterion_04_poincare_constant_band():
-    _check("poincare", 120.0)
+def test_criterion_04_poincare_constant_band(battery):
+    _check(battery, "poincare", 120.0)
 
 
-def test_criterion_05_tangential_maximal_band():
-    _check("nagel-stein-bound", 600.0,
+def test_criterion_05_tangential_maximal_band(battery):
+    _check(battery, "nagel-stein-bound", 600.0,
            lambda n: n == "tangential maximal bound at the critical order")
 
 
@@ -63,37 +49,37 @@ def test_criterion_05_tangential_maximal_band():
     "2^((beta_c-beta)/2 per level), i.e. x1.414 over 2^10..2^14; the "
     "divergence below the critical order is demonstrated by the "
     "supplementary extended-span control, which passes")
-def test_criterion_05_negative_control_below_critical():
-    _check("nagel-stein-bound", 600.0,
+def test_criterion_05_negative_control_below_critical(battery):
+    _check(battery, "nagel-stein-bound", 600.0,
            lambda n: n == "negative control below the critical order")
 
 
-def test_criterion_05_negative_control_extended_span():
-    _check("nagel-stein-bound", 600.0, lambda n: "extended refinement" in n)
+def test_criterion_05_negative_control_extended_span(battery):
+    _check(battery, "nagel-stein-bound", 600.0, lambda n: "extended refinement" in n)
 
 
-def test_criterion_06_j_uniformity():
-    _check("j-uniformity", 300.0)
+def test_criterion_06_j_uniformity(battery):
+    _check(battery, "j-uniformity", 300.0)
 
 
-def test_criterion_07_frostman_bessel_band():
-    _check("frostman-lemma", 120.0)
+def test_criterion_07_frostman_bessel_band(battery):
+    _check(battery, "frostman-lemma", 120.0)
 
 
-def test_criterion_08_divergence_set_dimension():
-    _check("divergence-dimension", 600.0)
+def test_criterion_08_divergence_set_dimension(battery):
+    _check(battery, "divergence-dimension", 600.0)
 
 
-def test_criterion_09_corkscrew_constants():
-    _check("corkscrew-geometry", 30.0)
+def test_criterion_09_corkscrew_constants(battery):
+    _check(battery, "corkscrew-geometry", 30.0)
 
 
-def test_criterion_10_inclusion_lemma():
-    _check("inclusion-lemma", 60.0)
+def test_criterion_10_inclusion_lemma(battery):
+    _check(battery, "inclusion-lemma", 60.0)
 
 
-def test_inclusion_negative_control_reports_witnesses():
-    rep, _ = _report("inclusion-lemma")
+def test_inclusion_negative_control_reports_witnesses(battery):
+    rep, _ = battery["inclusion-lemma"]
     notes = [n for n in rep.notes if n.startswith("negative-control witness")]
     assert len(notes) == min(4, rep.stats["control_violations"]) > 0
     for note in notes:
@@ -101,15 +87,15 @@ def test_inclusion_negative_control_reports_witnesses():
         assert note.endswith(f"({x0:.17g}, {t:.17g}, {x:.17g})")
 
 
-def test_criterion_11_boundary_maximal_band():
-    _check("boundary-max", 600.0)
+def test_criterion_11_boundary_maximal_band(battery):
+    _check(battery, "boundary-max", 600.0)
 
 
-def test_criterion_12_boxdim_calibration():
-    _check("boxdim-calibration", 30.0)
+def test_criterion_12_boxdim_calibration(battery):
+    _check(battery, "boxdim-calibration", 30.0)
 
 
-def test_full_battery_runtime():
-    total = sum(elapsed for _, elapsed in _REPORTS.values())
+def test_full_battery_runtime(battery):
+    total = sum(elapsed for _, elapsed in battery.values())
     print(f"acceptance battery wall time: {total:.1f}s")
     assert total < 2700.0

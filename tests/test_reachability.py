@@ -4,8 +4,9 @@ is set by some call.
 
 A name counts as used when an ``ast.Name`` or ``ast.Attribute`` outside
 its own definition refers to it, anywhere in ``src/fatou_lab/`` or
-``perfbench/``, or when ``perfbench/layers.py`` names it as a string in
-``LAYERS``.  A method counts by its name alone, whatever the object it
+``perfbench/``, or when ``perfbench/layers.py`` names it as the
+attribute of a ``(module, attribute)`` pair in ``LAYERS`` (the layer
+names, the keys of ``LAYERS``, do not count).  A method counts by its name alone, whatever the object it
 is read from; dunder methods, which Python calls itself, are exempt.
 Code only the tests call belongs in ``tests/`` (reference implementations
 live in ``tests/reference.py``).  A default that no call in those
@@ -21,11 +22,7 @@ ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted((ROOT / "src" / "fatou_lab").glob("*.py")) + \
     sorted((ROOT / "perfbench").glob("*.py"))
 
-ALLOWED = {
-    # writes the FLGF profile format that `fatou-lab` reads with
-    # --profile; kept so the format has a writer next to its reader
-    "save_lipschitz_graph",
-}
+ALLOWED = set()  # definitions exempt from the check: none
 
 ALLOWED_DEFAULTS = {
     # the console entry point calls main() and lets argparse read sys.argv
@@ -57,13 +54,14 @@ def _definitions(tree):
                     yield f"{stmt.name}.{sub.name}", sub.name, sub
 
 
-def _layer_strings(tree) -> set:
+def _layer_attributes(tree) -> set:
+    """The attribute of each (module, attribute) pair in LAYERS."""
     for stmt in tree.body:
         if (isinstance(stmt, ast.Assign)
                 and any(isinstance(t, ast.Name) and t.id == "LAYERS"
                         for t in stmt.targets)):
-            return {c.value for c in ast.walk(stmt.value)
-                    if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+            return {pair.elts[1].value for pair in ast.walk(stmt.value)
+                    if isinstance(pair, ast.Tuple) and len(pair.elts) == 2}
     return set()
 
 
@@ -76,7 +74,7 @@ def unreached() -> list:
         tree = ast.parse(path.read_text(), filename=str(path))
         uses += _names(tree)
         if path.name == "layers.py":
-            uses.update(_layer_strings(tree))
+            uses.update(_layer_attributes(tree))
         if path.parent.name == "fatou_lab":
             defined += [(path, *d) for d in _definitions(tree)]
     return sorted(f"{path.stem}.{label}" for path, label, name, node in defined
