@@ -7,8 +7,9 @@ given by an integer halfwidth ``K``: the window at index ``i`` is the
 Window extremes double: the max (or min) over 2^j samples from each
 index, for j = 0, 1, ..., overwritten in place, until 2^j <= 2K+1 <
 2^(j+1); two such windows cover each window of 2K+1.  One walk (_levels)
-serves whole rows (_circ_folds) and single windows (circ_window_max).
-Max and min do not round, so the result is exact, in O(N log K) time.
+serves whole rows, a stack of them at once (_circ_folds), and single
+windows (circ_window_max).  Max and min do not round, so the result is
+exact, in O(N log K) time.
 Given a workspace, a call takes at most 128 KB of scratch beyond it.
 
 At p = 2 the Slobodeckij pair sum is one torus convolution, O(N^n log N):
@@ -123,37 +124,39 @@ def _fold_rolled(b, a, c, fold, out):
         fold(b[:, x:x + hi - lo], b[:, y:y + hi - lo], out=out[:, lo:hi])
 
 
-def _circ_extreme(values, halfwidth: int, out, work, fold, reduce) -> np.ndarray:
+def _circ_extreme(values, halfwidth: int, out, work, fold) -> np.ndarray:
     v = np.ascontiguousarray(values, dtype=np.float64)
     if out is None:
         out = np.empty_like(v)
-    n = v.shape[0]
+    n = v.shape[-1]
+    rows = (-1, n)
     if halfwidth <= 0:
         np.copyto(out, v)
     elif 2 * halfwidth + 1 >= n:
-        out.fill(reduce(v))
+        np.copyto(out, fold.reduce(v, axis=-1, keepdims=True))
     else:
         if work is None:
             work = np.empty_like(v)
-        next(_circ_folds(v.reshape(1, n), [halfwidth], fold,
-                         work.reshape(1, n), out.reshape(1, n)))
+        next(_circ_folds(v.reshape(rows), [halfwidth], fold,
+                         work.reshape(rows), out.reshape(rows)))
     return out
 
 
 def circ_max_1d(values: np.ndarray, halfwidth: int,
                 out: np.ndarray | None = None,
                 work: np.ndarray | None = None) -> np.ndarray:
-    """Max over every circular window; written into out if given, which
-    may be values itself.  work, if given, is scratch of values' size."""
-    return _circ_extreme(values, halfwidth, out, work, np.maximum, np.max)
+    """Max over every circular window of values, an (n,) array or a
+    (rows, n) stack, window by window along the last axis; written into
+    out if given, which may be values itself.  work, if given, is scratch
+    of values' size."""
+    return _circ_extreme(values, halfwidth, out, work, np.maximum)
 
 
 def circ_min_1d(values: np.ndarray, halfwidth: int,
                 out: np.ndarray | None = None,
                 work: np.ndarray | None = None) -> np.ndarray:
-    """Min over every circular window; written into out if given, which
-    may be values itself.  work, if given, is scratch of values' size."""
-    return _circ_extreme(values, halfwidth, out, work, np.minimum, np.min)
+    """As circ_max_1d, with min."""
+    return _circ_extreme(values, halfwidth, out, work, np.minimum)
 
 
 def circ_window_max(values: np.ndarray, centers: np.ndarray,

@@ -17,8 +17,8 @@ from .config import ExperimentConfig, config_hash, validate
 from .extension import HalfSpaceField, dyadic_heights, poisson_slices
 from .fractal import PointSet, box_dimension, cantor_measure, \
     integrate_against, divergence_set
-from .grid import GridFunction, ball_mean_all_centers, from_callable, fft_convolve, \
-    lp_norm, make_grid, nearest_index
+from .grid import GridFunction, GridStack, ball_mean_all_centers, \
+    from_callable, fft_convolve, lp_norm, lp_norms, make_grid, nearest_index
 from .kernels import bessel_kernel, bessel_l1_norm, riesz_kernel
 from .lipschitz import boundary_seminorm, boundary_tangential_max, \
     corkscrew_kappa, graph_distance_batch, lipschitz_graph, lp_norm_sigma, \
@@ -43,8 +43,28 @@ def nonneg_noise(grid, seed: int, label: int = 0) -> GridFunction:
     return GridFunction(grid, np.abs(substream(seed, label).normal(size=grid.size)))
 
 
-def unit_l2(grid, f: GridFunction) -> GridFunction:
-    return GridFunction(grid, f.samples / lp_norm(f, 2.0))
+def unit_l2(grid, f):
+    """f (a GridFunction or a GridStack, row by row) over its L2 norm."""
+    norms = np.array(lp_norms(f, 2.0)).reshape(f.samples.shape[:-1] + (1,))
+    return type(f)(grid, f.samples / norms)
+
+
+# samples per stacked array: the seeds of one level are run as stacks of
+# rows of at most this many samples (32 rows at 2^12, 8 at 2^14, one from
+# 2^17 up), so no stack outgrows a single row of the 2^20 control
+_STACK_SAMPLES = 1 << 17
+
+
+def seed_stacks(grid, seeds) -> list:
+    """seeds in order, cut into runs of as many as fit one stack on grid."""
+    width = max(1, _STACK_SAMPLES // grid.size)
+    return [tuple(seeds[i:i + width]) for i in range(0, len(seeds), width)]
+
+
+def noise_stack(grid, seeds) -> GridStack:
+    """white_noise(grid, seed) of each seed, one per row."""
+    return GridStack(grid, [substream(seed, 0).normal(size=grid.size)
+                            for seed in seeds])
 
 
 def spike_data(grid, positions) -> GridFunction:
@@ -202,22 +222,41 @@ def _run_poincare(cfg: ExperimentConfig) -> RunReport:
 # tangential maximal bound and its negative control
 
 
+def _ns_ratios(level: int, seeds, cfg: ExperimentConfig, beta: float,
+               data: str) -> list:
+    """_ns_ratio of every seed, in order.  Noise is drawn a stack of seeds
+    at a time (seed_stacks), which share one transform and one sweep per
+    height; the spike is the same data for every seed, so one row serves
+    them all."""
+    grid = make_grid(1, level, cfg.extent)
+    spec = ApproachRegionSpec(beta=beta, aperture=cfg.aperture, t_max=1.0)
+
+    def draws():
+        if data == "noise":
+            for stack in seed_stacks(grid, seeds):
+                yield unit_l2(grid, noise_stack(grid, stack))
+        else:
+            yield spike_data(grid, [0.5 * grid.extent])
+
+    ratios = []
+    for g in draws():
+        norms = lp_norms(g, cfg.p)
+        smoothed = [bessel_smooth(g, cfg.alpha)]
+        del g
+        # once popped, the smoothed data has no reference but the sweep's,
+        # which drops it after the transform: at 2^20 samples neither it
+        # nor g (8 MB each) is alive while the slices are swept
+        nt = poisson_tangential_max(smoothed.pop(), spec)
+        ratios += [v / norm for v, norm in zip(lp_norms(nt, cfg.p), norms)]
+    return ratios if data == "noise" else ratios * len(seeds)
+
+
 def _ns_ratio(level: int, seed: int, cfg: ExperimentConfig, beta: float,
               data: str) -> float:
-    grid = make_grid(1, level, cfg.extent)
-    if data == "noise":
-        g = unit_l2(grid, white_noise(grid, seed))
-    else:
-        g = spike_data(grid, [0.5 * grid.extent])
-    norm = lp_norm(g, cfg.p)
-    smoothed = [bessel_smooth(g, cfg.alpha)]
-    del g
-    spec = ApproachRegionSpec(beta=beta, aperture=cfg.aperture, t_max=1.0)
-    # once popped, the smoothed data has no reference but the sweep's,
-    # which drops it after the transform: at 2^20 samples neither it nor g
-    # (8 MB each) is alive while the slices are swept
-    nt = poisson_tangential_max(smoothed.pop(), spec)
-    return lp_norm(nt, cfg.p) / norm
+    """L^p norm of the Poisson tangential max of the smoothed unit-L2 data
+    over the data's own L^p norm; data is "noise" (white noise of the seed)
+    or "spike" (one spike mid-torus)."""
+    return _ns_ratios(level, (seed,), cfg, beta, data)[0]
 
 
 def _run_nagel_stein(cfg: ExperimentConfig) -> RunReport:
@@ -225,8 +264,8 @@ def _run_nagel_stein(cfg: ExperimentConfig) -> RunReport:
     beta = cfg.derived_beta()
     ratios = []
     for level in cfg.levels:
-        for seed in cfg.seeds:
-            v = _ns_ratio(level, seed, cfg, beta, "noise")
+        for seed, v in zip(cfg.seeds,
+                           _ns_ratios(level, cfg.seeds, cfg, beta, "noise")):
             rep.add_row(level, seed, "ratio", v)
             ratios.append(v)
     lo, hi, band = _band(ratios)
@@ -551,18 +590,19 @@ def _run_dorronsoro(cfg: ExperimentConfig) -> RunReport:
     rep = _new_report(cfg)
     beta = cfg.derived_beta()
     ratios = []
+    spec = ApproachRegionSpec(beta=beta, aperture=cfg.aperture, t_max=1.0)
     for level in cfg.levels:
         grid = make_grid(1, level, cfg.extent)
-        for seed in cfg.seeds:
-            g = unit_l2(grid, white_noise(grid, seed))
-            f = bessel_smooth(g, cfg.alpha)
-            spec = ApproachRegionSpec(beta=beta, aperture=cfg.aperture,
-                                      t_max=1.0)
-            num = lp_norm(poisson_tangential_max(f, spec), cfg.p)
-            sharp = sharp_maximal(f, cfg.alpha, dyadic_scales(grid))
-            v = num / (lp_norm(f, cfg.p) + lp_norm(sharp, cfg.p))
-            rep.add_row(level, seed, "ratio", v)
-            ratios.append(v)
+        for stack in seed_stacks(grid, cfg.seeds):
+            fs = bessel_smooth(unit_l2(grid, noise_stack(grid, stack)),
+                               cfg.alpha)
+            nums = lp_norms(poisson_tangential_max(fs, spec), cfg.p)
+            for seed, num, row in zip(stack, nums, fs.samples):
+                f = GridFunction(grid, row)
+                sharp = sharp_maximal(f, cfg.alpha, dyadic_scales(grid))
+                v = num / (lp_norm(f, cfg.p) + lp_norm(sharp, cfg.p))
+                rep.add_row(level, seed, "ratio", v)
+                ratios.append(v)
     lo, hi, band = _band(ratios)
     rep.stats.update(band_min=lo, band_max=hi, band_ratio=band)
     rep.add_criterion(

@@ -11,8 +11,7 @@ the caller's array.
 """
 
 import math
-from dataclasses import dataclass, field
-from types import MappingProxyType
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,14 +27,12 @@ class HalfSpaceField:
     grid: Grid
     heights: tuple
     values: np.ndarray  # shape (K+1, grid.size), read-only
-    meta: MappingProxyType = field(default_factory=lambda: MappingProxyType({}))
 
     @classmethod
-    def _adopt(cls, grid: Grid, heights, values: np.ndarray,
-               meta=MappingProxyType({})) -> "HalfSpaceField":
+    def _adopt(cls, grid: Grid, heights, values: np.ndarray) -> "HalfSpaceField":
         """Field over values the package just built and writes no more, uncopied."""
         u = object.__new__(cls)
-        vars(u).update(grid=grid, heights=heights, values=values, meta=meta)
+        vars(u).update(grid=grid, heights=heights, values=values)
         u.__post_init__(copy=False)
         return u
 
@@ -77,33 +74,67 @@ def dyadic_heights(t0: float, grid: Grid) -> tuple:
     return tuple(t0 * 2.0 ** (-k) for k in range(grid.levels + 3))
 
 
-def slice_buffers(grid: Grid) -> tuple:
-    """(prod, work): an empty complex array of the grid's rfftn half
-    spectrum, for poisson_slices to form its products in, and a flat float
-    view of its first grid.size entries, which is free scratch from the
-    moment a slice is yielded until the next is asked for."""
-    prod = np.empty(grid.shape[:-1] + (grid.n // 2 + 1,), dtype=np.complex128)
-    return prod, prod.reshape(-1).view(np.float64)[:grid.size]
+def slice_buffers(f) -> tuple:
+    """(prod, work): an empty complex array of the rfftn half spectrum of f
+    (a GridFunction or a GridStack, one spectrum per row), for
+    poisson_slices to form its products in, and a float view of its first
+    f.samples.size entries in the shape of f.samples, which is free
+    scratch from the moment a slice is yielded until the next is asked
+    for."""
+    grid = f.grid
+    lead = f.samples.shape[:-1]
+    prod = np.empty(lead + grid.shape[:-1] + (grid.n // 2 + 1,),
+                    dtype=np.complex128)
+    work = prod.reshape(-1).view(np.float64)[:f.samples.size]
+    return prod, work.reshape(f.samples.shape)
 
 
-def poisson_slices(f: GridFunction, heights, prod: np.ndarray | None = None):
-    """Iterate over the flat slice irfftn(rfftn(f) * exp(-2 pi t |xi|)) at
-    each height t in turn, all from one transform of f, taken at the call.
+# exp(x) rounds to exactly +0.0 for x below about -745.13 (the log of
+# 2^-1075, half the least subnormal).  The arguments skipped past this cut
+# lie within a few ulps of -800 or lower, far below that point whatever
+# the rounding of |xi|, t and their product, so the +0.0 stored for them
+# is the value exp would give.
+_EXP_CUT = -800.0
+
+
+def poisson_multipliers(grid: Grid, heights):
+    """Iterate over the Poisson multiplier exp(-2 pi t |xi|) on the rfftn
+    half spectrum at each height t in turn, each formed in one reused
+    buffer, so a yielded multiplier is valid until the next is asked for.
+    |xi| is formed at the call, before a caller transforms its data.
+
+    Along the last axis |xi| ascends, and the first row (zero frequency on
+    the other axis) holds each column's least |xi|.  The columns whose
+    least argument lies below _EXP_CUT are therefore +0.0 throughout, the
+    value exp gives there, and are filled without evaluating it."""
+    mag = np.sqrt(_half_spectrum(grid)[1])
+    least = mag.reshape(-1, mag.shape[-1])[0]
+    mult = np.empty_like(mag)
+
+    def each():
+        for t in heights:
+            c = -2.0 * math.pi * float(t)
+            cut = int(np.searchsorted(least, _EXP_CUT / c))
+            head = mult[..., :cut]
+            np.multiply(mag[..., :cut], c, out=head)
+            np.exp(head, out=head)
+            mult[..., cut:] = 0.0
+            yield mult
+
+    return each()
+
+
+def poisson_slices(f, heights, prod: np.ndarray | None = None):
+    """Iterate over the slice irfftn(rfftn(f) * exp(-2 pi t |xi|)), in the
+    shape of f.samples, at each height t in turn, all from one transform
+    of f (a GridFunction or a GridStack, row by row), taken at the call.
 
     Every slice is a fresh array that the caller owns and may overwrite.
     The iterator refers to the spectrum, not to f, and drops each slice
     once yielded: unless the caller keeps them, one slice is alive at a
     time, so a sweep over the slices never holds the whole field.  The
     products are formed in prod if given (see slice_buffers)."""
-    mag = np.sqrt(_half_spectrum(f.grid)[1])
-    mult = np.empty_like(mag)
-
-    def mults():
-        for t in heights:
-            np.multiply(mag, -2.0 * math.pi * float(t), out=mult)
-            yield np.exp(mult, out=mult)
-
-    return _apply_multiplier(f, mults(), prod)
+    return _apply_multiplier(f, poisson_multipliers(f.grid, heights), prod)
 
 
 def poisson_extend(f: GridFunction, heights) -> HalfSpaceField:
@@ -124,9 +155,9 @@ def annuli_surrogate(f: GridFunction, heights, alpha_L: float, r: float,
     where A_r(x, rho) = (avg |f(y)|^r)^(1/r) over the grid points y at
     torus distance below rho from x (grid.ball_mean_all_centers).
 
-    The dropped tail is bounded by 2^(-alpha_L J) / (1 - 2^(-alpha_L))
-    times max |f|, reported in meta["tail_bound"].  Intended for f >= 0;
-    split signed data into positive and negative parts first.
+    The dropped tail is at most 2^(-alpha_L J) / (1 - 2^(-alpha_L)) times
+    max |f|.  Intended for f >= 0; split signed data into positive and
+    negative parts first.
 
     On a dyadic ladder the (K+1)(J+1) radii repeat along j - k and stop
     at the cap, so they take only about K distinct values (10 for the 273
@@ -154,7 +185,4 @@ def annuli_surrogate(f: GridFunction, heights, alpha_L: float, r: float,
         mean = ball_mean_all_centers(f, rad, r)
         for k, j in users[rad]:
             vals[k] += weights[j] * mean
-    tail = 2.0 ** (-alpha_L * J) / (1.0 - 2.0 ** (-alpha_L)) * float(
-        np.max(np.abs(f.samples)))
-    return HalfSpaceField._adopt(g, hts, vals,
-                                 MappingProxyType({"tail_bound": tail}))
+    return HalfSpaceField._adopt(g, hts, vals)

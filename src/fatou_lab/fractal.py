@@ -132,7 +132,7 @@ def divergence_set(f: GridFunction, spec: ApproachRegionSpec, eps: float,
     g = f.grid
     osc = np.zeros(g.size)
     hi = np.empty(g.size)
-    prod, work = slice_buffers(g)
+    prod, work = slice_buffers(f)
 
     def widen(t, u):
         # hi - f and f - lo, formed in hi and in the slice itself

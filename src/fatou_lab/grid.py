@@ -50,6 +50,15 @@ class Grid:
         return self.h * np.arange(self.n)
 
 
+def _freeze(obj, grid: Grid, arr: np.ndarray) -> None:
+    """Set obj's grid and samples to arr, once its samples are finite."""
+    if not np.all(np.isfinite(arr)):
+        raise ParameterError("samples must be finite")
+    arr.flags.writeable = False
+    object.__setattr__(obj, "grid", grid)
+    object.__setattr__(obj, "samples", arr)
+
+
 class GridFunction:
     """Immutable real samples on a Grid, stored flat (row-major for dim=2)."""
 
@@ -60,11 +69,7 @@ class GridFunction:
         if arr.size != grid.size:
             raise ParameterError(
                 f"expected {grid.size} samples for {grid}, got {arr.size}")
-        if not np.all(np.isfinite(arr)):
-            raise ParameterError("samples must be finite")
-        arr.flags.writeable = False
-        object.__setattr__(self, "grid", grid)
-        object.__setattr__(self, "samples", arr)
+        _freeze(self, grid, arr)
 
     def __setattr__(self, name, value):
         raise AttributeError("GridFunction is immutable")
@@ -72,6 +77,29 @@ class GridFunction:
     def as_array(self) -> np.ndarray:
         """Samples reshaped to (N,)*dim; a read-only view."""
         return self.samples.reshape(self.grid.shape)
+
+
+class GridStack:
+    """Immutable real samples of several functions on one Grid: samples is
+    a read-only (rows, grid.size) array, row r holding the flat samples of
+    function r as a GridFunction would.
+
+    The spectral and window operators that take a GridFunction also take a
+    stack and act on every row at once, each row's floats equal to those
+    of the operator on that row alone; a GridFunction is the one-row case."""
+
+    __slots__ = ("grid", "samples")
+
+    def __init__(self, grid: Grid, rows):
+        arr = np.array(rows, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[0] < 1 or arr.shape[1] != grid.size:
+            raise ParameterError(
+                f"expected rows of {grid.size} samples for {grid}, got "
+                f"shape {arr.shape}")
+        _freeze(self, grid, arr)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GridStack is immutable")
 
 
 # finest refinement level per dimension; both caps mean 2^24 samples
@@ -100,16 +128,28 @@ def from_callable(grid: Grid, fn) -> GridFunction:
 
 def lp_norm(f: GridFunction, p: float) -> float:
     """Discrete L^p norm (h^dim * sum |f|^p)^(1/p); p = inf gives max |f|."""
+    return lp_norms(f, p)[0]
+
+
+def lp_norms(f, p: float) -> list:
+    """lp_norm of every row of a GridStack, as a list of floats; of a
+    GridFunction, a list of one.  Each equals lp_norm of that row alone,
+    bit for bit: a row's sum over the last axis of the stack is np.sum of
+    the row, and each root is taken on its own NumPy scalar."""
+    rows = f.samples.reshape(-1, f.grid.size)
     if p == np.inf or p == math.inf:
-        return float(np.max(np.abs(f.samples))) if f.samples.size else 0.0
+        return [float(m) for m in np.abs(rows).max(axis=1)]
     if p < 1:
         raise ParameterError(f"p must be >= 1 or inf, got {p}")
     hpow = f.grid.h ** f.grid.dim
-    powers = np.abs(f.samples)
+    powers = np.abs(rows)
     # in place: **= takes the scalar fast paths (square, sqrt) that ** does,
     # so these are the floats of np.abs(samples) ** p
     powers **= p
-    return float((hpow * np.sum(powers)) ** (1.0 / p))
+    # one root per row, each on its NumPy scalar: an array ** 0.5 would
+    # take NumPy's sqrt, which can differ in the last bit from the scalar's
+    return [float((hpow * total) ** (1.0 / p))
+            for total in np.sum(powers, axis=1)]
 
 
 def wrapped_abs_delta(a, b, extent: float):

@@ -62,10 +62,11 @@ def window_extreme(values: np.ndarray, grid: Grid, radius: float,
                    mode: str = "max", out: np.ndarray | None = None,
                    work: np.ndarray | None = None) -> np.ndarray:
     """Max (mode "max") or min ("min") of flat slice values over the torus
-    ball of the given radius around every grid point, as a flat array.
+    ball of the given radius around every grid point, as a flat array; of
+    a (rows, grid.size) stack of slices, row by row.
 
     The result goes into out if given, which may be values itself.  work,
-    if given, is a flat array of grid.size floats used as scratch."""
+    if given, is scratch of values' shape."""
     if grid.dim == 1:
         k = window_halfwidth(radius, grid.h)
         if mode == "max":
@@ -78,10 +79,13 @@ def window_extreme(values: np.ndarray, grid: Grid, radius: float,
     near = np.abs(dys) <= n // 2
     dys, ws = dys[near], np.minimum(ws[near], n // 2)
     if out is None:
-        out = np.empty(grid.size)
+        out = np.empty(values.shape)
     row_filter = maximum_filter if mode == "max" else minimum_filter
-    row_filter(values.reshape(grid.shape), dys, ws, out.reshape(grid.shape),
-               work)
+    if work is not None:
+        work = work.reshape(-1)[:grid.size]  # one slice at a time
+    shape = (-1,) + grid.shape
+    for v, o in zip(values.reshape(shape), out.reshape(shape)):
+        row_filter(v, dys, ws, o, work)
     return out
 
 
@@ -146,49 +150,55 @@ def _coverage_check(heights, spec: ApproachRegionSpec) -> list:
 
 
 def _region_sweep(grid: Grid, scan,
-                  work: np.ndarray | None = None) -> GridFunction:
+                  work: np.ndarray | None = None) -> np.ndarray:
     """max over (|slice|, radius, weight) in scan of weight * window max of
-    |slice|.
+    |slice|, as an array of work's shape.
 
     The sweep owns every |slice| array that scan yields and overwrites it
     with its window max: callers pass np.abs(row) for a field row and
     np.abs(u, out=u) for a slice of their own.  scan may be a generator,
     so each array can be dropped once swept; field-row scans stay
     generators, so that no more than one |row| is alive at a time.  work
-    (grid.size floats, allocated here if not given) is the window
-    scratch, reused for every slice."""
-    out = np.zeros(grid.size)
+    (one flat slice, grid.size floats, allocated here if not given; or a
+    (rows, grid.size) array for a stack of slices) is the window scratch,
+    reused for every slice."""
     if work is None:
         work = np.empty(grid.size)
+    out = np.zeros(work.shape)
     for absvals, radius, weight in scan:
         window_extreme(absvals, grid, radius, out=absvals, work=work)
         if weight != 1.0:  # x * 1.0 == x
             np.multiply(absvals, weight, out=absvals)
         np.maximum(out, absvals, out=out)
         del absvals  # free it before scan makes the next one
-    return GridFunction(grid, out)
+    return out
 
 
 def tangential_max(u: HalfSpaceField, spec: ApproachRegionSpec) -> GridFunction:
     """sup over sampled region points of |u|, per boundary point."""
-    return _region_sweep(u.grid, ((np.abs(u.values[k]), spec.radius(u.heights[k]), 1.0)
-                                  for k in _coverage_check(u.heights, spec)))
+    return GridFunction(u.grid, _region_sweep(
+        u.grid, ((np.abs(u.values[k]), spec.radius(u.heights[k]), 1.0)
+                 for k in _coverage_check(u.heights, spec))))
 
 
-def poisson_tangential_max(f: GridFunction,
-                           spec: ApproachRegionSpec) -> GridFunction:
+def poisson_tangential_max(f, spec: ApproachRegionSpec):
     """tangential_max(poisson_extend(f, heights), spec) on the grid's ladder
     heights = dyadic_heights(1.0, grid=f.grid), bit for bit, without the
     field: each usable Poisson slice is computed, swept in place and
     dropped, and no slice above spec.t_max is transformed.  Once f is
     transformed nothing here refers to it, so data passed as a temporary
-    is freed before the first slice is swept."""
+    is freed before the first slice is swept.
+
+    Of a GridStack, the same for every row at once, as a GridStack: one
+    transform, one multiplier per height and one window sweep per height
+    serve all rows."""
     grid = f.grid
     hts = dyadic_heights(1.0, grid=grid)
     usable = [hts[k] for k in _coverage_check(hts, spec)]
     # the product buffer idles while a slice is swept: lend it to the sweep
-    prod, work = slice_buffers(grid)
+    prod, work = slice_buffers(f)
     slices = poisson_slices(f, usable, prod)
+    kind = type(f)
     del f  # the slices hold the spectrum, not f
 
     def swept(t, u):
@@ -196,7 +206,7 @@ def poisson_tangential_max(f: GridFunction,
 
     # map, unlike zip or a generator expression, keeps no reference to the
     # last slice while it asks for the next one
-    return _region_sweep(grid, map(swept, usable, slices), work)
+    return kind(grid, _region_sweep(grid, map(swept, usable, slices), work))
 
 
 def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
@@ -218,8 +228,9 @@ def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
             f"no field heights give dilated heights below {threshold:.4g} for j={j}")
     expo = g.dim * (1.0 - beta) / p
     pref = 2.0 ** (g.dim * j / p)
-    return _region_sweep(g, ((np.abs(v.values[k]), t ** beta, pref * t ** expo)
-                             for k, t in scan))
+    return GridFunction(g, _region_sweep(
+        g, ((np.abs(v.values[k]), t ** beta, pref * t ** expo)
+            for k, t in scan)))
 
 
 def hl_max_q(f: GridFunction, q: float = 1.0) -> GridFunction:

@@ -34,36 +34,41 @@ def _nyquist_mask(xi: np.ndarray, n: int) -> np.ndarray:
     return xi != xi.flat[n // 2]
 
 
-def _apply_multiplier(f: GridFunction, mults, prod: np.ndarray | None = None):
-    """Transform f now, once; return an iterator over irfftn(rfftn(f) * m),
-    flattened, for each multiplier m, a Hermitian multiplier given on the
-    half spectrum.
+def _apply_multiplier(f, mults, prod: np.ndarray | None = None):
+    """Transform f (a GridFunction or a GridStack) now, once; return an
+    iterator over irfftn(rfftn(f) * m), in the shape of f.samples, for each
+    multiplier m, a Hermitian multiplier given on the half spectrum.  The
+    transforms run over the grid's axes, the last of the samples, so every
+    row of a stack gets the floats it would get alone.
 
     The iterator holds the spectrum, not f, and forms every product in one
-    reused buffer: prod if given, a complex array of the half spectrum's
-    shape, which is free between one yield and the next.  Each array it
-    yields is fresh, and it keeps no reference to one once yielded."""
-    axes = tuple(range(f.grid.dim))
-    return _multiplied(np.fft.rfftn(f.as_array(), axes=axes), f.grid.shape,
-                       axes, mults, prod)
+    reused buffer: prod if given, a complex array of the spectrum's shape,
+    which is free between one yield and the next.  Each array it yields is
+    fresh, and it keeps no reference to one once yielded."""
+    lead = f.samples.shape[:-1]
+    axes = tuple(range(-f.grid.dim, 0))
+    spec = np.fft.rfftn(f.samples.reshape(lead + f.grid.shape), axes=axes)
+    return _multiplied(spec, f.grid.shape, axes, f.samples.shape, mults, prod)
 
 
-def _multiplied(spec: np.ndarray, shape: tuple, axes: tuple, mults, prod):
+def _multiplied(spec: np.ndarray, shape: tuple, axes: tuple, out_shape: tuple,
+                mults, prod):
     if prod is None:
         prod = np.empty_like(spec)
     for m in mults:
         yield np.fft.irfftn(np.multiply(spec, m, out=prod), s=shape,
-                            axes=axes).reshape(-1)
+                            axes=axes).reshape(out_shape)
 
 
-def bessel_smooth(g: GridFunction, alpha: float) -> GridFunction:
-    """Multiply Fourier coefficients by (1 + 4 pi^2 |xi|^2)^(-alpha/2)."""
+def bessel_smooth(g, alpha: float):
+    """Multiply Fourier coefficients by (1 + 4 pi^2 |xi|^2)^(-alpha/2); of a
+    GridStack, row by row."""
     if alpha < 0:
         raise ParameterError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0:
         return g
     mult = (1.0 + 4.0 * math.pi ** 2 * _half_spectrum(g.grid)[1]) ** (-alpha / 2.0)
-    return GridFunction(g.grid, next(_apply_multiplier(g, [mult])))
+    return type(g)(g.grid, next(_apply_multiplier(g, [mult])))
 
 
 def spectral_derivative(f: GridFunction, gamma) -> GridFunction:

@@ -16,7 +16,6 @@ No runner uses them.
 
 import math
 from dataclasses import dataclass
-from types import MappingProxyType
 
 import numpy as np
 from scipy.integrate import quad
@@ -511,9 +510,15 @@ def annuli_surrogate_per_pair(f: GridFunction, heights, alpha_L: float,
             rad = min(2.0 ** (j + 1) * t, cap)
             acc += weights[j] * ball_mean_all_centers(f, rad, r)
         vals[k] = acc
-    tail = 2.0 ** (-alpha_L * J) / (1.0 - 2.0 ** (-alpha_L)) * float(
+    return HalfSpaceField(g, hts, vals)
+
+
+def annuli_tail_bound(f: GridFunction, alpha_L: float, J: int) -> float:
+    """2^(-alpha_L J) / (1 - 2^(-alpha_L)) max|f|, the sum over j >= J of
+    2^(-alpha_L j) max|f|: a bound on the annuli terms j > J that
+    annuli_surrogate drops, as no ball mean exceeds max|f|."""
+    return 2.0 ** (-alpha_L * J) / (1.0 - 2.0 ** (-alpha_L)) * float(
         np.max(np.abs(f.samples)))
-    return HalfSpaceField(g, hts, vals, MappingProxyType({"tail_bound": tail}))
 
 
 def divergence_set(u: HalfSpaceField, f_ref: GridFunction,

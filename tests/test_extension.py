@@ -11,8 +11,8 @@ from fatou_lab.errors import ParameterError
 from fatou_lab.extension import (HalfSpaceField, annuli_surrogate, dyadic_heights,
                                  poisson_extend)
 from fatou_lab.grid import (GridFunction, fft_convolve, from_callable, make_grid)
-from reference import (KernelSpec, annuli_surrogate_per_pair, poisson_kernel,
-                       sampled_kernel)
+from reference import (KernelSpec, annuli_surrogate_per_pair,
+                       annuli_tail_bound, poisson_kernel, sampled_kernel)
 
 
 def test_heights_validation(rng):
@@ -145,10 +145,8 @@ def test_annuli_tail_bound():
     hts = (0.125, 0.0625)
     w1 = annuli_surrogate(f, hts, alpha_L, 1.5, 10)
     w2 = annuli_surrogate(f, hts, alpha_L, 1.5, 15)
-    assert np.abs(w2.values - w1.values).max() <= w1.meta["tail_bound"]
-    assert w1.meta["tail_bound"] == pytest.approx(
-        2.0 ** (-alpha_L * 10) / (1 - 2.0 ** (-alpha_L))
-        * np.abs(f.samples).max())
+    assert np.abs(w2.values - w1.values).max() <= annuli_tail_bound(
+        f, alpha_L, 10)
 
 
 def test_annuli_parameter_errors(rng):
@@ -177,12 +175,17 @@ def test_annuli_matches_per_pair_loop(dim, levels):
     g = make_grid(dim, levels, 1.0)
     f = GridFunction(g, np.abs(np.random.default_rng(levels).normal(size=g.size)))
     for hts in _ladders(g).values():
-        for J in (1, 3, 20):
-            for r in (1.0, 1.5, 2.0):
+        for r in (1.0, 1.5, 2.0):
+            coarser = None
+            for J in (1, 3, 20):
                 got = annuli_surrogate(f, hts, 0.5, r, J)
                 want = annuli_surrogate_per_pair(f, hts, 0.5, r, J)
                 np.testing.assert_array_equal(got.values, want.values)
-                assert got.meta["tail_bound"] == want.meta["tail_bound"]
+                # the terms J' < j <= J stay within the tail bound of J'
+                if coarser is not None:
+                    assert np.abs(got.values - coarser[1].values).max() <= \
+                        annuli_tail_bound(f, 0.5, coarser[0])
+                coarser = J, got
 
 
 def test_annuli_one_ball_mean_per_distinct_radius(rng, monkeypatch):
