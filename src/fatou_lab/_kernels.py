@@ -142,19 +142,17 @@ def _circ_extreme(values, halfwidth: int, out, work, fold) -> np.ndarray:
     return out
 
 
-def circ_max_1d(values: np.ndarray, halfwidth: int,
-                out: np.ndarray | None = None,
-                work: np.ndarray | None = None) -> np.ndarray:
+def circ_max_1d(values: np.ndarray, halfwidth: int, out: np.ndarray | None,
+                work: np.ndarray | None) -> np.ndarray:
     """Max over every circular window of values, an (n,) array or a
     (rows, n) stack, window by window along the last axis; written into
-    out if given, which may be values itself.  work, if given, is scratch
-    of values' size."""
+    out unless it is None, and out may be values itself.  work, unless
+    None, is scratch of values' size."""
     return _circ_extreme(values, halfwidth, out, work, np.maximum)
 
 
-def circ_min_1d(values: np.ndarray, halfwidth: int,
-                out: np.ndarray | None = None,
-                work: np.ndarray | None = None) -> np.ndarray:
+def circ_min_1d(values: np.ndarray, halfwidth: int, out: np.ndarray | None,
+                work: np.ndarray | None) -> np.ndarray:
     """As circ_max_1d, with min."""
     return _circ_extreme(values, halfwidth, out, work, np.minimum)
 

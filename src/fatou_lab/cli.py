@@ -17,7 +17,7 @@ import sys
 from dataclasses import replace
 
 from . import __version__
-from .config import EXPERIMENTS, ExperimentConfig, load
+from .config import EXPERIMENTS, ExperimentConfig, load, validate
 from .errors import ParameterError
 from .experiments import acceptance_configs, run_experiment
 from .report import emit_report, make_output_dir
@@ -48,8 +48,9 @@ def _cmd_verify(args) -> int:
         cfg = ExperimentConfig(experiment=args.experiment)
     else:
         raise ParameterError("verify needs --config or --experiment")
-    cfg = replace(cfg, **{k: v for k, v in vars(args).items() if v and k in
-                          ("experiment", "levels", "seeds", "output_dir")})
+    cfg = validate(replace(cfg, **{k: v for k, v in vars(args).items() if v
+                                   and k in ("experiment", "levels", "seeds",
+                                             "output_dir")}))
     make_output_dir(cfg.output_dir)
     rep = run_experiment(cfg)
     _emit_all(rep, cfg.output_dir)

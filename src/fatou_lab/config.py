@@ -12,7 +12,10 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError
-from .grid import MAX_LEVELS, open_path
+from .extension import MAX_J
+from .fractal import MAX_DEPTH
+from .grid import MAX_LEVELS, make_grid, open_path
+from .maximal import ApproachRegionSpec
 
 # The keys each runner reads besides experiment and output_dir; every
 # other key must keep its default.  "key:1" marks a list of which the
@@ -111,15 +114,20 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
              f"for dim = {cfg.dim}")
     _require(all(a < b for a, b in zip(cfg.levels, cfg.levels[1:])),
              f"levels must be strictly ascending, got {list(cfg.levels)}")
-    _require(cfg.extent > 0, "extent must be positive")
+    make_grid(cfg.dim, cfg.levels[0], cfg.extent)  # rejects the extent
     _require(cfg.p > 1, "p must exceed 1")
     _require(len(cfg.seeds) >= 1, "need at least one seed")
+    # substream keys the stream by (seed << 16) ^ label, below Philox's 2^128
+    _require(all(0 <= s < 2 ** 112 for s in cfg.seeds),
+             f"seeds must lie in [0, 2^112), got {list(cfg.seeds)}")
     if "alpha" in read:
         _require(cfg.alpha > 0, "alpha must be positive")
         _require(cfg.alpha * cfg.p <= cfg.dim, "alpha p <= n required")
     beta = cfg.derived_beta()
     if "beta" in read:
         _require(0.0 < beta <= 1.0, f"beta = {beta} must lie in (0, 1]")
+    if "aperture" in read:
+        ApproachRegionSpec(beta=beta, aperture=cfg.aperture)
     if "r" in read:
         r = cfg.derived_r()
         _require(1.0 < r < cfg.p, f"1 < r < p required, got r={r}, p={cfg.p}")
@@ -128,15 +136,23 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
                  f"c must be finite and positive, got {cfg.c}")
     # the annuli surrogate's preconditions, named by config key
     if "p0" in read:
-        _require(cfg.derived_p0() >= 1, f"p0 = {cfg.derived_p0()} must be >= 1")
+        p0 = cfg.derived_p0()
+        _require(p0 >= 1 and math.isfinite(p0),
+                 f"p0 = {p0} must be >= 1 and finite")
     if "alpha_L" in read:
         _require(0.0 < cfg.alpha_L <= 1.0,
                  f"alpha_L = {cfg.alpha_L} must lie in (0, 1]")
     if "J" in read:
         _require(cfg.J >= 1, f"J = {cfg.J} must be >= 1")
+        _require(cfg.J <= MAX_J, f"J = {cfg.J} must be <= {MAX_J}")
+    if "eps" in read:
+        _require(math.isfinite(cfg.eps) and cfg.eps > 0,
+                 f"eps must be finite and positive, got {cfg.eps}")
     if "window" in read:
-        _require(len(cfg.window) == 2,
-                 f"window must hold two scales, got {list(cfg.window)}")
+        _require(len(cfg.window) == 2
+                 and 1 <= cfg.window[0] < cfg.window[1] <= max(cfg.levels),
+                 f"window must hold two scales 1 <= m_lo < m_hi <= "
+                 f"max(levels) = {max(cfg.levels)}, got {list(cfg.window)}")
     if name == "nagel-stein-bound":
         _require(cfg.levels[-1] + 6 <= 24,
                  f"nagel-stein-bound probes an extended control at level "
@@ -146,15 +162,24 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         _require(len(cfg.s_values) >= 1, "frostman-lemma needs s_values")
         _require(all(s > floor for s in cfg.s_values),
                  f"s > n-alpha*p required (n-alpha*p = {floor})")
+        _require(all(s <= 1.0 for s in cfg.s_values),
+                 f"s_values must be at most 1, the dimension of the line, "
+                 f"got {list(cfg.s_values)}")
         _require(len(cfg.depths) >= 1, "frostman-lemma needs cantor depths")
+        _require(all(1 <= d <= MAX_DEPTH for d in cfg.depths),
+                 f"depths must lie in [1, {MAX_DEPTH}], got {list(cfg.depths)}")
+    if name == "poincare":
+        _require(all(math.isfinite(s) and s >= 0 for s in cfg.s_values),
+                 f"s_values must be finite and >= 0, got {list(cfg.s_values)}")
     if name == "divergence-dimension":
         _require(len(cfg.beta_prime) >= 1, "divergence-dimension needs beta_prime")
         _require(all(beta <= b <= 1.0 + 1e-12 for b in cfg.beta_prime),
                  "beta_prime values must lie in [beta, 1]")
-        _require(cfg.window[0] < cfg.window[1] <= max(cfg.levels),
-                 "scale window must fit the finest grid")
     if name == "corkscrew-geometry":
         _require(len(cfg.m_values) >= 1, "corkscrew-geometry needs m_values")
+        # a negative constant reaches lipschitz_graph's own check
+        _require(all(map(math.isfinite, cfg.m_values)),
+                 f"m_values must be finite, got {list(cfg.m_values)}")
     return cfg
 
 

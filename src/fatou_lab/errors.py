@@ -13,10 +13,6 @@ class SingularityError(ParameterError):
     """Evaluation requested at a point where the kernel is singular."""
 
 
-class NumericError(ArithmeticError):
-    """A numerical routine failed to converge or is ill-conditioned."""
-
-
 class CoverageError(ParameterError):
     """A sampled approach region contains no sample points: the heights,
     t_max or dilation leave too few slices to scan."""

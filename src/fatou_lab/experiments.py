@@ -107,7 +107,7 @@ def _run_kernel_identities(cfg: ExperimentConfig) -> RunReport:
         for r in radii:
             x = (r, 0.0) if n == 2 else r
             checked += 1
-            if not bessel_kernel(n, a, x, "series") <= riesz_kernel(n, a, x):
+            if not bessel_kernel(n, a, x) <= riesz_kernel(n, a, x):
                 viol += 1
     rep.stats["domination_checked"] = checked
     rep.add_criterion("pointwise domination by the Riesz kernel", viol == 0,
@@ -117,7 +117,7 @@ def _run_kernel_identities(cfg: ExperimentConfig) -> RunReport:
         if not a < n:
             continue
         x = (1e-3, 0.0) if n == 2 else 1e-3
-        ratios.append(bessel_kernel(n, a, x, "series") / riesz_kernel(n, a, x))
+        ratios.append(bessel_kernel(n, a, x) / riesz_kernel(n, a, x))
         rep.add_row(0, 0, f"origin_ratio_n{n}_a{a}", ratios[-1])
     ok = all(0.9 <= q <= 1.0 for q in ratios)
     rep.add_criterion("kernel ratio near the origin", ok,
@@ -222,41 +222,41 @@ def _run_poincare(cfg: ExperimentConfig) -> RunReport:
 # tangential maximal bound and its negative control
 
 
-def _ns_ratios(level: int, seeds, cfg: ExperimentConfig, beta: float,
-               data: str) -> list:
-    """_ns_ratio of every seed, in order.  Noise is drawn a stack of seeds
-    at a time (seed_stacks), which share one transform and one sweep per
-    height; the spike is the same data for every seed, so one row serves
-    them all."""
-    grid = make_grid(1, level, cfg.extent)
+def _tangential_ratios(draws, cfg: ExperimentConfig, beta: float) -> list:
+    """Per row of each data set that draws yields (unit-L2, a GridFunction
+    or a GridStack), the L^p norm of the Poisson tangential max of its
+    Bessel smoothing over the row's own L^p norm.  draws must keep no
+    reference to what it yields: at 2^20 samples neither the data nor its
+    smoothing (8 MB each) is alive while the slices are swept."""
     spec = ApproachRegionSpec(beta=beta, aperture=cfg.aperture, t_max=1.0)
-
-    def draws():
-        if data == "noise":
-            for stack in seed_stacks(grid, seeds):
-                yield unit_l2(grid, noise_stack(grid, stack))
-        else:
-            yield spike_data(grid, [0.5 * grid.extent])
-
     ratios = []
-    for g in draws():
+    for g in draws:
         norms = lp_norms(g, cfg.p)
         smoothed = [bessel_smooth(g, cfg.alpha)]
         del g
         # once popped, the smoothed data has no reference but the sweep's,
-        # which drops it after the transform: at 2^20 samples neither it
-        # nor g (8 MB each) is alive while the slices are swept
+        # which drops it after the transform
         nt = poisson_tangential_max(smoothed.pop(), spec)
         ratios += [v / norm for v, norm in zip(lp_norms(nt, cfg.p), norms)]
-    return ratios if data == "noise" else ratios * len(seeds)
+    return ratios
 
 
-def _ns_ratio(level: int, seed: int, cfg: ExperimentConfig, beta: float,
-              data: str) -> float:
-    """L^p norm of the Poisson tangential max of the smoothed unit-L2 data
-    over the data's own L^p norm; data is "noise" (white noise of the seed)
-    or "spike" (one spike mid-torus)."""
-    return _ns_ratios(level, (seed,), cfg, beta, data)[0]
+def _ns_ratios(level: int, seeds, cfg: ExperimentConfig, beta: float) -> list:
+    """The tangential ratio of white noise of every seed, in order, drawn a
+    stack of seeds at a time (seed_stacks) that share one transform and
+    one sweep per height."""
+    grid = make_grid(1, level, cfg.extent)
+    return _tangential_ratios(
+        (unit_l2(grid, noise_stack(grid, stack))
+         for stack in seed_stacks(grid, seeds)), cfg, beta)
+
+
+def _ns_ratio(level: int, cfg: ExperimentConfig, beta: float) -> float:
+    """The tangential ratio of one spike mid-torus."""
+    grid = make_grid(1, level, cfg.extent)
+    # map, unlike a list, keeps no reference to the spike it made
+    spike = map(spike_data, [grid], [[0.5 * grid.extent]])
+    return _tangential_ratios(spike, cfg, beta)[0]
 
 
 def _run_nagel_stein(cfg: ExperimentConfig) -> RunReport:
@@ -264,8 +264,7 @@ def _run_nagel_stein(cfg: ExperimentConfig) -> RunReport:
     beta = cfg.derived_beta()
     ratios = []
     for level in cfg.levels:
-        for seed, v in zip(cfg.seeds,
-                           _ns_ratios(level, cfg.seeds, cfg, beta, "noise")):
+        for seed, v in zip(cfg.seeds, _ns_ratios(level, cfg.seeds, cfg, beta)):
             rep.add_row(level, seed, "ratio", v)
             ratios.append(v)
     lo, hi, band = _band(ratios)
@@ -275,8 +274,7 @@ def _run_nagel_stein(cfg: ExperimentConfig) -> RunReport:
         f"ratio band {band:.3f} over levels {list(cfg.levels)} x "
         f"{len(cfg.seeds)} seeds (required < 3)")
     beta_low = beta / 2.0
-    ctrl = [_ns_ratio(level, cfg.seeds[0], cfg, beta_low, "spike")
-            for level in cfg.levels]
+    ctrl = [_ns_ratio(level, cfg, beta_low) for level in cfg.levels]
     for level, v in zip(cfg.levels, ctrl):
         rep.add_row(level, cfg.seeds[0], "ratio_control", v)
     growth = ctrl[-1] / ctrl[0]
@@ -290,8 +288,7 @@ def _run_nagel_stein(cfg: ExperimentConfig) -> RunReport:
         # h^{-(beta_c - beta)/2}, which caps this span at x2^{(dm)/4};
         # the divergence itself is demonstrated on a deeper ladder
         ext_levels = (cfg.levels[0], cfg.levels[-1] + 6)
-        ext = [ctrl[0], _ns_ratio(ext_levels[1], cfg.seeds[0], cfg, beta_low,
-                                  "spike")]
+        ext = [ctrl[0], _ns_ratio(ext_levels[1], cfg, beta_low)]
         for level, v in zip(ext_levels, ext):
             rep.add_row(level, cfg.seeds[0], "ratio_control_extended", v)
         ext_growth = ext[-1] / ext[0]
@@ -401,7 +398,7 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
             rep.notes.append("limiting case covered by maximal bound")
             ratios = []
             for lev in cfg.levels:
-                ratios.append(_ns_ratio(lev, cfg.seeds[0], cfg, beta, "spike"))
+                ratios.append(_ns_ratio(lev, cfg, beta))
                 rep.add_row(lev, cfg.seeds[0], "ratio_limiting", ratios[-1])
             _, _, band = _band(ratios)
             ok = band < 3.0
@@ -540,7 +537,7 @@ def _run_boundary_max(cfg: ExperimentConfig) -> RunReport:
                                           alpha_L=cfg.alpha_L,
                                           p0=cfg.derived_p0(), J=cfg.J)
             v = (lp_norm_sigma(graph, btm, cfg.p)
-                 / boundary_seminorm(graph, f, s, cfg.p))
+                 / boundary_seminorm(f, s, cfg.p))
             rep.add_row(level, seed, "ratio", v)
             ratios.append(v)
     lo, hi, band = _band(ratios)

@@ -146,6 +146,11 @@ def poisson_extend(f: GridFunction, heights) -> HalfSpaceField:
     return HalfSpaceField._adopt(f.grid, hts, vals)
 
 
+# the largest annuli truncation: past j = 1022 the radius factor 2^(j+1)
+# overflows a double
+MAX_J = 1000
+
+
 def annuli_surrogate(f: GridFunction, heights, alpha_L: float, r: float,
                      J: int) -> HalfSpaceField:
     """Dyadic-annuli model field.
@@ -170,8 +175,8 @@ def annuli_surrogate(f: GridFunction, heights, alpha_L: float, r: float,
         raise ParameterError(f"alpha_L must lie in (0, 1], got {alpha_L}")
     if r < 1.0:
         raise ParameterError(f"r must be >= 1, got {r}")
-    if J < 1:
-        raise ParameterError(f"J must be >= 1, got {J}")
+    if not 1 <= J <= MAX_J:
+        raise ParameterError(f"J must lie in [1, {MAX_J}], got {J}")
     g = f.grid
     hts = checked_heights(heights)
     cap = g.extent / 4.0

@@ -54,12 +54,16 @@ class PointSet:
         object.__setattr__(self, "points", arr)
 
 
+# the deepest construction: 2^24 intervals
+MAX_DEPTH = 24
+
+
 def cantor_measure(s: float, depth: int) -> CantorMeasure:
     """Standard two-branch construction with contraction 2^(-1/s)."""
     if not (0.0 < s <= 1.0):
         raise ParameterError(f"s must lie in (0, 1], got {s}")
-    if not (1 <= depth <= 24):
-        raise ParameterError(f"depth must lie in [1, 24], got {depth}")
+    if not (1 <= depth <= MAX_DEPTH):
+        raise ParameterError(f"depth must lie in [1, {MAX_DEPTH}], got {depth}")
     rho = 2.0 ** (-1.0 / s)
     lefts = np.array([0.0])
     size = 1.0

@@ -115,7 +115,7 @@ def make_grid(dim: int, levels: int, extent: float) -> Grid:
         raise ParameterError(
             f"levels must lie in [2, {max_levels}] for dim={dim}, got {levels}")
     if not (extent > 0 and math.isfinite(extent)):
-        raise ParameterError(f"extent must be positive, got {extent}")
+        raise ParameterError(f"extent must be positive and finite, got {extent}")
     return Grid(dim=dim, levels=levels, extent=float(extent))
 
 
@@ -197,7 +197,7 @@ def nearest_index(grid: Grid, points):
     return np.ravel_multi_index(tuple(np.moveaxis(idx % grid.n, -1, 0)), grid.shape)
 
 
-def ball_mean_all_centers(f: GridFunction, radius: float, q: float = 1.0) -> np.ndarray:
+def ball_mean_all_centers(f: GridFunction, radius: float, q: float) -> np.ndarray:
     """ball_means(f, (radius,), q), the one mean it yields."""
     return next(ball_means(f, (radius,), q))
 

@@ -19,7 +19,7 @@ from .errors import GridMismatchError, ParameterError
 from .extension import annuli_surrogate, dyadic_heights
 from .grid import GridFunction, lp_norm, wrapped_abs_delta
 from .maximal import ApproachRegionSpec, tangential_max
-from .potentials import multi_indices, slobodeckij_seminorm, spectral_derivative
+from .potentials import slobodeckij_seminorm
 from .rng import stream
 
 
@@ -105,7 +105,7 @@ def _certified_members(graph: LipschitzGraph, beta: float, c: float,
 
 
 def region_inclusion_check(graph: LipschitzGraph, beta: float, c: float,
-                           samples: int, seed: int = 0,
+                           samples: int, seed: int,
                            target_aperture: float | None = None
                            ) -> InclusionReport:
     """Sample the domain region and verify it flattens into the widened
@@ -197,32 +197,23 @@ def lp_norm_sigma(graph: LipschitzGraph, f: GridFunction, p: float) -> float:
     return float((hpow * np.sum(np.abs(f.samples) ** p * dens)) ** (1.0 / p))
 
 
-def boundary_seminorm(graph: LipschitzGraph, f: GridFunction, s: float,
-                      p: float) -> float:
-    """Chart-pullback Sobolev norm of boundary data on the base grid.
-
-    Integer part through spectral derivatives, fractional part through
-    the Slobodeckij pair sum; s = 0 reduces to the L^p norm.
-    """
+def boundary_seminorm(f: GridFunction, s: float, p: float) -> float:
+    """Chart-pullback Sobolev norm (||f||_p^p + [f]_{s,p}^p)^(1/p) of
+    boundary data on the base grid, 0 <= s < 1: the L^p norm and the
+    Slobodeckij seminorm; s = 0 reduces to the L^p norm."""
     if not (math.isfinite(p) and p >= 1):
         raise ParameterError(f"p must be finite and >= 1, got {p}")
-    if s < 0 or s >= 4:
-        raise ParameterError(f"s must lie in [0, 4), got {s}")
-    m = int(math.floor(s))
-    sigma = s - m
-    g = f.grid
-    total = 0.0
-    for gam in multi_indices(g.dim, m):
-        df = spectral_derivative(f, gam) if sum(gam) else f
-        total += lp_norm(df, p) ** p
-        if sigma > 0 and sum(gam) == m:
-            total += slobodeckij_seminorm(df, sigma, p) ** p
+    if not 0 <= s < 1:
+        raise ParameterError(f"s must lie in [0, 1), got {s}")
+    total = lp_norm(f, p) ** p
+    if s > 0:
+        total += slobodeckij_seminorm(f, s, p) ** p
     return float(total ** (1.0 / p))
 
 
 def boundary_tangential_max(graph: LipschitzGraph, f: GridFunction,
-                            beta: float, c: float, alpha_L: float = 0.5,
-                            p0: float = 1.5, J: int = 20) -> GridFunction:
+                            beta: float, c: float, alpha_L: float,
+                            p0: float, J: int) -> GridFunction:
     """Flattened localization bound: annuli surrogate (alpha_L, p0, J) of
     the chart pullback, swept by the tangential maximal operator at
     aperture 1 + c.  f must lie on the profile's grid."""

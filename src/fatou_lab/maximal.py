@@ -70,8 +70,8 @@ def window_extreme(values: np.ndarray, grid: Grid, radius: float,
     if grid.dim == 1:
         k = window_halfwidth(radius, grid.h)
         if mode == "max":
-            return _kernels.circ_max_1d(values, k, out=out, work=work)
-        return _kernels.circ_min_1d(values, k, out=out, work=work)
+            return _kernels.circ_max_1d(values, k, out, work)
+        return _kernels.circ_min_1d(values, k, out, work)
     n = grid.n
     dys, ws = disc_rows(grid, radius)
     # a row past half the torus repeats a nearer, wider one, and a run of
@@ -233,7 +233,7 @@ def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
             for k, t in scan)))
 
 
-def hl_max_q(f: GridFunction, q: float = 1.0) -> GridFunction:
+def hl_max_q(f: GridFunction, q: float) -> GridFunction:
     """Hardy-Littlewood q-power maximal function over dyadic radii in [h, extent/4]."""
     out = np.zeros(f.grid.size)
     for mean in ball_means(f, dyadic_scales(f.grid, 1.0), q):

@@ -70,7 +70,7 @@ _COLORS = ("#1f6fb4", "#c23b22", "#2e8540", "#8253a8", "#b58900", "#366f6f")
 
 
 def _svg_plot(series: dict, title: str, xlabel: str, ylabel: str,
-              annotation: str = "") -> str:
+              annotation: str) -> str:
     """series: label -> list of (x, y) pairs, plotted on linear axes."""
     width, height = 640, 480
     ml, mr, mt, mb = 70, 20, 40, 50

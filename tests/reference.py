@@ -4,7 +4,8 @@ These are direct, point-by-point versions of what the package computes
 by faster routes: torus distances and ball averages over explicit index
 sets, kernels sampled on the grid (with image sums and cell averages
 near the singularity) for checking spectral multipliers by spatial
-convolution, the Poisson kernel at a point, Fourier symbols, boundary
+convolution, the Poisson kernel at a point, the Bessel kernel by
+quadrature of its subordination integral, Fourier symbols, boundary
 points, corkscrew points, distances to a Lipschitz graph and surface
 ball measures by a scan over every sample, the composite maximal bound,
 membership tests for the half-space and domain approach regions, the
@@ -14,12 +15,13 @@ swept over a stored Poisson field.
 No runner uses them.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
-from scipy.special import kv
+from scipy.special import gamma, kv
 
 from fatou_lab.errors import CoverageError, ParameterError, SingularityError
 from fatou_lab.extension import HalfSpaceField, annuli_surrogate, dyadic_heights
@@ -133,7 +135,7 @@ def _cell_average_at_origin(spec: KernelSpec, h: float) -> float:
             return g * (2.0 / h) * (h / 2.0) ** (a + 1) / (a + 1)
 
         def rad(r: float) -> float:
-            return bessel_kernel(1, spec.order, r, route="series")
+            return bessel_kernel(1, spec.order, r)
 
         total, _ = quad(rad, 0.0, h / 2.0, epsabs=0.0, epsrel=1e-9, limit=200)
         return 2.0 / h * total
@@ -150,8 +152,7 @@ def _cell_average_at_origin(spec: KernelSpec, h: float) -> float:
 
     def outer(theta: float) -> float:
         rmax = (h / 2.0) / math.cos(theta)
-        val, _ = quad(lambda r: bessel_kernel(2, spec.order, (r, 0.0),
-                                              route="series") * r,
+        val, _ = quad(lambda r: bessel_kernel(2, spec.order, (r, 0.0)) * r,
                       0.0, rmax, epsabs=0.0, epsrel=1e-9, limit=200)
         return val
 
@@ -170,6 +171,75 @@ def poisson_kernel(n: int, t: float, x) -> float:
     if n not in _POISSON_C:
         raise ParameterError(f"n must be 1 or 2, got {n}")
     return _POISSON_C[n] * t / (t * t + _norm_sq(x)) ** ((n + 1) / 2.0)
+
+
+class NumericError(ArithmeticError):
+    """A quadrature failed to converge."""
+
+
+def _cosh_integrand(w: float, r: float, c: float) -> float:
+    expo = -r * math.cosh(w) + c * w
+    return math.exp(expo) if expo > -745.0 else 0.0
+
+
+def _bessel_unnormalized(n: int, alpha: float, r: float) -> float:
+    """Integral over t of exp(-pi r^2/t - t/(4 pi)) t^((alpha-n)/2) dt/t.
+
+    Evaluated after u = log t, recentered at the peak u* = log(2 pi r),
+    where the exponent collapses to -r cosh(w) + c w on finite limits.
+    """
+    c = (alpha - n) / 2.0
+    if r == 0.0:
+        if alpha <= n:
+            raise SingularityError("bessel kernel is singular at the origin")
+        return (4.0 * math.pi) ** c * gamma(c)
+    if r > 740.0:
+        return 0.0  # below double-precision underflow
+    cut = max(25.0, math.log(1500.0 / r))
+    lo, err_lo = quad(_cosh_integrand, -cut, 0.0, args=(r, c),
+                      epsabs=0.0, epsrel=1e-10, limit=300)
+    hi, err_hi = quad(_cosh_integrand, 0.0, cut, args=(r, c),
+                      epsabs=0.0, epsrel=1e-10, limit=300)
+    val = lo + hi
+    if not np.isfinite(val) or (val > 0 and (err_lo + err_hi) > 1e-6 * val):
+        raise NumericError(
+            f"bessel quadrature failed at r={r} (value {val}, err {err_lo + err_hi})")
+    return (2.0 * math.pi * r) ** c * val
+
+
+@functools.cache
+def bessel_normalization(n: int, alpha: float) -> float:
+    """c_alpha with ||G_alpha||_L1 = 1, computed once per (n, alpha) and cached.
+
+    Radially integrates the quadrature (unnormalized) kernel after the
+    substitution r = e^v, keeping this path independent of the K_nu
+    closed form of fatou_lab.kernels.bessel_kernel.
+    """
+    omega = 2.0 if n == 1 else 2.0 * math.pi
+
+    def radial_log(v: float) -> float:
+        r = math.exp(v)
+        return _bessel_unnormalized(n, alpha, r) * r ** n
+
+    # the integrand decays like e^{alpha v} towards -inf; size the cut so
+    # the truncated tail is below 1e-12 of the total
+    v_lo = min(-45.0, -30.0 / alpha)
+    total, err = quad(radial_log, v_lo, 8.0, epsabs=0.0, epsrel=1e-10, limit=400)
+    mass = omega * total
+    if not (np.isfinite(mass) and mass > 0):
+        raise NumericError(f"bessel normalization failed for (n={n}, alpha={alpha})")
+    return 1.0 / mass
+
+
+def bessel_kernel_quadrature(n: int, alpha: float, x) -> float:
+    """G_alpha at a point by adaptive quadrature of its subordination
+    integral (after the substitution u = log t), normalized numerically."""
+    if not alpha > 0:
+        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if n not in (1, 2):
+        raise ParameterError(f"n must be 1 or 2, got {n}")
+    r = math.sqrt(_norm_sq(x))
+    return bessel_normalization(n, alpha) * _bessel_unnormalized(n, alpha, r)
 
 
 def _poisson_values(n: int, t: float, r: np.ndarray) -> np.ndarray:

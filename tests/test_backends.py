@@ -29,8 +29,8 @@ def test_circ_extremes_match_brute_force(rng):
             np.full(173, v.max())
         expect_min = _brute_extreme(v, k, min) if 2 * k + 1 < 173 else \
             np.full(173, v.min())
-        np.testing.assert_array_equal(_kernels.circ_max_1d(v, k), expect_max)
-        np.testing.assert_array_equal(_kernels.circ_min_1d(v, k), expect_min)
+        np.testing.assert_array_equal(_kernels.circ_max_1d(v, k, None, None), expect_max)
+        np.testing.assert_array_equal(_kernels.circ_min_1d(v, k, None, None), expect_min)
 
 
 def test_circ_extremes_into_out(rng):
@@ -41,13 +41,13 @@ def test_circ_extremes_into_out(rng):
         for fn, pick in ((_kernels.circ_max_1d, max), (_kernels.circ_min_1d, min)):
             expect = _brute_extreme(v, max(k, 0), pick) if 2 * k + 1 < 173 \
                 else np.full(173, pick(v))
-            fresh = fn(v, k)
+            fresh = fn(v, k, None, None)
             np.testing.assert_array_equal(fresh, expect)
             out = np.full(173, np.nan)
-            assert fn(v, k, out=out) is out
+            assert fn(v, k, out, None) is out
             np.testing.assert_array_equal(out, fresh)
             own = v.copy()
-            assert fn(own, k, out=own) is own
+            assert fn(own, k, own, None) is own
             np.testing.assert_array_equal(own, fresh)
 
 
@@ -76,14 +76,14 @@ def test_circ_extremes_every_halfwidth(rng, n):
         for k, expect in grown:
             if k > n // 2 + 1:
                 break
-            np.testing.assert_array_equal(fn(v, k), expect)
+            np.testing.assert_array_equal(fn(v, k, None, None), expect)
             out = np.full(n, np.nan)
-            assert fn(v, k, out=out) is out
+            assert fn(v, k, out, None) is out
             np.testing.assert_array_equal(out, expect)
             own = v.copy()
-            assert fn(own, k, out=own, work=np.full(n, np.nan)) is own
+            assert fn(own, k, own, np.full(n, np.nan)) is own
             np.testing.assert_array_equal(own, expect)
-        np.testing.assert_array_equal(fn(v, -1), v)
+        np.testing.assert_array_equal(fn(v, -1, None, None), v)
 
 
 @pytest.mark.parametrize("n,ks", [(40000, (700, 2100, 4500)),
@@ -99,7 +99,7 @@ def test_circ_extremes_across_chunks(rng, n, ks):
             windows = np.lib.stride_tricks.sliding_window_view(ext, 2 * k + 1)
             expect = windows.max(axis=1) if fold is np.maximum \
                 else windows.min(axis=1)
-            np.testing.assert_array_equal(fn(v, k), expect)
+            np.testing.assert_array_equal(fn(v, k, None, None), expect)
 
 
 def _rolled_doubling(v, k, fold):
@@ -130,7 +130,7 @@ def test_circ_extremes_on_a_large_array(rng, n, k):
     v[rng.permutation(n)[:2]] = (np.inf, -np.inf)
     for fn, fold in ((_kernels.circ_max_1d, np.maximum),
                      (_kernels.circ_min_1d, np.minimum)):
-        np.testing.assert_array_equal(fn(v, k), _rolled_doubling(v, k, fold))
+        np.testing.assert_array_equal(fn(v, k, None, None), _rolled_doubling(v, k, fold))
 
 
 def test_circ_extremes_given_work_allocate_no_grid_array(rng):
@@ -141,7 +141,7 @@ def test_circ_extremes_given_work_allocate_no_grid_array(rng):
         for fn in (_kernels.circ_max_1d, _kernels.circ_min_1d):
             tracemalloc.start()
             try:
-                fn(v, k, out=v, work=work)
+                fn(v, k, v, work)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()

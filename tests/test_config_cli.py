@@ -485,6 +485,70 @@ def test_cli_non_finite_region_parameters_exit_2(tmp_path, capsys, value):
     assert not list(tmp_path.glob("out/*"))
 
 
+# configs that once ran into a library error mid-run (after the output
+# directory was made, with a message that did not name the key), a
+# traceback (exit 1) or a FAIL line (exit 1): key, experiment, INI lines
+_OUT_OF_DOMAIN = {
+    "seeds-negative": ("seeds", "poincare", "seeds = -1"),
+    "seeds-2^112": ("seeds", "poincare", f"seeds = {2 ** 112}"),
+    "J-2000": ("J", "boundary-max", "J = 2000"),
+    "J-1023": ("J", "boundary-max", "J = 1023"),
+    "eps-nan": ("eps", "divergence-dimension", "eps = nan"),
+    "eps-inf": ("eps", "divergence-dimension", "eps = inf"),
+    "eps-negative": ("eps", "divergence-dimension", "eps = -1"),
+    "eps-zero": ("eps", "divergence-dimension", "eps = 0"),
+    "poincare-s-inf": ("s_values", "poincare", "s_values = 0.3,inf"),
+    "poincare-s-nan": ("s_values", "poincare", "s_values = nan"),
+    "extent-inf": ("extent", "poincare", "extent = inf"),
+    "aperture-zero": ("aperture", "nagel-stein-bound", "aperture = 0"),
+    "aperture-negative": ("aperture", "dorronsoro-bound", "aperture = -1"),
+    "aperture-inf": ("aperture", "nagel-stein-bound", "aperture = inf"),
+    "aperture-nan": ("aperture", "divergence-dimension", "aperture = nan"),
+    "p0-inf": ("p0", "boundary-max", "p0 = inf"),
+    "depths-zero": ("depths", "frostman-lemma", "depths = 0"),
+    "depths-25": ("depths", "frostman-lemma", "depths = 6,25"),
+    "window-boxdim-0": ("window", "boxdim-calibration", "window = 0,6"),
+    "window-divergence-0": ("window", "divergence-dimension", "window = 0,6"),
+    "frostman-s-1.5": ("s_values", "frostman-lemma", "s_values = 0.75,1.5"),
+    "m_values-inf": ("m_values", "corkscrew-geometry", "m_values = inf"),
+    "m_values-nan": ("m_values", "corkscrew-geometry", "m_values = 1,nan"),
+}
+
+# the rest of a runnable config of each experiment above
+_RUNNABLE = {
+    "poincare": ("levels = 6",),
+    "boundary-max": ("levels = 6",),
+    "divergence-dimension": ("levels = 6,8", "beta_prime = 0.5,1.0",
+                             "window = 3,6"),
+    "nagel-stein-bound": ("levels = 6",),
+    "dorronsoro-bound": ("levels = 6",),
+    "frostman-lemma": ("levels = 8", "s_values = 0.75", "depths = 6"),
+    "boxdim-calibration": ("levels = 8", "window = 3,6"),
+    "corkscrew-geometry": ("levels = 6", "m_values = 1"),
+}
+
+
+def test_runnable_rests_validate():
+    for name, rest in _RUNNABLE.items():
+        parse("\n".join(["[experiment]", f"experiment = {name}", *rest]))
+
+
+@pytest.mark.parametrize("case", sorted(_OUT_OF_DOMAIN))
+def test_config_outside_the_schema_exits_2_naming_the_key(tmp_path, capsys,
+                                                          case):
+    key, name, line = _OUT_OF_DOMAIN[case]
+    # the case's line replaces the same key of the runnable rest
+    rest = [r for r in _RUNNABLE[name] if not r.startswith(f"{key} =")]
+    out = tmp_path / "out"
+    path = tmp_path / "cfg.ini"
+    path.write_text("\n".join(["[experiment]", f"experiment = {name}", *rest,
+                               line, f"output_dir = {out}", ""]))
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and re.search(rf"\b{key}\b", err), err
+    assert not out.exists()
+
+
 def _uncovered(t_max):
     """A run_experiment stand-in that sweeps a Poisson field whose lowest
     heights lie above t_max."""

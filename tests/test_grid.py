@@ -289,7 +289,7 @@ def test_ball_mean_all_centers_past_half_the_torus(rng, dim, levels, radius):
     # counts once, so a constant stays constant
     g = make_grid(dim, levels, 1.0)
     const = GridFunction(g, np.ones(g.size))
-    np.testing.assert_allclose(ball_mean_all_centers(const, radius), 1.0,
+    np.testing.assert_allclose(ball_mean_all_centers(const, radius, 1.0), 1.0,
                                rtol=1e-12)
     f = GridFunction(g, rng.normal(size=g.size))
     batch = ball_mean_all_centers(f, radius, 1.5)

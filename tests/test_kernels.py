@@ -10,7 +10,8 @@ from scipy.integrate import quad
 from fatou_lab.errors import ParameterError, SingularityError
 from fatou_lab.grid import fft_convolve, from_callable, make_grid
 from fatou_lab.kernels import bessel_kernel, bessel_l1_norm, riesz_kernel
-from reference import KernelSpec, kernel_symbol, poisson_kernel, sampled_kernel
+from reference import (KernelSpec, bessel_kernel_quadrature, kernel_symbol,
+                       poisson_kernel, sampled_kernel)
 
 PAIRS = [(1, 0.25), (1, 0.5), (1, 1.0), (1, 1.5),
          (2, 0.25), (2, 0.5), (2, 1.0), (2, 1.5)]
@@ -41,8 +42,8 @@ def test_poisson_unit_mass_numeric():
 def test_bessel_closed_form_n1_alpha2():
     for x in (0.1, 0.7, 2.5):
         expect = 0.5 * math.exp(-x)
-        assert bessel_kernel(1, 2.0, x, "series") == pytest.approx(expect, rel=1e-12)
-        assert bessel_kernel(1, 2.0, x, "quadrature") == pytest.approx(expect, rel=1e-6)
+        assert bessel_kernel(1, 2.0, x) == pytest.approx(expect, rel=1e-12)
+        assert bessel_kernel_quadrature(1, 2.0, x) == pytest.approx(expect, rel=1e-6)
 
 
 def test_bessel_riesz_ratio_near_origin():
@@ -50,7 +51,7 @@ def test_bessel_riesz_ratio_near_origin():
         if a >= n:
             continue
         x = (1e-3, 0.0) if n == 2 else 1e-3
-        ratio = bessel_kernel(n, a, x, "series") / riesz_kernel(n, a, x)
+        ratio = bessel_kernel(n, a, x) / riesz_kernel(n, a, x)
         assert 0.9 <= ratio <= 1.0
 
 
@@ -58,36 +59,36 @@ def test_bessel_decay_bound():
     # |G_a(x)| <= C |x|^{-(n-a)} e^{-|x|/2} with a fixed C across the tail
     for n, a in ((2, 1.0), (1, 0.5)):
         xs = np.linspace(4.0, 12.0, 9)
-        vals = [bessel_kernel(n, a, (x, 0.0) if n == 2 else x, "series")
+        vals = [bessel_kernel(n, a, (x, 0.0) if n == 2 else x)
                 for x in xs]
         bounds = xs ** (-(n - a)) * np.exp(-xs / 2.0)
         assert np.all(np.asarray(vals) <= 2.0 * bounds)
 
 
 def test_bessel_singularity_and_routes():
-    with pytest.raises(SingularityError):
-        bessel_kernel(1, 0.5, 0.0)
-    with pytest.raises(SingularityError):
-        bessel_kernel(2, 2.0, (0.0, 0.0))
-    with pytest.raises(SingularityError):
-        bessel_kernel(2, 1.5, (0.0, 0.0), "series")
+    for kernel in (bessel_kernel, bessel_kernel_quadrature):
+        with pytest.raises(SingularityError):
+            kernel(1, 0.5, 0.0)
+        with pytest.raises(SingularityError):
+            kernel(2, 2.0, (0.0, 0.0))
+        with pytest.raises(SingularityError):
+            kernel(2, 1.5, (0.0, 0.0))
     for alpha in (math.nan, 0.0, -1.0):
         with pytest.raises(ParameterError, match="alpha must be positive"):
             bessel_kernel(1, alpha, 0.5)
-    # alpha > n is finite at the origin, equal on both routes
-    v1 = bessel_kernel(1, 1.5, 0.0, "quadrature")
-    v2 = bessel_kernel(1, 1.5, 0.0, "series")
+    # alpha > n is finite at the origin, equal to the quadrature oracle
+    v1 = bessel_kernel_quadrature(1, 1.5, 0.0)
+    v2 = bessel_kernel(1, 1.5, 0.0)
     assert v1 == pytest.approx(v2, rel=1e-9)
-    with pytest.raises(ParameterError):
-        bessel_kernel(1, 1.0, 0.5, "mystery")
 
 
 def test_route_agreement():
+    # the closed form against the quadrature oracle of tests/reference.py
     for n, a in PAIRS:
         for r in (1e-3, 0.1, 1.0, 3.0):
             x = (r, 0.0) if n == 2 else r
-            q = bessel_kernel(n, a, x, "quadrature")
-            s = bessel_kernel(n, a, x, "series")
+            q = bessel_kernel_quadrature(n, a, x)
+            s = bessel_kernel(n, a, x)
             assert q == pytest.approx(s, rel=1e-6)
 
 
@@ -97,22 +98,26 @@ def test_bessel_unit_mass():
 
 
 def test_quadrature_loads_scipy_integrate_on_first_use():
-    # a fresh interpreter: this process already holds scipy.integrate
+    # a fresh interpreter: this process already holds scipy.  The closed
+    # form loads scipy.special, the mass quadrature scipy.integrate.
     code = "\n".join([
         "import sys",
         "import fatou_lab.cli, fatou_lab.experiments",
-        "print('scipy.integrate' in sys.modules)",
+        "loaded = lambda: ('scipy.special' in sys.modules,",
+        "                  'scipy.integrate' in sys.modules)",
+        "print(*loaded())",
         "from fatou_lab.kernels import bessel_kernel, bessel_l1_norm",
         "print(bessel_kernel(1, 1.5, 0.3).hex())",
+        "print(*loaded())",
         "print(bessel_l1_norm(1, 1.5).hex())",
-        "print('scipy.integrate' in sys.modules)"])
+        "print(*loaded())"])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.split() == [
-        "False", bessel_kernel(1, 1.5, 0.3).hex(),
-        bessel_l1_norm(1, 1.5).hex(), "True"]
+        "False", "False", bessel_kernel(1, 1.5, 0.3).hex(), "True", "False",
+        bessel_l1_norm(1, 1.5).hex(), "True", "True"]
 
 
 def test_a_verify_run_imports_no_scipy(tmp_path):
@@ -125,14 +130,14 @@ def test_a_verify_run_imports_no_scipy(tmp_path):
         "cli.main(['verify', '--experiment', 'nagel-stein-bound', '--levels',",
         f"          '8,10', '--seeds', '0', '--output-dir', {str(tmp_path)!r}])",
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))",
-        "print(kernels.bessel_kernel(1, 1.5, 0.3, 'series').hex())",
+        "print(kernels.bessel_kernel(1, 1.5, 0.3).hex())",
         "print('scipy.special' in sys.modules)"])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
     assert proc.stdout.split("\n")[-4:] == [
-        "[]", bessel_kernel(1, 1.5, 0.3, "series").hex(), "True", ""]
+        "[]", bessel_kernel(1, 1.5, 0.3).hex(), "True", ""]
     assert any(tmp_path.iterdir())
 
 
@@ -181,7 +186,7 @@ def test_pointwise_domination():
             continue
         for r in np.exp(rng.uniform(math.log(1e-3), math.log(8.0), size=125)):
             x = (r, 0.0) if n == 2 else r
-            g = bessel_kernel(n, a, x, "series")
+            g = bessel_kernel(n, a, x)
             assert 0 < g <= riesz_kernel(n, a, x)
 
 

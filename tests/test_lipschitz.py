@@ -267,18 +267,19 @@ def test_boundary_seminorm_examples(rng):
     flat = _flat(9)
     g = flat.phi.grid
     const = from_callable(g, lambda x: np.full_like(x, 2.0))
-    assert boundary_seminorm(flat, const, 0.25, 2.0) == pytest.approx(2.0)
-    assert boundary_seminorm(flat, const, 0.0, 2.0) == pytest.approx(2.0)
+    assert boundary_seminorm(const, 0.25, 2.0) == pytest.approx(2.0)
+    assert boundary_seminorm(const, 0.0, 2.0) == pytest.approx(2.0)
     f = GridFunction(g, rng.normal(size=g.size))
-    v1 = boundary_seminorm(flat, f, 1.25, 2.0)
-    assert v1 > boundary_seminorm(flat, f, 0.0, 2.0)
+    v1 = boundary_seminorm(f, 0.75, 2.0)
+    assert v1 > boundary_seminorm(f, 0.0, 2.0)
+    for s in (-0.1, 1.0, 1.25, math.nan):
+        with pytest.raises(ParameterError, match="s must lie in"):
+            boundary_seminorm(f, s, 2.0)
     with pytest.raises(ParameterError):
-        boundary_seminorm(flat, f, -0.1, 2.0)
-    with pytest.raises(ParameterError):
-        boundary_seminorm(flat, f, 0.5, 0.5)
+        boundary_seminorm(f, 0.5, 0.5)
     for p in (math.nan, math.inf):
         with pytest.raises(ParameterError):
-            boundary_seminorm(flat, f, 0.5, p)
+            boundary_seminorm(f, 0.5, p)
 
 
 def test_boundary_seminorm_bilipschitz_reparametrization(rng):
@@ -295,8 +296,8 @@ def test_boundary_seminorm_bilipschitz_reparametrization(rng):
     fx = np.interp(((psi % 1.0)), xs, f.samples, period=1.0)
     fpsi = GridFunction(g, fx)
     s, p = 0.5, 2.0
-    a = boundary_seminorm(flat, f, s, p)
-    b = boundary_seminorm(flat, fpsi, s, p)
+    a = boundary_seminorm(f, s, p)
+    b = boundary_seminorm(fpsi, s, p)
     ratio = max(a, b) / min(a, b)
     assert ratio < 4.0
 
@@ -314,8 +315,8 @@ def test_boundary_seminorm_cutoff_multiplication(rng):
         f = GridFunction(g, np.fft.irfft(half, n=g.n))
         ff = GridFunction(g, cut * f.samples)
         s, p = 0.5, 2.0
-        ratios.append(boundary_seminorm(flat, ff, s, p)
-                      / boundary_seminorm(flat, f, s, p))
+        ratios.append(boundary_seminorm(ff, s, p)
+                      / boundary_seminorm(f, s, p))
     assert max(ratios) < 3.0
     assert max(ratios) / min(ratios) < 4.0
 
@@ -345,13 +346,13 @@ def test_boundary_tangential_max_rejects_bad_c(c):
     flat = _flat(6)
     f = GridFunction(flat.phi.grid, np.ones(flat.phi.grid.size))
     with pytest.raises(ParameterError, match="c must be finite and positive"):
-        boundary_tangential_max(flat, f, 0.5, c)
+        boundary_tangential_max(flat, f, 0.5, c, 0.5, 1.5, 10)
 
 
 def test_boundary_tangential_max_rejects_data_on_another_grid():
     f = GridFunction(make_grid(1, 6, 1.0), np.ones(64))
     with pytest.raises(GridMismatchError, match="grids differ"):
-        boundary_tangential_max(_flat(8), f, 0.5, 1.0)
+        boundary_tangential_max(_flat(8), f, 0.5, 1.0, 0.5, 1.5, 10)
 
 
 def test_boundary_max_band(rng):
@@ -367,7 +368,7 @@ def test_boundary_max_band(rng):
             f = bessel_smooth(GridFunction(g, rng.normal(size=g.size)), 2 * s)
             btm = boundary_tangential_max(graph, f, beta, c, **params)
             ratios.append(lp_norm_sigma(graph, btm, p)
-                          / boundary_seminorm(graph, f, s, p))
+                          / boundary_seminorm(f, s, p))
     assert max(ratios) / min(ratios) < 4.0
 
 
@@ -519,7 +520,8 @@ def test_region_inclusion_matches_full_scan(kind, beta, c, seed, aperture):
 ])
 def test_region_inclusion_rejects_bad_parameters(beta, c, aperture):
     with pytest.raises(ParameterError):
-        region_inclusion_check(_flat(), beta, c, 100, target_aperture=aperture)
+        region_inclusion_check(_flat(), beta, c, 100, 0,
+                               target_aperture=aperture)
 
 
 def test_region_inclusion_finds_no_member_far_above_the_profile():
@@ -527,7 +529,7 @@ def test_region_inclusion_finds_no_member_far_above_the_profile():
     # sample is a member and nothing is checked
     graph = lipschitz_graph(from_callable(make_grid(1, 8, 1.0),
                                           lambda x: np.full_like(x, 1e20)))
-    rep = region_inclusion_check(graph, 0.5, 1.0, 50)
+    rep = region_inclusion_check(graph, 0.5, 1.0, 50, 0)
     assert (rep.checked, rep.violations) == (0, 0)
 
 

@@ -583,6 +583,6 @@ def test_ns_ratio_holds_neither_data_nor_smoothing_while_sweeping(monkeypatch):
 
     monkeypatch.setattr(experiments, "bessel_smooth", smooth)
     monkeypatch.setattr(_kernels, "circ_max_1d", spy)
-    experiments._ns_ratio(10, 0, cfg, 0.3, "spike")
+    experiments._ns_ratio(10, cfg, 0.3)
     assert len(arrays) == 2 and alive
     assert not any(any(row) for row in alive)

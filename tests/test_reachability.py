@@ -11,7 +11,8 @@ is read from; dunder methods, which Python calls itself, are exempt.
 Code only the tests call belongs in ``tests/`` (reference implementations
 live in ``tests/reference.py``).  A default that no call in those
 directories overrides is a knob with one value in use: the value belongs
-in the body, not in the signature.
+in the body, not in the signature.  A default that every call overrides
+is never used: the parameter loses it.
 """
 
 import ast
@@ -95,9 +96,11 @@ def _passes(call: ast.Call, index: int, name: str) -> bool:
     return index is not None and len(call.args) > index
 
 
-def unset_defaults() -> list:
-    """Parameters with a default in src/fatou_lab/ that no call in
-    src/fatou_lab/ or perfbench/ passes, as "module.function(param)"."""
+def _defaults():
+    """(label, calls, index, name) of each parameter with a default in
+    src/fatou_lab/: label is "module.function(param)", calls the calls in
+    FILES to a function of that name, and index and name as _passes takes
+    them."""
     calls = defaultdict(list)  # callee name -> [ast.Call]
     defs = []
     for path in FILES:
@@ -111,7 +114,6 @@ def unset_defaults() -> list:
             elif (isinstance(node, ast.FunctionDef)
                     and path.parent.name == "fatou_lab"):
                 defs.append((path, node))
-    unset = []
     for path, fn in defs:
         args = fn.args
         positional = args.posonlyargs + args.args
@@ -122,10 +124,30 @@ def unset_defaults() -> list:
                                                  args.kw_defaults)
                    if d is not None]
         for index, name in params:
-            if not any(_passes(c, index, name) for c in calls[fn.name]):
-                unset.append(f"{path.stem}.{fn.name}({name})")
-    return sorted(set(unset) - ALLOWED_DEFAULTS)
+            yield (f"{path.stem}.{fn.name}({name})", calls[fn.name], index,
+                   name)
+
+
+def unset_defaults() -> list:
+    """Parameters with a default in src/fatou_lab/ that no call in
+    src/fatou_lab/ or perfbench/ passes, as "module.function(param)"."""
+    return sorted({label for label, calls, index, name in _defaults()
+                   if not any(_passes(c, index, name) for c in calls)}
+                  - ALLOWED_DEFAULTS)
+
+
+def always_set_defaults() -> list:
+    """Parameters with a default in src/fatou_lab/ that every call in
+    src/fatou_lab/ or perfbench/ passes, as "module.function(param)";
+    dunder methods, which Python calls itself, are exempt."""
+    return sorted({label for label, calls, index, name in _defaults()
+                   if calls and not label.split(".")[1].startswith("__")
+                   and all(_passes(c, index, name) for c in calls)})
 
 
 def test_every_parameter_default_is_overridden_by_some_call():
     assert unset_defaults() == []
+
+
+def test_no_parameter_default_is_overridden_by_every_call():
+    assert always_set_defaults() == []

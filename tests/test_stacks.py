@@ -46,7 +46,10 @@ def _bytes(values):
 @pytest.mark.parametrize("data", ["noise", "spike"])
 def test_stacked_ratios_equal_single_row_ratios(level, rows, data):
     seeds = tuple(range(5, 5 + rows))
-    got = experiments._ns_ratios(level, seeds, CFG, BETA, data)
+    if data == "noise":
+        got = experiments._ns_ratios(level, seeds, CFG, BETA)
+    else:
+        got = [experiments._ns_ratio(level, CFG, BETA)] * rows
     want = [_single_row_ratio(level, seed, data) for seed in seeds]
     assert _bytes(got) == _bytes(want)
 
@@ -127,10 +130,10 @@ def test_stacked_window_extremes_equal_row_by_row(rng):
     rows = rng.normal(size=(4, 173))
     for k in (-1, 0, 1, 5, 40, 86, 90):
         for fn in (_kernels.circ_max_1d, _kernels.circ_min_1d):
-            want = np.stack([fn(r, k) for r in rows])
-            np.testing.assert_array_equal(fn(rows, k), want)
+            want = np.stack([fn(r, k, None, None) for r in rows])
+            np.testing.assert_array_equal(fn(rows, k, None, None), want)
             into = rows.copy()
-            fn(into, k, out=into, work=np.empty_like(into))
+            fn(into, k, into, np.empty_like(into))
             np.testing.assert_array_equal(into, want)
 
 
@@ -166,7 +169,6 @@ def _traced_peak(fn):
 def test_stacks_peak_below_a_single_row_at_2_18():
     # 32 seeds at 2^14 are cut into stacks of 2^17 samples
     stacked = _traced_peak(lambda: experiments._ns_ratios(
-        14, tuple(range(32)), CFG, BETA, "noise"))
-    single = _traced_peak(lambda: experiments._ns_ratio(
-        18, 0, CFG, BETA, "noise"))
+        14, tuple(range(32)), CFG, BETA))
+    single = _traced_peak(lambda: experiments._ns_ratios(18, (0,), CFG, BETA))
     assert stacked < single
