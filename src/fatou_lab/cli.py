@@ -48,7 +48,8 @@ def _cmd_verify(args) -> int:
         cfg = ExperimentConfig(experiment=args.experiment)
     else:
         raise ParameterError("verify needs --config or --experiment")
-    cfg = validate(replace(cfg, **{k: v for k, v in vars(args).items() if v
+    cfg = validate(replace(cfg, **{k: v for k, v in vars(args).items()
+                                   if v is not None
                                    and k in ("experiment", "levels", "seeds",
                                              "output_dir")}))
     make_output_dir(cfg.output_dir)
@@ -61,7 +62,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_suite(args) -> int:
     cfgs = acceptance_configs()
-    if args.output_dir:
+    if args.output_dir is not None:
         cfgs = [replace(cfg, output_dir=args.output_dir) for cfg in cfgs]
     for output_dir in {cfg.output_dir for cfg in cfgs}:
         make_output_dir(output_dir)

@@ -12,8 +12,6 @@ import math
 from dataclasses import dataclass, fields
 
 from .errors import ParameterError
-from .extension import MAX_J
-from .fractal import MAX_DEPTH
 from .grid import MAX_LEVELS, make_grid, open_path
 from .maximal import ApproachRegionSpec
 
@@ -25,17 +23,17 @@ from .maximal import ApproachRegionSpec
 _READS = {
     "nagel-stein-bound": "levels extent p alpha beta aperture seeds",
     "dorronsoro-bound": "levels extent p alpha beta aperture seeds",
-    "divergence-dimension": "levels:2 extent p alpha beta beta_prime aperture "
-                            "eps window seeds:1",
-    "frostman-lemma": "levels:1 extent p alpha s_values depths seeds",
+    "divergence-dimension": "levels:2 extent p alpha beta aperture window "
+                            "seeds:1",
+    "frostman-lemma": "levels:1 extent p alpha s_values seeds",
     "commute-lemma": "dim levels:1 extent seeds",
-    "poincare": "levels extent s_values seeds",
-    "corkscrew-geometry": "levels:1 extent m_values seeds:1",
+    "poincare": "levels extent seeds",
+    "corkscrew-geometry": "levels:1 extent seeds:1",
     "inclusion-lemma": "levels:1 extent p alpha beta c seeds:1",
-    "boundary-max": "levels extent p alpha beta c alpha_L p0 J seeds",
+    "boundary-max": "levels extent p alpha beta c seeds",
     "kernel-identities": "",
     "poisson-exactness": "dim levels:1 extent",
-    "j-uniformity": "levels:1 extent p alpha beta r seeds",
+    "j-uniformity": "levels:1 extent p alpha beta seeds",
     "boxdim-calibration": "levels:1 extent window",
 }
 
@@ -51,18 +49,10 @@ class ExperimentConfig:
     p: float = 2.0
     alpha: float = 0.25
     beta: float | None = None          # derived as 1 - alpha p / n when unset
-    beta_prime: tuple = ()
     aperture: float = 1.0
     c: float = 1.0
-    alpha_L: float = 0.5
-    r: float | None = None             # surrogate exponent, default (1 + p) / 2
-    p0: float | None = None            # boundary exponent, default (1 + p) / 2
-    J: int = 20
     s_values: tuple = ()
-    depths: tuple = ()
-    eps: float = 0.02
     window: tuple = (4, 10)
-    m_values: tuple = ()
     seeds: tuple = (0,)
     output_dir: str = "fatou-lab-out"
 
@@ -70,12 +60,6 @@ class ExperimentConfig:
         if self.beta is not None:
             return self.beta
         return 1.0 - self.alpha * self.p / self.dim
-
-    def derived_r(self) -> float:
-        return self.r if self.r is not None else (1.0 + self.p) / 2.0
-
-    def derived_p0(self) -> float:
-        return self.p0 if self.p0 is not None else (1.0 + self.p) / 2.0
 
 
 def _require(cond: bool, message: str) -> None:
@@ -128,26 +112,9 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         _require(0.0 < beta <= 1.0, f"beta = {beta} must lie in (0, 1]")
     if "aperture" in read:
         ApproachRegionSpec(beta=beta, aperture=cfg.aperture)
-    if "r" in read:
-        r = cfg.derived_r()
-        _require(1.0 < r < cfg.p, f"1 < r < p required, got r={r}, p={cfg.p}")
     if "c" in read:
         _require(math.isfinite(cfg.c) and cfg.c > 0,
                  f"c must be finite and positive, got {cfg.c}")
-    # the annuli surrogate's preconditions, named by config key
-    if "p0" in read:
-        p0 = cfg.derived_p0()
-        _require(p0 >= 1 and math.isfinite(p0),
-                 f"p0 = {p0} must be >= 1 and finite")
-    if "alpha_L" in read:
-        _require(0.0 < cfg.alpha_L <= 1.0,
-                 f"alpha_L = {cfg.alpha_L} must lie in (0, 1]")
-    if "J" in read:
-        _require(cfg.J >= 1, f"J = {cfg.J} must be >= 1")
-        _require(cfg.J <= MAX_J, f"J = {cfg.J} must be <= {MAX_J}")
-    if "eps" in read:
-        _require(math.isfinite(cfg.eps) and cfg.eps > 0,
-                 f"eps must be finite and positive, got {cfg.eps}")
     if "window" in read:
         _require(len(cfg.window) == 2
                  and 1 <= cfg.window[0] < cfg.window[1] <= max(cfg.levels),
@@ -165,26 +132,13 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         _require(all(s <= 1.0 for s in cfg.s_values),
                  f"s_values must be at most 1, the dimension of the line, "
                  f"got {list(cfg.s_values)}")
-        _require(len(cfg.depths) >= 1, "frostman-lemma needs cantor depths")
-        _require(all(1 <= d <= MAX_DEPTH for d in cfg.depths),
-                 f"depths must lie in [1, {MAX_DEPTH}], got {list(cfg.depths)}")
-    if name == "poincare":
-        _require(all(math.isfinite(s) and s >= 0 for s in cfg.s_values),
-                 f"s_values must be finite and >= 0, got {list(cfg.s_values)}")
-    if name == "divergence-dimension":
-        _require(len(cfg.beta_prime) >= 1, "divergence-dimension needs beta_prime")
-        _require(all(beta <= b <= 1.0 + 1e-12 for b in cfg.beta_prime),
-                 "beta_prime values must lie in [beta, 1]")
-    if name == "corkscrew-geometry":
-        _require(len(cfg.m_values) >= 1, "corkscrew-geometry needs m_values")
-        # a negative constant reaches lipschitz_graph's own check
-        _require(all(map(math.isfinite, cfg.m_values)),
-                 f"m_values must be finite, got {list(cfg.m_values)}")
+        _require(cfg.extent >= 1.0,
+                 f"frostman-lemma needs extent >= 1 to hold the measures' "
+                 f"support [0, 1], got extent = {cfg.extent}")
     return cfg
 
 
-_TUPLE_FIELDS = {"levels": int, "beta_prime": float, "s_values": float,
-                 "depths": int, "window": int, "m_values": float,
+_TUPLE_FIELDS = {"levels": int, "s_values": float, "window": int,
                  "seeds": int}
 
 
@@ -211,6 +165,7 @@ def serialize(cfg: ExperimentConfig) -> str:
 
 def parse(text: str) -> ExperimentConfig:
     cp = configparser.ConfigParser(interpolation=None)
+    cp.optionxform = str  # keys as written: an error names them so
     try:
         cp.read_string(text)
     except configparser.Error as exc:
@@ -219,8 +174,7 @@ def parse(text: str) -> ExperimentConfig:
         raise ParameterError("config must contain one [experiment] section and "
                              f"no other, got {cp.sections()}")
     sect = cp["experiment"]
-    unknown = sorted(set(sect) - {cp.optionxform(f.name)
-                                  for f in fields(ExperimentConfig)})
+    unknown = sorted(set(sect) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ParameterError(
             f"unknown config key(s) {', '.join(map(repr, unknown))}")
@@ -231,9 +185,12 @@ def parse(text: str) -> ExperimentConfig:
         raw = sect[f.name]
         try:
             if f.name in _TUPLE_FIELDS:
-                conv = _TUPLE_FIELDS[f.name]
-                kwargs[f.name] = tuple(conv(v) for v in raw.split(",") if v != "")
-            elif f.name in ("dim", "J"):
+                # an empty value is the empty tuple serialize writes
+                cells = raw.split(",") if raw else []
+                if "" in cells:
+                    raise ValueError(f"empty entry in {raw!r}")
+                kwargs[f.name] = tuple(map(_TUPLE_FIELDS[f.name], cells))
+            elif f.name == "dim":
                 kwargs[f.name] = int(raw)
             elif f.name in ("experiment", "output_dir"):
                 kwargs[f.name] = raw

@@ -181,13 +181,14 @@ def _run_commute_lemma(cfg: ExperimentConfig) -> RunReport:
 # --------------------------------------------------------------------------
 # pointwise Poincare inequality for smoothed functions
 
+_POINCARE_ORDERS = (0.3, 0.7)   # smoothness orders of the Bessel potentials
+
 
 def _run_poincare(cfg: ExperimentConfig) -> RunReport:
     rep = _new_report(cfg)
-    alphas = cfg.s_values or (0.3, 0.7)
     ok = True
     details = []
-    for alpha in alphas:
+    for alpha in _POINCARE_ORDERS:
         consts = []
         for level in cfg.levels:
             grid = make_grid(1, level, cfg.extent)
@@ -313,7 +314,7 @@ def _run_j_uniformity(cfg: ExperimentConfig) -> RunReport:
     level = max(cfg.levels)
     grid = make_grid(1, level, cfg.extent)
     beta = cfg.derived_beta()
-    q = cfg.derived_r()
+    q = (1.0 + cfg.p) / 2.0   # the ball-mean power, between 1 and p
     heights = dyadic_heights(1.0, grid=grid)
 
     ok = True
@@ -340,6 +341,8 @@ def _run_j_uniformity(cfg: ExperimentConfig) -> RunReport:
 # --------------------------------------------------------------------------
 # fractional measures against smoothed densities
 
+_CANTOR_DEPTHS = (12, 16)   # construction depths of each Cantor measure
+
 
 def _run_frostman(cfg: ExperimentConfig) -> RunReport:
     rep = _new_report(cfg)
@@ -349,7 +352,7 @@ def _run_frostman(cfg: ExperimentConfig) -> RunReport:
     details = []
     for s in cfg.s_values:
         ratios = []
-        for depth in cfg.depths:
+        for depth in _CANTOR_DEPTHS:
             mu = cantor_measure(s, depth)
             for seed in cfg.seeds:
                 g = nonneg_noise(grid, seed)
@@ -363,13 +366,15 @@ def _run_frostman(cfg: ExperimentConfig) -> RunReport:
         ok = ok and band < 3.0
     rep.add_criterion(
         "smoothed density integrable against fractional measures", ok,
-        "; ".join(details) + f" over depths {list(cfg.depths)} x "
+        "; ".join(details) + f" over depths {list(_CANTOR_DEPTHS)} x "
         f"{len(cfg.seeds)} seeds (required < 3)")
     return rep
 
 
 # --------------------------------------------------------------------------
 # divergence-set dimension bounds
+
+_DIVERGENCE_EPS = 0.02   # divergence threshold, a fraction of max |f|
 
 
 def _cantor_spike_density(grid, set_dim: float, depth: int) -> GridFunction:
@@ -390,10 +395,12 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
     # localize near the sample scale so the detected set hugs the spike
     # set; the rung must come from the ladder divergence_set scans
     t_min = dyadic_heights(1.0, grid=grid)[level]
-    eps = cfg.eps * float(np.abs(f.samples).max())
+    eps = _DIVERGENCE_EPS * float(np.abs(f.samples).max())
     all_ok = True
     details = []
-    for bp in cfg.beta_prime:
+    # beta' = beta (the limiting case), one order inside (beta, 1) and the
+    # nontangential order 1, repeats dropped
+    for bp in dict.fromkeys((beta, (1.0 + beta) / 2.0, 1.0)):
         if abs(bp - beta) <= 1e-12:
             rep.notes.append("limiting case covered by maximal bound")
             ratios = []
@@ -428,6 +435,8 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
 # --------------------------------------------------------------------------
 # corkscrew clearance constants
 
+_CORKSCREW_SLOPES = (0.5, 1.0, 3.0)   # Lipschitz constants of the profiles
+
 
 def _sawtooth(grid, M: float) -> GridFunction:
     quarter = grid.extent / 4.0
@@ -451,7 +460,7 @@ def _run_corkscrew(cfg: ExperimentConfig) -> RunReport:
     rng = stream(cfg.seeds[0])
     total_viol = 0
     details = []
-    for M in cfg.m_values:
+    for M in _CORKSCREW_SLOPES:
         for tag, prof in (("sawtooth", _sawtooth(grid, M)),
                           ("smooth", _smooth_profile(grid, M, cfg.seeds[0]))):
             graph = lipschitz_graph(prof, M=M * (1 + 1e-9))
@@ -522,6 +531,9 @@ def _run_inclusion(cfg: ExperimentConfig) -> RunReport:
 # --------------------------------------------------------------------------
 # boundary tangential maximal bound on a graph domain
 
+_ANNULI_ALPHA_L = 0.5   # decay exponent of the annuli surrogate
+_ANNULI_J = 20          # annuli truncation
+
 
 def _run_boundary_max(cfg: ExperimentConfig) -> RunReport:
     rep = _new_report(cfg)
@@ -534,8 +546,8 @@ def _run_boundary_max(cfg: ExperimentConfig) -> RunReport:
         for seed in cfg.seeds:
             f = bessel_smooth(white_noise(grid, seed), 2.0 * s)
             btm = boundary_tangential_max(graph, f, beta, cfg.c,
-                                          alpha_L=cfg.alpha_L,
-                                          p0=cfg.derived_p0(), J=cfg.J)
+                                          alpha_L=_ANNULI_ALPHA_L,
+                                          p0=(1.0 + cfg.p) / 2.0, J=_ANNULI_J)
             v = (lp_norm_sigma(graph, btm, cfg.p)
                  / boundary_seminorm(f, s, cfg.p))
             rep.add_row(level, seed, "ratio", v)
@@ -641,19 +653,17 @@ def acceptance_configs() -> list:
         ExperimentConfig(experiment="commute-lemma", levels=(10,),
                          seeds=seeds20),
         ExperimentConfig(experiment="poincare", levels=(10, 12),
-                         s_values=(0.3, 0.7), seeds=seeds20),
+                         seeds=seeds20),
         ExperimentConfig(experiment="nagel-stein-bound", levels=(10, 12, 14),
                          alpha=0.25, p=2.0, seeds=seeds20),
         ExperimentConfig(experiment="j-uniformity", levels=(10,), alpha=0.25,
                          p=2.0, seeds=seeds10),
         ExperimentConfig(experiment="frostman-lemma", levels=(12,), alpha=0.25,
-                         p=2.0, s_values=(0.6, 0.75, 0.9), depths=(12, 16),
-                         seeds=seeds20),
+                         p=2.0, s_values=(0.6, 0.75, 0.9), seeds=seeds20),
         ExperimentConfig(experiment="divergence-dimension", levels=(10, 14),
-                         alpha=0.25, p=2.0, beta_prime=(0.5, 0.75, 1.0),
-                         window=(4, 10), seeds=(0,)),
+                         alpha=0.25, p=2.0, window=(4, 10), seeds=(0,)),
         ExperimentConfig(experiment="corkscrew-geometry", levels=(10,),
-                         m_values=(0.5, 1.0, 3.0), seeds=(0,)),
+                         seeds=(0,)),
         ExperimentConfig(experiment="inclusion-lemma", levels=(10,),
                          beta=0.5, c=1.0, seeds=(0,)),
         ExperimentConfig(experiment="boundary-max", levels=(10, 12),

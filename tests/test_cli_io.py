@@ -225,11 +225,9 @@ def _verify_config(tmp_path, text: str) -> list:
 def test_lipschitz_non_finite_inputs_exit_2(tmp_path, capsys):
     # the Lipschitz runners reach the library's finiteness checks through
     # a config: c reaches region_inclusion_check and
-    # boundary_tangential_max, m_values the profiles
+    # boundary_tangential_max (the corkscrew slopes are pinned)
     for text in ("experiment = inclusion-lemma\nlevels = 6\nc = inf\n",
-                 "experiment = boundary-max\nlevels = 6\nc = inf\n",
-                 "experiment = corkscrew-geometry\nlevels = 6\n"
-                 "m_values = nan\n"):
+                 "experiment = boundary-max\nlevels = 6\nc = inf\n"):
         assert main(_verify_config(tmp_path, text)) == 2, text
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
@@ -237,11 +235,15 @@ def test_lipschitz_non_finite_inputs_exit_2(tmp_path, capsys):
 
 def test_non_finite_power_or_scale_off_the_floor_exits_2(tmp_path, capsys):
     # an infinite power once wrote all-ones output, and a scale that is not
-    # finite or lies below 4h stopped in a traceback
+    # finite or lies below 4h stopped in a traceback; the ball-mean and
+    # boundary powers are (1 + p) / 2, so an infinite or NaN p stops first
     for text, message in (
-            ("experiment = j-uniformity\nlevels = 6\nr = inf\n", "1 < r < p"),
-            ("experiment = j-uniformity\nlevels = 6\nr = nan\n", "1 < r < p"),
-            ("experiment = boundary-max\nlevels = 6\np0 = inf\n", "finite")):
+            ("experiment = j-uniformity\nlevels = 6\np = inf\n",
+             "alpha p <= n"),
+            ("experiment = j-uniformity\nlevels = 6\np = nan\n",
+             "p must exceed 1"),
+            ("experiment = boundary-max\nlevels = 6\np = inf\n",
+             "alpha p <= n")):
         assert main(_verify_config(tmp_path, text)) == 2, text
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
@@ -257,12 +259,13 @@ def test_non_finite_power_or_scale_off_the_floor_exits_2(tmp_path, capsys):
 def test_corkscrew_prints_plain_floats(tmp_path, capsys):
     # NumPy 2 scalars print as np.float64(...); M prints as a float
     assert main(_verify_config(
-        tmp_path, "experiment = corkscrew-geometry\nlevels = 8\n"
-                  "m_values = 0.5\n")) == 0
+        tmp_path, "experiment = corkscrew-geometry\nlevels = 8\n")) == 0
     assert capsys.readouterr().out == (
         "PASS  corkscrew clearance constants: 0 violations of "
         "kappa(M) t - 2h <= dist <= t (M=0.5 sawtooth: 0 low, 0 high; "
-        "M=0.5 smooth: 0 low, 0 high)\n")
+        "M=0.5 smooth: 0 low, 0 high; M=1.0 sawtooth: 0 low, 0 high; "
+        "M=1.0 smooth: 0 low, 0 high; M=3.0 sawtooth: 0 low, 0 high; "
+        "M=3.0 smooth: 0 low, 0 high)\n")
 
 
 # The bytes below pin what verify prints and the CSV report's format:

@@ -23,11 +23,14 @@ from fatou_lab.report import RunReport, emit_report
 def test_config_round_trip():
     cfg = validate(ExperimentConfig(
         experiment="frostman-lemma", levels=(12,), alpha=0.25, p=2.0,
-        s_values=(0.6, 0.75, 0.9), depths=(12, 16), seeds=(0, 1, 2),
-        output_dir="some/dir"))
+        s_values=(0.6, 0.75, 0.9), seeds=(0, 1, 2), output_dir="some/dir"))
     text = serialize(cfg)
     assert parse(text) == cfg
     assert config_hash(cfg) == config_hash(parse(text))
+    # an empty tuple is written as an empty value and read back as one
+    cfg = ExperimentConfig(experiment="poincare")
+    assert "s_values = \n" in serialize(cfg)
+    assert parse(serialize(cfg)) == cfg
 
 
 def test_config_validation_messages():
@@ -35,25 +38,7 @@ def test_config_validation_messages():
         validate(ExperimentConfig(experiment="warp-drive"))
     with pytest.raises(ParameterError, match="s > n-alpha\\*p required"):
         validate(ExperimentConfig(experiment="frostman-lemma", alpha=0.25,
-                                  p=2.0, s_values=(0.4,), depths=(12,)))
-    # nagel-stein-bound does not read r
-    with pytest.raises(ParameterError, match="'r'"):
-        validate(ExperimentConfig(experiment="nagel-stein-bound", alpha=0.25,
-                                  p=2.0, r=2.5))
-    # j-uniformity is the runner that reads r, as the ball-mean power
-    with pytest.raises(ParameterError, match="1 < r < p"):
-        validate(ExperimentConfig(experiment="j-uniformity", alpha=0.25,
-                                  p=2.0, r=2.5))
-    # boundary-max reads p0, alpha_L and J through the annuli surrogate
-    with pytest.raises(ParameterError, match="p0 = 0.5 must be >= 1"):
-        validate(ExperimentConfig(experiment="boundary-max", p0=0.5))
-    with pytest.raises(ParameterError, match="alpha_L = 2.0 must lie in"):
-        validate(ExperimentConfig(experiment="boundary-max", alpha_L=2.0))
-    with pytest.raises(ParameterError, match="alpha_L = 0.0 must lie in"):
-        validate(ExperimentConfig(experiment="boundary-max", alpha_L=0.0))
-    with pytest.raises(ParameterError, match="J = 0 must be >= 1"):
-        validate(ExperimentConfig(experiment="boundary-max", J=0))
-    validate(ExperimentConfig(experiment="boundary-max", p0=1.0, alpha_L=1.0, J=1))
+                                  p=2.0, s_values=(0.4,)))
     with pytest.raises(ParameterError, match="alpha p <= n"):
         validate(ExperimentConfig(experiment="nagel-stein-bound", alpha=0.75,
                                   p=2.0))
@@ -136,12 +121,17 @@ _BASE["dorronsoro-bound"] = ExperimentConfig(experiment="dorronsoro-bound",
                                              levels=(8, 9), seeds=(0, 1))
 # a valid value other than the default, per settable key
 _OTHER = {"dim": 2, "levels": (8,), "extent": 2.0, "p": 3.0, "alpha": 0.2,
-          "beta": 0.7, "beta_prime": (0.9,), "aperture": 2.0, "c": 2.0,
-          "alpha_L": 0.25, "r": 1.2, "p0": 1.2, "J": 5, "s_values": (0.8,),
-          "depths": (4,), "eps": 0.05, "window": (3, 8), "m_values": (1.0,),
-          "seeds": (1,)}
+          "beta": 0.7, "aperture": 2.0, "c": 2.0, "s_values": (0.8,),
+          "window": (3, 8), "seeds": (1,)}
 _UNREAD = [(name, key) for name in EXPERIMENTS for key in _OTHER
            if key not in reads(name)]
+# keys the config no longer has, each with a value it once took: the
+# runners pin or derive them (boundary-max's annuli surrogate, the orders
+# and threshold of divergence-dimension, the Cantor depths, the corkscrew
+# slopes, the ball-mean power of j-uniformity)
+_REMOVED = {"beta_prime": "0.5,1.0", "alpha_L": "0.25", "r": "1.2",
+            "p0": "1.2", "J": "5", "depths": "4", "eps": "0.05",
+            "m_values": "1.0"}
 _COUNTED = [(name, key, most) for name in EXPERIMENTS
             for key, most in reads(name).items() if most is not None]
 
@@ -155,12 +145,21 @@ def test_settable_keys_are_the_config_fields():
     assert sorted(c.experiment for c in _SMALL) == sorted(EXPERIMENTS)
     for cfg in _BASE.values():
         validate(cfg)
-    # 13 runners x 19 keys, less the 73 (runner, key) pairs that are read
-    assert len(_UNREAD) == 13 * 19 - 73
+    # 13 runners x 11 keys, less the 64 (runner, key) pairs that are read
+    assert len(_UNREAD) == 13 * 11 - 64
+    assert not set(_REMOVED) & {f.name for f in fields(ExperimentConfig)}
 
 
-@pytest.mark.parametrize("name, key", _UNREAD, ids="-".join)
+@pytest.mark.parametrize(
+    "name, key", _UNREAD + [(n, k) for n in EXPERIMENTS for k in _REMOVED],
+    ids="-".join)
 def test_unread_key_must_keep_its_default(name, key):
+    if key in _REMOVED:
+        # no runner reads a removed key: every experiment refuses it
+        with pytest.raises(ParameterError,
+                           match=f"unknown config key\\(s\\) '{key}'$"):
+            parse(serialize(_BASE[name]) + f"{key} = {_REMOVED[key]}\n")
+        return
     cfg = replace(_BASE[name], **{key: _OTHER[key]})
     with pytest.raises(ParameterError, match=f"{name} does not read '{key}'"):
         validate(cfg)
@@ -178,14 +177,12 @@ def test_runner_rejects_entries_it_does_not_use(name, key, most):
 
 
 @pytest.mark.parametrize("lines, keys", [
-    ("experiment = corkscrew-geometry\nm_values = 1\nseeds = 0,1,2\n",
-     ["seeds"]),
-    ("experiment = corkscrew-geometry\nm_values = 1\nlevels = 6,8\n",
-     ["levels"]),
+    ("experiment = corkscrew-geometry\nseeds = 0,1,2\n", ["seeds"]),
+    ("experiment = corkscrew-geometry\nlevels = 6,8\n", ["levels"]),
     ("experiment = poincare\nalpha = -1\n", ["alpha"]),
     ("experiment = nagel-stein-bound\nr = 5\n", ["r"]),
-    ("experiment = kernel-identities\nm_values = 3\nlevels = 20\n",
-     ["levels", "m_values"]),
+    ("experiment = kernel-identities\nwindow = 3,8\nlevels = 20\n",
+     ["levels", "window"]),
 ], ids=["corkscrew-seeds", "corkscrew-levels", "poincare-alpha",
         "nagel-stein-r", "kernel-identities"])
 def test_cli_verify_rejects_keys_the_runner_ignores(tmp_path, capsys, lines,
@@ -223,16 +220,15 @@ _SMALL = [
     ExperimentConfig(experiment="kernel-identities"),
     ExperimentConfig(experiment="poisson-exactness", levels=(6,)),
     ExperimentConfig(experiment="commute-lemma", levels=(6,), seeds=(0, 1)),
-    ExperimentConfig(experiment="poincare", levels=(6, 7), s_values=(0.3,)),
+    ExperimentConfig(experiment="poincare", levels=(6, 7)),
     ExperimentConfig(experiment="nagel-stein-bound", levels=(6, 7)),
     ExperimentConfig(experiment="dorronsoro-bound", levels=(6, 7)),
-    # beta' = beta takes the limiting branch, 0.75 the box-counting one
+    # beta' = beta takes the limiting branch, 0.75 and 1 the box-counting one
     ExperimentConfig(experiment="divergence-dimension", levels=(7, 9),
-                     beta_prime=(0.5, 0.75), window=(3, 7)),
+                     window=(3, 7)),
     ExperimentConfig(experiment="frostman-lemma", levels=(8,),
-                     s_values=(0.75,), depths=(6,)),
-    ExperimentConfig(experiment="corkscrew-geometry", levels=(8,),
-                     m_values=(1.0,)),
+                     s_values=(0.75,)),
+    ExperimentConfig(experiment="corkscrew-geometry", levels=(8,)),
     ExperimentConfig(experiment="inclusion-lemma", levels=(8,)),
     ExperimentConfig(experiment="boundary-max", levels=(6, 7)),
     ExperimentConfig(experiment="j-uniformity", levels=(7,)),
@@ -311,8 +307,7 @@ def test_boxdim_svg_annotation_matches_report_slope(tmp_path):
 
 def test_divergence_limiting_case_note():
     cfg = ExperimentConfig(experiment="divergence-dimension", levels=(8, 10),
-                           alpha=0.25, p=2.0, beta_prime=(0.5,),
-                           window=(3, 8), seeds=(0,))
+                           alpha=0.25, p=2.0, window=(3, 8), seeds=(0,))
     rep = run_experiment(cfg)
     assert any("limiting case covered by maximal bound" in n
                for n in rep.notes)
@@ -322,8 +317,8 @@ def test_divergence_dimension_runs_at_an_extent_off_the_ladder():
     # t_min is a rung of the unit ladder the divergence set scans, so an
     # extent that is not a power of two runs to the end
     cfg = validate(ExperimentConfig(
-        experiment="divergence-dimension", levels=(7, 9),
-        beta_prime=(0.5, 0.75), window=(3, 7), extent=3.0))
+        experiment="divergence-dimension", levels=(7, 9), window=(3, 7),
+        extent=3.0))
     rep = run_experiment(cfg)
     assert rep.criteria
     assert any(q.startswith("slope_bp") for _, _, q, _ in rep.rows)
@@ -405,7 +400,7 @@ def test_cli_extend_and_maxfn(tmp_path, capsys):
 def test_cli_potential_and_fractal(tmp_path, capsys):
     assert main(_verify(tmp_path, "[experiment]\nexperiment = frostman-lemma\n"
                                   "levels = 10\ns_values = 0.6,0.9\n"
-                                  "depths = 6,8\nseeds = 0,1\n")) == 0
+                                  "seeds = 0,1\n")) == 0
     assert main(_verify(tmp_path, "[experiment]\nexperiment = "
                                   "boxdim-calibration\nlevels = 12\n"
                                   "window = 4,9\n")) == 0
@@ -415,8 +410,7 @@ def test_cli_potential_and_fractal(tmp_path, capsys):
 
 
 def test_cli_lipschitz(tmp_path, capsys):
-    for text in ("experiment = corkscrew-geometry\nlevels = 8\n"
-                 "m_values = 0.5,3\n",
+    for text in ("experiment = corkscrew-geometry\nlevels = 8\n",
                  "experiment = inclusion-lemma\nlevels = 6\n",
                  "experiment = boundary-max\nlevels = 6,7\nseeds = 0,1\n"):
         assert main(_verify(tmp_path, "[experiment]\n" + text)) == 0, text
@@ -456,18 +450,18 @@ def test_cli_inclusion_shortfall_exits_1(tmp_path, capsys, monkeypatch):
 def test_cli_surrogate_dilated_composite(tmp_path, capsys):
     # annuli surrogate swept by the dilated mitigated maximal operator
     assert main(_verify(tmp_path, "[experiment]\nexperiment = j-uniformity\n"
-                                  "levels = 8\nseeds = 0,1\nr = 1.5\n")) == 0
+                                  "levels = 8\nseeds = 0,1\n")) == 0
     assert "PASS  " in capsys.readouterr().out
 
 
 def test_cli_divset_and_boundary_max(tmp_path, capsys):
     assert main(_verify(tmp_path, "[experiment]\nexperiment = "
                                   "divergence-dimension\nlevels = 8,10\n"
-                                  "beta_prime = 0.5,1.0\nwindow = 3,8\n")) == 0
+                                  "window = 3,8\n")) == 0
     rows = _rows(tmp_path / "out" / "divergence-dimension.csv")
     assert any(q.startswith("slope_bp") for q in rows)
     assert main(_verify(tmp_path, "[experiment]\nexperiment = boundary-max\n"
-                                  "levels = 6,7\nc = 1.0\nJ = 8\n")) == 0
+                                  "levels = 6,7\nc = 1.0\n")) == 0
     assert len(_rows(tmp_path / "out" / "boundary-max.csv")["ratio"]) == 2
 
 
@@ -487,7 +481,9 @@ def test_cli_non_finite_region_parameters_exit_2(tmp_path, capsys, value):
 
 # configs that once ran into a library error mid-run (after the output
 # directory was made, with a message that did not name the key), a
-# traceback (exit 1) or a FAIL line (exit 1): key, experiment, INI lines
+# traceback (exit 1) or a FAIL line (exit 1): key, experiment, INI lines.
+# J, eps, p0, depths and m_values have left the config, so their cases
+# now stop as unknown keys, and poincare no longer reads s_values
 _OUT_OF_DOMAIN = {
     "seeds-negative": ("seeds", "poincare", "seeds = -1"),
     "seeds-2^112": ("seeds", "poincare", f"seeds = {2 ** 112}"),
@@ -500,6 +496,7 @@ _OUT_OF_DOMAIN = {
     "poincare-s-inf": ("s_values", "poincare", "s_values = 0.3,inf"),
     "poincare-s-nan": ("s_values", "poincare", "s_values = nan"),
     "extent-inf": ("extent", "poincare", "extent = inf"),
+    "frostman-extent-0.5": ("extent", "frostman-lemma", "extent = 0.5"),
     "aperture-zero": ("aperture", "nagel-stein-bound", "aperture = 0"),
     "aperture-negative": ("aperture", "dorronsoro-bound", "aperture = -1"),
     "aperture-inf": ("aperture", "nagel-stein-bound", "aperture = inf"),
@@ -512,19 +509,19 @@ _OUT_OF_DOMAIN = {
     "frostman-s-1.5": ("s_values", "frostman-lemma", "s_values = 0.75,1.5"),
     "m_values-inf": ("m_values", "corkscrew-geometry", "m_values = inf"),
     "m_values-nan": ("m_values", "corkscrew-geometry", "m_values = 1,nan"),
+    "m_values-negative": ("m_values", "corkscrew-geometry", "m_values = -1"),
 }
 
 # the rest of a runnable config of each experiment above
 _RUNNABLE = {
     "poincare": ("levels = 6",),
     "boundary-max": ("levels = 6",),
-    "divergence-dimension": ("levels = 6,8", "beta_prime = 0.5,1.0",
-                             "window = 3,6"),
+    "divergence-dimension": ("levels = 6,8", "window = 3,6"),
     "nagel-stein-bound": ("levels = 6",),
     "dorronsoro-bound": ("levels = 6",),
-    "frostman-lemma": ("levels = 8", "s_values = 0.75", "depths = 6"),
+    "frostman-lemma": ("levels = 8", "s_values = 0.75"),
     "boxdim-calibration": ("levels = 8", "window = 3,6"),
-    "corkscrew-geometry": ("levels = 6", "m_values = 1"),
+    "corkscrew-geometry": ("levels = 6",),
 }
 
 
@@ -547,6 +544,66 @@ def test_config_outside_the_schema_exits_2_naming_the_key(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and re.search(rf"\b{key}\b", err), err
     assert not out.exists()
+
+
+def test_every_experiment_but_frostman_validates_from_its_name():
+    # the probe values the runners pin need no config; frostman-lemma's
+    # measure dimensions depend on n - alpha p, so they have no default
+    for name in EXPERIMENTS:
+        cfg = ExperimentConfig(experiment=name)
+        if name == "frostman-lemma":
+            with pytest.raises(ParameterError, match="s_values"):
+                validate(cfg)
+        else:
+            assert validate(cfg) is cfg
+
+
+@pytest.mark.parametrize("key", sorted(_REMOVED))
+def test_removed_key_exits_2_naming_it(tmp_path, capsys, key):
+    # each experiment that read the key once now runs from its name alone
+    name = {"alpha_L": "boundary-max", "p0": "boundary-max",
+            "J": "boundary-max", "r": "j-uniformity",
+            "beta_prime": "divergence-dimension",
+            "eps": "divergence-dimension", "depths": "frostman-lemma",
+            "m_values": "corkscrew-geometry"}[key]
+    rest = ("s_values = 0.75",) if name == "frostman-lemma" else ()
+    assert main(_verify(tmp_path, "\n".join([
+        "[experiment]", f"experiment = {name}", "levels = 6", *rest,
+        f"{key} = {_REMOVED[key]}", ""]))) == 2
+    assert capsys.readouterr().err == (
+        f"error: unknown config key(s) '{key}'\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("line", ["levels = 6,,8", "seeds = 1,",
+                                  "levels = ,6", "seeds = ,"])
+def test_list_with_an_empty_entry_exits_2(tmp_path, capsys, line):
+    # an empty entry is an error, not a shorter list
+    key = line.split()[0]
+    assert main(_verify(tmp_path, "[experiment]\nexperiment = poincare\n"
+                                  f"{line}\n")) == 2
+    assert capsys.readouterr().err.startswith(
+        f"error: config key '{key}': empty entry in ")
+    assert not (tmp_path / "out").exists()
+
+
+def test_verify_empty_output_dir_exits_2(tmp_path, capsys, monkeypatch):
+    # an empty --output-dir is a path that cannot be made, not "unset"
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify", "--experiment", "poisson-exactness",
+                 "--levels", "6", "--output-dir", ""]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: cannot create output directory")
+    assert not (tmp_path / "fatou-lab-out").exists()
+
+
+def test_suite_empty_output_dir_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    assert main(["suite", "--output-dir", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: cannot create output directory")
+    assert captured.out == ""
+    assert not (tmp_path / "fatou-lab-out").exists()
 
 
 def _uncovered(t_max):
@@ -634,8 +691,8 @@ def test_cli_extend_rejects_a_ladder_before_building_it(monkeypatch, t0,
         poisson_extend(from_callable(g, np.cos), hts)
 
 
-# The config's grid keys (levels, dim) and its point lists (m_values,
-# window) are what the retired grid and points CSV inputs carried; each
+# The config's grid keys (levels, dim) and its point list (window) are
+# what the retired grid and points CSV inputs carried; each
 # malformed value is a usage error before any report is written.
 _GRID_CSV_CASES = {
     "empty": "",
@@ -661,11 +718,10 @@ def test_cli_malformed_grid_csv_exits_2(tmp_path, capsys, case):
 
 
 _POINTS_CSV_CASES = {
-    "empty": "experiment = corkscrew-geometry\nm_values =\n",
-    "header-2-columns-in-1d": "experiment = corkscrew-geometry\ndim = 2\n"
-                              "m_values = 1\n",
+    "empty": "experiment = boxdim-calibration\nwindow =\n",
+    "header-2-columns-in-1d": "experiment = corkscrew-geometry\ndim = 2\n",
     "short-row": "experiment = boxdim-calibration\nwindow = 4\n",
-    "non-numeric": "experiment = corkscrew-geometry\nm_values = half\n",
+    "non-numeric": "experiment = boxdim-calibration\nwindow = half,8\n",
 }
 
 
@@ -728,7 +784,7 @@ _MULTI_SEED_CONFIGS = [
     ExperimentConfig(experiment="nagel-stein-bound", levels=(8, 9),
                      seeds=(0, 1, 2)),
     ExperimentConfig(experiment="frostman-lemma", levels=(9,), s_values=(0.75,),
-                     depths=(8,), seeds=(0, 1, 2)),
+                     seeds=(0, 1, 2)),
     ExperimentConfig(experiment="boundary-max", levels=(8, 9), seeds=(0, 1, 2)),
     ExperimentConfig(experiment="dorronsoro-bound", levels=(8, 9),
                      seeds=(0, 1, 2)),
@@ -756,7 +812,7 @@ def test_thread_count_does_not_change_reports(tmp_path, cfg):
     ExperimentConfig(experiment="dorronsoro-bound", levels=(8, 9),
                      seeds=(0, 1)),
     ExperimentConfig(experiment="divergence-dimension", levels=(7, 9),
-                     beta_prime=(0.5, 0.75), window=(3, 7)),
+                     window=(3, 7)),
 ], ids=lambda cfg: cfg.experiment)
 def test_poisson_runners_never_build_the_poisson_field(monkeypatch, cfg):
     import fatou_lab

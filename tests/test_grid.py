@@ -256,11 +256,11 @@ def test_write_csv_table_round_trip_is_exact(tmp_path, rng):
 _FILE_FUZZ = settings(max_examples=40, deadline=None,
                       suppress_health_check=[HealthCheck.function_scoped_fixture])
 _FROSTMAN = serialize(ExperimentConfig(
-    experiment="frostman-lemma", s_values=(0.6, 0.9), depths=(12, 16)))
+    experiment="frostman-lemma", s_values=(0.6, 0.9)))
 
 
 @_FILE_FUZZ
-@given(cut=st.integers(0, _FROSTMAN.index("depths = ") + len("depths = ")))
+@given(cut=st.integers(0, _FROSTMAN.index("s_values = ") + len("s_values = ")))
 def test_truncated_grid_file_raises(tmp_path, cut):
     # cut before its last required value, the config cannot load
     path = tmp_path / "c.ini"

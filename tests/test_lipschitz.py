@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fatou_lab import experiments
 from fatou_lab.cli import main
 from fatou_lab.config import ExperimentConfig
 from fatou_lab.errors import GridMismatchError, ParameterError
@@ -393,8 +394,9 @@ def test_truncated_graph_file_raises(frac):
 
 
 def test_graph_file_trailer_must_be_whole(tmp_path, capsys):
-    # the declared constant may not fall short of the certified slope,
-    # and a config's m_values reach the same check
+    # the declared constant may not fall short of the certified slope; a
+    # config cannot declare one (the corkscrew slopes are pinned), so
+    # m_values stops as an unknown key before the output directory
     hat = _hat(3)
     with pytest.raises(ParameterError, match="exceeding declared M"):
         lipschitz_graph(hat.phi, M=hat.M * (1.0 - 1e-6))
@@ -404,7 +406,8 @@ def test_graph_file_trailer_must_be_whole(tmp_path, capsys):
                     "levels = 6\nm_values = -1\n")
     assert main(["verify", "--config", str(path),
                  "--output-dir", str(tmp_path / "out")]) == 2
-    assert "declared M must be finite" in capsys.readouterr().err
+    assert "unknown config key(s) 'm_values'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_declared_constant_must_be_finite():
@@ -419,12 +422,12 @@ def test_declared_constant_must_be_finite():
     ((11,), (0.5, 1.0, 2.0, 3.0), 2),
 ])
 def test_corkscrew_upper_clearance_has_no_false_positives(levels, m_values,
-                                                          seed):
+                                                          seed, monkeypatch):
     # the distance never exceeds the computed vertical gap (phi + t) - phi;
     # a tolerance relative to t alone misses its rounding when |phi| >> t
+    monkeypatch.setattr(experiments, "_CORKSCREW_SLOPES", m_values)
     rep = run_experiment(ExperimentConfig(
-        experiment="corkscrew-geometry", levels=levels, m_values=m_values,
-        seeds=(seed,)))
+        experiment="corkscrew-geometry", levels=levels, seeds=(seed,)))
     assert all(c.passed for c in rep.criteria), rep.criteria
     assert all(row[-1] == 0 for row in rep.rows)
 
