@@ -164,7 +164,9 @@ def serialize(cfg: ExperimentConfig) -> str:
 
 
 def parse(text: str) -> ExperimentConfig:
-    cp = configparser.ConfigParser(interpolation=None)
+    # no header matches the empty name, so [DEFAULT] is a section like any
+    # other and is refused, not merged into [experiment]
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     cp.optionxform = str  # keys as written: an error names them so
     try:
         cp.read_string(text)

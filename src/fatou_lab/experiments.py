@@ -392,9 +392,8 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
     depth = 5
     g = _cantor_spike_density(grid, set_dim, depth)
     f = bessel_smooth(g, cfg.alpha)
-    # localize near the sample scale so the detected set hugs the spike
-    # set; the rung must come from the ladder divergence_set scans
-    t_min = dyadic_heights(1.0, grid=grid)[level]
+    # localize near the sample scale so the detected set hugs the spike set
+    t_max = dyadic_heights(1.0, grid=grid)[level]
     eps = _DIVERGENCE_EPS * float(np.abs(f.samples).max())
     all_ok = True
     details = []
@@ -411,8 +410,9 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
             ok = band < 3.0
             details.append(f"beta'=beta: maximal-bound band {band:.3f} (< 3)")
         else:
-            spec = ApproachRegionSpec(beta=bp, aperture=cfg.aperture, t_max=1.0)
-            div = divergence_set(f, spec, eps, t_min)
+            spec = ApproachRegionSpec(beta=bp, aperture=cfg.aperture,
+                                      t_max=t_max)
+            div = divergence_set(f, spec, eps)
             bd = box_dimension(div, cfg.window)
             bound = grid.dim - grid.dim * (bp - beta)
             ok = bd.slope <= bound + 0.1
@@ -423,8 +423,8 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
                 f"({div.points.size} pts)")
         all_ok = all_ok and ok
     smooth = from_callable(grid, lambda x: np.cos(2 * np.pi * x / grid.extent))
-    sdiv = divergence_set(smooth, ApproachRegionSpec(beta=1.0, t_max=1.0),
-                          0.01, t_min)
+    sdiv = divergence_set(smooth, ApproachRegionSpec(beta=1.0, t_max=t_max),
+                          0.01)
     empty_ok = sdiv.points.size == 0
     details.append(f"smooth-data control: {sdiv.points.size} divergence points")
     rep.add_criterion("divergence-set dimension bounds",

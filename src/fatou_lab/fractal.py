@@ -14,7 +14,7 @@ from .errors import ParameterError
 from .extension import check_finite, dyadic_heights, poisson_slices, \
     slice_buffers
 from .grid import Grid, GridFunction, nearest_index
-from .maximal import ApproachRegionSpec, window_extreme
+from .maximal import ApproachRegionSpec, _coverage_check, window_extreme
 
 
 @dataclass(frozen=True)
@@ -118,21 +118,19 @@ def box_dimension(points: PointSet, scale_window) -> BoxDimension:
     return BoxDimension(slope=slope, counts=tuple(counts))
 
 
-def divergence_set(f: GridFunction, spec: ApproachRegionSpec, eps: float,
-                   t_min: float) -> PointSet:
+def divergence_set(f: GridFunction, spec: ApproachRegionSpec,
+                   eps: float) -> PointSet:
     """Grid points where the localized region oscillation of the Poisson
     extension of f against f exceeds eps.
 
     Scans the heights of the ladder dyadic_heights(1.0, grid=f.grid) at
-    most t_min, one Poisson slice at a time; the set shrinks as eps grows
-    and grows as t_min grows.
+    most spec.t_max, at least two of them, one Poisson slice at a time;
+    the set shrinks as eps grows and grows as t_max grows.
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
     heights = dyadic_heights(1.0, grid=f.grid)
-    if not any(abs(t - t_min) <= 1e-12 * t_min for t in heights):
-        raise ParameterError(f"t_min={t_min} is not among the ladder heights")
-    scan = [t for t in heights if t <= t_min * (1.0 + 1e-12)]
+    scan = [heights[k] for k in _coverage_check(heights, spec)]
     g = f.grid
     osc = np.zeros(g.size)
     hi = np.empty(g.size)

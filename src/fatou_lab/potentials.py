@@ -1,5 +1,5 @@
-"""Smoothing operators, spectral derivatives, sharp maximal functions and
-fractional seminorms on the periodic grid.
+"""Smoothing operators, spectral derivatives, the mean-oscillation sharp
+maximal function and fractional seminorms on the periodic grid.
 
 The smoothing operator J_alpha = (I - Laplace)^(-alpha/2) acts through
 the Bessel multiplier; spectral derivatives are exact on trigonometric
@@ -7,7 +7,6 @@ polynomials, so boundary Sobolev norms never leave the grid.
 """
 
 import math
-from itertools import product
 
 import numpy as np
 
@@ -15,7 +14,7 @@ from . import _kernels
 from .errors import ParameterError
 from .grid import Grid, GridFunction, disc_rows, window_halfwidth
 
-# _mean_residuals gathers and fits a 1/_BLOCKS slice of its matrix at a time
+# _mean_residuals gathers a 1/_BLOCKS slice of its matrix at a time
 _BLOCKS = 8
 
 
@@ -90,24 +89,6 @@ def spectral_derivative(f: GridFunction, gamma) -> GridFunction:
     return GridFunction(g, next(_apply_multiplier(f, [mult])))
 
 
-def multi_indices(dim: int, degree: int) -> list:
-    """Multi-indices with |gamma| <= degree in lexicographic order."""
-    return sorted(g for g in product(range(degree + 1), repeat=dim)
-                  if sum(g) <= degree)
-
-
-def _monomials(u: np.ndarray, mi) -> np.ndarray:
-    """(points, len(mi)) matrix of u^gamma, one column per multi-index."""
-    basis = np.empty((u.shape[0], len(mi)))
-    for col, gam in enumerate(mi):
-        term = np.ones(u.shape[0])
-        for ax, power in enumerate(gam):
-            if power:
-                term = term * u[:, ax] ** power
-        basis[:, col] = term
-    return basis
-
-
 def _ball_measure(dim: int, radius: float) -> float:
     return 2.0 * radius if dim == 1 else math.pi * radius * radius
 
@@ -127,17 +108,19 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
 
     For each grid point the maximum over balls Delta(c, r) containing it,
     r in scales and c on the stride-r/2 lattice, of
-    |Delta|^(-alpha/n) avg_Delta |f - P^k_Delta f| with k = floor(alpha).
-    A lower bound for the continuum supremum, monotone under refinement.
+    |Delta|^(-alpha/n) avg_Delta |f - f_Delta|, f_Delta the mean of f over
+    Delta.  That is Dorronsoro's function for 0 < alpha < 1, where the
+    fitted polynomial of degree floor(alpha) is the constant; larger
+    orders are rejected.  A lower bound for the continuum supremum,
+    monotone under refinement.
 
     Per scale, gathers from the wrap-padded samples lay the ball of every
-    center out as an (offsets x centers) matrix; the moments against the
-    scaled monomials, the fitted polynomials and the mean absolute
-    residuals are then matrix products and reductions over it
+    center out as an (offsets x centers) matrix; the ball means and the
+    mean absolute residuals are a product and a reduction over it
     (_mean_residuals).
     """
-    if alpha <= 0:
-        raise ParameterError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < 1.0:
+        raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
     scales = sorted(float(r) for r in np.atleast_1d(scales))
     if not scales:
         raise ParameterError("empty scale list")
@@ -151,8 +134,6 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
             f"{g.extent / 4.0:.6g}], got {scales}")
     from .maximal import window_extreme  # maximal imports this module
 
-    k = min(int(math.floor(alpha)), 3)
-    mi = multi_indices(g.dim, k)
     out = np.zeros(g.size)
     # every ball offset of every scale stays inside the pad
     pad = window_halfwidth(scales[-1], g.h)
@@ -168,9 +149,7 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
         offs = np.stack([np.repeat(dys, 2 * ws + 1),
                          np.concatenate([np.arange(-w, w + 1) for w in ws])],
                         axis=1)[:, 2 - g.dim:]
-        # one contiguous row per monomial: w @ w.T rounds as a row-major product
-        w = np.ascontiguousarray(_monomials(offs * g.h / r, mi).T)
-        resid = _mean_residuals(padded, offs @ pitch, centers.reshape(-1), w)
+        resid = _mean_residuals(padded, offs @ pitch, centers.reshape(-1))
         e = _ball_measure(g.dim, r) ** (-alpha / g.dim) * resid
         # every point of Delta(c, r) sees the ball's value: the disc is
         # symmetric, so that is a window max of the values placed on centres
@@ -180,28 +159,21 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
     return GridFunction(g, out)
 
 
-def _mean_residuals(padded: np.ndarray, rel: np.ndarray, centres: np.ndarray,
-                    w: np.ndarray) -> np.ndarray:
-    """Per centre c, the mean over offsets d of |v - P v| on the values
-    v_d = padded.flat[c + rel[d]], P the least-squares fit by the rows of w.
+def _mean_residuals(padded: np.ndarray, rel: np.ndarray,
+                    centres: np.ndarray) -> np.ndarray:
+    """Per centre c, the mean over offsets d of |v - mean(v)| on the values
+    v_d = padded.flat[c + rel[d]].
 
-    One (offsets x centres) array is alive, with temporaries of a slice
-    of it: the values are gathered a block of offsets at a time, and the
-    fit is subtracted a block of centres at a time.  Centre blocks are at
-    least 2 wide; on a dyadic scale the centre count is a power of two,
-    so they are all of one power-of-two width.  One-column and odd-width
-    blocks were seen to round the fit differently from one product over
-    all centres, as BLAS takes other kernels for them."""
+    One (offsets x centres) array is alive: the values are gathered into
+    it a block of offsets at a time, and the means are subtracted in
+    place.  The means are one row-vector product: vals.sum(axis=0)
+    rounds otherwise and would move the reported floats."""
     n_off = rel.size
-    gram_inv = np.linalg.inv((w @ w.T) / n_off)
     vals = np.empty((n_off, centres.size))
     rows = -(-n_off // _BLOCKS)
     for i in range(0, n_off, rows):
         vals[i:i + rows] = padded.take(np.add.outer(rel[i:i + rows], centres))
-    coeff = gram_inv @ (w @ vals / n_off)
-    step = max(2, centres.size // _BLOCKS)
-    for j in range(0, centres.size, step):
-        vals[:, j:j + step] -= w.T @ coeff[:, j:j + step]
+    vals -= np.ones((1, n_off)) @ vals / n_off
     return np.abs(vals, out=vals).sum(axis=0) / n_off
 
 

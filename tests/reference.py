@@ -592,18 +592,16 @@ def annuli_tail_bound(f: GridFunction, alpha_L: float, J: int) -> float:
 
 
 def divergence_set(u: HalfSpaceField, f_ref: GridFunction,
-                   spec: ApproachRegionSpec, eps: float,
-                   t_min: float) -> PointSet:
+                   spec: ApproachRegionSpec, eps: float) -> PointSet:
     """Grid points whose localized region oscillation against f_ref exceeds eps.
 
-    Scans sampled region points with height at most t_min; the set
-    shrinks as eps grows and grows as t_min grows.
+    Scans sampled region points with height at most spec.t_max; the set
+    shrinks as eps grows and grows as t_max grows.
     """
     if eps <= 0:
         raise ParameterError(f"eps must be positive, got {eps}")
-    if not any(abs(t - t_min) <= 1e-12 * t_min for t in u.heights):
-        raise ParameterError(f"t_min={t_min} is not among the field heights")
-    scan = [k for k, t in enumerate(u.heights) if t <= t_min * (1.0 + 1e-12)]
+    scan = [k for k, t in enumerate(u.heights)
+            if t <= spec.t_max * (1.0 + 1e-12)]
     g = u.grid
     osc = np.zeros(g.size)
     for k in scan:

@@ -314,8 +314,8 @@ def test_divergence_limiting_case_note():
 
 
 def test_divergence_dimension_runs_at_an_extent_off_the_ladder():
-    # t_min is a rung of the unit ladder the divergence set scans, so an
-    # extent that is not a power of two runs to the end
+    # the height cap is a rung of the unit ladder the divergence set
+    # scans, so an extent that is not a power of two runs to the end
     cfg = validate(ExperimentConfig(
         experiment="divergence-dimension", levels=(7, 9), window=(3, 7),
         extent=3.0))
@@ -585,6 +585,21 @@ def test_list_with_an_empty_entry_exits_2(tmp_path, capsys, line):
     assert capsys.readouterr().err.startswith(
         f"error: config key '{key}': empty entry in ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("default", ["[DEFAULT]\nlevels = 6\n", "[DEFAULT]\n"],
+                         ids=["with-a-key", "empty"])
+def test_default_section_exits_2_naming_it(tmp_path, capsys, monkeypatch,
+                                           default):
+    # configparser merges a [DEFAULT] section into every other section
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "cfg.ini"
+    path.write_text(default + "[experiment]\nexperiment = poincare\n")
+    assert main(["verify", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: config must contain one [experiment] section and no other, "
+        "got ['DEFAULT', 'experiment']\n")
+    assert os.listdir(tmp_path) == ["cfg.ini"]
 
 
 def test_verify_empty_output_dir_exits_2(tmp_path, capsys, monkeypatch):

@@ -48,9 +48,11 @@ def test_sharp_maximal_2d_kills_affine():
     g = make_grid(2, 6, 1.0)
     aff = from_callable(g, lambda x, y: 0.2 + 0.3 * x + 0.5 * y)
     scales = [r for r in dyadic_scales(g) if r <= 1 / 8]
-    sharp = sharp_maximal(aff, 1.5, scales)
-    arr = sharp.samples.reshape(g.shape)
-    assert np.abs(arr[16:48, 16:48]).max() < 1e-10
+    sharp = sharp_maximal(aff, 0.5, scales)
+    # off the torus seam the ball mean leaves affine data the same
+    # residual on every ball of a scale: one value across the band
+    band = sharp.samples.reshape(g.shape)[16:48, 16:48]
+    assert np.ptp(band) <= 1e-12 * band.max()
     const = from_callable(g, lambda x, y: np.full_like(x, 3.0))
     assert np.abs(sharp_maximal(const, 0.5, scales).samples).max() < 1e-12
 

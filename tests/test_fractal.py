@@ -6,7 +6,7 @@ import pytest
 
 import reference
 from fatou_lab import fractal
-from fatou_lab.errors import ParameterError
+from fatou_lab.errors import CoverageError, ParameterError
 from fatou_lab.extension import dyadic_heights, poisson_extend
 from fatou_lab.fractal import (PointSet, box_dimension, cantor_measure,
                                divergence_set, integrate_against)
@@ -130,9 +130,8 @@ def test_riesz_content_bound(rng):
 def test_divergence_set_smooth_data_empty():
     g = make_grid(1, 10, 1.0)
     f = from_callable(g, lambda x: np.cos(2 * np.pi * x))
-    t_min = 2.0 ** (-g.levels)
-    spec = ApproachRegionSpec(beta=1.0, t_max=1.0)
-    div = divergence_set(f, spec, 0.01, t_min)
+    spec = ApproachRegionSpec(beta=1.0, t_max=2.0 ** (-g.levels))
+    div = divergence_set(f, spec, 0.01)
     assert div.points.size == 0
 
 
@@ -141,14 +140,15 @@ def test_divergence_set_monotone(rng):
     spike = np.zeros(g.size)
     spike[g.n // 2] = 1.0 / math.sqrt(g.h)
     f = bessel_smooth(GridFunction(g, spike), 0.25)
-    spec = ApproachRegionSpec(beta=0.75, t_max=1.0)
     t1 = 2.0 ** (-g.levels)
+    spec = ApproachRegionSpec(beta=0.75, t_max=t1)
     scale = float(np.abs(f.samples).max())
-    d_small = divergence_set(f, spec, 0.05 * scale, t1)
-    d_big = divergence_set(f, spec, 0.01 * scale, t1)
+    d_small = divergence_set(f, spec, 0.05 * scale)
+    d_big = divergence_set(f, spec, 0.01 * scale)
     assert set(np.round(d_small.points / g.h).astype(int)) <= \
         set(np.round(d_big.points / g.h).astype(int))
-    d_deeper = divergence_set(f, spec, 0.05 * scale, 2 * t1)
+    d_deeper = divergence_set(f, ApproachRegionSpec(beta=0.75, t_max=2 * t1),
+                              0.05 * scale)
     assert set(np.round(d_small.points / g.h).astype(int)) <= \
         set(np.round(d_deeper.points / g.h).astype(int))
 
@@ -156,11 +156,12 @@ def test_divergence_set_monotone(rng):
 def test_divergence_set_errors(rng):
     g = make_grid(1, 8, 1.0)
     f = GridFunction(g, rng.normal(size=g.size))
-    spec = ApproachRegionSpec(beta=1.0, t_max=1.0)
     with pytest.raises(ParameterError):
-        divergence_set(f, spec, 0.0, 0.25)
-    with pytest.raises(ParameterError):
-        divergence_set(f, spec, 0.1, 0.3)  # not among the heights
+        divergence_set(f, ApproachRegionSpec(beta=1.0, t_max=0.25), 0.0)
+    # t_max below the second-lowest rung leaves one height to scan
+    lowest = dyadic_heights(1.0, grid=g)[-1]
+    with pytest.raises(CoverageError, match="fewer than 2 field heights"):
+        divergence_set(f, ApproachRegionSpec(beta=1.0, t_max=lowest), 0.1)
 
 
 def _spiky(g, rng) -> GridFunction:
@@ -182,13 +183,13 @@ def test_divergence_set_matches_stored_field_sweep(rng, dim, level, beta,
     f = _spiky(g, rng)
     hts = dyadic_heights(1.0, grid=g)
     u = poisson_extend(f, hts)
-    spec = ApproachRegionSpec(beta=beta, aperture=aperture, t_max=1.0)
     scale = float(np.abs(f.samples).max())
     sizes = []
-    for t_min in (hts[-1], hts[level], hts[level - 3]):
+    for t_max in (hts[-2], hts[level], hts[level - 3]):
+        spec = ApproachRegionSpec(beta=beta, aperture=aperture, t_max=t_max)
         for eps in (0.01 * scale, 0.05 * scale, 0.2 * scale):
-            got = divergence_set(f, spec, eps, t_min)
-            want = reference.divergence_set(u, f, spec, eps, t_min)
+            got = divergence_set(f, spec, eps)
+            want = reference.divergence_set(u, f, spec, eps)
             assert got.grid == want.grid
             np.testing.assert_array_equal(got.points, want.points)
             sizes.append(got.points.shape[0])
@@ -202,7 +203,7 @@ def test_divergence_set_transforms_only_heights_up_to_t_min(rng, monkeypatch,
     f = GridFunction(g, rng.normal(size=g.size))
     hts = dyadic_heights(1.0, grid=g)
     real = fractal.poisson_slices
-    for t_min in (hts[-1], hts[level], hts[1]):
+    for t_max in (hts[-2], hts[level], hts[1]):
         seen = []
 
         def spy(f, heights, *args):
@@ -210,8 +211,8 @@ def test_divergence_set_transforms_only_heights_up_to_t_min(rng, monkeypatch,
             return real(f, heights, *args)
 
         monkeypatch.setattr(fractal, "poisson_slices", spy)
-        divergence_set(f, ApproachRegionSpec(beta=0.5), 0.1, t_min)
-        assert seen == [t for t in hts if t <= t_min]
+        divergence_set(f, ApproachRegionSpec(beta=0.5, t_max=t_max), 0.1)
+        assert seen == [t for t in hts if t <= t_max]
 
 
 def test_divergence_set_forms_its_differences_in_place(rng):
@@ -221,10 +222,10 @@ def test_divergence_set_forms_its_differences_in_place(rng):
     # were temporaries
     g = make_grid(1, 16, 1.0)
     f = GridFunction(g, rng.normal(size=g.size))
-    t_min = dyadic_heights(1.0, grid=g)[8]
+    spec = ApproachRegionSpec(beta=0.75, t_max=dyadic_heights(1.0, grid=g)[8])
     tracemalloc.start()
     try:
-        divergence_set(f, ApproachRegionSpec(beta=0.75), 0.5, t_min)
+        divergence_set(f, spec, 0.5)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -236,12 +237,11 @@ def test_divergence_set_does_not_hold_the_field(rng):
     f = GridFunction(g, rng.normal(size=g.size))
     hts = dyadic_heights(1.0, grid=g)
     assert len(hts) == 19
-    spec = ApproachRegionSpec(beta=0.75)
-    t_min = 2.0 ** (-g.levels)
+    spec = ApproachRegionSpec(beta=0.75, t_max=2.0 ** (-g.levels))
     peaks = []
-    for run in (lambda: divergence_set(f, spec, 0.5, t_min),
+    for run in (lambda: divergence_set(f, spec, 0.5),
                 lambda: reference.divergence_set(poisson_extend(f, hts), f,
-                                                 spec, 0.5, t_min)):
+                                                 spec, 0.5)):
         tracemalloc.start()
         try:
             run()

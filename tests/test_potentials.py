@@ -10,9 +10,8 @@ from fatou_lab.extension import poisson_extend
 from fatou_lab.grid import (GridFunction, fft_convolve, from_callable, lp_norm,
                             make_grid)
 from fatou_lab.maximal import hl_max_q
-from fatou_lab.potentials import (bessel_smooth, dyadic_scales, multi_indices,
-                                  sharp_maximal, slobodeckij_seminorm,
-                                  spectral_derivative)
+from fatou_lab.potentials import (bessel_smooth, dyadic_scales, sharp_maximal,
+                                  slobodeckij_seminorm, spectral_derivative)
 from reference import KernelSpec, _ball_indices, sampled_kernel
 
 
@@ -135,20 +134,10 @@ def test_spectral_multipliers_match_dft_oracle(rng, case, dim, levels):
         assert np.abs(spec[k[a].reshape(-1) == g.n // 2]).max() > 1.0
 
 
-def test_multi_index_count_2d():
-    assert len(multi_indices(2, 3)) == 10
-    assert len(multi_indices(1, 3)) == 4
-    assert multi_indices(2, 1) == [(0, 0), (0, 1), (1, 0)]
-
-
 def test_sharp_maximal_kills_polynomials():
     g = make_grid(1, 10, 1.0)
     scales = [r for r in dyadic_scales(g) if r <= 1 / 16]
-    aff = from_callable(g, lambda x: 0.3 + 0.7 * x)
-    sharp = sharp_maximal(aff, 1.5, scales)
-    # away from the torus seam the projection reproduces affine data
-    band = sharp.samples[g.n // 4: 3 * g.n // 4]
-    assert np.abs(band).max() < 1e-8
+    # the ball mean reproduces constant data
     const = from_callable(g, lambda x: np.full_like(x, 2.0))
     assert np.abs(sharp_maximal(const, 0.7, scales).samples).max() < 1e-12
     # empty, not finite, below 4h or above extent/4, the floor and cap of
@@ -156,7 +145,17 @@ def test_sharp_maximal_kills_polynomials():
     for bad in ([], [math.inf], [math.nan], [0.0], [-1.0], [3.99 * g.h],
                 [0.2501], [1024.0]):
         with pytest.raises(ParameterError):
-            sharp_maximal(aff, 0.5, bad)
+            sharp_maximal(const, 0.5, bad)
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.3, 2.2, 0.0, math.nan])
+def test_sharp_maximal_takes_orders_in_0_1(alpha):
+    # from alpha = 1 on Dorronsoro's function subtracts a fitted polynomial
+    # of degree floor(alpha), not the mean
+    g = make_grid(1, 8, 1.0)
+    f = from_callable(g, lambda x: np.sin(2 * np.pi * x))
+    with pytest.raises(ParameterError, match="alpha must lie in \\(0, 1\\)"):
+        sharp_maximal(f, alpha, dyadic_scales(g))
 
 
 def test_sharp_maximal_poincare_pattern(rng):
@@ -320,11 +319,10 @@ def test_cp_poincare_via_sharp(rng):
 
 def _brute_sharp_at(f, alpha, scales, point):
     """max over balls Delta(c, r) that hold the point, c on the stride
-    lattice, of |Delta|^(-alpha/n) avg |f - P_k f| with P_k the least
-    squares fit of degree k = floor(alpha); 0 if no ball holds it."""
+    lattice, of |Delta|^(-alpha/n) avg |f - f_Delta| with f_Delta the
+    ball mean; 0 if no ball holds it."""
     g = f.grid
     n, dim = g.n, g.dim
-    degree = min(int(math.floor(alpha)), 3)
     arr = f.as_array()
     here = np.unravel_index(point, g.shape)
     best = 0.0
@@ -335,24 +333,18 @@ def _brute_sharp_at(f, alpha, scales, point):
                          if sum(x * x for x in o) * g.h * g.h
                          < r * r * (1.0 - 1e-12)])
         held = {tuple(o % n) for o in offs}
-        powers = [gam for gam in product(range(degree + 1), repeat=dim)
-                  if sum(gam) <= degree]
-        design = np.stack([np.prod((offs * g.h / r) ** np.array(gam), axis=1)
-                           for gam in powers], axis=1)
         measure = 2.0 * r if dim == 1 else math.pi * r * r
         for c in product(range(0, n, stride), repeat=dim):
             if tuple((np.array(here) - c) % n) not in held:
                 continue
             vals = arr[tuple(((np.array(c) + offs) % n).T)]
-            coef = np.linalg.lstsq(design, vals, rcond=None)[0]
-            resid = np.mean(np.abs(vals - design @ coef))
+            resid = np.mean(np.abs(vals - vals.mean()))
             best = max(best, measure ** (-alpha / dim) * resid)
     return best
 
 
-@pytest.mark.parametrize("dim,levels,alpha", [(1, 8, 0.5), (1, 8, 1.3),
-                                              (1, 8, 2.2), (2, 5, 0.5),
-                                              (2, 5, 1.3)])
+@pytest.mark.parametrize("dim,levels,alpha", [(1, 8, 0.5), (1, 8, 0.9),
+                                              (2, 5, 0.5), (2, 5, 0.9)])
 def test_sharp_maximal_brute_force_oracle(rng, dim, levels, alpha):
     g = make_grid(dim, levels, 1.0)
     f = GridFunction(g, rng.normal(size=g.size))
@@ -366,23 +358,22 @@ def test_sharp_maximal_brute_force_oracle(rng, dim, levels, alpha):
 @pytest.mark.parametrize("dim,levels", [(1, 10), (2, 6)])
 def test_sharp_maximal_blocks_of_centres_match_one_product(rng, monkeypatch,
                                                            dim, levels):
-    # two-column blocks, the default blocks and one block per scale give the
-    # same floats, at one monomial (alpha < 1) and at several
+    # gathers of one offset at a time, the default blocks of offsets and
+    # one gather per scale give the same floats
     g = make_grid(dim, levels, 1.0)
     f = GridFunction(g, rng.normal(size=g.size))
     scales = dyadic_scales(g)
-    for alpha in (0.5, 1.3, 2.2):
-        runs = []
-        for blocks in (1 << 20, potentials._BLOCKS, 1):
-            monkeypatch.setattr(potentials, "_BLOCKS", blocks)
-            runs.append(sharp_maximal(f, alpha, scales).samples)
-        np.testing.assert_array_equal(runs[0], runs[2])
-        np.testing.assert_array_equal(runs[1], runs[2])
+    runs = []
+    for blocks in (1 << 20, potentials._BLOCKS, 1):
+        monkeypatch.setattr(potentials, "_BLOCKS", blocks)
+        runs.append(sharp_maximal(f, 0.5, scales).samples)
+    np.testing.assert_array_equal(runs[0], runs[2])
+    np.testing.assert_array_equal(runs[1], runs[2])
 
 
 def test_sharp_maximal_holds_one_ball_matrix(rng):
     # the (offsets x centres) ball values take about 4 pi N^2 * 8 B per
-    # scale; neither the fit nor the gather index makes a second one
+    # scale; neither the means nor the gather index makes a second one
     import tracemalloc
 
     g = make_grid(2, 7, 1.0)
