@@ -2,7 +2,9 @@
 validation, round-tripping through an INI file.
 
 CLI flags override file values; see config-schema.ini at the repository
-root for the full key list with types and constraints.
+root for the full key list with types and constraints.  The torus extent
+and the region aperture are constants, and the region order is derived
+from (n, alpha, p).
 """
 
 import configparser
@@ -10,10 +12,10 @@ import hashlib
 import io
 import math
 from dataclasses import dataclass, fields
+from typing import ClassVar
 
 from .errors import ParameterError
-from .grid import MAX_LEVELS, make_grid, open_path
-from .maximal import ApproachRegionSpec
+from .grid import MAX_LEVELS, open_path
 
 # The keys each runner reads besides experiment and output_dir; every
 # other key must keep its default.  "key:1" marks a list of which the
@@ -21,23 +23,26 @@ from .maximal import ApproachRegionSpec
 # only the smallest and largest level.  dim is listed only where the
 # runner honours dim = 2.
 _READS = {
-    "nagel-stein-bound": "levels extent p alpha beta aperture seeds",
-    "dorronsoro-bound": "levels extent p alpha beta aperture seeds",
-    "divergence-dimension": "levels:2 extent p alpha beta aperture window "
-                            "seeds:1",
-    "frostman-lemma": "levels:1 extent p alpha s_values seeds",
-    "commute-lemma": "dim levels:1 extent seeds",
-    "poincare": "levels extent seeds",
-    "corkscrew-geometry": "levels:1 extent seeds:1",
-    "inclusion-lemma": "levels:1 extent p alpha beta c seeds:1",
-    "boundary-max": "levels extent p alpha beta c seeds",
+    "nagel-stein-bound": "levels p alpha seeds",
+    "dorronsoro-bound": "levels p alpha seeds",
+    "divergence-dimension": "levels:2 p alpha seeds:1",
+    "frostman-lemma": "levels:1 p alpha seeds",
+    "commute-lemma": "dim levels:1 seeds",
+    "poincare": "levels seeds",
+    "corkscrew-geometry": "levels:1 seeds:1",
+    "inclusion-lemma": "levels:1 p alpha c seeds:1",
+    "boundary-max": "levels p alpha c seeds",
     "kernel-identities": "",
-    "poisson-exactness": "dim levels:1 extent",
-    "j-uniformity": "levels:1 extent p alpha beta seeds",
-    "boxdim-calibration": "levels:1 extent window",
+    "poisson-exactness": "dim levels:1",
+    "j-uniformity": "levels:1 p alpha seeds",
+    "boxdim-calibration": "levels:1",
 }
 
 EXPERIMENTS = tuple(_READS)
+
+# the box-counting scales 2^-4..2^-10 of divergence-dimension and
+# boxdim-calibration; their finest level must reach the finer one
+BOX_WINDOW = (4, 10)
 
 
 @dataclass(frozen=True)
@@ -45,20 +50,17 @@ class ExperimentConfig:
     experiment: str
     dim: int = 1
     levels: tuple = (10,)
-    extent: float = 1.0
     p: float = 2.0
     alpha: float = 0.25
-    beta: float | None = None          # derived as 1 - alpha p / n when unset
-    aperture: float = 1.0
     c: float = 1.0
-    s_values: tuple = ()
-    window: tuple = (4, 10)
     seeds: tuple = (0,)
     output_dir: str = "fatou-lab-out"
 
+    extent: ClassVar[float] = 1.0     # torus side length
+    aperture: ClassVar[float] = 1.0   # approach-region aperture
+
     def derived_beta(self) -> float:
-        if self.beta is not None:
-            return self.beta
+        """The critical region order 1 - alpha p / n."""
         return 1.0 - self.alpha * self.p / self.dim
 
 
@@ -98,7 +100,6 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
              f"for dim = {cfg.dim}")
     _require(all(a < b for a, b in zip(cfg.levels, cfg.levels[1:])),
              f"levels must be strictly ascending, got {list(cfg.levels)}")
-    make_grid(cfg.dim, cfg.levels[0], cfg.extent)  # rejects the extent
     _require(cfg.p > 1, "p must exceed 1")
     _require(len(cfg.seeds) >= 1, "need at least one seed")
     # substream keys the stream by (seed << 16) ^ label, below Philox's 2^128
@@ -106,40 +107,25 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
              f"seeds must lie in [0, 2^112), got {list(cfg.seeds)}")
     if "alpha" in read:
         _require(cfg.alpha > 0, "alpha must be positive")
-        _require(cfg.alpha * cfg.p <= cfg.dim, "alpha p <= n required")
-    beta = cfg.derived_beta()
-    if "beta" in read:
-        _require(0.0 < beta <= 1.0, f"beta = {beta} must lie in (0, 1]")
-    if "aperture" in read:
-        ApproachRegionSpec(beta=beta, aperture=cfg.aperture)
+        beta = cfg.derived_beta()
+        _require(beta > 0, f"alpha p <= n required, with beta = 1 - alpha p "
+                           f"/ n positive; got beta = {beta}")
     if "c" in read:
         _require(math.isfinite(cfg.c) and cfg.c > 0,
                  f"c must be finite and positive, got {cfg.c}")
-    if "window" in read:
-        _require(len(cfg.window) == 2
-                 and 1 <= cfg.window[0] < cfg.window[1] <= max(cfg.levels),
-                 f"window must hold two scales 1 <= m_lo < m_hi <= "
-                 f"max(levels) = {max(cfg.levels)}, got {list(cfg.window)}")
+    if name in ("divergence-dimension", "boxdim-calibration"):
+        _require(max(cfg.levels) >= BOX_WINDOW[1],
+                 f"{name} fits box counts at scales 2^-{BOX_WINDOW[0]}.."
+                 f"2^-{BOX_WINDOW[1]}: max(levels) must be at least "
+                 f"{BOX_WINDOW[1]}, got {max(cfg.levels)}")
     if name == "nagel-stein-bound":
         _require(cfg.levels[-1] + 6 <= 24,
                  f"nagel-stein-bound probes an extended control at level "
                  f"levels[-1] + 6 = {cfg.levels[-1] + 6}, above the limit 24")
-    if name == "frostman-lemma":
-        floor = cfg.dim - cfg.alpha * cfg.p
-        _require(len(cfg.s_values) >= 1, "frostman-lemma needs s_values")
-        _require(all(s > floor for s in cfg.s_values),
-                 f"s > n-alpha*p required (n-alpha*p = {floor})")
-        _require(all(s <= 1.0 for s in cfg.s_values),
-                 f"s_values must be at most 1, the dimension of the line, "
-                 f"got {list(cfg.s_values)}")
-        _require(cfg.extent >= 1.0,
-                 f"frostman-lemma needs extent >= 1 to hold the measures' "
-                 f"support [0, 1], got extent = {cfg.extent}")
     return cfg
 
 
-_TUPLE_FIELDS = {"levels": int, "s_values": float, "window": int,
-                 "seeds": int}
+_LIST_FIELDS = ("levels", "seeds")  # comma-separated ints
 
 
 def serialize(cfg: ExperimentConfig) -> str:
@@ -149,11 +135,8 @@ def serialize(cfg: ExperimentConfig) -> str:
     sect = cp["experiment"]
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if value is None:
-            continue
-        if f.name in _TUPLE_FIELDS:
-            sect[f.name] = ",".join(format(v, ".17g") if isinstance(v, float)
-                                    else str(v) for v in value)
+        if f.name in _LIST_FIELDS:
+            sect[f.name] = ",".join(map(str, value))
         elif isinstance(value, float):
             sect[f.name] = format(value, ".17g")
         else:
@@ -186,12 +169,11 @@ def parse(text: str) -> ExperimentConfig:
             continue
         raw = sect[f.name]
         try:
-            if f.name in _TUPLE_FIELDS:
-                # an empty value is the empty tuple serialize writes
-                cells = raw.split(",") if raw else []
+            if f.name in _LIST_FIELDS:
+                cells = raw.split(",")
                 if "" in cells:
                     raise ValueError(f"empty entry in {raw!r}")
-                kwargs[f.name] = tuple(map(_TUPLE_FIELDS[f.name], cells))
+                kwargs[f.name] = tuple(map(int, cells))
             elif f.name == "dim":
                 kwargs[f.name] = int(raw)
             elif f.name in ("experiment", "output_dir"):

@@ -13,7 +13,7 @@ import math
 import numpy as np
 
 from . import __version__
-from .config import ExperimentConfig, config_hash, validate
+from .config import BOX_WINDOW, ExperimentConfig, config_hash, validate
 from .extension import HalfSpaceField, dyadic_heights, poisson_slices
 from .fractal import PointSet, box_dimension, cantor_measure, \
     integrate_against, divergence_set
@@ -25,7 +25,8 @@ from .lipschitz import boundary_seminorm, boundary_tangential_max, \
     region_inclusion_check
 from .maximal import ApproachRegionSpec, dilated_mitigated_max, hl_max_q, \
     poisson_tangential_max
-from .potentials import bessel_smooth, dyadic_scales, sharp_maximal
+from .potentials import _apply_multiplier, _bessel_multiplier, bessel_smooth, \
+    dyadic_scales, sharp_maximal
 from .report import RunReport
 from .rng import stream, substream
 
@@ -188,11 +189,12 @@ def _run_poincare(cfg: ExperimentConfig) -> RunReport:
     rep = _new_report(cfg)
     ok = True
     details = []
-    # (level, seed, C) per order; the noise, its maximal function and the
-    # pairs do not depend on the order, so each is drawn once
+    # (level, seed, C) per order; the noise, its transform, its maximal
+    # function and the pairs do not depend on the order, so each is made once
     rows = {alpha: [] for alpha in _POINCARE_ORDERS}
     for level in cfg.levels:
         grid = make_grid(1, level, cfg.extent)
+        mults = [_bessel_multiplier(grid, alpha) for alpha in _POINCARE_ORDERS]
         for seed in cfg.seeds:
             g = white_noise(grid, seed)
             rng = substream(seed, 77)
@@ -206,9 +208,9 @@ def _run_poincare(cfg: ExperimentConfig) -> RunReport:
             d = np.minimum(d, grid.extent - d)
             mg = hl_max_q(g, 1.0).samples
             mg_pair = mg[i] + mg[j]
-            for alpha in _POINCARE_ORDERS:
-                f = bessel_smooth(g, alpha)
-                num = np.abs(f.samples[i] - f.samples[j])
+            # one forward transform of g serves both orders
+            for alpha, f in zip(_POINCARE_ORDERS, _apply_multiplier(g, mults)):
+                num = np.abs(f[i] - f[j])
                 den = d ** alpha * mg_pair
                 rows[alpha].append((level, seed, float(np.max(num / den))))
     for alpha in _POINCARE_ORDERS:
@@ -346,15 +348,18 @@ def _run_j_uniformity(cfg: ExperimentConfig) -> RunReport:
 # fractional measures against smoothed densities
 
 _CANTOR_DEPTHS = (12, 16)   # construction depths of each Cantor measure
+# measure dimensions, as fractions of the way from n - alpha p up to 1
+_FROSTMAN_FRACTIONS = (0.2, 0.5, 0.8)
 
 
 def _run_frostman(cfg: ExperimentConfig) -> RunReport:
     rep = _new_report(cfg)
     level = max(cfg.levels)
     grid = make_grid(1, level, cfg.extent)
+    floor = cfg.dim - cfg.alpha * cfg.p
     ok = True
     details = []
-    for s in cfg.s_values:
+    for s in (floor + (1.0 - floor) * frac for frac in _FROSTMAN_FRACTIONS):
         ratios = []
         for depth in _CANTOR_DEPTHS:
             mu = cantor_measure(s, depth)
@@ -399,33 +404,30 @@ def _run_divergence_dimension(cfg: ExperimentConfig) -> RunReport:
     # localize near the sample scale so the detected set hugs the spike set
     t_max = dyadic_heights(1.0, grid=grid)[level]
     eps = _DIVERGENCE_EPS * float(np.abs(f.samples).max())
-    all_ok = True
-    details = []
-    # beta' = beta (the limiting case), one order inside (beta, 1) and the
-    # nontangential order 1, repeats dropped
-    for bp in dict.fromkeys((beta, (1.0 + beta) / 2.0, 1.0)):
-        if abs(bp - beta) <= 1e-12:
-            rep.notes.append("limiting case covered by maximal bound")
-            ratios = []
-            for lev in cfg.levels:
-                ratios.append(_ns_ratio(lev, cfg, beta))
-                rep.add_row(lev, cfg.seeds[0], "ratio_limiting", ratios[-1])
-            _, _, band = _band(ratios)
-            ok = band < 3.0
-            details.append(f"beta'=beta: maximal-bound band {band:.3f} (< 3)")
-        else:
-            spec = ApproachRegionSpec(beta=bp, aperture=cfg.aperture,
-                                      t_max=t_max)
-            div = divergence_set(f, spec, eps)
-            bd = box_dimension(div, cfg.window)
-            bound = grid.dim - grid.dim * (bp - beta)
-            ok = bd.slope <= bound + 0.1
-            rep.add_row(level, cfg.seeds[0], f"slope_bp{bp}", bd.slope)
-            rep.stats["fit_slope"] = bd.slope
-            details.append(
-                f"beta'={bp}: slope {bd.slope:.3f} <= {bound:.2f}+0.1 "
-                f"({div.points.size} pts)")
-        all_ok = all_ok and ok
+    # beta' = beta, the limiting case, is the maximal bound's band
+    rep.notes.append("limiting case covered by maximal bound")
+    ratios = []
+    for lev in cfg.levels:
+        ratios.append(_ns_ratio(lev, cfg, beta))
+        rep.add_row(lev, cfg.seeds[0], "ratio_limiting", ratios[-1])
+    _, _, band = _band(ratios)
+    all_ok = band < 3.0
+    details = [f"beta'=beta: maximal-bound band {band:.3f} (< 3)"]
+    # one order inside (beta, 1) and the nontangential order 1, each once
+    # and only above beta
+    for bp in dict.fromkeys(((1.0 + beta) / 2.0, 1.0)):
+        if bp - beta <= 1e-12:
+            continue
+        spec = ApproachRegionSpec(beta=bp, aperture=cfg.aperture, t_max=t_max)
+        div = divergence_set(f, spec, eps)
+        bd = box_dimension(div, BOX_WINDOW)
+        bound = grid.dim - grid.dim * (bp - beta)
+        all_ok = all_ok and bd.slope <= bound + 0.1
+        rep.add_row(level, cfg.seeds[0], f"slope_bp{bp}", bd.slope)
+        rep.stats["fit_slope"] = bd.slope
+        details.append(
+            f"beta'={bp}: slope {bd.slope:.3f} <= {bound:.2f}+0.1 "
+            f"({div.points.size} pts)")
     smooth = from_callable(grid, lambda x: np.cos(2 * np.pi * x / grid.extent))
     sdiv = divergence_set(smooth, ApproachRegionSpec(beta=1.0, t_max=t_max),
                           0.01)
@@ -583,7 +585,7 @@ def _run_boxdim_calibration(cfg: ExperimentConfig) -> RunReport:
     ok = True
     details = []
     for tag, ps, target in cases:
-        bd = box_dimension(ps, cfg.window)
+        bd = box_dimension(ps, BOX_WINDOW)
         rep.add_row(level, 0, f"slope_{tag}", bd.slope)
         if tag == "cantor":
             rep.stats["fit_slope"] = bd.slope
@@ -663,15 +665,14 @@ def acceptance_configs() -> list:
         ExperimentConfig(experiment="j-uniformity", levels=(10,), alpha=0.25,
                          p=2.0, seeds=seeds10),
         ExperimentConfig(experiment="frostman-lemma", levels=(12,), alpha=0.25,
-                         p=2.0, s_values=(0.6, 0.75, 0.9), seeds=seeds20),
+                         p=2.0, seeds=seeds20),
         ExperimentConfig(experiment="divergence-dimension", levels=(10, 14),
-                         alpha=0.25, p=2.0, window=(4, 10), seeds=(0,)),
+                         alpha=0.25, p=2.0, seeds=(0,)),
         ExperimentConfig(experiment="corkscrew-geometry", levels=(10,),
                          seeds=(0,)),
-        ExperimentConfig(experiment="inclusion-lemma", levels=(10,),
-                         beta=0.5, c=1.0, seeds=(0,)),
+        ExperimentConfig(experiment="inclusion-lemma", levels=(10,), c=1.0,
+                         seeds=(0,)),
         ExperimentConfig(experiment="boundary-max", levels=(10, 12),
                          alpha=0.25, p=2.0, c=0.5, seeds=seeds10),
-        ExperimentConfig(experiment="boxdim-calibration", levels=(14,),
-                         window=(4, 10)),
+        ExperimentConfig(experiment="boxdim-calibration", levels=(14,)),
     ]

@@ -66,8 +66,13 @@ def bessel_smooth(g, alpha: float):
         raise ParameterError(f"alpha must be >= 0, got {alpha}")
     if alpha == 0:
         return g
-    mult = (1.0 + 4.0 * math.pi ** 2 * _half_spectrum(g.grid)[1]) ** (-alpha / 2.0)
-    return type(g)(g.grid, next(_apply_multiplier(g, [mult])))
+    return type(g)(g.grid, next(_apply_multiplier(
+        g, [_bessel_multiplier(g.grid, alpha)])))
+
+
+def _bessel_multiplier(grid: Grid, alpha: float) -> np.ndarray:
+    """(1 + 4 pi^2 |xi|^2)^(-alpha/2) on the half spectrum of grid."""
+    return (1.0 + 4.0 * math.pi ** 2 * _half_spectrum(grid)[1]) ** (-alpha / 2.0)
 
 
 def spectral_derivative(f: GridFunction, gamma) -> GridFunction:

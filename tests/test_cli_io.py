@@ -308,8 +308,7 @@ def test_kernel_table_stdout_bytes(tmp_path, capsys):
 
 def test_points_and_boxdim_counts_bytes(tmp_path, capsys):
     assert main(_verify_config(
-        tmp_path, "experiment = boxdim-calibration\nlevels = 10\n"
-                  "window = 4,10\n")) == 0
+        tmp_path, "experiment = boxdim-calibration\nlevels = 10\n")) == 0
     capsys.readouterr()
     data = (tmp_path / "out" / "boxdim-calibration.csv").read_bytes()
     assert b"\r" not in data and data.endswith(b"\n")

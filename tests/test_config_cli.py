@@ -23,24 +23,24 @@ from fatou_lab.report import RunReport, emit_report
 def test_config_round_trip():
     cfg = validate(ExperimentConfig(
         experiment="frostman-lemma", levels=(12,), alpha=0.25, p=2.0,
-        s_values=(0.6, 0.75, 0.9), seeds=(0, 1, 2), output_dir="some/dir"))
+        seeds=(0, 1, 2), output_dir="some/dir"))
     text = serialize(cfg)
     assert parse(text) == cfg
     assert config_hash(cfg) == config_hash(parse(text))
-    # an empty tuple is written as an empty value and read back as one
-    cfg = ExperimentConfig(experiment="poincare")
-    assert "s_values = \n" in serialize(cfg)
-    assert parse(serialize(cfg)) == cfg
+    # the fields and nothing else: extent and aperture are constants
+    assert [line.split(" = ")[0] for line in text.splitlines()[1:] if line] \
+        == [f.name for f in fields(ExperimentConfig)]
 
 
 def test_config_validation_messages():
     with pytest.raises(ParameterError, match="unknown experiment"):
         validate(ExperimentConfig(experiment="warp-drive"))
-    with pytest.raises(ParameterError, match="s > n-alpha\\*p required"):
-        validate(ExperimentConfig(experiment="frostman-lemma", alpha=0.25,
-                                  p=2.0, s_values=(0.4,)))
     with pytest.raises(ParameterError, match="alpha p <= n"):
         validate(ExperimentConfig(experiment="nagel-stein-bound", alpha=0.75,
+                                  p=2.0))
+    # at alpha p = n the derived region order 1 - alpha p / n is 0
+    with pytest.raises(ParameterError, match="positive; got beta = 0.0"):
+        validate(ExperimentConfig(experiment="frostman-lemma", alpha=0.5,
                                   p=2.0))
     # the extended negative control runs at levels[-1] + 6, capped at 24
     with pytest.raises(ParameterError, match="levels\\[-1\\] \\+ 6 = 25"):
@@ -120,18 +120,20 @@ _BASE = {cfg.experiment: cfg for cfg in acceptance_configs()}
 _BASE["dorronsoro-bound"] = ExperimentConfig(experiment="dorronsoro-bound",
                                              levels=(8, 9), seeds=(0, 1))
 # a valid value other than the default, per settable key
-_OTHER = {"dim": 2, "levels": (8,), "extent": 2.0, "p": 3.0, "alpha": 0.2,
-          "beta": 0.7, "aperture": 2.0, "c": 2.0, "s_values": (0.8,),
-          "window": (3, 8), "seeds": (1,)}
+_OTHER = {"dim": 2, "levels": (8,), "p": 3.0, "alpha": 0.2, "c": 2.0,
+          "seeds": (1,)}
 _UNREAD = [(name, key) for name in EXPERIMENTS for key in _OTHER
            if key not in reads(name)]
 # keys the config no longer has, each with a value it once took: the
 # runners pin or derive them (boundary-max's annuli surrogate, the orders
 # and threshold of divergence-dimension, the Cantor depths, the corkscrew
-# slopes, the ball-mean power of j-uniformity)
+# slopes, the ball-mean power of j-uniformity; the torus extent, the
+# region aperture and order, the Frostman dimensions and the box-counting
+# scales)
 _REMOVED = {"beta_prime": "0.5,1.0", "alpha_L": "0.25", "r": "1.2",
             "p0": "1.2", "J": "5", "depths": "4", "eps": "0.05",
-            "m_values": "1.0"}
+            "m_values": "1.0", "extent": "2.0", "beta": "0.7",
+            "aperture": "2.0", "s_values": "0.8", "window": "3,8"}
 _COUNTED = [(name, key, most) for name in EXPERIMENTS
             for key, most in reads(name).items() if most is not None]
 
@@ -145,8 +147,8 @@ def test_settable_keys_are_the_config_fields():
     assert sorted(c.experiment for c in _SMALL) == sorted(EXPERIMENTS)
     for cfg in _BASE.values():
         validate(cfg)
-    # 13 runners x 11 keys, less the 64 (runner, key) pairs that are read
-    assert len(_UNREAD) == 13 * 11 - 64
+    # 13 runners x 6 keys, less the 40 (runner, key) pairs that are read
+    assert len(_UNREAD) == 13 * 6 - 40
     assert not set(_REMOVED) & {f.name for f in fields(ExperimentConfig)}
 
 
@@ -181,8 +183,8 @@ def test_runner_rejects_entries_it_does_not_use(name, key, most):
     ("experiment = corkscrew-geometry\nlevels = 6,8\n", ["levels"]),
     ("experiment = poincare\nalpha = -1\n", ["alpha"]),
     ("experiment = nagel-stein-bound\nr = 5\n", ["r"]),
-    ("experiment = kernel-identities\nwindow = 3,8\nlevels = 20\n",
-     ["levels", "window"]),
+    ("experiment = kernel-identities\np = 3\nlevels = 20\n",
+     ["levels", "p"]),
 ], ids=["corkscrew-seeds", "corkscrew-levels", "poincare-alpha",
         "nagel-stein-r", "kernel-identities"])
 def test_cli_verify_rejects_keys_the_runner_ignores(tmp_path, capsys, lines,
@@ -224,16 +226,13 @@ _SMALL = [
     ExperimentConfig(experiment="nagel-stein-bound", levels=(6, 7)),
     ExperimentConfig(experiment="dorronsoro-bound", levels=(6, 7)),
     # beta' = beta takes the limiting branch, 0.75 and 1 the box-counting one
-    ExperimentConfig(experiment="divergence-dimension", levels=(7, 9),
-                     window=(3, 7)),
-    ExperimentConfig(experiment="frostman-lemma", levels=(8,),
-                     s_values=(0.75,)),
+    ExperimentConfig(experiment="divergence-dimension", levels=(7, 10)),
+    ExperimentConfig(experiment="frostman-lemma", levels=(8,)),
     ExperimentConfig(experiment="corkscrew-geometry", levels=(8,)),
     ExperimentConfig(experiment="inclusion-lemma", levels=(8,)),
     ExperimentConfig(experiment="boundary-max", levels=(6, 7)),
     ExperimentConfig(experiment="j-uniformity", levels=(7,)),
-    ExperimentConfig(experiment="boxdim-calibration", levels=(10,),
-                     window=(3, 8)),
+    ExperimentConfig(experiment="boxdim-calibration", levels=(10,)),
 ]
 
 
@@ -275,8 +274,7 @@ def test_config_file_load(tmp_path):
 
 
 def test_report_determinism(tmp_path):
-    cfg = ExperimentConfig(experiment="boxdim-calibration", levels=(12,),
-                           window=(4, 9))
+    cfg = ExperimentConfig(experiment="boxdim-calibration", levels=(12,))
     rep1 = run_experiment(cfg)
     rep2 = run_experiment(cfg)
     d1, d2 = tmp_path / "a", tmp_path / "b"
@@ -297,8 +295,7 @@ def test_empty_report_emits_header_only_csv(tmp_path):
 
 
 def test_boxdim_svg_annotation_matches_report_slope(tmp_path):
-    cfg = ExperimentConfig(experiment="boxdim-calibration", levels=(12,),
-                           window=(4, 9))
+    cfg = ExperimentConfig(experiment="boxdim-calibration", levels=(12,))
     rep = run_experiment(cfg)
     path = emit_report(rep, "svg", str(tmp_path))[0]
     body = open(path).read()
@@ -307,18 +304,19 @@ def test_boxdim_svg_annotation_matches_report_slope(tmp_path):
 
 def test_divergence_limiting_case_note():
     cfg = ExperimentConfig(experiment="divergence-dimension", levels=(8, 10),
-                           alpha=0.25, p=2.0, window=(3, 8), seeds=(0,))
+                           alpha=0.25, p=2.0, seeds=(0,))
     rep = run_experiment(cfg)
     assert any("limiting case covered by maximal bound" in n
                for n in rep.notes)
 
 
-def test_divergence_dimension_runs_at_an_extent_off_the_ladder():
+def test_divergence_dimension_runs_at_an_extent_off_the_ladder(monkeypatch):
     # the height cap is a rung of the unit ladder the divergence set
-    # scans, so an extent that is not a power of two runs to the end
-    cfg = validate(ExperimentConfig(
-        experiment="divergence-dimension", levels=(7, 9), window=(3, 7),
-        extent=3.0))
+    # scans, so an extent that is not a power of two runs to the end; the
+    # extent is a constant of the config, so the runner is handed another
+    monkeypatch.setattr(ExperimentConfig, "extent", 3.0)
+    cfg = validate(ExperimentConfig(experiment="divergence-dimension",
+                                    levels=(7, 10)))
     rep = run_experiment(cfg)
     assert rep.criteria
     assert any(q.startswith("slope_bp") for _, _, q, _ in rep.rows)
@@ -399,11 +397,9 @@ def test_cli_extend_and_maxfn(tmp_path, capsys):
 
 def test_cli_potential_and_fractal(tmp_path, capsys):
     assert main(_verify(tmp_path, "[experiment]\nexperiment = frostman-lemma\n"
-                                  "levels = 10\ns_values = 0.6,0.9\n"
-                                  "seeds = 0,1\n")) == 0
+                                  "levels = 10\nseeds = 0,1\n")) == 0
     assert main(_verify(tmp_path, "[experiment]\nexperiment = "
-                                  "boxdim-calibration\nlevels = 12\n"
-                                  "window = 4,9\n")) == 0
+                                  "boxdim-calibration\nlevels = 12\n")) == 0
     slope = _rows(tmp_path / "out" / "boxdim-calibration.csv")["slope_cantor"]
     assert abs(slope[0] - 0.6309) < 0.05
     assert capsys.readouterr().out.count("PASS  ") == 2
@@ -425,7 +421,10 @@ def test_cli_lipschitz(tmp_path, capsys):
 def test_cli_inclusion_rejects_bad_beta_and_c(tmp_path, capsys, flag, value):
     assert main(_verify(tmp_path, f"[experiment]\nexperiment = inclusion-lemma"
                                   f"\nlevels = 6\n{flag[2:]} = {value}\n")) == 2
-    assert capsys.readouterr().err.startswith(f"error: {flag[2:]}")
+    # beta is derived from alpha and p, so any value of it is refused
+    assert capsys.readouterr().err.startswith(
+        "error: unknown config key(s) 'beta'" if flag == "--beta"
+        else "error: c")
     assert not (tmp_path / "out").exists()
 
 
@@ -456,8 +455,7 @@ def test_cli_surrogate_dilated_composite(tmp_path, capsys):
 
 def test_cli_divset_and_boundary_max(tmp_path, capsys):
     assert main(_verify(tmp_path, "[experiment]\nexperiment = "
-                                  "divergence-dimension\nlevels = 8,10\n"
-                                  "window = 3,8\n")) == 0
+                                  "divergence-dimension\nlevels = 8,11\n")) == 0
     rows = _rows(tmp_path / "out" / "divergence-dimension.csv")
     assert any(q.startswith("slope_bp") for q in rows)
     assert main(_verify(tmp_path, "[experiment]\nexperiment = boundary-max\n"
@@ -467,11 +465,12 @@ def test_cli_divset_and_boundary_max(tmp_path, capsys):
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_cli_non_finite_region_parameters_exit_2(tmp_path, capsys, value):
+    # the aperture is a constant, so any value of it is refused
     for name in ("nagel-stein-bound", "dorronsoro-bound"):
         assert main(_verify(tmp_path, f"[experiment]\nexperiment = {name}\n"
                                       f"levels = 6\naperture = {value}\n")) == 2
     assert capsys.readouterr().err.count(
-        f"error: aperture must be positive and finite, got {value}") == 2
+        "error: unknown config key(s) 'aperture'") == 2
     assert main(_verify(tmp_path, "[experiment]\nexperiment = boundary-max\n"
                                   f"levels = 6\nc = {value}\n")) == 2
     assert capsys.readouterr().err == (
@@ -482,8 +481,8 @@ def test_cli_non_finite_region_parameters_exit_2(tmp_path, capsys, value):
 # configs that once ran into a library error mid-run (after the output
 # directory was made, with a message that did not name the key), a
 # traceback (exit 1) or a FAIL line (exit 1): key, experiment, INI lines.
-# J, eps, p0, depths and m_values have left the config, so their cases
-# now stop as unknown keys, and poincare no longer reads s_values
+# J, eps, p0, depths, m_values, extent, aperture, window and s_values have
+# left the config, so their cases now stop as unknown keys
 _OUT_OF_DOMAIN = {
     "seeds-negative": ("seeds", "poincare", "seeds = -1"),
     "seeds-2^112": ("seeds", "poincare", f"seeds = {2 ** 112}"),
@@ -510,17 +509,20 @@ _OUT_OF_DOMAIN = {
     "m_values-inf": ("m_values", "corkscrew-geometry", "m_values = inf"),
     "m_values-nan": ("m_values", "corkscrew-geometry", "m_values = 1,nan"),
     "m_values-negative": ("m_values", "corkscrew-geometry", "m_values = -1"),
+    # the box-counting runners fit scales down to 2^-10
+    "levels-boxdim-9": ("levels", "boxdim-calibration", "levels = 9"),
+    "levels-divergence-9": ("levels", "divergence-dimension", "levels = 7,9"),
 }
 
 # the rest of a runnable config of each experiment above
 _RUNNABLE = {
     "poincare": ("levels = 6",),
     "boundary-max": ("levels = 6",),
-    "divergence-dimension": ("levels = 6,8", "window = 3,6"),
+    "divergence-dimension": ("levels = 8,10",),
     "nagel-stein-bound": ("levels = 6",),
     "dorronsoro-bound": ("levels = 6",),
-    "frostman-lemma": ("levels = 8", "s_values = 0.75"),
-    "boxdim-calibration": ("levels = 8", "window = 3,6"),
+    "frostman-lemma": ("levels = 8",),
+    "boxdim-calibration": ("levels = 10",),
     "corkscrew-geometry": ("levels = 6",),
 }
 
@@ -546,16 +548,20 @@ def test_config_outside_the_schema_exits_2_naming_the_key(tmp_path, capsys,
     assert not out.exists()
 
 
-def test_every_experiment_but_frostman_validates_from_its_name():
-    # the probe values the runners pin need no config; frostman-lemma's
-    # measure dimensions depend on n - alpha p, so they have no default
+def test_every_experiment_validates_from_its_name():
+    # the probe values the runners pin or derive need no config
     for name in EXPERIMENTS:
         cfg = ExperimentConfig(experiment=name)
-        if name == "frostman-lemma":
-            with pytest.raises(ParameterError, match="s_values"):
-                validate(cfg)
-        else:
-            assert validate(cfg) is cfg
+        assert validate(cfg) is cfg
+
+
+def test_frostman_lemma_verifies_from_its_name(tmp_path, capsys):
+    # its measure dimensions are derived from n - alpha p
+    assert main(["verify", "--experiment", "frostman-lemma",
+                 "--output-dir", str(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith(
+        "PASS  smoothed density integrable against fractional measures: "
+        "s=0.6: band ")
 
 
 @pytest.mark.parametrize("key", sorted(_REMOVED))
@@ -565,10 +571,12 @@ def test_removed_key_exits_2_naming_it(tmp_path, capsys, key):
             "J": "boundary-max", "r": "j-uniformity",
             "beta_prime": "divergence-dimension",
             "eps": "divergence-dimension", "depths": "frostman-lemma",
-            "m_values": "corkscrew-geometry"}[key]
-    rest = ("s_values = 0.75",) if name == "frostman-lemma" else ()
+            "m_values": "corkscrew-geometry", "extent": "poincare",
+            "beta": "inclusion-lemma", "aperture": "nagel-stein-bound",
+            "s_values": "frostman-lemma",
+            "window": "boxdim-calibration"}[key]
     assert main(_verify(tmp_path, "\n".join([
-        "[experiment]", f"experiment = {name}", "levels = 6", *rest,
+        "[experiment]", f"experiment = {name}", "levels = 6",
         f"{key} = {_REMOVED[key]}", ""]))) == 2
     assert capsys.readouterr().err == (
         f"error: unknown config key(s) '{key}'\n")
@@ -706,16 +714,16 @@ def test_cli_extend_rejects_a_ladder_before_building_it(monkeypatch, t0,
         poisson_extend(from_callable(g, np.cos), hts)
 
 
-# The config's grid keys (levels, dim) and its point list (window) are
-# what the retired grid and points CSV inputs carried; each
-# malformed value is a usage error before any report is written.
+# The config's grid keys (levels, dim) and its lists are what the retired
+# grid and points CSV inputs carried; each malformed value is a usage
+# error before any report is written.
 _GRID_CSV_CASES = {
     "empty": "",
     "header-1-column": "[experiment]\n",
     "header-4-columns": "[experiment]\nexperiment = poincare\n[grid]\n"
                         "levels = 8\n",
     "short-row": "[experiment]\nexperiment = poincare\nlevels\n",
-    "non-numeric": "[experiment]\nexperiment = poincare\nextent = abc\n",
+    "non-numeric": "[experiment]\nexperiment = poincare\np = abc\n",
     "negative-index": "[experiment]\nexperiment = poincare\nlevels = -1\n",
     "index-past-end": "[experiment]\nexperiment = poincare\nlevels = 25\n",
     "fractional-index": "[experiment]\nexperiment = poincare\nlevels = 1.5\n",
@@ -733,10 +741,10 @@ def test_cli_malformed_grid_csv_exits_2(tmp_path, capsys, case):
 
 
 _POINTS_CSV_CASES = {
-    "empty": "experiment = boxdim-calibration\nwindow =\n",
+    "empty": "experiment = boxdim-calibration\nseeds =\n",
     "header-2-columns-in-1d": "experiment = corkscrew-geometry\ndim = 2\n",
-    "short-row": "experiment = boxdim-calibration\nwindow = 4\n",
-    "non-numeric": "experiment = boxdim-calibration\nwindow = half,8\n",
+    "short-row": "experiment = boxdim-calibration\nlevels = 4\n",
+    "non-numeric": "experiment = boxdim-calibration\nlevels = half,8\n",
 }
 
 
@@ -757,7 +765,7 @@ def test_cli_verify_exit_codes(tmp_path):
 
 def test_cli_verify_from_config_file(tmp_path):
     cfg = validate(ExperimentConfig(experiment="boxdim-calibration",
-                                    levels=(12,), window=(4, 9),
+                                    levels=(12,),
                                     output_dir=str(tmp_path / "rep")))
     path = tmp_path / "cfg.ini"
     path.write_text(serialize(cfg))
@@ -798,8 +806,7 @@ _MULTI_SEED_CONFIGS = [
     ExperimentConfig(experiment="poincare", levels=(8, 9), seeds=(0, 1, 2)),
     ExperimentConfig(experiment="nagel-stein-bound", levels=(8, 9),
                      seeds=(0, 1, 2)),
-    ExperimentConfig(experiment="frostman-lemma", levels=(9,), s_values=(0.75,),
-                     seeds=(0, 1, 2)),
+    ExperimentConfig(experiment="frostman-lemma", levels=(9,), seeds=(0, 1, 2)),
     ExperimentConfig(experiment="boundary-max", levels=(8, 9), seeds=(0, 1, 2)),
     ExperimentConfig(experiment="dorronsoro-bound", levels=(8, 9),
                      seeds=(0, 1, 2)),
@@ -826,8 +833,7 @@ def test_thread_count_does_not_change_reports(tmp_path, cfg):
                      seeds=(0, 1)),
     ExperimentConfig(experiment="dorronsoro-bound", levels=(8, 9),
                      seeds=(0, 1)),
-    ExperimentConfig(experiment="divergence-dimension", levels=(7, 9),
-                     window=(3, 7)),
+    ExperimentConfig(experiment="divergence-dimension", levels=(7, 10)),
 ], ids=lambda cfg: cfg.experiment)
 def test_poisson_runners_never_build_the_poisson_field(monkeypatch, cfg):
     import fatou_lab

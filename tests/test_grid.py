@@ -200,20 +200,19 @@ def test_ball_average_power_mean_monotone(seed, q1, dq):
 
 
 # The files the lab still reads and writes go through open_path: the INI
-# config, which carries the grid (dim, levels, extent), and the reports.
+# config, which carries the grid (dim, levels), and the reports.
 
 
 def test_binary_round_trip(tmp_path):
     for dim, levels in ((1, 6), (2, 4)):
         cfg = validate(ExperimentConfig(experiment="poisson-exactness",
-                                        dim=dim, levels=(levels,),
-                                        extent=2.0))
+                                        dim=dim, levels=(levels,)))
         path = tmp_path / f"c{dim}.ini"
         path.write_text(serialize(cfg))
         back = load(path)
         assert back == cfg
         assert make_grid(back.dim, back.levels[0], back.extent) == \
-            make_grid(dim, levels, 2.0)
+            make_grid(dim, levels, 1.0)
     with pytest.raises(ParameterError):
         bad = tmp_path / "bad.ini"
         bad.write_bytes(b"NOPE" + b"\0" * 40)
@@ -249,20 +248,21 @@ def test_write_csv_table_round_trip_is_exact(tmp_path, rng):
     assert back.tobytes() == values.tobytes()
     for v in (5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, 0.1,
               1 / 3):
-        cfg = ExperimentConfig(experiment="poisson-exactness", extent=v)
-        assert parse(serialize(cfg)).extent == v
+        cfg = ExperimentConfig(experiment="inclusion-lemma", c=v)
+        assert parse(serialize(cfg)).c == v
 
 
 _FILE_FUZZ = settings(max_examples=40, deadline=None,
                       suppress_health_check=[HealthCheck.function_scoped_fixture])
-_FROSTMAN = serialize(ExperimentConfig(
-    experiment="frostman-lemma", s_values=(0.6, 0.9)))
+_FROSTMAN = serialize(ExperimentConfig(experiment="frostman-lemma"))
 
 
 @_FILE_FUZZ
-@given(cut=st.integers(0, _FROSTMAN.index("s_values = ") + len("s_values = ")))
+@given(cut=st.integers(0, _FROSTMAN.index("frostman-lemma")
+                     + len("frostman-lemm")))
 def test_truncated_grid_file_raises(tmp_path, cut):
-    # cut before its last required value, the config cannot load
+    # cut before the end of its one required value, the experiment name,
+    # the config cannot load
     path = tmp_path / "c.ini"
     path.write_text(_FROSTMAN[:cut])
     with pytest.raises(ParameterError):

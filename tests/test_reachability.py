@@ -13,11 +13,20 @@ live in ``tests/reference.py``).  A default that no call in those
 directories overrides is a knob with one value in use: the value belongs
 in the body, not in the signature.  A default that every call overrides
 is never used: the parameter loses it.
+
+The same holds for the experiment config: a settable key that takes one
+value in every config in use (the acceptance battery and the benchmark
+workloads), among the runners that read it, is a constant.
 """
 
 import ast
+import importlib
 from collections import Counter, defaultdict
+from dataclasses import fields
 from pathlib import Path
+
+from fatou_lab.config import ExperimentConfig, reads
+from fatou_lab.experiments import acceptance_configs
 
 ROOT = Path(__file__).resolve().parents[1]
 FILES = sorted((ROOT / "src" / "fatou_lab").glob("*.py")) + \
@@ -28,6 +37,14 @@ ALLOWED = set()  # definitions exempt from the check: none
 ALLOWED_DEFAULTS = {
     # the console entry point calls main() and lets argparse read sys.argv
     "cli.main(argv)",
+}
+
+# config keys that may take one value in use, each with its reason
+ALLOWED_ONE_VALUE_KEYS = {
+    "p": "a parameter of the theorem, with alpha and n; the sharpness "
+         "fits of ROADMAP items 2-3 run a second (alpha, p)",
+    "alpha": "a parameter of the theorem, with p and n; the sharpness fits "
+             "of ROADMAP items 2-3 run a second (alpha, p)",
 }
 
 
@@ -151,3 +168,28 @@ def test_every_parameter_default_is_overridden_by_some_call():
 
 def test_no_parameter_default_is_overridden_by_every_call():
     assert always_set_defaults() == []
+
+
+def configs_in_use(monkeypatch) -> list:
+    """acceptance_configs() and every config that a workload of
+    perfbench/workloads.py builds."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    built = []
+    # every workload hands each of its configs to experiment_op
+    monkeypatch.setattr(workloads, "experiment_op",
+                        lambda cfg, *_: built.append(cfg))
+    for build in workloads.WORKLOADS.values():
+        build(0, "out")
+    return acceptance_configs() + built
+
+
+def test_every_config_key_takes_two_values_in_use(monkeypatch):
+    values = defaultdict(set)  # key -> its values where a runner reads it
+    for cfg in configs_in_use(monkeypatch):
+        for key in reads(cfg.experiment):
+            values[key].add(getattr(cfg, key))
+    settable = [f.name for f in fields(ExperimentConfig)
+                if f.name not in ("experiment", "output_dir")]
+    assert [key for key in settable if len(values[key]) < 2
+            and key not in ALLOWED_ONE_VALUE_KEYS] == []
