@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from typing import ClassVar
 
 from .errors import ParameterError
-from .grid import MAX_LEVELS, open_path
+from .grid import MAX_LEVELS, dilated_height_scanned, open_path
 
 # The keys each runner reads besides experiment and output_dir; every
 # other key must keep its default.  "key:1" marks a list of which the
@@ -43,6 +43,9 @@ EXPERIMENTS = tuple(_READS)
 # the box-counting scales 2^-4..2^-10 of divergence-dimension and
 # boxdim-calibration; their finest level must reach the finer one
 BOX_WINDOW = (4, 10)
+
+# the dilations j of j-uniformity
+J_DILATIONS = range(9)
 
 
 @dataclass(frozen=True)
@@ -122,6 +125,23 @@ def validate(cfg: ExperimentConfig) -> ExperimentConfig:
         _require(cfg.levels[-1] + 6 <= 24,
                  f"nagel-stein-bound probes an extended control at level "
                  f"levels[-1] + 6 = {cfg.levels[-1] + 6}, above the limit 24")
+    if name == "dorronsoro-bound":
+        # dyadic_scales(grid) keeps the radii in [4h, extent/4]
+        _require(min(cfg.levels) >= 4,
+                 f"dorronsoro-bound takes the sharp maximal function over "
+                 f"dyadic scales in [4h, extent/4], empty below N = 2^4: "
+                 f"min(levels) must be at least 4, got {min(cfg.levels)}")
+    if name == "j-uniformity":
+        # a dilation scans no height unless it scans the lowest rung of
+        # dyadic_heights(1.0, grid)
+        beta, j_max = cfg.derived_beta(), J_DILATIONS[-1]
+        _require(all(dilated_height_scanned(2.0 ** -(max(cfg.levels) + 2), j,
+                                            beta) for j in J_DILATIONS),
+                 f"j-uniformity scans heights down to 2^-(levels + 2) at "
+                 f"dilations j <= {j_max}, which needs levels + 2 > {j_max} "
+                 f"beta / (1 - beta) = {j_max * beta / (1.0 - beta):.4g}: "
+                 f"raise levels or alpha; got levels = {list(cfg.levels)}, "
+                 f"alpha = {cfg.alpha}")
     return cfg
 
 

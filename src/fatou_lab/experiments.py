@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from . import __version__
-from .config import BOX_WINDOW, ExperimentConfig, config_hash, validate
+from .config import BOX_WINDOW, J_DILATIONS, ExperimentConfig, config_hash, \
+    validate
 from .extension import HalfSpaceField, dyadic_heights, poisson_slices
 from .fractal import PointSet, box_dimension, cantor_measure, \
     integrate_against, divergence_set
@@ -331,7 +332,7 @@ def _run_j_uniformity(cfg: ExperimentConfig) -> RunReport:
         field = HalfSpaceField(grid, heights, vals)
         base = lp_norm(f, cfg.p)
         ratios = [lp_norm(dilated_mitigated_max(field, cfg.p, beta, j), cfg.p)
-                  / base for j in range(9)]
+                  / base for j in J_DILATIONS]
         for j, v in enumerate(ratios):
             rep.add_row(level, seed, f"ratio_j{j}", v)
         _, _, band = _band(ratios)
@@ -340,7 +341,8 @@ def _run_j_uniformity(cfg: ExperimentConfig) -> RunReport:
     rep.stats["worst_j_band"] = worst
     rep.add_criterion(
         "dilated maximal bound uniform in j", ok,
-        f"worst per-seed band over j in 0..8 is {worst:.3f} (required < 2)")
+        f"worst per-seed band over j in 0..{J_DILATIONS[-1]} is {worst:.3f} "
+        f"(required < 2)")
     return rep
 
 

@@ -166,6 +166,13 @@ def window_halfwidth(radius: float, h: float) -> int:
     return max(0, int(math.ceil(radius / h * (1.0 - 1e-12))) - 1)
 
 
+def dilated_height_scanned(t: float, j: int, beta: float) -> bool:
+    """Whether the dilated local maximal function of order beta scans
+    height t at dilation j: the dilated height t / 2^j lies below
+    2^(-j/(1-beta))."""
+    return t * 2.0 ** (-j) < 2.0 ** (-j / (1.0 - beta))
+
+
 def disc_rows(grid: Grid, radius: float) -> tuple:
     """Row segments (dy, w) of the grid ball of the given radius.
 

@@ -30,8 +30,8 @@ from . import _kernels
 from .errors import CoverageError, ParameterError
 from .extension import HalfSpaceField, check_finite, dyadic_heights, \
     poisson_slices, slice_buffers
-from .grid import Grid, GridFunction, ball_means, disc_rows, \
-    window_halfwidth
+from .grid import Grid, GridFunction, ball_means, dilated_height_scanned, \
+    disc_rows, window_halfwidth
 from .potentials import dyadic_scales
 
 
@@ -222,7 +222,7 @@ def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
     g = v.grid
     threshold = 2.0 ** (-j / (1.0 - beta))
     scan = [(k, t * 2.0 ** (-j)) for k, t in enumerate(v.heights)
-            if t * 2.0 ** (-j) < threshold]
+            if dilated_height_scanned(t, j, beta)]
     if not scan:
         raise CoverageError(
             f"no field heights give dilated heights below {threshold:.4g} for j={j}")

@@ -1,8 +1,7 @@
 """The command line: malformed flags and inputs exit 2 without a
-traceback (seven cases in a fresh interpreter, the rest through
-cli.main), a retired command is a usage error, each command takes
-exactly the flags it reads, and stdout and the CSV report keep their
-exact bytes."""
+traceback (one case in a fresh interpreter, the rest through cli.main),
+a retired command is a usage error, each command takes exactly the flags
+it reads, and stdout and the CSV report keep their exact bytes."""
 
 import argparse
 import math
@@ -47,7 +46,8 @@ _MALFORMED = {
 # Malformed invocations of the six retired tool commands (kernel-table,
 # extend, maxfn, potential, fractal, lipschitz): a bad value, a missing
 # or unread flag, a file that cannot be read or written.  Each now stops
-# at the command word, before any file is opened.
+# at the command word, before any file is opened, so cli.main runs
+# them in this process.
 _RETIRED = {
     "window-one-number": ["fractal", "boxdim", "--in", "pts.csv",
                           "--window", "4"],
@@ -136,17 +136,13 @@ _RETIRED = {
 }
 
 
-# run as `python -m fatou_lab`; the other retired cases stop in argparse
-# at the command word, so cli.main runs them in this process
-_SUBPROCESS = {*_MALFORMED, "window-one-number"}
-
-
 @pytest.mark.parametrize("case", sorted({**_MALFORMED, **_RETIRED}))
 def test_malformed_cli_input_exits_2_without_traceback(inputs, capsys,
                                                         monkeypatch, case):
     argv = [a.format(d=inputs) for a in {**_MALFORMED, **_RETIRED}[case]]
     before = sorted(os.listdir(inputs))
-    if case in _SUBPROCESS:
+    if case == "retired-command":
+        # the one run as `python -m fatou_lab`
         env = dict(os.environ)
         env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..",
                                          "src")
@@ -169,31 +165,6 @@ def test_malformed_cli_input_exits_2_without_traceback(inputs, capsys,
     assert sorted(os.listdir(inputs)) == before
     if case in _RETIRED:
         assert f"invalid choice: '{argv[0]}'" in err
-
-
-# The flags each command reads, a trailing ! on each that it cannot run
-# without.
-_FLAGS = {
-    "verify": "config experiment levels seeds output-dir",
-    "suite": "output-dir",
-}
-
-
-def _walk() -> dict:
-    """{command: the flags its parser accepts, a trailing ! on the
-    required ones}."""
-    commands = next(act.choices for act in build_parser()._actions
-                    if isinstance(act, argparse._SubParsersAction))
-    return {command: {opt[2:] + "!" * act.required
-                      for act in cp._actions for opt in act.option_strings
-                      if opt not in ("-h", "--help")}
-            for command, cp in commands.items()}
-
-
-def test_each_action_takes_exactly_the_flags_it_reads():
-    walked = _walk()
-    assert walked == {k: set(v.split()) for k, v in _FLAGS.items()}
-    assert sum(len(flags) for flags in walked.values()) == 6
 
 
 # one valid run of each retired tool action; {d} held its inputs and {o}
@@ -221,16 +192,49 @@ _RETIRED_RUNS = {
 }
 
 
-@pytest.mark.parametrize("key", sorted(_RETIRED_RUNS), ids="-".join)
-def test_each_action_reads_every_flag_it_takes(inputs, tmp_path, capsys, key):
-    # a retired action takes no flag at all: even its valid run is a usage
-    # error at the command word, and writes nothing
+@pytest.mark.parametrize("key", sorted(_RETIRED_RUNS),
+                         ids=[f"{c}-{a}" for c, a in sorted(_RETIRED_RUNS)])
+def test_retired_command_stops_at_the_command_word(inputs, tmp_path, capsys,
+                                                   monkeypatch, key):
+    # argparse refuses the command word before it reads any flag or file,
+    # so even a valid run of a retired command is a usage error that
+    # changes no file
+    monkeypatch.chdir(tmp_path)
+    word = key[0]
     argv = [*key, *_RETIRED_RUNS[key].format(d=inputs, o=tmp_path).split()]
-    with pytest.raises(SystemExit) as err:
+    before = sorted(os.listdir(inputs))
+    with pytest.raises(SystemExit) as exc:
         main(argv)
-    assert err.value.code == 2
-    assert f"invalid choice: '{key[0]}'" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert exc.value.code == 2, err
+    assert "error: " in err and f"invalid choice: '{word}'" in err
+    assert sorted(os.listdir(inputs)) == before
     assert os.listdir(tmp_path) == []
+
+
+# The flags each command reads, a trailing ! on each that it cannot run
+# without.
+_FLAGS = {
+    "verify": "config experiment levels seeds output-dir",
+    "suite": "output-dir",
+}
+
+
+def _walk() -> dict:
+    """{command: the flags its parser accepts, a trailing ! on the
+    required ones}."""
+    commands = next(act.choices for act in build_parser()._actions
+                    if isinstance(act, argparse._SubParsersAction))
+    return {command: {opt[2:] + "!" * act.required
+                      for act in cp._actions for opt in act.option_strings
+                      if opt not in ("-h", "--help")}
+            for command, cp in commands.items()}
+
+
+def test_each_action_takes_exactly_the_flags_it_reads():
+    walked = _walk()
+    assert walked == {k: set(v.split()) for k, v in _FLAGS.items()}
+    assert sum(len(flags) for flags in walked.values()) == 6
 
 
 def _verify_config(tmp_path, text: str) -> list:
@@ -291,8 +295,8 @@ def test_corkscrew_prints_plain_floats(tmp_path, capsys):
 # \n line ends, floats as .17g, ints as written.
 
 
-def test_kernel_table_stdout_bytes(tmp_path, capsys):
-    # the kernel tables' criteria: one PASS or FAIL line each on stdout,
+def test_verify_stdout_bytes(tmp_path, capsys):
+    # kernel-identities' criteria: one PASS or FAIL line each on stdout,
     # the same lines as in the text report
     assert main(["verify", "--experiment", "kernel-identities",
                  "--output-dir", str(tmp_path)]) == 0
@@ -306,7 +310,7 @@ def test_kernel_table_stdout_bytes(tmp_path, capsys):
         "PASS  kernel ratio near the origin"]
 
 
-def test_points_and_boxdim_counts_bytes(tmp_path, capsys):
+def test_boxdim_calibration_csv_bytes(tmp_path, capsys):
     assert main(_verify_config(
         tmp_path, "experiment = boxdim-calibration\nlevels = 10\n")) == 0
     capsys.readouterr()
@@ -322,7 +326,7 @@ def test_points_and_boxdim_counts_bytes(tmp_path, capsys):
         assert abs(float(value) - target) <= 0.05
 
 
-def test_grid_function_csv_bytes(tmp_path):
+def test_run_report_csv_bytes(tmp_path):
     rep = RunReport(experiment="bytes", config_hash="0", seeds=(0,),
                     version="0")
     for i in range(4):

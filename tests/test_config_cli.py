@@ -152,9 +152,12 @@ def test_settable_keys_are_the_config_fields():
     assert not set(_REMOVED) & {f.name for f in fields(ExperimentConfig)}
 
 
-@pytest.mark.parametrize(
-    "name, key", _UNREAD + [(n, k) for n in EXPERIMENTS for k in _REMOVED],
-    ids="-".join)
+_UNREAD_OR_REMOVED = _UNREAD + [(n, k) for n in EXPERIMENTS
+                                 for k in _REMOVED]
+
+
+@pytest.mark.parametrize("name, key", _UNREAD_OR_REMOVED,
+                         ids=[f"{n}-{k}" for n, k in _UNREAD_OR_REMOVED])
 def test_unread_key_must_keep_its_default(name, key):
     if key in _REMOVED:
         # no runner reads a removed key: every experiment refuses it
@@ -346,13 +349,12 @@ def _rows(path) -> dict:
     return out
 
 
-# The library routes the retired tool commands ran (kernel tables, the
-# Poisson and surrogate extensions, the maximal operators, potentials,
-# fractals, Lipschitz geometry) stay reachable through verify: one small
-# run of the runner that reaches each.
+# One small verify run of the runner that reaches each library route:
+# kernel tables, the Poisson and surrogate extensions, the maximal
+# operators, potentials, fractals, Lipschitz geometry.
 
 
-def test_cli_kernel_table(tmp_path, capsys):
+def test_verify_kernel_identities_rows(tmp_path, capsys):
     assert main(["verify", "--experiment", "kernel-identities",
                  "--output-dir", str(tmp_path)]) == 0
     rows = _rows(tmp_path / "kernel-identities.csv")
@@ -363,7 +365,7 @@ def test_cli_kernel_table(tmp_path, capsys):
     assert ratios and all(0.9 <= v <= 1.0 for v in ratios)
 
 
-def test_cli_kernel_table_rejects_non_numeric_rows(tmp_path, capsys):
+def test_verify_rejects_a_non_numeric_list_entry(tmp_path, capsys):
     # a mistyped entry of a list key is an error naming key and entry
     args = _verify(tmp_path, "[experiment]\nexperiment = poisson-exactness\n"
                              "levels = 1.O\n")
@@ -379,7 +381,7 @@ def test_cli_kernel_table_rejects_non_numeric_rows(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text", ["r\n", ""])
-def test_cli_kernel_table_without_radii_exits_2(tmp_path, capsys, text):
+def test_verify_config_without_its_section_exits_2(tmp_path, capsys, text):
     # a config without its [experiment] section
     assert main(_verify(tmp_path, text)) == 2
     err = capsys.readouterr().err
@@ -387,7 +389,7 @@ def test_cli_kernel_table_without_radii_exits_2(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
-def test_cli_extend_and_maxfn(tmp_path, capsys):
+def test_verify_dorronsoro_bound_rows(tmp_path, capsys):
     # Poisson extension swept by the tangential maximal operator
     assert main(_verify(tmp_path, "[experiment]\nexperiment = "
                                   "dorronsoro-bound\nlevels = 6,7\n")) == 0
@@ -395,7 +397,8 @@ def test_cli_extend_and_maxfn(tmp_path, capsys):
     assert len(ratios) == 2 and all(v > 0 for v in ratios)
 
 
-def test_cli_potential_and_fractal(tmp_path, capsys):
+def test_verify_frostman_lemma_and_boxdim_calibration_pass(tmp_path,
+                                                           capsys):
     assert main(_verify(tmp_path, "[experiment]\nexperiment = frostman-lemma\n"
                                   "levels = 10\nseeds = 0,1\n")) == 0
     assert main(_verify(tmp_path, "[experiment]\nexperiment = "
@@ -405,7 +408,7 @@ def test_cli_potential_and_fractal(tmp_path, capsys):
     assert capsys.readouterr().out.count("PASS  ") == 2
 
 
-def test_cli_lipschitz(tmp_path, capsys):
+def test_verify_lipschitz_runners_pass(tmp_path, capsys):
     for text in ("experiment = corkscrew-geometry\nlevels = 8\n",
                  "experiment = inclusion-lemma\nlevels = 6\n",
                  "experiment = boundary-max\nlevels = 6,7\nseeds = 0,1\n"):
@@ -414,16 +417,17 @@ def test_cli_lipschitz(tmp_path, capsys):
     assert "FAIL" not in out and out.count("PASS  ") == 4
 
 
-@pytest.mark.parametrize("flag, value", [
-    ("--beta", "0"), ("--beta", "-0.5"), ("--beta", "1.5"), ("--beta", "nan"),
-    ("--c", "0"), ("--c", "-1"), ("--c", "nan"), ("--c", "inf"),
+@pytest.mark.parametrize("key, value", [
+    ("beta", "0"), ("beta", "-0.5"), ("beta", "1.5"), ("beta", "nan"),
+    ("c", "0"), ("c", "-1"), ("c", "nan"), ("c", "inf"),
 ])
-def test_cli_inclusion_rejects_bad_beta_and_c(tmp_path, capsys, flag, value):
-    assert main(_verify(tmp_path, f"[experiment]\nexperiment = inclusion-lemma"
-                                  f"\nlevels = 6\n{flag[2:]} = {value}\n")) == 2
+def test_verify_inclusion_lemma_rejects_beta_and_bad_c(tmp_path, capsys, key,
+                                                       value):
+    assert main(_verify(tmp_path, "[experiment]\nexperiment = inclusion-lemma"
+                                  f"\nlevels = 6\n{key} = {value}\n")) == 2
     # beta is derived from alpha and p, so any value of it is refused
     assert capsys.readouterr().err.startswith(
-        "error: unknown config key(s) 'beta'" if flag == "--beta"
+        "error: unknown config key(s) 'beta'" if key == "beta"
         else "error: c")
     assert not (tmp_path / "out").exists()
 
@@ -446,14 +450,15 @@ def test_cli_inclusion_shortfall_exits_1(tmp_path, capsys, monkeypatch):
             "0 violations over 0 sampled points, 10 profiles\n") in out
 
 
-def test_cli_surrogate_dilated_composite(tmp_path, capsys):
+def test_verify_j_uniformity_passes(tmp_path, capsys):
     # annuli surrogate swept by the dilated mitigated maximal operator
     assert main(_verify(tmp_path, "[experiment]\nexperiment = j-uniformity\n"
                                   "levels = 8\nseeds = 0,1\n")) == 0
     assert "PASS  " in capsys.readouterr().out
 
 
-def test_cli_divset_and_boundary_max(tmp_path, capsys):
+def test_verify_divergence_dimension_and_boundary_max_rows(tmp_path,
+                                                           capsys):
     assert main(_verify(tmp_path, "[experiment]\nexperiment = "
                                   "divergence-dimension\nlevels = 8,11\n")) == 0
     rows = _rows(tmp_path / "out" / "divergence-dimension.csv")
@@ -512,6 +517,13 @@ _OUT_OF_DOMAIN = {
     # the box-counting runners fit scales down to 2^-10
     "levels-boxdim-9": ("levels", "boxdim-calibration", "levels = 9"),
     "levels-divergence-9": ("levels", "divergence-dimension", "levels = 7,9"),
+    # dorronsoro-bound's dyadic scales in [4h, extent/4] start at N = 2^4
+    "levels-dorronsoro-3": ("levels", "dorronsoro-bound", "levels = 3"),
+    # j-uniformity's dilations up to j = 8 scan a height only while
+    # levels + 2 > 8 beta / (1 - beta): levels >= 7 at alpha = 0.25, and
+    # no level at alpha = 0.1
+    "levels-j-uniformity-6": ("levels", "j-uniformity", "levels = 6"),
+    "alpha-j-uniformity-0.1": ("alpha", "j-uniformity", "alpha = 0.1"),
 }
 
 # the rest of a runnable config of each experiment above
@@ -524,6 +536,7 @@ _RUNNABLE = {
     "frostman-lemma": ("levels = 8",),
     "boxdim-calibration": ("levels = 10",),
     "corkscrew-geometry": ("levels = 6",),
+    "j-uniformity": ("levels = 8",),
 }
 
 
@@ -656,29 +669,22 @@ def test_cli_uncovered_region_exits_2(tmp_path, capsys, monkeypatch, t_max,
     assert "t_max" in err and "aperture" not in err
 
 
-def test_cli_coverage_error_prints_no_traceback(tmp_path):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([
-        os.path.join(os.path.dirname(__file__), "..", "src"),
-        os.path.dirname(__file__)])
-    proc = subprocess.run(
-        [sys.executable, "-c",
-         "import sys; from fatou_lab import cli; "
-         "from test_config_cli import _uncovered; "
-         "cli.run_experiment = _uncovered(1e-9); "
-         f"sys.exit(cli.main(['verify', '--experiment', 'poisson-exactness', "
-         f"'--output-dir', {str(tmp_path)!r}]))"],
-        capture_output=True, text=True, env=env)
-    assert proc.returncode == 2
-    assert proc.stderr.startswith("error: fewer than 2 field heights")
-    assert "Traceback" not in proc.stderr
+def test_cli_coverage_error_prints_no_traceback(tmp_path, capsys,
+                                                monkeypatch):
+    # a CoverageError escaping main would fail the test
+    monkeypatch.setattr(cli, "run_experiment", _uncovered(1e-9))
+    assert main(["verify", "--experiment", "poisson-exactness",
+                 "--output-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: fewer than 2 field heights")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("kind", ["poisson", "surrogate"])
 @pytest.mark.parametrize("heights, message", [
     ("nan,5", "positive and finite"), ("0,5", "strictly decreasing")])
-def test_cli_extend_checks_heights_first(capsys, monkeypatch, kind,
-                                         heights, message):
+def test_extensions_check_heights_first(capsys, monkeypatch, kind, heights,
+                                        message):
     # the height ladders the runners build are checked before any slice or
     # ball mean is computed
     def refuse(*args):
@@ -698,8 +704,8 @@ def test_cli_extend_checks_heights_first(capsys, monkeypatch, kind,
 @pytest.mark.parametrize("t0, message", [
     (5e-324, "strictly decreasing"), (float("nan"), "positive and finite"),
 ], ids=["underflow", "nan-t0"])
-def test_cli_extend_rejects_a_ladder_before_building_it(monkeypatch, t0,
-                                                        message):
+def test_poisson_extend_rejects_a_degenerate_ladder_first(monkeypatch, t0,
+                                                         message):
     # dyadic_heights builds grid.levels + 3 rungs without checking them; a
     # ladder that underflows to 0 (from a subnormal t0) or is not finite
     # is rejected by poisson_extend before any slice is computed
@@ -714,44 +720,33 @@ def test_cli_extend_rejects_a_ladder_before_building_it(monkeypatch, t0,
         poisson_extend(from_callable(g, np.cos), hts)
 
 
-# The config's grid keys (levels, dim) and its lists are what the retired
-# grid and points CSV inputs carried; each malformed value is a usage
-# error before any report is written.
-_GRID_CSV_CASES = {
-    "empty": "",
-    "header-1-column": "[experiment]\n",
-    "header-4-columns": "[experiment]\nexperiment = poincare\n[grid]\n"
-                        "levels = 8\n",
-    "short-row": "[experiment]\nexperiment = poincare\nlevels\n",
-    "non-numeric": "[experiment]\nexperiment = poincare\np = abc\n",
-    "negative-index": "[experiment]\nexperiment = poincare\nlevels = -1\n",
-    "index-past-end": "[experiment]\nexperiment = poincare\nlevels = 25\n",
-    "fractional-index": "[experiment]\nexperiment = poincare\nlevels = 1.5\n",
-    "repeated-index": "[experiment]\nexperiment = poincare\nlevels = 8,8\n",
-    "repeated-index-2d": "[experiment]\nexperiment = commute-lemma\ndim = 2\n"
-                         "levels = 4,4\n",
+# malformed configs, each a usage error before any report is written
+_MALFORMED_CONFIGS = {
+    "empty-file": "",
+    "section-only": "[experiment]\n",
+    "second-section": "[experiment]\nexperiment = poincare\n[grid]\n"
+                      "levels = 8\n",
+    "key-without-value": "[experiment]\nexperiment = poincare\nlevels\n",
+    "p-not-a-number": "[experiment]\nexperiment = poincare\np = abc\n",
+    "levels-negative": "[experiment]\nexperiment = poincare\nlevels = -1\n",
+    "levels-25": "[experiment]\nexperiment = poincare\nlevels = 25\n",
+    "levels-fractional": "[experiment]\nexperiment = poincare\n"
+                         "levels = 1.5\n",
+    "levels-repeated": "[experiment]\nexperiment = poincare\nlevels = 8,8\n",
+    "levels-repeated-2d": "[experiment]\nexperiment = commute-lemma\ndim = 2\n"
+                          "levels = 4,4\n",
+    "seeds-empty": "[experiment]\nexperiment = boxdim-calibration\nseeds =\n",
+    "dim-2-unread": "[experiment]\nexperiment = corkscrew-geometry\ndim = 2\n",
+    "boxdim-levels-4": "[experiment]\nexperiment = boxdim-calibration\n"
+                       "levels = 4\n",
+    "levels-not-a-number": "[experiment]\nexperiment = boxdim-calibration\n"
+                           "levels = half,8\n",
 }
 
 
-@pytest.mark.parametrize("case", sorted(_GRID_CSV_CASES))
-def test_cli_malformed_grid_csv_exits_2(tmp_path, capsys, case):
-    assert main(_verify(tmp_path, _GRID_CSV_CASES[case])) == 2
-    assert capsys.readouterr().err.startswith("error: ")
-    assert not (tmp_path / "out").exists()
-
-
-_POINTS_CSV_CASES = {
-    "empty": "experiment = boxdim-calibration\nseeds =\n",
-    "header-2-columns-in-1d": "experiment = corkscrew-geometry\ndim = 2\n",
-    "short-row": "experiment = boxdim-calibration\nlevels = 4\n",
-    "non-numeric": "experiment = boxdim-calibration\nlevels = half,8\n",
-}
-
-
-@pytest.mark.parametrize("case", sorted(_POINTS_CSV_CASES))
-def test_cli_malformed_points_csv_exits_2(tmp_path, capsys, case):
-    assert main(_verify(tmp_path,
-                        "[experiment]\n" + _POINTS_CSV_CASES[case])) == 2
+@pytest.mark.parametrize("case", sorted(_MALFORMED_CONFIGS))
+def test_verify_malformed_config_exits_2(tmp_path, capsys, case):
+    assert main(_verify(tmp_path, _MALFORMED_CONFIGS[case])) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
 
@@ -815,7 +810,7 @@ _MULTI_SEED_CONFIGS = [
 
 
 @pytest.mark.parametrize("cfg", _MULTI_SEED_CONFIGS, ids=lambda c: c.experiment)
-def test_thread_count_does_not_change_reports(tmp_path, cfg):
+def test_multi_seed_reports_are_deterministic(tmp_path, cfg):
     # the runners loop over seeds serially, so two runs give the same bytes
     outputs = []
     for run in ("1", "2"):

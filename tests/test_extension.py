@@ -263,7 +263,7 @@ _FIELD_FUZZ = settings(max_examples=40, deadline=None)
 
 @_FIELD_FUZZ
 @given(frac=st.floats(0.0, 1.0, exclude_max=True))
-def test_truncated_field_file_raises(frac):
+def test_half_space_field_values_must_fill_every_height(frac):
     # values that do not fill every height's slice are rejected
     g = make_grid(1, 3, 1.0)
     vals = np.arange(3 * g.size, dtype=float)
@@ -275,7 +275,8 @@ def test_truncated_field_file_raises(frac):
 @_FIELD_FUZZ
 @given(heights=st.lists(st.floats(), max_size=4),
        size=st.integers(0, 40))
-def test_fuzzed_field_file_loads_or_raises_parameter_error(heights, size):
+def test_fuzzed_half_space_field_builds_or_raises_parameter_error(
+        heights, size):
     g = make_grid(1, 3, 1.0)
     try:
         u = HalfSpaceField(grid=g, heights=tuple(heights),
@@ -287,7 +288,7 @@ def test_fuzzed_field_file_loads_or_raises_parameter_error(heights, size):
     assert all(b < a for a, b in zip(u.heights, u.heights[1:]))
 
 
-def test_field_save_writes_without_copying_the_values(rng):
+def test_poisson_extend_adopts_its_values_without_a_copy(rng):
     # poisson_extend adopts the values it built: one array of the field's
     # size plus a few slices and the finiteness mask, no copy of it
     g = make_grid(1, 14, 1.0)

@@ -197,7 +197,7 @@ def test_divergence_set_matches_stored_field_sweep(rng, dim, level, beta,
 
 
 @pytest.mark.parametrize("dim,level", [(1, 10), (2, 5)])
-def test_divergence_set_transforms_only_heights_up_to_t_min(rng, monkeypatch,
+def test_divergence_set_transforms_only_heights_up_to_t_max(rng, monkeypatch,
                                                             dim, level):
     g = make_grid(dim, level, 1.0)
     f = GridFunction(g, rng.normal(size=g.size))

@@ -234,7 +234,7 @@ def test_csv_round_trip(tmp_path, rng):
     np.testing.assert_array_equal(_csv_values(tmp_path / "t.csv"), values)
 
 
-def test_write_csv_table_round_trip_is_exact(tmp_path, rng):
+def test_csv_report_and_config_carry_every_double(tmp_path, rng):
     # .17g carries every double, subnormals and extremes included, in the
     # CSV report and in the config alike
     values = np.concatenate([rng.normal(size=40) * 10.0 ** rng.integers(
@@ -260,7 +260,7 @@ _FROSTMAN = serialize(ExperimentConfig(experiment="frostman-lemma"))
 @_FILE_FUZZ
 @given(cut=st.integers(0, _FROSTMAN.index("frostman-lemma")
                      + len("frostman-lemm")))
-def test_truncated_grid_file_raises(tmp_path, cut):
+def test_truncated_config_file_raises(tmp_path, cut):
     # cut before the end of its one required value, the experiment name,
     # the config cannot load
     path = tmp_path / "c.ini"
@@ -271,7 +271,7 @@ def test_truncated_grid_file_raises(tmp_path, cut):
 
 @_FILE_FUZZ
 @given(blob=st.binary(max_size=160))
-def test_fuzzed_grid_file_loads_or_raises_parameter_error(tmp_path, blob):
+def test_fuzzed_config_file_loads_or_raises_parameter_error(tmp_path, blob):
     path = tmp_path / "c.ini"
     path.write_bytes(b"[experiment]\nexperiment = poincare\n" + blob)
     try:

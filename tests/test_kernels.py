@@ -65,7 +65,7 @@ def test_bessel_decay_bound():
         assert np.all(np.asarray(vals) <= 2.0 * bounds)
 
 
-def test_bessel_singularity_and_routes():
+def test_bessel_kernel_origin_singularity_and_alpha_range():
     for kernel in (bessel_kernel, bessel_kernel_quadrature):
         with pytest.raises(SingularityError):
             kernel(1, 0.5, 0.0)
@@ -82,7 +82,7 @@ def test_bessel_singularity_and_routes():
     assert v1 == pytest.approx(v2, rel=1e-9)
 
 
-def test_route_agreement():
+def test_bessel_closed_form_matches_quadrature():
     # the closed form against the quadrature oracle of tests/reference.py
     for n, a in PAIRS:
         for r in (1e-3, 0.1, 1.0, 3.0):

@@ -373,7 +373,7 @@ def test_boundary_max_band(rng):
     assert max(ratios) / min(ratios) < 4.0
 
 
-def test_graph_file_round_trip():
+def test_lipschitz_graph_rebuilds_from_profile_and_constant():
     # a profile and its declared constant make the same graph again; a
     # declared constant above the certified slope is kept as declared
     hat = _hat(8)
@@ -385,7 +385,7 @@ def test_graph_file_round_trip():
 
 @settings(max_examples=40, deadline=None)
 @given(frac=st.floats(0.0, 1.0, exclude_max=True))
-def test_truncated_graph_file_raises(frac):
+def test_lipschitz_graph_profile_must_fill_its_grid(frac):
     # a profile must fill its grid
     hat = _hat(3)
     cut = hat.phi.samples[:int(frac * hat.phi.samples.size)]
@@ -393,7 +393,7 @@ def test_truncated_graph_file_raises(frac):
         lipschitz_graph(GridFunction(hat.phi.grid, cut))
 
 
-def test_graph_file_trailer_must_be_whole(tmp_path, capsys):
+def test_declared_constant_may_not_fall_short_of_the_slope(tmp_path, capsys):
     # the declared constant may not fall short of the certified slope; a
     # config cannot declare one (the corkscrew slopes are pinned), so
     # m_values stops as an unknown key before the output directory

@@ -163,7 +163,7 @@ def _test_fields(rng, grid):
 
 @pytest.mark.parametrize("levels", [5, 8])
 @pytest.mark.parametrize("beta,aperture", [(0.5, 1.0), (1.0, 0.7), (0.3, 2.0)])
-def test_tangential_argmax_matches_scan_1d(rng, levels, beta, aperture):
+def test_tangential_max_matches_loop_1d(rng, levels, beta, aperture):
     g = make_grid(1, levels, 1.0)
     spec = ApproachRegionSpec(beta=beta, aperture=aperture)
     for u in _test_fields(rng, g):
@@ -173,7 +173,7 @@ def test_tangential_argmax_matches_scan_1d(rng, levels, beta, aperture):
 
 @pytest.mark.parametrize("levels", [3, 4])
 @pytest.mark.parametrize("beta,aperture", [(0.5, 1.0), (1.0, 0.7)])
-def test_tangential_argmax_matches_disc_scan_2d(rng, levels, beta, aperture):
+def test_tangential_max_matches_disc_scan_2d(rng, levels, beta, aperture):
     g = make_grid(2, levels, 1.0)
     spec = ApproachRegionSpec(beta=beta, aperture=aperture)
     for u in _test_fields(rng, g):
@@ -201,7 +201,7 @@ def _v_field(grid, f, q):
     return HalfSpaceField(grid=grid, heights=hts, values=vals)
 
 
-def test_dilated_j0_matches_mitigated_up_to_range(rng):
+def test_dilated_j0_within_the_undilated_scan_up_to_height_1(rng):
     g = make_grid(1, 8, 1.0)
     f = GridFunction(g, rng.normal(size=g.size))
     v = _v_field(g, f, 1.5)
@@ -310,7 +310,7 @@ def test_nagel_stein_band_small(rng):
     assert max(ratios) / min(ratios) < 3.0
 
 
-def test_composite_max_zero_and_constant():
+def test_reference_composite_bound_of_zero_and_constant():
     g = make_grid(1, 8, 1.0)
     zero = from_callable(g, np.zeros_like)
     out = composite_max(zero, 2.0, 1.5, 0.5)
@@ -324,7 +324,7 @@ def test_composite_max_zero_and_constant():
     np.testing.assert_allclose(out.samples, geo * 2 * c, atol=1e-9)
 
 
-def test_composite_dominates_surrogate_maxima(rng):
+def test_reference_composite_bound_dominates_surrogate_maxima(rng):
     g = make_grid(1, 9, 1.0)
     p, r, beta = 2.0, 1.5, 0.5
     alpha = g.dim * (1 - beta) / p
@@ -340,7 +340,7 @@ def test_composite_dominates_surrogate_maxima(rng):
     assert max(ratios) / min(ratios) < 3.0
 
 
-def test_composite_parameter_errors(rng):
+def test_reference_composite_bound_parameter_errors(rng):
     g = make_grid(1, 6, 1.0)
     f = GridFunction(g, rng.normal(size=g.size))
     with pytest.raises(ParameterError):

@@ -356,8 +356,8 @@ def test_sharp_maximal_brute_force_oracle(rng, dim, levels, alpha):
 
 
 @pytest.mark.parametrize("dim,levels", [(1, 10), (2, 6)])
-def test_sharp_maximal_blocks_of_centres_match_one_product(rng, monkeypatch,
-                                                           dim, levels):
+def test_sharp_maximal_blocks_of_offsets_match_one_gather(rng, monkeypatch,
+                                                         dim, levels):
     # gathers of one offset at a time, the default blocks of offsets and
     # one gather per scale give the same floats
     g = make_grid(dim, levels, 1.0)
