@@ -182,17 +182,20 @@ def circ_window_max(values: np.ndarray, centers: np.ndarray,
 
 
 def circ_sum_1d(values: np.ndarray, halfwidth: int) -> np.ndarray:
-    """Windowed circular sum; window capped at the full circle."""
+    """Windowed circular sum of values, an (n,) array or a (rows, n)
+    stack, window by window along the last axis; window capped at the
+    full circle."""
     v = np.ascontiguousarray(values, dtype=np.float64)
-    n = v.shape[0]
+    n = v.shape[-1]
     if halfwidth <= 0:
         return v.copy()
     if 2 * halfwidth + 1 >= n:
-        return np.full_like(v, v.sum())
+        return np.repeat(v.sum(axis=-1, keepdims=True), n, axis=-1)
     k = halfwidth
-    ext = np.concatenate([v[-k:], v, v[:k]])
-    cs = np.concatenate([[0.0], np.cumsum(ext)])
-    return cs[2 * k + 1:] - cs[:n]
+    ext = np.concatenate([v[..., -k:], v, v[..., :k]], axis=-1)
+    cs = np.concatenate([np.zeros(v.shape[:-1] + (1,)),
+                         np.cumsum(ext, axis=-1)], axis=-1)
+    return cs[..., 2 * k + 1:] - cs[..., :n]
 
 
 def _pair_loop(v: np.ndarray, w: np.ndarray, p: float) -> float:

@@ -209,23 +209,27 @@ def ball_mean_all_centers(f: GridFunction, radius: float, q: float) -> np.ndarra
     return next(ball_means(f, (radius,), q))
 
 
-def ball_means(f: GridFunction, radii, q: float):
+def ball_means(f, radii, q: float):
     """Per radius in radii, the q-power mean (avg |f|^q)^(1/q) over the
-    torus ball of that radius around every grid point x_i, as a flat
-    array aligned with f.samples.
+    torus ball of that radius around every grid point x_i, in the shape of
+    f.samples: flat for a GridFunction, row by row for a GridStack, each
+    row's floats those of the row alone.
 
     The ball is the set of grid points strictly within radius of x_i
     (disc_rows), each point counted once.  On the torus every
     grid-centered ball holds the same number of points, so this is a
     windowed sum: cumulative sums in dim 1, an FFT disc correlation in
-    dim 2, with |f|^q and its spectrum formed once for all radii.
+    dim 2.  |f|^q and its spectrum are formed once for all radii, and
+    the spectrum of each disc (_disc_spectrum) once for all rows.
     """
     if not (math.isfinite(q) and q >= 1):
         raise ParameterError(f"power q must be finite and >= 1, got {q}")
     g = f.grid
     power = np.abs(f.samples) ** q
     if g.dim == 2:
-        spec = np.fft.rfft2(power.reshape(g.shape))
+        axes = (-2, -1)
+        spec = np.fft.rfftn(power.reshape(power.shape[:-1] + g.shape),
+                            axes=axes)
         del power  # the radii need only its spectrum
     for radius in radii:
         if radius <= 0:
@@ -235,20 +239,38 @@ def ball_means(f: GridFunction, radii, q: float):
             sums = _kernels.circ_sum_1d(power, k)
             count = min(2 * k + 1, g.n)
         else:
-            # the disc around index 0 on the torus; each point counts once
-            mask = np.zeros(g.shape)
-            for dy, w in zip(*disc_rows(g, radius)):
-                w = min(w, g.n // 2)  # a run of 2(n//2)+1 already covers the row
-                mask[dy % g.n, np.arange(-w, w + 1) % g.n] = 1.0
-            count = int(mask.sum())
-            prod = np.fft.rfft2(mask)
-            del mask
-            np.multiply(spec, prod, out=prod)
-            sums = np.fft.irfft2(prod, s=g.shape).reshape(-1)
+            disc, count = _disc_spectrum(g, radius)
+            prod = spec * disc
+            del disc
+            sums = np.fft.irfftn(prod, s=g.shape, axes=axes).reshape(
+                f.samples.shape)
+            del prod
             np.maximum(sums, 0.0, out=sums)
         sums /= count
         sums **= 1.0 / q
         yield sums
+        del sums  # free it before the next radius is transformed
+
+
+def _disc_spectrum(grid: Grid, radius: float) -> tuple:
+    """(rfft2 of the indicator of the 2-D torus ball of the given radius
+    around index 0, the number of points in it), each point counted once.
+
+    Row dy mod N of the indicator is the widest run |dx| <= w of the disc
+    rows (disc_rows) that land on it, w capped at N // 2, where a run
+    already covers its row.  rfft2 is an rfft along each row and then an
+    fft along the columns, so rows of one width share one rfft, and the
+    floats are those of rfft2 of the indicator."""
+    n = grid.n
+    dys, ws = disc_rows(grid, radius)
+    width = np.full(n, -1)  # -1: no run lands on the row
+    np.maximum.at(width, dys % n, np.minimum(ws, n // 2))
+    widths, row_width = np.unique(width, return_inverse=True)
+    lag = np.minimum(np.arange(n), n - np.arange(n))  # torus |dx| of column j
+    runs = np.fft.rfft((lag <= widths[:, None]).astype(np.float64), axis=-1)
+    count = int(np.minimum(2 * width + 1, n).clip(0).sum())
+    rows = runs[row_width]
+    return np.fft.fft(rows, axis=0, out=rows), count
 
 
 def fft_convolve(f: GridFunction, k: GridFunction) -> GridFunction:

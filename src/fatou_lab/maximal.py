@@ -15,7 +15,9 @@ once 2w+1 >= N, which is folded into each output row from the row dy
 away by two slices.  The windows of all widths of a disc come from one
 set of doubling levels (_kernels._circ_folds).  That is O(N^2 K) time
 and O(N^2) memory for halfwidth K, and exact, since max and min do not
-round.
+round.  When only every s-th row of a slice holds values (the placed
+centres of the sharp maximal function), only those rows are filtered,
+and each is folded into the output rows it reaches.
 
 Operators read fields without mutating them, and the scan order per
 output point is fixed, so results are deterministic.
@@ -60,13 +62,18 @@ class ApproachRegionSpec:
 
 def window_extreme(values: np.ndarray, grid: Grid, radius: float,
                    mode: str = "max", out: np.ndarray | None = None,
-                   work: np.ndarray | None = None) -> np.ndarray:
+                   work: np.ndarray | None = None,
+                   row_stride: int = 1) -> np.ndarray:
     """Max (mode "max") or min ("min") of flat slice values over the torus
     ball of the given radius around every grid point, as a flat array; of
     a (rows, grid.size) stack of slices, row by row.
 
     The result goes into out if given, which may be values itself.  work,
-    if given, is scratch of values' shape."""
+    if given, is scratch of values' shape.
+
+    In 2-D, a row_stride s > 1 that divides N means that values holds only
+    the rows 0, s, 2s, ... of each slice, the others being all -inf for
+    "max" and all +inf for "min"; out gets whole slices (see _row_runs)."""
     if grid.dim == 1:
         k = window_halfwidth(radius, grid.h)
         if mode == "max":
@@ -79,12 +86,12 @@ def window_extreme(values: np.ndarray, grid: Grid, radius: float,
     near = np.abs(dys) <= n // 2
     dys, ws = dys[near], np.minimum(ws[near], n // 2)
     if out is None:
-        out = np.empty(values.shape)
+        out = np.empty(values.shape[:-1] + (values.shape[-1] * row_stride,))
     row_filter = maximum_filter if mode == "max" else minimum_filter
     if work is not None:
         work = work.reshape(-1)[:grid.size]  # one slice at a time
-    shape = (-1,) + grid.shape
-    for v, o in zip(values.reshape(shape), out.reshape(shape)):
+    for v, o in zip(values.reshape(-1, n // row_stride, n),
+                    out.reshape((-1,) + grid.shape)):
         row_filter(v, dys, ws, o, work)
     return out
 
@@ -102,13 +109,20 @@ def minimum_filter(arr, dys, ws, out, work):
 
 def _row_runs(arr, dys, ws, out, work, fold, reduce, fill):
     """Fold the row runs (dy, w) of an (n, n) array into out, which may be
-    arr itself; work, if given, holds n * n floats of scratch.
+    arr itself; work, if given, holds at least arr.size floats of scratch.
+
+    arr may instead hold only the rows 0, s, 2s, ... of the (n, n) array,
+    a row stride s = n // len(arr) that divides n, when its other rows are
+    all fill: those rows leave every fold as it was, so only the rows of
+    arr are filtered, and run dy folds them only into the output rows i
+    with i + dy a multiple of s, every s-th row.
 
     Runs of 2w+1 >= n take the whole row.  The circular windows of every
     narrower width come from one set of doubling levels
     (_kernels._circ_folds), widths in ascending order, and each is folded
-    into every output row i from row i + dy by two slices."""
+    into the output rows it reaches by two slices."""
     n = arr.shape[1]
+    stride = out.shape[0] // arr.shape[0]
     wide = 2 * ws + 1 >= n
     whole = reduce(arr, axis=1, keepdims=True) if wide.any() else None
     narrow = np.unique(ws[~wide]).tolist()
@@ -116,17 +130,25 @@ def _row_runs(arr, dys, ws, out, work, fold, reduce, fill):
         if work is None:
             work = np.empty(arr.size)
         rows = np.empty(arr.shape)
-        folds = _kernels._circ_folds(arr, narrow, fold, work.reshape(arr.shape),
-                                     rows)
+        folds = _kernels._circ_folds(
+            arr, narrow, fold, work.reshape(-1)[:arr.size].reshape(arr.shape),
+            rows)
     else:
         folds = ()
+
+    def fold_in(filtered, dy):
+        # output row i = first + j s reads row i + dy = (j + shift) s
+        first = -dy % stride
+        _fold_row_shift(out[first::stride], filtered, (first + dy) // stride,
+                        fold)
+
     # arr is not read from here on
     out.fill(fill)
     for dy in dys[wide].tolist():
-        _fold_row_shift(out, whole, dy, fold)
+        fold_in(whole, dy)
     for k in folds:
         for dy in dys[ws == k].tolist():
-            _fold_row_shift(out, rows, dy, fold)
+            fold_in(rows, dy)
     return out
 
 
@@ -233,9 +255,12 @@ def dilated_mitigated_max(v: HalfSpaceField, p: float, beta: float,
             for k, t in scan)))
 
 
-def hl_max_q(f: GridFunction, q: float) -> GridFunction:
-    """Hardy-Littlewood q-power maximal function over dyadic radii in [h, extent/4]."""
-    out = np.zeros(f.grid.size)
+def hl_max_q(f, q: float):
+    """Hardy-Littlewood q-power maximal function over dyadic radii in
+    [h, extent/4]; of a GridStack, row by row (grid.ball_means), each
+    row's floats those of the row alone."""
+    out = np.zeros(f.samples.shape)
     for mean in ball_means(f, dyadic_scales(f.grid, 1.0), q):
         np.maximum(out, mean, out=out)
-    return GridFunction(f.grid, out)
+        del mean  # free it before the next mean is formed
+    return type(f)(f.grid, out)

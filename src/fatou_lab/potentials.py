@@ -122,7 +122,10 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
     Per scale, gathers from the wrap-padded samples lay the ball of every
     center out as an (offsets x centers) matrix; the ball means and the
     mean absolute residuals are a product and a reduction over it
-    (_mean_residuals).
+    (_mean_residuals).  Each ball's value is then spread over the ball by
+    a window max of the values placed on the centres; in 2-D, when the
+    stride divides N, only the centre rows are placed and filtered
+    (window_extreme's row_stride).
     """
     if not 0.0 < alpha < 1.0:
         raise ParameterError(f"alpha must lie in (0, 1), got {alpha}")
@@ -157,10 +160,15 @@ def sharp_maximal(f: GridFunction, alpha: float, scales) -> GridFunction:
         resid = _mean_residuals(padded, offs @ pitch, centers.reshape(-1))
         e = _ball_measure(g.dim, r) ** (-alpha / g.dim) * resid
         # every point of Delta(c, r) sees the ball's value: the disc is
-        # symmetric, so that is a window max of the values placed on centres
-        placed = np.full(g.shape, -np.inf)
-        placed[np.ix_(*[axis] * g.dim)] = e.reshape(centers.shape)
-        np.maximum(out, window_extreme(placed.reshape(-1), g, r), out=out)
+        # symmetric, so that is a window max of the values placed on centres.
+        # In 2-D only the centre rows hold values; when they lie a whole
+        # stride apart round the torus, only they are placed and filtered
+        step = stride if g.dim == 2 and g.n % stride == 0 else 1
+        placed = np.full((g.n // step,) + g.shape[1:], -np.inf)
+        placed[np.ix_(axis // step, *[axis] * (g.dim - 1))] = e.reshape(
+            centers.shape)
+        np.maximum(out, window_extreme(placed.reshape(-1), g, r,
+                                       row_stride=step), out=out)
     return GridFunction(g, out)
 
 

@@ -4,7 +4,8 @@ from itertools import product
 import numpy as np
 import pytest
 
-from fatou_lab import _kernels, potentials
+from fatou_lab import _kernels, experiments, potentials
+from fatou_lab.config import ExperimentConfig
 from fatou_lab.errors import ParameterError
 from fatou_lab.extension import poisson_extend
 from fatou_lab.grid import (GridFunction, fft_convolve, from_callable, lp_norm,
@@ -259,6 +260,36 @@ def test_maximal_commutation(rng):
             assert np.all(lhs.samples <= rhs.samples + 1e-8)
 
 
+def _commute_kernels(monkeypatch, dim, seeds):
+    """The kernels that commute-lemma convolves with, one per call."""
+    kernels = []
+    real = experiments.fft_convolve
+
+    def spy(kern, f):
+        kernels.append(kern)
+        return real(kern, f)
+
+    monkeypatch.setattr(experiments, "fft_convolve", spy)
+    experiments.run_experiment(ExperimentConfig(
+        experiment="commute-lemma", dim=dim, levels=(5,), seeds=seeds))
+    return kernels
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_commute_lemma_kernel_has_unit_mass(monkeypatch, dim):
+    # fft_convolve scales by h^dim; a kernel of mass h in 2-D would make
+    # the absolute 1e-8 threshold 1/h times looser than in 1-D
+    for kern in _commute_kernels(monkeypatch, dim, (0, 1)):
+        h = kern.grid.h
+        assert math.isclose(kern.samples.sum() * h ** dim, 1.0, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_commute_lemma_convolves_each_density_once(monkeypatch, dim):
+    # per seed one kern * dens, and one kern * M_q dens per power q
+    assert len(_commute_kernels(monkeypatch, dim, (0, 1, 2))) == 3 * 3
+
+
 def test_poincare_constant_stability(rng):
     g = make_grid(1, 10, 1.0)
     alpha = 0.5
@@ -353,6 +384,17 @@ def test_sharp_maximal_brute_force_oracle(rng, dim, levels, alpha):
     for point in [0, g.size - 1, *rng.integers(0, g.size, size=6)]:
         assert sharp.samples[point] == pytest.approx(
             _brute_sharp_at(f, alpha, scales, point), rel=1e-12)
+
+
+def test_sharp_maximal_2d_strides_that_do_not_divide_n(rng):
+    # r = 6h puts centres 3 apart on a torus of 32, r = 5h 2 apart
+    g = make_grid(2, 5, 1.0)
+    f = GridFunction(g, rng.normal(size=g.size))
+    scales = (5 * g.h, 6 * g.h)
+    sharp = sharp_maximal(f, 0.5, scales)
+    for point in [0, g.size - 1, *rng.integers(0, g.size, size=6)]:
+        assert sharp.samples[point] == pytest.approx(
+            _brute_sharp_at(f, 0.5, scales, point), rel=1e-12)
 
 
 @pytest.mark.parametrize("dim,levels", [(1, 10), (2, 6)])

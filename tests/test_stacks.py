@@ -15,10 +15,12 @@ from fatou_lab.config import ExperimentConfig
 from fatou_lab.errors import ParameterError
 from fatou_lab.experiments import spike_data, unit_l2, white_noise
 from fatou_lab.extension import dyadic_heights, poisson_multipliers
-from fatou_lab.grid import GridFunction, GridStack, lp_norm, lp_norms, \
-    make_grid
-from fatou_lab.maximal import ApproachRegionSpec, poisson_tangential_max
-from fatou_lab.potentials import _half_spectrum, bessel_smooth
+from fatou_lab.grid import GridFunction, GridStack, _disc_spectrum, \
+    ball_means, disc_rows, lp_norm, lp_norms, make_grid
+from fatou_lab.maximal import ApproachRegionSpec, hl_max_q, \
+    poisson_tangential_max, window_extreme
+from fatou_lab.potentials import _half_spectrum, bessel_smooth, dyadic_scales
+from golden_digests import BALL_RADII
 
 CFG = ExperimentConfig(experiment="nagel-stein-bound", levels=(8, 10),
                        alpha=0.25, p=2.0, seeds=(0,))
@@ -172,3 +174,91 @@ def test_stacks_peak_below_a_single_row_at_2_18():
         14, tuple(range(32)), CFG, BETA))
     single = _traced_peak(lambda: experiments._ns_ratios(18, (0,), CFG, BETA))
     assert stacked < single
+
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 8])
+@pytest.mark.parametrize("dim,level", [(1, 8), (1, 12), (2, 3), (2, 6)])
+def test_stacked_ball_means_and_hl_max_rows_equal_single_rows(rng, rows, dim,
+                                                              level):
+    grid = make_grid(dim, level, 1.0)
+    data = rng.normal(size=(rows, grid.size))
+    stack = GridStack(grid, data)
+    for q in (1.0, 1.5, 2.0, 3.0):
+        stacked = hl_max_q(stack, q)
+        assert isinstance(stacked, GridStack)
+        means = list(ball_means(stack, BALL_RADII, q))
+        for r, row in enumerate(data):
+            f = GridFunction(grid, row)
+            alone = hl_max_q(f, q).samples
+            assert stacked.samples[r].tobytes() == alone.tobytes()
+            for mean, one in zip(means, ball_means(f, BALL_RADII, q)):
+                assert mean.shape == (rows, grid.size)
+                assert mean[r].tobytes() == one.tobytes()
+
+
+@pytest.mark.parametrize("rows", [1, 2, 3, 8])
+def test_stacked_window_sums_equal_row_by_row(rng, rows):
+    data = rng.normal(size=(rows, 173))
+    for k in (-1, 0, 1, 5, 40, 86, 90):
+        stacked = _kernels.circ_sum_1d(data, k)
+        assert stacked.shape == data.shape
+        for got, row in zip(stacked, data):
+            assert got.tobytes() == _kernels.circ_sum_1d(row, k).tobytes()
+
+
+@pytest.mark.parametrize("level", range(2, 10))
+def test_disc_spectrum_equals_rfft2_of_the_disc(level):
+    grid = make_grid(2, level, 1.0)
+    for radius in BALL_RADII + (0.5, 0.71, 1.3):
+        mask = np.zeros(grid.shape)
+        for dy, w in zip(*disc_rows(grid, radius)):
+            w = min(w, grid.n // 2)
+            mask[dy % grid.n, np.arange(-w, w + 1) % grid.n] = 1.0
+        spectrum, count = _disc_spectrum(grid, radius)
+        assert spectrum.tobytes() == np.fft.rfft2(mask).tobytes()
+        assert count == int(mask.sum())
+
+
+@pytest.mark.parametrize("level", range(4, 10))
+def test_strided_spread_equals_window_extreme_of_the_placed_array(rng, level):
+    # values on a stride-s lattice of centres, the rest the fold's fill, as
+    # sharp_maximal places them at each dyadic scale
+    grid = make_grid(2, level, 1.0)
+    for radius in dyadic_scales(grid):
+        stride = round(radius / (2.0 * grid.h))
+        centres = rng.uniform(size=(grid.n // stride, grid.n // stride))
+        for mode, fill in (("max", -np.inf), ("min", np.inf)):
+            placed = np.full(grid.shape, fill)
+            placed[::stride, ::stride] = centres
+            rows = np.ascontiguousarray(placed[::stride]).reshape(-1)
+            got = window_extreme(rows, grid, radius, mode, row_stride=stride)
+            want = window_extreme(placed.reshape(-1), grid, radius, mode)
+            assert got.tobytes() == want.tobytes()
+
+
+def test_commute_lemma_stacks_hold_at_most_stack_samples(monkeypatch):
+    sizes = []
+    real = experiments.hl_max_q
+
+    def spy(f, q):
+        sizes.append(f.samples.size)
+        return real(f, q)
+
+    monkeypatch.setattr(experiments, "hl_max_q", spy)
+    default = experiments._STACK_SAMPLES
+    for dim, level, seeds in ((1, 10, tuple(range(20))), (2, 5, (0, 1, 2))):
+        cfg = ExperimentConfig(experiment="commute-lemma", dim=dim,
+                               levels=(level,), seeds=seeds)
+        samples = 1 << dim * level
+        # the default, then stacks of four seeds, one seed and half a seed
+        for cap in (default, 8 * samples, 2 * samples, samples):
+            monkeypatch.setattr(experiments, "_STACK_SAMPLES", cap)
+            sizes.clear()
+            rows = experiments.run_experiment(cfg).rows
+            if cap == default:
+                want = rows
+            assert rows == want
+            assert max(sizes) <= cap
+            # each (kern * dens, dens) row once per power q
+            assert sum(sizes) == 2 * 2 * len(seeds) * samples
